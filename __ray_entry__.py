@@ -783,11 +783,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def filter_encoded_ts(sf):
         from datetime import datetime
-        from packcol.pipelines.encode_pipeline import filter_encoded_range
+        from packcol.sources.encoded import read_encoded
         out = _encoded_store(sf, "events")
-        return filter_encoded_range(out, "ts", datetime(2024, 1, 5),
-                                    datetime(2024, 1, 12),
-                                    ["event_id", "ts"])
+        return read_encoded(out, columns=["event_id", "ts"],
+                            filter=("ts", "between", datetime(2024, 1, 5),
+                                    datetime(2024, 1, 12)))
     q["filter_encoded_ts_range"] = filter_encoded_ts
 
     def filter_encoded_conj(sf):

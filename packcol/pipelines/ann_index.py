@@ -8,7 +8,7 @@ and sinks through the standard store writer.  Each part therefore
 covers a contiguous list-id range, and the manifest zone maps turn the
 IVF probe into the store's EXISTING IN-list pushdown — a query reads
 only the parts whose zones intersect its probed lists (per-value zone
-tests, `encode_pipeline._in_survivors`).  Centroids land in a tiny
+tests, `sources/plan.py::plan`).  Centroids land in a tiny
 ``_ivf/`` sidecar (n_lists × dim floats).
 
 No bespoke index format and no bespoke reader: the index IS a plain
@@ -121,17 +121,17 @@ def ivf_probe_stats(store_dir: str, query: np.ndarray,
                     n_probe: int = 4) -> dict:
     """How selective a probe is: parts scanned vs total — the pruning
     evidence (zone maps on the sorted list id), metadata-only."""
-    from .encode_pipeline import _all_parts, _pred_survivors
+    from ..sources.plan import plan
     C, _ = load_ivf_sidecar(store_dir)
     q = np.atleast_2d(np.asarray(query, dtype=np.float64))
     n_probe = max(1, min(int(n_probe), len(C)))
     d = _sq_dists(q, C)
     probe = np.argpartition(d, n_probe - 1, axis=1)[:, :n_probe]
     lists = sorted({int(v) for v in probe.ravel()})
-    surv = _pred_survivors(store_dir, (LIST_COL, "in", tuple(lists),
-                                       None))
-    return {"parts_total": len(_all_parts(store_dir)),
-            "parts_scanned": len(surv), "lists_probed": len(lists)}
+    rec = plan(store_dir, [(LIST_COL, "in", tuple(lists), None)]).record
+    return {"parts_total": rec["parts_total"],
+            "parts_scanned": rec["parts_scanned"],
+            "lists_probed": len(lists)}
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,11 @@ def build_ivfpq_store(ds, out_dir: str, *, n_lists: int = 64,
     from .ann import pq_train, uniform_sample_vectors  # noqa: F401
     from .annotate import add_column_encoded
     from ..sources.encoded import read_encoded
+    if nbits > 8:
+        # codes are stored one uint8 per subquantizer: 2^nbits > 256
+        # centroids would silently wrap
+        raise ValueError(f"nbits must be <= 8 (one byte per PQ code), "
+                         f"got {nbits}")
     metrics = build_ivf_store(ds, out_dir, n_lists=n_lists,
                               vec_col=vec_col, id_col=id_col,
                               iters=iters, seed=seed)

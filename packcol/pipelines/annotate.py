@@ -35,14 +35,9 @@ import uuid
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..sources.plan import part_files, part_id as part_id_of
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash
-
-
-def _part_id_of(path: str) -> str:
-    base = os.path.basename(path)
-    return base[len("part-"):-len(".parquet")] \
-        if base.startswith("part-") else base
 
 
 def _write_part(path: str, enc: pa.Table) -> None:
@@ -113,7 +108,7 @@ class _AddColPart:
         from ..stages.encode import encode_table
         out = {"part_id": [], "action": []}
         for p in batch.column("path").to_pylist():
-            part_id = _part_id_of(p)
+            part_id = part_id_of(p) or os.path.basename(p)
             enc = pq.read_table(p)
             names = enc.column("column").to_pylist()
             if self.name in names and not self.overwrite:
@@ -186,7 +181,7 @@ class _DropColPart:
         import pyarrow.compute as pc
         out = {"part_id": [], "action": []}
         for p in batch.column("path").to_pylist():
-            part_id = _part_id_of(p)
+            part_id = part_id_of(p) or os.path.basename(p)
             enc = pq.read_table(p)
             names = enc.column("column").to_pylist()
             if self.name not in names:
@@ -221,8 +216,8 @@ class _DropColPart:
 
 
 def _run(store_dir: str, task) -> dict:
-    from .encode_pipeline import _all_parts, _part_scan_seed
-    files = _all_parts(store_dir)
+    from .encode_pipeline import _part_scan_seed
+    files = [{"path": p} for p in part_files(store_dir)]
     if not files:
         return {"parts_total": 0}
     res = _part_scan_seed(files).map_batches(
@@ -269,7 +264,7 @@ class _RenameColPart:
     def __call__(self, batch: pa.Table) -> pa.Table:
         out = {"part_id": [], "action": []}
         for p in batch.column("path").to_pylist():
-            part_id = _part_id_of(p)
+            part_id = part_id_of(p) or os.path.basename(p)
             enc = pq.read_table(p)
             names = enc.column("column").to_pylist()
             if self.old not in names:

@@ -14,9 +14,9 @@ The sort is the documented inherent shuffle (same class as the
 window/bucketed sorts); everything after it is embarrassingly
 parallel.  Output parts hold contiguous key ranges, so their manifest
 zones on the key are (near-)disjoint — an eq probe then survives to
-O(1) parts instead of O(parts), and every ``filter_encoded*`` /
-``count_encoded`` / ``read_encoded(filter=...)`` call on the clustered
-store prunes at the driver from tiny JSON.
+O(1) parts instead of O(parts), and every ``read_encoded(filter=...)``
+/ ``count_encoded`` / ``agg_encoded`` call on the clustered store
+prunes at the driver from tiny JSON (sources/plan.py).
 
 Sorting also helps the CODECS: a sorted key column is delta/RLE
 heaven, and low-cardinality payload columns gain longer runs, so the

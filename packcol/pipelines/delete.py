@@ -34,78 +34,45 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..sources.plan import parse_filter, part_id, part_mask, plan
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash
-from .encode_pipeline import (_bloom_disproves, _bloom_prune,
-                              _part_scan_seed, _pred_survivors)
-
-
-def _part_id_of(path: str) -> str:
-    base = os.path.basename(path)
-    return base[len("part-"):-len(".parquet")] \
-        if base.startswith("part-") else base
 
 
 class _DeletePartTask:
     """One affected part per loop turn: predicate on packed codes →
     untouched / removed / rewritten-in-place."""
 
-    def __init__(self, store_dir: str, preds: list[tuple]):
+    def __init__(self, store_dir: str, preds: list[tuple],
+                 probe_blooms: bool = True):
         self.store_dir = store_dir
         self.preds = preds
+        self.probe_blooms = probe_blooms
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        from ..codecs import EncodedColumn
-        from ..codecs.access import eval_pred
         from ..stages.encode import decode_rows, encode_table
         from ..state.bloom import _path as bloom_path
         out = {"part_id": [], "action": [], "rows_deleted": []}
-        pred_cols = {c for c, *_ in self.preds}
         man = Manifest(self.store_dir)
         for p in batch.column("path").to_pylist():
-            base = os.path.basename(p)
-            part_id = base[len("part-"):-len(".parquet")] \
-                if base.startswith("part-") else base
-            if _bloom_disproves(p, self.preds):
-                out["part_id"].append(part_id)
-                out["action"].append("untouched")
-                out["rows_deleted"].append(0)
-                continue
-            enc_meta = pq.read_table(
-                p, filters=[("column", "in", sorted(pred_cols))])
-            names = enc_meta.column("column").to_pylist()
-            if any(c not in names for c in pred_cols):
-                # heterogeneous store: this part holds another table —
-                # a predicate on an absent column matches nothing here
-                out["part_id"].append(part_id)
-                out["action"].append("untouched")
-                out["rows_deleted"].append(0)
-                continue
-            mask = None  # True = row matches the predicate = DELETE
-            for pred in self.preds:
-                i = names.index(pred[0])
-                enc = EncodedColumn.from_row(
-                    {k: enc_meta.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                enc.base_dir = os.path.dirname(p)
-                m = eval_pred(enc, pred)
-                mask = m if mask is None else (mask & m)
-                if not mask.any():
-                    break
-            n_del = int(mask.sum())
+            pid = part_id(p) or os.path.basename(p)
+            # mask True = row matches the predicate = DELETE
+            hit = part_mask(p, self.preds, "and",
+                            probe_blooms=self.probe_blooms)
+            mask = hit[1] if hit is not None else None
+            n_del = int(mask.sum()) if mask is not None else 0
             if n_del == 0:
-                out["part_id"].append(part_id)
+                out["part_id"].append(pid)
                 out["action"].append("untouched")
                 out["rows_deleted"].append(0)
                 continue
             if n_del == len(mask):
                 os.remove(p)
-                for side in (man._path(part_id),
-                             bloom_path(self.store_dir, part_id)):
+                for side in (man._path(pid),
+                             bloom_path(self.store_dir, pid)):
                     if os.path.exists(side):
                         os.remove(side)
-                out["part_id"].append(part_id)
+                out["part_id"].append(pid)
                 out["action"].append("removed")
                 out["rows_deleted"].append(n_del)
                 continue
@@ -115,7 +82,7 @@ class _DeletePartTask:
                             base_dir=os.path.dirname(p))
             keep = t.filter(pa.array(~mask))
             t0 = time.perf_counter()
-            enc = encode_table(keep, part_id=part_id)
+            enc = encode_table(keep, part_id=pid)
             import uuid
             tmp = p + f".tmp-{uuid.uuid4().hex[:8]}"
             pq.write_table(enc, tmp, compression="zstd",
@@ -127,14 +94,14 @@ class _DeletePartTask:
             from .encode_pipeline import build_part_blooms
             old = {}
             try:
-                old = man.load(part_id)
+                old = man.load(pid)
             except FileNotFoundError:
                 pass
             blooms = build_part_blooms(keep, zones, self.store_dir,
-                                       part_id, "auto")
+                                       pid, "auto")
             orig = sum(enc.column("orig_bytes").to_pylist())
             encb = sum(enc.column("enc_bytes").to_pylist())
-            man.record(part_id, {
+            man.record(pid, {
                 "rows": keep.num_rows, "orig_bytes": orig,
                 "enc_bytes": encb, "zones": zones, "blooms": blooms,
                 "nulls": null_counts_of(keep),
@@ -144,7 +111,7 @@ class _DeletePartTask:
                 "rows_deleted_cum":
                     int(old.get("rows_deleted_cum", 0)) + n_del,
                 "wall_s": round(time.perf_counter() - t0, 4)})
-            out["part_id"].append(part_id)
+            out["part_id"].append(pid)
             out["action"].append("rewritten")
             out["rows_deleted"].append(n_del)
         return pa.table(out)
@@ -160,28 +127,20 @@ def delete_where(store_dir: str, filter,
     parts from the replace-keys delete.  Returns {parts_total,
     parts_scanned, parts_untouched, parts_rewritten, parts_removed,
     rows_deleted}."""
-    from ..sources.encoded import _norm_pred
-    from .encode_pipeline import _all_parts
-    preds = [_norm_pred(f) for f in filter] if isinstance(filter, list) \
-        else [_norm_pred(filter)]
-    total = len(_all_parts(store_dir))
-    paths = None
-    for pred in preds:  # conjunction: intersection of survivor sets
-        surv = {f["path"] for f in _pred_survivors(store_dir, pred)}
-        paths = surv if paths is None else (paths & surv)
-    if exclude_parts:
-        paths = {p for p in (paths or ())
-                 if _part_id_of(p) not in exclude_parts}
-    files = _bloom_prune(store_dir,
-                         [{"path": p} for p in sorted(paths or ())],
-                         preds)
+    from .encode_pipeline import _part_scan_seed
+    preds, _ = parse_filter(filter, None)
+    p = plan(store_dir, preds, "and")
+    total = len(p.listed)
+    files = [f for f in p.files
+             if part_id(f["path"]) not in (exclude_parts or ())] \
+        if preds else []
     if not files:
         return {"parts_total": total, "parts_scanned": 0,
                 "parts_untouched": 0, "parts_rewritten": 0,
                 "parts_removed": 0, "rows_deleted": 0}
     res = _part_scan_seed(files).map_batches(
-        _DeletePartTask(store_dir, preds), batch_size=None,
-        batch_format="pyarrow").to_pandas()
+        _DeletePartTask(store_dir, preds, not p.blooms_probed),
+        batch_size=None, batch_format="pyarrow").to_pandas()
     acts = res["action"].value_counts().to_dict()
     return {"parts_total": total, "parts_scanned": len(res),
             "parts_untouched": int(acts.get("untouched", 0)),

@@ -33,8 +33,7 @@ import ray.data as rd
 from ..stages.encode import (ENC_SCHEMA, DecodeBatch, EncodeBatch,
                              RoundtripVerify, decode_rows, encode_table)
 from ..state.manifest import (Manifest, compute_zones,
-                              null_counts_of, params_hash,
-                              zone_may_match)
+                              null_counts_of, params_hash)
 
 _DEFAULT_TARGET_BYTES = 64 << 20
 
@@ -405,22 +404,14 @@ def decode_files(out_dir: str, concurrency: int | None = None,
     recorded count are kept conservatively) — the caller still applies
     ``Dataset.limit`` for the exact cut; this prunes the plan so a
     head-style read of a 10^6-part store schedules O(1) tasks."""
-    files = [{"path": os.path.join(out_dir, f)}
-             for f in sorted(os.listdir(out_dir)) if f.endswith(".parquet")]
+    from ..sources.plan import plan
+    p = plan(out_dir, [], "and")
+    files = p.files
     if limit is not None and limit >= 0:
-        rows_of: dict[str, int] = {}
-        man_dir = os.path.join(out_dir, "_manifest")
-        if os.path.isdir(man_dir):
-            for m in Manifest(out_dir).load_all():
-                if m.get("rows") is not None:
-                    rows_of[m["part_id"]] = int(m["rows"])
         pruned, got = [], 0
         for f in files:
             pruned.append(f)
-            base = os.path.basename(f["path"])
-            pid = base[len("part-"):-len(".parquet")] \
-                if base.startswith("part-") else None
-            got += rows_of.get(pid, 0)
+            got += (p.manifests.get(f["path"]) or {}).get("rows") or 0
             if got >= limit:
                 break
         files = pruned
@@ -598,8 +589,8 @@ class DecodeVerifyPart:
 def verify_files(out_dir: str, cpus_per_task: float = 1) -> dict:
     """Decode every encoded part and check extract_text(html)==text, fused
     in one task per part; returns {rows, mismatches}."""
-    files = [{"path": os.path.join(out_dir, f)}
-             for f in sorted(os.listdir(out_dir)) if f.endswith(".parquet")]
+    from ..sources.plan import part_files
+    files = [{"path": p} for p in part_files(out_dir)]
     nb = min(max(len(files), 1), max(4 * _cluster_cpus(), 16))
     ds = rd.from_items(files, override_num_blocks=nb)
     res = ds.map_batches(DecodeVerifyPart(), batch_size=None,
@@ -609,432 +600,44 @@ def verify_files(out_dir: str, cpus_per_task: float = 1) -> dict:
 
 
 class EncodedFilterPart:
-    """Task: evaluate an equality predicate on one encoded part WITHOUT
-    decoding the filtered column's values (codecs/access.py pushdown),
-    then decode only the requested output columns at the matching rows.
-    The 100 TB shape for selective point queries over the encoded store."""
+    """Task: a filtered scan of encoded parts.  ``preds`` (normalized,
+    combined by ``mode``) evaluate on packed codes without decoding the
+    filter columns (sources/plan.py::part_mask, codecs/access.py); only
+    the matching rows of ``out_columns`` decode.  ``probe_blooms``: the
+    plan left the parts' bloom sidecars unprobed.  ``schema`` types the
+    empty block of a task that matched nothing, so schemas unify
+    across tasks."""
 
-    def __init__(self, column: str, value, out_columns: list[str],
-                 op: str = "eq", value2=None,
-                 preds: list[tuple] | None = None, mode: str = "and"):
-        # preds: normalized [(col, "eq", v, v) | (col, "range", lo, hi)]
-        # combined per `mode` ("and" conjunction / "or" disjunction);
-        # the single (column, op, value[, value2]) form is kept as the
-        # common one-predicate spelling
-        if preds is None:
-            preds = [(column, op, value,
-                      value if op == "eq" else value2)]
+    def __init__(self, preds: list[tuple], out_columns: list[str],
+                 mode: str = "and", probe_blooms: bool = True,
+                 schema: pa.Schema | None = None):
         assert mode in ("and", "or"), mode
         self.preds = preds
         self.out_columns = out_columns
         self.mode = mode
+        self.probe_blooms = probe_blooms
+        self.schema = schema
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-        from ..codecs import EncodedColumn, decode_any
-        from ..codecs.base import str_to_type
-        from ..codecs.access import eval_pred
-        outs, out_types = [], {}
-        pred_cols = {c for c, *_ in self.preds}
-        needed = sorted(pred_cols | set(self.out_columns))
+        from ..codecs import decode_any
+        from ..sources.plan import part_mask
+        outs = []
         for p in batch.column("path").to_pylist():
-            if self.mode == "and":
-                skip = _bloom_disproves(p, self.preds)
-            else:
-                # OR: skippable only when EVERY disjunct is bloomable
-                # and each is individually disproven
-                skip = all(op in ("eq", "in")
-                           for _, op, *_ in self.preds) and \
-                    all(_bloom_disproves(p, [pr]) for pr in self.preds)
-            if skip:
-                continue  # ~KB sidecar read; part parquet never touched
-            # row-group pruning on the per-block layout: only the
-            # filter + output columns' payload pages are read
-            enc_rows = pq.read_table(p, filters=[("column", "in", needed)])
-            names = enc_rows.column("column").to_pylist()
-            enc_of = {}
-            for i, name in enumerate(names):
-                if name in pred_cols or name in self.out_columns:
-                    enc_of[name] = EncodedColumn.from_row(
-                        {k: enc_rows.column(k)[i].as_py() for k in
-                         ("codec", "n_values", "params", "payload")})
-                    enc_of[name].base_dir = os.path.dirname(p)
-            if any(n not in enc_of for n in self.out_columns):
-                continue  # heterogeneous store: part holds another table
-            missing_pred = [c for c in pred_cols if c not in enc_of]
-            if missing_pred and (self.mode == "and" or
-                                 len(missing_pred) == len(pred_cols)):
-                # AND: a conjunct on an absent column can never hold.
-                # OR: skip only when NO disjunct column is present —
-                # otherwise the part must still return rows matching
-                # the disjuncts on columns it DOES have (heterogeneous
-                # stores would silently lose matches).
+            hit = part_mask(p, self.preds, self.mode, self.out_columns,
+                            self.probe_blooms)
+            if hit is None:
                 continue
-            for name in self.out_columns:  # remember types for empty blocks
-                dt = enc_of[name].params.get("dtype")
-                if dt is not None:
-                    out_types[name] = str_to_type(dt)
-            mask = None
-            for pred in self.preds:
-                if pred[0] not in enc_of:
-                    continue  # OR: absent-column disjunct is all-false
-                m = eval_pred(enc_of[pred[0]], pred)
-                if mask is None:
-                    mask = m
-                elif self.mode == "and":
-                    mask = mask & m
-                else:
-                    mask = mask | m
-                if self.mode == "and" and not mask.any():
-                    break  # conjunction already provably empty
-                if self.mode == "or" and mask.all():
-                    break  # disjunction already provably full
-            if not mask.any():
-                continue
+            enc_of, mask = hit
             sel = pa.array(np.flatnonzero(mask))
-            cols = {}
-            for name in self.out_columns:
-                cols[name] = decode_any(enc_of[name]).take(sel)
-            outs.append(pa.table(cols))
-        if not outs:
-            # typed empty block: derive each column's type from the
-            # encoded params so schemas unify across tasks (no pa.string()
-            # fallback for non-string columns)
-            return pa.table(
-                {n: pa.array([], type=out_types.get(n, pa.string()))
-                 for n in self.out_columns})
-        return pa.concat_tables(outs)
-
-
-def _zone_bounds(column: str, lo, hi, zone: dict):
-    """Predicate bounds in a zone's physical domain, or None if the
-    value type doesn't map onto the zone kind (→ cannot prune)."""
-    import datetime
-    zone_kind = zone["kind"]
-    if zone_kind == "i64":
-        if isinstance(lo, (datetime.datetime, datetime.date)):
-            # convert in the COLUMN's recorded logical type — guessing a
-            # unit (us) against e.g. a timestamp[ns] zone would compare
-            # microseconds to nanoseconds and prune matching parts.
-            # Zones from older stores lack "dt": don't prune.
-            dt = zone.get("dt")
-            if dt is None:
-                return None
-            from ..codecs.access import _predicate_int
-            try:
-                return (_predicate_int(lo, dt), _predicate_int(hi, dt))
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError,
-                    ValueError):
-                return None
-        if isinstance(lo, (int, np.integer)):
-            return (int(lo), int(hi))
-        return None
-    if zone_kind == "f64":
-        try:
-            return (float(lo), float(hi))
-        except (TypeError, ValueError):
-            return None
-    if zone_kind == "str":
-        return (lo, hi) if isinstance(lo, str) else None
-    return None
-
-
-def _surviving_parts(out_dir: str, column: str, lo, hi) -> list[dict]:
-    """Part files whose manifest zone map intersects [lo, hi].  Parts
-    without a manifest entry or zone (older stores, long/binary columns)
-    are kept — pruning is best-effort, never lossy."""
-    zones = {}
-    man_dir = os.path.join(out_dir, "_manifest")
-    if os.path.isdir(man_dir):
-        for m in Manifest(out_dir).load_all():
-            zones[m["part_id"]] = m.get("zones", {}).get(column)
-    files = []
-    for f in sorted(os.listdir(out_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        part_id = f[len("part-"):-len(".parquet")] \
-            if f.startswith("part-") else None
-        zone = zones.get(part_id)
-        if zone is not None:
-            bounds = _zone_bounds(column, lo, hi, zone)
-            if bounds is not None and not zone_may_match(zone, *bounds):
-                continue  # provably no rows in range → never read
-        files.append({"path": os.path.join(out_dir, f)})
-    return files
-
-
-def _all_parts(out_dir: str) -> list[dict]:
-    return [{"path": os.path.join(out_dir, f)}
-            for f in sorted(os.listdir(out_dir))
-            if f.endswith(".parquet")]
-
-
-def _prefix_upper(prefix: str) -> str | None:
-    """Smallest string greater than every string with ``prefix``: the
-    prefix with its last incrementable code point bumped.  None when no
-    code point can be bumped (all U+10FFFF — cannot prune)."""
-    for i in range(len(prefix) - 1, -1, -1):
-        c = ord(prefix[i])
-        if c < 0x10FFFF:
-            return prefix[:i] + chr(c + 1)
-    return None
-
-
-def _null_survivors(out_dir: str, column: str, op: str) -> list[dict]:
-    """Parts a null test may match, from manifest null counts: an
-    ``isnull`` prunes parts recorded with zero nulls in the column, a
-    ``notnull`` prunes parts that are entirely null.  Manifests without
-    the "nulls" key (pre-null-aware stores) keep every part."""
-    man_dir = os.path.join(out_dir, "_manifest")
-    meta: dict[str, dict | None] = {}
-    if os.path.isdir(man_dir):
-        for m in Manifest(out_dir).load_all():
-            meta[m["part_id"]] = m
-    files = []
-    for f in sorted(os.listdir(out_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        part_id = f[len("part-"):-len(".parquet")] \
-            if f.startswith("part-") else None
-        m = meta.get(part_id)
-        if m is not None and "nulls" in m:
-            nn = m["nulls"].get(column, 0)
-            if op == "isnull" and nn == 0:
-                continue  # provably no nulls in this part
-            if op == "notnull" and nn >= m.get("rows", -1) >= 0:
-                continue  # provably all-null in this part
-        files.append({"path": os.path.join(out_dir, f)})
-    return files
-
-
-_IN_ZONE_CAP = 1024  # per-value zone tests beyond this → envelope
-
-
-def _in_survivors(out_dir: str, column: str, values) -> list[dict]:
-    """Parts whose zone may contain ANY of the IN-list values —
-    per-value tests, not the [min, max] envelope, so a scattered value
-    set (e.g. IVF probe lists {3, 47}) prunes the parts BETWEEN its
-    values instead of keeping everything in the span.  One manifest
-    pass regardless of len(values)."""
-    zones: dict = {}
-    man_dir = os.path.join(out_dir, "_manifest")
-    if os.path.isdir(man_dir):
-        for m in Manifest(out_dir).load_all():
-            zones[m["part_id"]] = m.get("zones", {}).get(column)
-    files = []
-    for f in sorted(os.listdir(out_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        part_id = f[len("part-"):-len(".parquet")] \
-            if f.startswith("part-") else None
-        zone = zones.get(part_id)
-        if zone is not None:
-            hit = False
-            for v in values:
-                b = _zone_bounds(column, v, v, zone)
-                if b is None or zone_may_match(zone, *b):
-                    hit = True
-                    break
-            if not hit:
-                continue  # every value provably outside this part
-        files.append({"path": os.path.join(out_dir, f)})
-    return files
-
-
-def _pred_survivors(out_dir: str, pred: tuple) -> list[dict]:
-    """Zone-surviving parts for one normalized predicate
-    ``(col, op, lo, hi)``.  IN-lists prune per value (envelope beyond
-    _IN_ZONE_CAP values); prefixes prune on the
-    [prefix, successor(prefix)] string interval; null tests prune on
-    manifest null counts; anything unprovable keeps every part (never
-    lossy)."""
-    col, op, lo, hi = pred
-    if op == "in":
-        if len(lo) <= _IN_ZONE_CAP:
-            return _in_survivors(out_dir, col, lo)
-        try:
-            lo, hi = min(lo), max(lo)
-        except (TypeError, ValueError):
-            return _all_parts(out_dir)
-    elif op == "prefix":
-        hi = _prefix_upper(lo)
-        if hi is None:
-            return _all_parts(out_dir)
-    elif op in ("isnull", "notnull"):
-        return _null_survivors(out_dir, col, op)
-    return _surviving_parts(out_dir, col, lo, hi)
-
-
-_BLOOM_DRIVER_CAP = 4096
-
-
-_BLOOM_PROBE_VALUE_CAP = 4096
-
-
-def _bloom_probe_sets(preds: list[tuple]) -> list[tuple]:
-    """(col, values-as-Arrow) for the bloomable predicates (eq / in).
-    IN-lists beyond _BLOOM_PROBE_VALUE_CAP values are skipped: at ~1%
-    per-value false-positive rate, P(any of N values hits) saturates
-    toward 1 long before that, so the probe can no longer disprove
-    anything and is pure driver/task overhead (measured: a 19k-key
-    upsert retire probed 512 sidecars for zero prunes)."""
-    out = []
-    for col, op, lo, hi in preds:
-        if op not in ("eq", "in"):
-            continue
-        vals = list(lo) if op == "in" else [lo]
-        if len(vals) > _BLOOM_PROBE_VALUE_CAP:
-            continue
-        try:
-            out.append((col, pa.array(vals)))
-        except (pa.ArrowInvalid, pa.ArrowNotImplementedError, TypeError):
-            continue  # unhashable predicate type: bloom never prunes
-    return out
-
-
-def _bloom_disproves(path: str, preds: list[tuple]) -> bool:
-    """Task-side bloom check for one part file: True when some eq/IN
-    predicate provably has no match (sidecar read only, ~KB; the part's
-    parquet is never opened).  Missing sidecar → False (scan)."""
-    from ..state.bloom import bloom_may_contain
-    base = os.path.basename(path)
-    if not base.startswith("part-"):
-        return False
-    part_id = base[len("part-"):-len(".parquet")]
-    store_dir = os.path.dirname(path)
-    return any(not bloom_may_contain(store_dir, part_id, col, vals)
-               for col, vals in _bloom_probe_sets(preds))
-
-
-def _bloom_prune(out_dir: str, files: list[dict],
-                 preds: list[tuple]) -> list[dict]:
-    """Driver-side bloom probe over the zone-surviving part set
-    (state/bloom.py sidecars): drops parts an eq/IN predicate provably
-    misses BEFORE any task is scheduled.  Bounded at _BLOOM_DRIVER_CAP
-    parts — beyond that the same probe runs distributed inside the scan
-    tasks (_bloom_disproves), so the driver never reads O(parts)
-    sidecars at open scale."""
-    probe = _bloom_probe_sets(preds)
-    if not probe or len(files) > _BLOOM_DRIVER_CAP:
-        return files
-    from ..state.bloom import bloom_may_contain
-
-    def keep(f: dict) -> bool:
-        base = os.path.basename(f["path"])
-        if not base.startswith("part-"):
-            return True
-        part_id = base[len("part-"):-len(".parquet")]
-        return not any(not bloom_may_contain(out_dir, part_id, col, vals)
-                       for col, vals in probe)
-
-    # sequential on purpose: ~0.5-1 ms/sidecar is Python-level zipfile
-    # parsing (GIL-bound — a 16-thread pool measured 5x SLOWER), so the
-    # worst case at _BLOOM_DRIVER_CAP is ~2-4 s and the cap is the
-    # real bound; beyond it the probe is distributed in the scan tasks
-    return [f for f in files if keep(f)]
-
-
-def _typed_empty(out_dir: str, out_columns: list[str]) -> pa.Table:
-    """Empty result with the SAME schema the unpruned path would
-    produce: column dtypes come from any part's stored params (one
-    small metadata read), falling back to string only when the store
-    has no parts at all."""
-    from ..codecs.base import str_to_type
-    types: dict = {}
-    for f in sorted(os.listdir(out_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        enc_rows = pq.read_table(os.path.join(out_dir, f),
-                                 columns=["column", "params"])
-        import json as _json
-        for name, params in zip(enc_rows.column("column").to_pylist(),
-                                enc_rows.column("params").to_pylist()):
-            if name in out_columns and name not in types:
-                dt = _json.loads(params).get("dtype") \
-                    if isinstance(params, (str, bytes)) else None
-                if dt is not None:
-                    types[name] = str_to_type(dt)
-        if len(types) == len(out_columns):
-            break
-    return pa.table({n: pa.array([], types.get(n, pa.string()))
-                     for n in out_columns})
-
-
-def filter_encoded(out_dir: str, column: str, value,
-                   out_columns: list[str]) -> "rd.Dataset":
-    """Equality predicate pushed into the encoded store: manifest zone
-    maps + bloom sidecars prune whole parts driver-side (tiny JSON /
-    ~KB bit arrays, no data reads), then the filter runs on packed
-    codes; only matching rows of `out_columns` are decoded."""
-    files = _bloom_prune(out_dir, _surviving_parts(
-        out_dir, column, value, value), [(column, "eq", value, value)])
-    if not files:  # every part pruned — provably empty result
-        return rd.from_arrow(_typed_empty(out_dir, out_columns))
-    ds = _part_scan_seed(files)
-    return ds.map_batches(EncodedFilterPart(column, value, out_columns),
-                          batch_size=None, batch_format="pyarrow")
-
-
-def filter_encoded_multi(out_dir: str, preds: list[tuple],
-                         out_columns: list[str]) -> "rd.Dataset":
-    """Conjunction (AND) of eq/range predicates pushed into the encoded
-    store: zone maps prune a part when ANY predicate's zone disproves
-    it (intersection of per-predicate survivor sets) and bloom sidecars
-    disprove eq/IN point sets, then per-part masks AND on packed codes
-    and only the surviving rows of `out_columns` decode.  preds:
-    normalized ``[(col, "eq", v, v) | (col, "range", lo, hi) |
-    (col, "in", values, None)]``."""
-    paths = None
-    for pred in preds:
-        surv = {f["path"] for f in _pred_survivors(out_dir, pred)}
-        paths = surv if paths is None else (paths & surv)
-    files = _bloom_prune(out_dir,
-                         [{"path": p} for p in sorted(paths or ())], preds)
-    if not files:  # every part pruned — provably empty result
-        return rd.from_arrow(_typed_empty(out_dir, out_columns))
-    ds = _part_scan_seed(files)
-    return ds.map_batches(
-        EncodedFilterPart(None, None, out_columns, preds=preds),
-        batch_size=None, batch_format="pyarrow")
-
-
-def filter_encoded_any(out_dir: str, preds: list[tuple],
-                       out_columns: list[str]) -> "rd.Dataset":
-    """Disjunction (OR) of eq/range/IN predicates pushed into the
-    encoded store.  A part survives when ANY disjunct's evidence allows
-    it — the survivor set is the UNION over predicates of (zone
-    survivors ∩ bloom-kept) — and per-part masks OR on packed codes;
-    only rows matching some disjunct decode.  preds: normalized as in
-    :func:`filter_encoded_multi`."""
-    keep: set[str] = set()
-    for pred in preds:
-        surv = _bloom_prune(out_dir, _pred_survivors(out_dir, pred),
-                            [pred])
-        keep |= {f["path"] for f in surv}
-    if not keep:  # every disjunct disproven on every part
-        return rd.from_arrow(_typed_empty(out_dir, out_columns))
-    files = [{"path": p} for p in sorted(keep)]
-    ds = _part_scan_seed(files)
-    return ds.map_batches(
-        EncodedFilterPart(None, None, out_columns, preds=preds,
-                          mode="or"),
-        batch_size=None, batch_format="pyarrow")
-
-
-def filter_encoded_range(out_dir: str, column: str, lo, hi,
-                         out_columns: list[str]) -> "rd.Dataset":
-    """Range predicate (lo <= col <= hi) pushed into the encoded store:
-    manifest zone maps prune whole parts first; order-preserving dict
-    codes / FOR deltas make the residual a code-interval test
-    (codecs/access.py::filter_range) — only matching rows decode."""
-    files = _surviving_parts(out_dir, column, lo, hi)
-    if not files:  # every part pruned — provably empty result
-        return rd.from_arrow(_typed_empty(out_dir, out_columns))
-    ds = _part_scan_seed(files)
-    return ds.map_batches(
-        EncodedFilterPart(column, lo, out_columns, op="range", value2=hi),
-        batch_size=None, batch_format="pyarrow")
+            outs.append(pa.table({name: decode_any(enc_of[name]).take(sel)
+                                  for name in self.out_columns}))
+        if outs:
+            return pa.concat_tables(outs)
+        sch = self.schema
+        return pa.table({
+            n: pa.array([], sch.field(n).type if sch is not None and
+                        n in sch.names else pa.string())
+            for n in self.out_columns})
 
 
 class SpotCheckPart:

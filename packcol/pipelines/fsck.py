@@ -26,6 +26,7 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..sources.plan import part_files, part_id
 from ..state.bloom import BLOOM_DIR
 from ..state.manifest import Manifest
 
@@ -33,9 +34,7 @@ _STALE_S = 3600  # tmp/staging younger than this may be a live writer
 
 
 def _part_ids(store_dir: str) -> set[str]:
-    return {f[len("part-"):-len(".parquet")]
-            for f in os.listdir(store_dir)
-            if f.startswith("part-") and f.endswith(".parquet")}
+    return {pid for pid in map(part_id, part_files(store_dir)) if pid}
 
 
 class _CheckPart:
@@ -57,8 +56,7 @@ class _CheckPart:
             out["issue"].append(msg)
 
         for p in batch.column("path").to_pylist():
-            base = os.path.basename(p)
-            pid = base[len("part-"):-len(".parquet")]
+            pid = part_id(p) or os.path.basename(p)
             try:
                 enc = pq.read_table(p)
             except Exception as e:  # unreadable part is the finding
@@ -133,7 +131,7 @@ class _CheckPart:
 def check_store(store_dir: str, *, deep: bool = False) -> dict:
     """Audit the store; returns {parts_total, issues: [(part_id|path,
     message)], counts: {...}, ok}.  Never mutates anything."""
-    from .encode_pipeline import _all_parts, _part_scan_seed
+    from .encode_pipeline import _part_scan_seed
     issues: list[tuple[str, str]] = []
     parts = _part_ids(store_dir)
     manifests: dict = {}
@@ -156,7 +154,7 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
         if f.startswith("_upsert-") and os.path.isdir(fp) \
                 and now - os.path.getmtime(fp) > _STALE_S:
             issues.append((f, "stale upsert staging dir"))
-    files = _all_parts(store_dir)
+    files = [{"path": p} for p in part_files(store_dir)]
     if files:
         res = _part_scan_seed(files).map_batches(
             _CheckPart(store_dir, manifests, deep), batch_size=None,

@@ -20,8 +20,6 @@ the join output — the dedup/curation workhorses.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
@@ -324,19 +322,15 @@ def merge_join_plan(left_store: str, right_store: str, on: str,
     On two well-clustered stores max_fanout is O(1) regardless of
     store size — the all-to-all shuffle a hash join would need never
     happens; at 10^6 parts per side the plan is one manifest sweep."""
+    from ..sources.plan import part_files, part_id
     from ..state.manifest import Manifest
 
     def _zoned(store, key):
         zones = {m["part_id"]: m.get("zones", {}).get(key)
                  for m in Manifest(store).load_all()}
         zoned, unzoned = [], []
-        for f in sorted(os.listdir(store)):
-            if not f.endswith(".parquet"):
-                continue
-            pid = f[len("part-"):-len(".parquet")] \
-                if f.startswith("part-") else None
-            z = zones.get(pid)
-            path = os.path.join(store, f)
+        for path in part_files(store):
+            z = zones.get(part_id(path))
             if z is None:
                 unzoned.append(path)
             else:
@@ -433,11 +427,11 @@ class _MergeJoinPart:
             if nonnull > 0 and row["rpaths"]:
                 mm = pc.min_max(key)
                 rdec = EncodedFilterPart(
-                    None, None, list(self.right_columns
-                                     if self.right_columns is not None
-                                     else self.right_schema.names),
-                    preds=[(self.right_on, "range",
-                            mm["min"].as_py(), mm["max"].as_py())])
+                    [(self.right_on, "range",
+                      mm["min"].as_py(), mm["max"].as_py())],
+                    list(self.right_columns
+                         if self.right_columns is not None
+                         else self.right_schema.names))
                 right = rdec(pa.table({"path": list(row["rpaths"])}))
             if right is None or right.num_rows == 0:
                 if self.join_type in ("inner", "left semi"):

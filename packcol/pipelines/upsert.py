@@ -42,6 +42,7 @@ import uuid
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..sources.plan import part_id
 from ..state.bloom import _path as bloom_path
 from ..state.manifest import Manifest
 
@@ -53,7 +54,7 @@ from ..state.manifest import Manifest
 # 2059 parts / 23.1 s vs one pass 512 / 17.9 s) — the single pass does
 # one vectorized membership scan per part, the honest cost on an
 # unzoned key.  Large IN-lists skip bloom probing entirely
-# (encode_pipeline._BLOOM_PROBE_VALUE_CAP); zone envelopes still prune
+# (sources/plan.py::_BLOOM_PROBE_VALUE_CAP); zone envelopes still prune
 # when the key is zoned/clustered.
 _KEY_CHUNK = 1_000_000
 
@@ -120,7 +121,7 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
         for f in sorted(os.listdir(staging)):
             if not f.endswith(".parquet"):
                 continue
-            pid = f[len("part-"):-len(".parquet")]
+            pid = part_id(f) or f
             new_ids.append(pid)
             if os.path.exists(man_src._path(pid)):
                 os.replace(man_src._path(pid), man_dst._path(pid))
@@ -199,8 +200,7 @@ def attach_store(src_dir: str, dst_dir: str, *,
     for f in sorted(os.listdir(src_dir)):
         if not f.endswith(".parquet"):
             continue
-        pid = f[len("part-"):-len(".parquet")] \
-            if f.startswith("part-") else f
+        pid = part_id(f) or f
         src_f = os.path.join(src_dir, f)
         dest = os.path.join(dst_dir, f)
         if os.path.exists(dest):

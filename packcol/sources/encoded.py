@@ -12,7 +12,7 @@ with
   decoded (``DecodePartFile``);
 * **zone-map pruning** — with a predicate, whole parts whose lineage
   manifest proves no matching rows are dropped driver-side from tiny
-  JSON, before any data read (``_surviving_parts``);
+  JSON, before any data read (``plan.plan``);
 * **predicate pushdown into the encoded domain** — eq / range
   predicates evaluate on packed codes / FOR deltas / order-preserving
   dictionary codes (``codecs/access.py``) and only the matching rows of
@@ -55,48 +55,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-
-def _part_files(store_dir: str) -> list[str]:
-    return [os.path.join(store_dir, f)
-            for f in sorted(os.listdir(store_dir))
-            if f.endswith(".parquet")]
-
-
-def _norm_pred(f) -> tuple:
-    """User predicate → normalized (col, op, lo, hi):
-    ``(col, "==", v)`` → eq, ``(col, "between", lo, hi)`` → range,
-    ``(col, "in", values)`` → in (lo = value tuple, hi = None),
-    ``(col, "prefix", p)`` / ``(col, "like", "p%")`` → prefix,
-    ``(col, "isnull")`` / ``(col, "notnull")`` → null tests."""
-    col, op, *vals = f
-    if op in ("==", "eq") and len(vals) == 1:
-        return (col, "eq", vals[0], vals[0])
-    if op in ("between", "range") and len(vals) == 2:
-        return (col, "range", vals[0], vals[1])
-    if op == "in" and len(vals) == 1 and \
-            isinstance(vals[0], (list, tuple, set, frozenset)):
-        return (col, "in", tuple(vals[0]), None)
-    if op in ("prefix", "startswith", "like") and len(vals) == 1 \
-            and isinstance(vals[0], str):
-        v = vals[0]
-        if op == "like":
-            # only the prefix shape 'p%' is pushable; other LIKE
-            # patterns need a decoded-scan filter the caller owns
-            if not (v.endswith("%") and "%" not in v[:-1]
-                    and "_" not in v):
-                raise ValueError(
-                    f"LIKE pattern {v!r} is not a plain prefix 'p%'")
-            v = v[:-1]
-        return (col, "prefix", v, None)
-    if op in ("isnull", "is_null") and not vals:
-        return (col, "isnull", None, None)
-    if op in ("notnull", "not_null", "is_not_null") and not vals:
-        return (col, "notnull", None, None)
-    raise ValueError(
-        f"unsupported filter {f!r}: expected (col, '==', v), "
-        "(col, 'between', lo, hi), (col, 'in', [v, ...]), "
-        "(col, 'prefix'|'like', p), (col, 'isnull') or "
-        "(col, 'notnull')")
+from .plan import parse_filter, part_files, part_id, part_mask, plan
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
@@ -105,7 +64,7 @@ def encoded_schema(store_dir: str) -> pa.Schema:
     payloads are never touched)."""
     from ..codecs.base import str_to_type
     fields: dict[str, pa.DataType] = {}
-    for path in _part_files(store_dir):
+    for path in part_files(store_dir):
         meta = pq.read_table(path, columns=["column", "params"])
         for name, params in zip(meta.column("column").to_pylist(),
                                 meta.column("params").to_pylist()):
@@ -135,76 +94,61 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
                  concurrency: int | None = None,
                  cpus_per_task: float = 1) -> "rd.Dataset":
     """Dataset of decoded rows from an encoded store — the generic
-    source form of ``decode_files`` / ``filter_encoded*``.
+    source form of ``decode_files``.
 
-    ``filter`` is ``(column, "==", value)``,
-    ``(column, "between", lo, hi)`` (inclusive) or
-    ``(column, "in", [v, ...])``, or a LIST of those for a conjunction
-    (every predicate must hold).  ``filter_any`` is a list of the same
-    shapes combined as a DISJUNCTION (any predicate may hold); the two
-    are mutually exclusive.  Filter columns need not be in
-    ``columns``.
+    ``filter`` is one predicate (shapes in sources/plan.py) or a LIST
+    of them for a conjunction (every predicate must hold).
+    ``filter_any`` is a list of the same shapes combined as a
+    DISJUNCTION (any predicate may hold); the two are mutually
+    exclusive.  Filter columns need not be in ``columns``.  The parts
+    scanned are ``plan``'s survivors (what ``explain_scan`` reports).
 
     ``limit`` is a LIMIT-without-ORDER head cut: unfiltered reads plan
     only the minimal prefix of parts whose manifest row counts cover
     it (a head of a 10^6-part store schedules O(1) tasks); filtered
     reads apply it post-filter via the streaming executor's early
     stop."""
-    from ..pipelines.encode_pipeline import (decode_files, filter_encoded,
-                                             filter_encoded_any,
-                                             filter_encoded_multi,
-                                             filter_encoded_range)
-    if filter is not None and filter_any is not None:
-        raise ValueError("pass filter= (AND) or filter_any= (OR), "
-                         "not both")
+    from ..pipelines.encode_pipeline import (EncodedFilterPart,
+                                             _part_scan_seed, decode_files)
+    preds, mode = parse_filter(filter, filter_any)
+    schema = encoded_schema(store_dir) \
+        if columns is not None or preds else None
     if columns is not None:
         # Fail loud on unknown projections: the per-part decode paths
         # would otherwise silently drop them (unfiltered) or emit zero
         # rows (filtered) — both observed via the CLI before this check.
-        known = encoded_schema(store_dir).names
-        missing = [c for c in columns if c not in known]
+        missing = [c for c in columns if c not in schema.names]
         if missing:
             raise ValueError(
                 f"unknown column(s) {missing} in projection; "
-                f"store has {sorted(known)}")
+                f"store has {sorted(schema.names)}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    if filter is None and filter_any is None:
+    if not preds:
         ds = decode_files(store_dir, columns=columns,
                           concurrency=concurrency,
                           cpus_per_task=cpus_per_task, limit=limit)
         return ds.limit(limit) if limit is not None else ds
-    out_columns = columns if columns is not None else \
-        encoded_schema(store_dir).names
+    out_columns = list(columns) if columns is not None else schema.names
     if not out_columns:
         raise ValueError(f"no encoded parts found in {store_dir}")
-
-    if filter_any is not None:
-        if not isinstance(filter_any, list):  # single-predicate OR
-            filter_any = [filter_any]
-        ds = filter_encoded_any(
-            store_dir, [_norm_pred(f) for f in filter_any],
-            list(out_columns))
-        return ds.limit(limit) if limit is not None else ds
-    preds = [_norm_pred(f) for f in filter] if isinstance(filter, list) \
-        else [_norm_pred(filter)]
-    if len(preds) > 1 or preds[0][1] in ("in", "prefix",
-                                         "isnull", "notnull"):
-        ds = filter_encoded_multi(store_dir, preds, list(out_columns))
+    out_schema = pa.schema([schema.field(c) for c in out_columns])
+    p = plan(store_dir, preds, mode)
+    if not p.parts:  # every part pruned — provably empty result
+        ds = rd.from_arrow(out_schema.empty_table())
     else:
-        col, op, lo, hi = preds[0]
-        if op == "eq":
-            ds = filter_encoded(store_dir, col, lo, list(out_columns))
-        else:
-            ds = filter_encoded_range(store_dir, col, lo, hi,
-                                      list(out_columns))
+        ds = _part_scan_seed(p.files).map_batches(
+            EncodedFilterPart(preds, out_columns, mode,
+                              probe_blooms=not p.blooms_probed,
+                              schema=out_schema),
+            batch_size=None, batch_format="pyarrow")
     return ds.limit(limit) if limit is not None else ds
 
 
 def read_encoded_blocks(store_dir: str) -> "rd.Dataset":
     """Raw encoded-block rows (part_id/column/codec/params/payload) —
     the physical view, for compaction / stats tooling."""
-    return rd.read_parquet(_part_files(store_dir))
+    return rd.read_parquet(part_files(store_dir))
 
 
 def store_stats(store_dir: str) -> dict:
@@ -236,7 +180,7 @@ def store_stats(store_dir: str) -> dict:
             elif cur.get("kind") == z.get("kind"):
                 cur["min"] = min(cur["min"], z["min"])
                 cur["max"] = max(cur["max"], z["max"])
-    disk = sum(os.path.getsize(p) for p in _part_files(store_dir))
+    disk = sum(os.path.getsize(p) for p in part_files(store_dir))
     return {"parts": len(mans), "rows": rows, "orig_bytes": orig,
             "enc_bytes": enc, "disk_bytes": disk,
             "ratio": round(orig / enc, 4) if enc else None,
@@ -245,69 +189,24 @@ def store_stats(store_dir: str) -> dict:
 
 
 class _CountPart:
-    """Task: matching-row COUNT of one encoded part — evaluates the
-    predicate conjunction on packed codes (codecs/access.py) and never
-    decodes any values.  Selective counts at open scale read only the
-    filter columns' blocks of the zone-surviving parts."""
+    """Task: matching-row COUNT of encoded parts — evaluates the
+    predicates on packed codes (``part_mask``) and never decodes any
+    values.  Selective counts at open scale read only the filter
+    columns' blocks of the plan's parts."""
 
-    def __init__(self, preds: list[tuple], mode: str = "and"):
-        self.preds = preds  # [(col, "eq"|"range"|"in", lo, hi)]
+    def __init__(self, preds: list[tuple], mode: str = "and",
+                 probe_blooms: bool = True):
+        self.preds = preds  # normalized, combined by mode
         self.mode = mode    # "and" conjunction / "or" disjunction
+        self.probe_blooms = probe_blooms
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..codecs import EncodedColumn
-        from ..codecs.access import eval_pred
-        from ..pipelines.encode_pipeline import _bloom_disproves
-        cols = sorted({c for c, *_ in self.preds})
         n = 0
         for p in batch.column("path").to_pylist():
-            if self.mode == "and":
-                skip = _bloom_disproves(p, self.preds)
-            else:  # OR: every disjunct must be bloomable AND disproven
-                skip = all(op in ("eq", "in")
-                           for _, op, *_ in self.preds) and \
-                    all(_bloom_disproves(p, [pr]) for pr in self.preds)
-            if skip:
-                continue  # sidecar-only read, provably zero matches
-            # per-block row-group layout: only the filter columns'
-            # payload pages are read
-            enc_rows = pq.read_table(
-                p, filters=[("column", "in", cols)])
-            names = enc_rows.column("column").to_pylist()
-            missing = [c for c in cols if c not in names]
-            if missing and (self.mode == "and" or
-                            len(missing) == len(cols)):
-                # AND: a conjunct on an absent column never holds.
-                # OR: skip only when NO disjunct column is present —
-                # a part in a heterogeneous store must still count
-                # rows matching the disjuncts on columns it has.
-                continue
-            enc_of = {}
-            for c in cols:
-                if c not in names:
-                    continue
-                i = names.index(c)
-                enc = EncodedColumn.from_row(
-                    {k: enc_rows.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                enc.base_dir = os.path.dirname(p)
-                enc_of[c] = enc
-            mask = None
-            for pred in self.preds:
-                if pred[0] not in enc_of:
-                    continue  # OR: absent-column disjunct is all-false
-                m = eval_pred(enc_of[pred[0]], pred)
-                if mask is None:
-                    mask = m
-                elif self.mode == "and":
-                    mask = mask & m
-                else:
-                    mask = mask | m
-                if self.mode == "and" and not mask.any():
-                    break
-                if self.mode == "or" and mask.all():
-                    break
-            n += int(mask.sum())
+            hit = part_mask(p, self.preds, self.mode,
+                            probe_blooms=self.probe_blooms)
+            if hit is not None:
+                n += int(hit[1].sum())
         return pa.table({"n": pa.array([n], pa.int64())})
 
 
@@ -319,55 +218,27 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     counts; parts missing a manifest fall back to one n_values
     metadata read — the payload parquet column is never touched).
     With ``filter`` (AND) / ``filter_any`` (OR), manifest zone maps +
-    bloom sidecars prune parts driver-side and the residual parts
-    mask-sum on packed codes without decoding."""
-    from ..state.manifest import Manifest
-    if filter is not None and filter_any is not None:
-        raise ValueError("pass filter= (AND) or filter_any= (OR), "
-                         "not both")
-    if filter is None and filter_any is None:
-        man = Manifest(store_dir)
-        done = man.done_parts()
-        total = sum(man.load(p).get("rows", 0) for p in sorted(done))
-        for path in _part_files(store_dir):
-            f = os.path.basename(path)
-            part_id = f[len("part-"):-len(".parquet")] \
-                if f.startswith("part-") else None
-            if part_id in done:
+    bloom sidecars prune parts driver-side (``plan``) and the residual
+    parts mask-sum on packed codes without decoding."""
+    from ..pipelines.encode_pipeline import _part_scan_seed
+    preds, mode = parse_filter(filter, filter_any)
+    p = plan(store_dir, preds, mode)
+    if not preds:
+        total = 0
+        for path in p.parts:
+            m = p.manifests.get(path)
+            if m is not None and "rows" in m:
+                total += m["rows"]
                 continue
             t = pq.read_table(path, columns=["column", "n_values"])
             if t.num_rows:  # rows of the part = n_values of any block
                 total += int(t.column("n_values")[0].as_py())
         return total
-    from ..pipelines.encode_pipeline import _bloom_prune, _pred_survivors
-
-    if filter_any is not None:
-        if not isinstance(filter_any, list):
-            filter_any = [filter_any]
-        preds = [_norm_pred(f) for f in filter_any]
-        keep: set[str] = set()
-        for pred in preds:  # union of per-disjunct zone∩bloom survivors
-            surv = _bloom_prune(store_dir,
-                                _pred_survivors(store_dir, pred), [pred])
-            keep |= {f["path"] for f in surv}
-        files = [{"path": p} for p in sorted(keep)]
-        mode = "or"
-    else:
-        preds = [_norm_pred(f) for f in filter] \
-            if isinstance(filter, list) else [_norm_pred(filter)]
-        paths = None
-        for pred in preds:
-            surv = {f["path"] for f in _pred_survivors(store_dir, pred)}
-            paths = surv if paths is None else (paths & surv)
-        files = _bloom_prune(
-            store_dir, [{"path": p} for p in sorted(paths or ())], preds)
-        mode = "and"
-    if not files:
+    if not p.parts:
         return 0
-    from ..pipelines.encode_pipeline import _part_scan_seed
-    out = _part_scan_seed(files).map_batches(
-        _CountPart(preds, mode), batch_size=None,
-        batch_format="pyarrow")
+    out = _part_scan_seed(p.files).map_batches(
+        _CountPart(preds, mode, probe_blooms=not p.blooms_probed),
+        batch_size=None, batch_format="pyarrow")
     return int(out.sum("n") or 0)
 
 
@@ -388,11 +259,13 @@ class _AggPart:
     driver state is never O(groups)."""
 
     def __init__(self, group_by: str | None, aggs: dict,
-                 preds: list[tuple], mode: str = "and"):
+                 preds: list[tuple], mode: str = "and",
+                 probe_blooms: bool = True):
         self.group_by = group_by
         self.aggs = aggs          # {out: ("count",) | (fn, col)}
         self.preds = preds        # normalized, possibly []
         self.mode = mode          # "and" conjunction / "or" disjunction
+        self.probe_blooms = probe_blooms
 
     def _partial_specs(self):
         """pyarrow group_by aggregation specs (deduped) + the result
@@ -411,31 +284,17 @@ class _AggPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
         from ..codecs.access import _dict_codes
-        from ..codecs.access import eval_pred
         from ..codecs.base import str_to_type
         from ..codecs.dictionary import ipc_deserialize_array
-        from ..pipelines.encode_pipeline import _bloom_disproves
 
-        pred_cols = {c for c, *_ in self.preds}
         val_cols = {s[1] for s in self.aggs.values() if len(s) > 1}
-        needed = sorted(pred_cols | val_cols |
-                        ({self.group_by} if self.group_by else set()))
+        hard = val_cols | ({self.group_by} if self.group_by else set())
         specs, src = self._partial_specs()
         outs, out_types = [], {}
         for p in batch.column("path").to_pylist():
-            if self.preds and self.mode == "and":
-                skip = _bloom_disproves(p, self.preds)
-            elif self.preds:  # OR: every disjunct must be disproven
-                skip = all(op in ("eq", "in")
-                           for _, op, *_ in self.preds) and \
-                    all(_bloom_disproves(p, [pr]) for pr in self.preds)
-            else:
-                skip = False
-            if skip:
-                continue
-            if not needed:
+            if not hard and not self.preds:
                 # global COUNT(*) with no filter: the part's row count
                 # is any block's n_values — metadata columns only, the
                 # payload pages are never read
@@ -447,40 +306,11 @@ class _AggPart:
                             pa.int64())
                          for out in self.aggs}))
                 continue
-            enc_rows = pq.read_table(p, filters=[("column", "in", needed)])
-            names = enc_rows.column("column").to_pylist()
-            hard = val_cols | ({self.group_by} if self.group_by else set())
-            if any(c not in names for c in hard):
-                continue  # heterogeneous store: part holds another table
-            missing_pred = [c for c in pred_cols if c not in names]
-            if missing_pred and (self.mode == "and" or
-                                 len(missing_pred) == len(pred_cols)):
-                # AND: a conjunct on an absent column never holds.
-                # OR: skip only when NO disjunct column is present.
+            hit = part_mask(p, self.preds, self.mode, sorted(hard),
+                            self.probe_blooms)
+            if hit is None:
                 continue
-            enc_of = {}
-            for i, name in enumerate(names):
-                enc_of[name] = EncodedColumn.from_row(
-                    {k: enc_rows.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                enc_of[name].base_dir = os.path.dirname(p)
-            mask = None
-            for pred in self.preds:
-                if pred[0] not in enc_of:
-                    continue  # OR: absent-column disjunct is all-false
-                m = eval_pred(enc_of[pred[0]], pred)
-                if mask is None:
-                    mask = m
-                elif self.mode == "and":
-                    mask = mask & m
-                else:
-                    mask = mask | m
-                if self.mode == "and" and not mask.any():
-                    break
-                if self.mode == "or" and mask.all():
-                    break
-            if mask is not None and not mask.any():
-                continue
+            enc_of, mask = hit
             sel = pa.array(np.flatnonzero(mask)) if mask is not None \
                 else None
 
@@ -521,7 +351,7 @@ class _AggPart:
                     out_types[self.group_by] = str_to_type(dt)
             outs.append(self._rename(part, src))
         if not outs:
-            return self._typed_empty(src, out_types)
+            return self.empty(src, out_types)
         return pa.concat_tables(outs, promote_options="permissive")
 
     def _rename(self, part: pa.Table, src: dict) -> pa.Table:
@@ -532,7 +362,8 @@ class _AggPart:
             cols[f"__p__{out}"] = part.column(name)
         return pa.table(cols)
 
-    def _typed_empty(self, src: dict, out_types: dict) -> pa.Table:
+    def empty(self, src: dict, out_types: dict) -> pa.Table:
+        """A partials block with no rows, typed like a non-empty one."""
         fields = {}
         if self.group_by is not None:
             fields[self.group_by] = out_types.get(self.group_by,
@@ -545,32 +376,6 @@ class _AggPart:
                                                       pa.float64())
         return pa.table({n: pa.array([], type=t)
                          for n, t in fields.items()})
-
-
-def _pruned_part_files(store_dir: str, preds: list[tuple],
-                       mode: str) -> list[dict]:
-    """Part files surviving zone + bloom pruning for a normalized
-    predicate list — AND intersects per-predicate survivors, OR unions
-    per-disjunct (zone ∩ bloom) survivors.  The shared planning step of
-    every encoded-domain scan (agg / count-distinct)."""
-    from ..pipelines.encode_pipeline import _bloom_prune, _pred_survivors
-    if mode == "or" and preds:
-        keep: set[str] = set()
-        for pred in preds:  # union of per-disjunct zone∩bloom survivors
-            surv = _bloom_prune(store_dir,
-                                _pred_survivors(store_dir, pred), [pred])
-            keep |= {f["path"] for f in surv}
-        return [{"path": p} for p in sorted(keep)]
-    paths = None
-    for pred in preds:
-        surv = {f["path"] for f in _pred_survivors(store_dir, pred)}
-        paths = surv if paths is None else (paths & surv)
-    if paths is None:
-        paths = set(_part_files(store_dir))
-    files = [{"path": p} for p in sorted(paths)]
-    if preds:
-        files = _bloom_prune(store_dir, files, preds)
-    return files
 
 
 def agg_encoded(store_dir: str, *, group_by: str | None = None,
@@ -619,28 +424,19 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
             aggs[s_name] = ("sum", col)
             aggs[c_name] = ("count", col)
 
-    if filter is not None and filter_any is not None:
-        raise ValueError("pass filter= (AND) or filter_any= (OR), "
-                         "not both")
-    if filter_any is not None and not isinstance(filter_any, list):
-        filter_any = [filter_any]
-    mode = "or" if filter_any is not None else "and"
-    raw = filter_any if filter_any is not None else filter
-    preds = ([] if raw is None else
-             [_norm_pred(f) for f in raw] if isinstance(raw, list)
-             else [_norm_pred(raw)])
+    preds, mode = parse_filter(filter, filter_any)
     if group_by is None and not preds:
         fast = _agg_from_manifests(store_dir, aggs)
         if fast is not None:
             return rd.from_arrow(fast)
-    files = _pruned_part_files(store_dir, preds, mode)
-    task = _AggPart(group_by, aggs, preds, mode)
-    if not files:
-        empty = task._typed_empty(task._partial_specs()[1], {})
-        ds = rd.from_arrow(empty)
+    p = plan(store_dir, preds, mode)
+    task = _AggPart(group_by, aggs, preds, mode,
+                    probe_blooms=not p.blooms_probed)
+    if not p.parts:
+        ds = rd.from_arrow(task.empty(task._partial_specs()[1], {}))
     else:
         from ..pipelines.encode_pipeline import _part_scan_seed
-        ds = _part_scan_seed(files) \
+        ds = _part_scan_seed(p.files) \
             .map_batches(task, batch_size=None, batch_format="pyarrow")
     merge = {"count": Sum, "sum": Sum, "min": Min, "max": Max}
     ray_aggs = [merge[spec[0]](on=f"__p__{out}", alias_name=out)
@@ -687,13 +483,16 @@ class _DistinctPairsPart:
     the only data that ever shuffles."""
 
     def __init__(self, group_by: str | None, column: str,
-                 preds: list[tuple], mode: str = "and"):
+                 preds: list[tuple], mode: str = "and",
+                 probe_blooms: bool = True):
         self.group_by = group_by
         self.column = column
         self.preds = preds
         self.mode = mode
+        self.probe_blooms = probe_blooms
 
-    def _typed_empty(self, out_types: dict) -> pa.Table:
+    def empty(self, out_types: dict) -> pa.Table:
+        """A pairs block with no rows, typed like a non-empty one."""
         cols = {}
         if self.group_by is not None:
             cols["__gf"] = pa.array(
@@ -705,59 +504,20 @@ class _DistinctPairsPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import EncodedColumn, decode_any
-        from ..codecs.access import _dict_codes, eval_pred
+        from ..codecs import decode_any
+        from ..codecs.access import _dict_codes
         from ..codecs.base import str_to_type
         from ..codecs.dictionary import ipc_deserialize_array
-        from ..pipelines.encode_pipeline import _bloom_disproves
 
-        pred_cols = {c for c, *_ in self.preds}
         hard = {self.column} | \
             ({self.group_by} if self.group_by else set())
-        needed = sorted(pred_cols | hard)
         outs, out_types = [], {}
         for p in batch.column("path").to_pylist():
-            if self.preds and self.mode == "and":
-                skip = _bloom_disproves(p, self.preds)
-            elif self.preds:
-                skip = all(op in ("eq", "in")
-                           for _, op, *_ in self.preds) and \
-                    all(_bloom_disproves(p, [pr]) for pr in self.preds)
-            else:
-                skip = False
-            if skip:
+            hit = part_mask(p, self.preds, self.mode, sorted(hard),
+                            self.probe_blooms)
+            if hit is None:
                 continue
-            enc_rows = pq.read_table(p, filters=[("column", "in", needed)])
-            names = enc_rows.column("column").to_pylist()
-            if any(c not in names for c in hard):
-                continue  # heterogeneous store: part holds another table
-            missing_pred = [c for c in pred_cols if c not in names]
-            if missing_pred and (self.mode == "and" or
-                                 len(missing_pred) == len(pred_cols)):
-                continue
-            enc_of = {}
-            for i, name in enumerate(names):
-                enc_of[name] = EncodedColumn.from_row(
-                    {k: enc_rows.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                enc_of[name].base_dir = os.path.dirname(p)
-            mask = None
-            for pred in self.preds:
-                if pred[0] not in enc_of:
-                    continue  # OR: absent-column disjunct is all-false
-                m = eval_pred(enc_of[pred[0]], pred)
-                if mask is None:
-                    mask = m
-                elif self.mode == "and":
-                    mask = mask & m
-                else:
-                    mask = mask | m
-                if self.mode == "and" and not mask.any():
-                    break
-                if self.mode == "or" and mask.all():
-                    break
-            if mask is not None and not mask.any():
-                continue
+            enc_of, mask = hit
             sel = pa.array(np.flatnonzero(mask)) if mask is not None \
                 else None
 
@@ -812,7 +572,7 @@ class _DistinctPairsPart:
                 else v
             outs.append(pa.table(out_cols))
         if not outs:
-            return self._typed_empty(out_types)
+            return self.empty(out_types)
         return pa.concat_tables(outs, promote_options="permissive")
 
 
@@ -853,23 +613,15 @@ def count_distinct_encoded(store_dir: str, column: str, *,
     count, null group keys form a group.  Returns a Dataset with
     columns [group_by, out] (or one row [out] without group_by)."""
     from ray.data.aggregate import Count
-    if filter is not None and filter_any is not None:
-        raise ValueError("pass filter= (AND) or filter_any= (OR), "
-                         "not both")
-    if filter_any is not None and not isinstance(filter_any, list):
-        filter_any = [filter_any]
-    mode = "or" if filter_any is not None else "and"
-    raw = filter_any if filter_any is not None else filter
-    preds = ([] if raw is None else
-             [_norm_pred(f) for f in raw] if isinstance(raw, list)
-             else [_norm_pred(raw)])
-    files = _pruned_part_files(store_dir, preds, mode)
-    task = _DistinctPairsPart(group_by, column, preds, mode)
-    if not files:
-        pairs = rd.from_arrow(task._typed_empty({}))
+    preds, mode = parse_filter(filter, filter_any)
+    p = plan(store_dir, preds, mode)
+    task = _DistinctPairsPart(group_by, column, preds, mode,
+                              probe_blooms=not p.blooms_probed)
+    if not p.parts:
+        pairs = rd.from_arrow(task.empty({}))
     else:
         from ..pipelines.encode_pipeline import _part_scan_seed
-        pairs = _part_scan_seed(files).map_batches(
+        pairs = _part_scan_seed(p.files).map_batches(
             task, batch_size=None, batch_format="pyarrow")
     # group keys travel null-safe as (__gf filled value, __gv validity)
     # — Ray's sort shuffle can't order null keys; restored below
@@ -922,11 +674,8 @@ def _agg_from_manifests(store_dir: str, aggs: dict):
     man = Manifest(store_dir)
     done = man.done_parts()
     ids = []
-    for path in _part_files(store_dir):
-        f = os.path.basename(path)
-        if not f.startswith("part-"):
-            return None
-        pid = f[len("part-"):-len(".parquet")]
+    for path in part_files(store_dir):
+        pid = part_id(path)
         if pid not in done:
             return None  # unmanifested part: metadata can't speak for it
         ids.append(pid)
@@ -1042,7 +791,7 @@ def distinct_encoded(store_dir: str, column: str) -> "rd.Dataset":
     if column not in schema.names:
         raise ValueError(f"unknown column {column!r}; store has "
                          f"{schema.names}")
-    files = [{"path": p} for p in _part_files(store_dir)]
+    files = [{"path": p} for p in part_files(store_dir)]
     if not files:
         return rd.from_arrow(
             pa.table({column: pa.array([], schema.field(column).type)}))
@@ -1081,20 +830,13 @@ class _TopKPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
         outs = []
         for p in batch.column("path").to_pylist():
-            enc_rows = pq.read_table(
-                p, filters=[("column", "in", self.need)])
-            names = enc_rows.column("column").to_pylist()
-            enc_of = {}
-            for i, name in enumerate(names):
-                enc_of[name] = EncodedColumn.from_row(
-                    {k: enc_rows.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                enc_of[name].base_dir = os.path.dirname(p)
-            if any(c not in enc_of for c in self.need):
+            hit = part_mask(p, [], "and", self.need)
+            if hit is None:
                 continue  # heterogeneous store: part holds another table
+            enc_of = hit[0]
             if any(enc_of[c].params.get("dtype") not in
                    (None, self.expect_dtypes.get(c))
                    for c in self.need if c in self.expect_dtypes):
@@ -1141,8 +883,8 @@ def topk_encoded(store_dir: str, keys, k: int, *,
     Returns a ``pyarrow.Table`` (the result is ≤k rows — driver-sized
     by definition); with ``return_stats=True``, ``(table, stats)``."""
     import pyarrow.compute as pc
-    from ..pipelines.encode_pipeline import _part_scan_seed, _zone_bounds
-    from ..state.manifest import Manifest
+    from ..pipelines.encode_pipeline import _part_scan_seed
+    from .plan import _zone_bounds
     keys = [keys] if isinstance(keys, str) else list(keys)
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -1154,28 +896,22 @@ def topk_encoded(store_dir: str, keys, k: int, *,
         raise ValueError(f"unknown column(s) {sorted(unknown)}; "
                          f"store has {sorted(schema.names)}")
     key0 = keys[0]
-    man: dict = {}
-    if os.path.isdir(os.path.join(store_dir, "_manifest")):
-        for m in Manifest(store_dir).load_all():
-            man[m["part_id"]] = m
+    p_all = plan(store_dir, [], "and")
     parts = []
-    for f in _part_files(store_dir):
-        base = os.path.basename(f)
-        pid = base[len("part-"):-len(".parquet")] \
-            if base.startswith("part-") else None
-        m = man.get(pid) or {}
+    for f in p_all.parts:
+        m = p_all.manifests.get(f) or {}
         parts.append({
             "path": f,
             "zone": (m.get("zones") or {}).get(key0),
             "rows": m.get("rows"),
             "nulls": m["nulls"].get(key0, 0) if "nulls" in m else None})
 
-    def _typed_empty():
+    def empty():
         return pa.table({n: pa.array([], type=schema.field(n).type)
                          for n in out_columns})
 
     if not parts:
-        out = _typed_empty()
+        out = empty()
         stats = {"parts_total": 0, "parts_scanned": 0}
         return (out, stats) if return_stats else out
 
@@ -1231,7 +967,7 @@ def topk_encoded(store_dir: str, keys, k: int, *,
             cands = more if cands is None \
                 else pa.concat_tables([cands, more])
     if cands is None or cands.num_rows == 0:
-        out = _typed_empty()
+        out = empty()
         stats = {"parts_total": len(parts), "parts_scanned": scanned}
         return (out, stats) if return_stats else out
 
@@ -1288,7 +1024,7 @@ class _SamplePart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
         from ..functions.text import _splitmix64
         # clamp: fraction*2^64 at 1.0 overflows uint64, and a <-compare
         # against 2^64-1 would still drop the one-in-2^64 max hash —
@@ -1298,15 +1034,12 @@ class _SamplePart:
             np.uint64(min(int(self.fraction * 2.0**64), 2**64 - 1))
         outs = []
         for p in batch.column("path").to_pylist():
-            base = os.path.basename(p)
-            pid = base[len("part-"):-len(".parquet")] \
-                if base.startswith("part-") else base
-            enc_rows = pq.read_table(
-                p, filters=[("column", "in", self.out_columns)])
-            names = enc_rows.column("column").to_pylist()
-            if any(c not in names for c in self.out_columns):
+            pid = part_id(p) or os.path.basename(p)
+            hit = part_mask(p, [], "and", self.out_columns)
+            if hit is None:
                 continue  # heterogeneous store: part holds another table
-            n = int(enc_rows.column("n_values")[0].as_py())
+            enc_of = hit[0]
+            n = next(iter(enc_of.values())).n_values
             pid_h = np.uint64(
                 int.from_bytes(pid.encode()[-8:].rjust(8, b"\0"),
                                "big"))
@@ -1319,17 +1052,8 @@ class _SamplePart:
             if not len(keep):
                 continue
             sel = pa.array(keep)
-            cols = {}
-            for i, name in enumerate(names):
-                if name not in self.out_columns:
-                    continue
-                e = EncodedColumn.from_row(
-                    {k: enc_rows.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                e.base_dir = os.path.dirname(p)
-                cols[name] = decode_any(e).take(sel)
-            outs.append(pa.table(
-                {c: cols[c] for c in self.out_columns}))
+            outs.append(pa.table({c: decode_any(enc_of[c]).take(sel)
+                                  for c in self.out_columns}))
         if not outs:
             def _typ(c):
                 if self.out_schema is not None and \
@@ -1358,7 +1082,7 @@ def sample_encoded(store_dir: str, fraction: float, *,
     if unknown:
         raise ValueError(f"unknown column(s) {unknown}; "
                          f"store has {sorted(schema.names)}")
-    files = [{"path": p} for p in _part_files(store_dir)]
+    files = [{"path": p} for p in part_files(store_dir)]
     if not files or fraction == 0.0:
         return rd.from_arrow(pa.table(
             {c: pa.array([], type=schema.field(c).type)
@@ -1380,56 +1104,31 @@ class _KMVPart:
     hash-unique them.  Emits ≤ k uint64 rows per part."""
 
     def __init__(self, column: str, k: int, preds: list[tuple],
-                 mode: str = "and"):
+                 mode: str = "and", probe_blooms: bool = True):
         self.column = column
         self.k = k
         self.preds = preds
         self.mode = mode
+        self.probe_blooms = probe_blooms
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import EncodedColumn, decode_any
-        from ..codecs.access import eval_pred
+        from ..codecs import decode_any
         from ..codecs.dictionary import ipc_deserialize_array
-        from ..pipelines.encode_pipeline import _bloom_disproves
         from ..stages.profile import value_hashes
 
-        pred_cols = {c for c, *_ in self.preds}
-        needed = sorted(pred_cols | {self.column})
         outs = []
         for p in batch.column("path").to_pylist():
-            if self.preds and self.mode == "and" and \
-                    _bloom_disproves(p, self.preds):
+            hit = part_mask(p, self.preds, self.mode, [self.column],
+                            self.probe_blooms)
+            if hit is None:
                 continue
-            enc_rows = pq.read_table(p, filters=[("column", "in",
-                                                  needed)])
-            names = enc_rows.column("column").to_pylist()
-            if self.column not in names:
-                continue  # heterogeneous store
-            missing_pred = [c for c in pred_cols if c not in names]
-            if missing_pred and (self.mode == "and" or
-                                 len(missing_pred) == len(pred_cols)):
-                continue
-            enc_of = {}
-            for i, name in enumerate(names):
-                enc_of[name] = EncodedColumn.from_row(
-                    {kk: enc_rows.column(kk)[i].as_py() for kk in
-                     ("codec", "n_values", "params", "payload")})
-                enc_of[name].base_dir = os.path.dirname(p)
+            enc_of, mask = hit
             venc = enc_of[self.column]
-            if not self.preds and venc.codec == "dict":
+            if mask is None and venc.codec == "dict":
                 vals = ipc_deserialize_array(venc.buffers["aux"])
                 hs = value_hashes(vals)  # vocab only — no row decode
             else:
-                mask = None
-                for pred in self.preds:
-                    if pred[0] not in enc_of:
-                        continue
-                    m = eval_pred(enc_of[pred[0]], pred)
-                    mask = m if mask is None else (
-                        (mask & m) if self.mode == "and" else (mask | m))
-                if mask is not None and not mask.any():
-                    continue
                 arr = decode_any(venc)
                 if mask is not None:
                     arr = arr.take(pa.array(np.flatnonzero(mask)))
@@ -1463,18 +1162,9 @@ def approx_distinct_encoded(store_dir: str, column: str, *,
     KMV estimate (k-1)·2⁶⁴/h₍ₖ₎ with relative error ≈ 1/√(k-2)
     (~3.2% at k=1024).  Returns {n_distinct, exact, k}."""
     import numpy as np
-    preds, mode = [], "and"
-    if filter is not None and filter_any is not None:
-        raise ValueError("pass filter= (AND) or filter_any= (OR), "
-                         "not both")
-    if filter_any is not None:
-        raw = filter_any if isinstance(filter_any, list) else [filter_any]
-        preds, mode = [_norm_pred(f) for f in raw], "or"
-    elif filter is not None:
-        preds = [_norm_pred(f) for f in filter] \
-            if isinstance(filter, list) else [_norm_pred(filter)]
-    files = _pruned_part_files(store_dir, preds, mode)
-    if not files:
+    preds, mode = parse_filter(filter, filter_any)
+    p = plan(store_dir, preds, mode)
+    if not p.parts:
         return {"n_distinct": 0, "exact": True, "k": k}
     from ..pipelines.encode_pipeline import _part_scan_seed
 
@@ -1486,8 +1176,9 @@ def approx_distinct_encoded(store_dir: str, column: str, *,
                       .view(np.uint64))[:k]
         return pa.table({"h": pa.array(v.view(np.int64))})
 
-    rows = (_part_scan_seed(files)
-            .map_batches(_KMVPart(column, k, preds, mode),
+    rows = (_part_scan_seed(p.files)
+            .map_batches(_KMVPart(column, k, preds, mode,
+                                  probe_blooms=not p.blooms_probed),
                          batch_size=None, batch_format="pyarrow")
             .repartition(fanin)
             .map_batches(merge_block, batch_size=None,
@@ -1552,73 +1243,16 @@ def query(store_dir: str, *, columns: list[str] | None = None,
 
 def explain_scan(store_dir: str, *, filter=None, filter_any=None,
                  columns: list[str] | None = None) -> dict:
-    """Planner transparency: what a filtered scan WOULD read, from
-    manifests alone (zero payload bytes).  Per predicate: the zone-map
-    survivor count; then the bloom-sidecar prune on the combined
-    survivor set; then the estimated rows/bytes of the surviving parts
-    from their manifest row counts.  The numbers a user needs to see
-    whether their layout (cluster_store / zorder_store / blooms) is
-    actually pruning — and what `read_encoded`/`agg_encoded`/
+    """Planner transparency: the plan a filtered scan executes, from
+    metadata alone (zero payload bytes).  Per predicate: the zone-map
+    survivor count; then the survivors of the combined zone tests, the
+    bloom-sidecar prune on them, and the row upper bound of the parts
+    left, from their manifest row counts.  The numbers a user needs to
+    see whether their layout (cluster_store / zorder_store / blooms)
+    is actually pruning — and what `read_encoded`/`agg_encoded`/
     `count_encoded` will schedule."""
-    from ..pipelines.encode_pipeline import (_bloom_prune,
-                                             _pred_survivors)
-    from ..state.manifest import Manifest
-    if filter is not None and filter_any is not None:
-        raise ValueError("pass filter= (AND) or filter_any= (OR), "
-                         "not both")
-    mode = "or" if filter_any is not None else "and"
-    raw = filter_any if filter_any is not None else filter
-    preds = ([] if raw is None else
-             [_norm_pred(f) for f in raw] if isinstance(raw, list)
-             else [_norm_pred(raw)])
-    total = len(_part_files(store_dir))
-    per_pred = []
-    for pred in preds:
-        surv = _pred_survivors(store_dir, pred)
-        per_pred.append({
-            "predicate": [pred[0], pred[1],
-                          *(str(v) for v in pred[2:] if v is not None)],
-            "zone_survivors": len(surv)})
-    files = _pruned_part_files(store_dir, preds, mode)
-    zone_only = (set.union(*[
-        {f["path"] for f in _pred_survivors(store_dir, p)}
-        for p in preds]) if mode == "or" and preds else None)
-    if mode == "and":
-        zpaths = None
-        for pred in preds:
-            s = {f["path"] for f in _pred_survivors(store_dir, pred)}
-            zpaths = s if zpaths is None else zpaths & s
-        zone_only = zpaths if zpaths is not None else \
-            {f["path"] for f in _pruned_part_files(store_dir, [], mode)}
-    rows_of, rows_total = {}, 0
-    for m in Manifest(store_dir).load_all():
-        rows_of[m["part_id"]] = m.get("rows", 0)
-        rows_total += m.get("rows", 0)
-
-    def _rows(paths):
-        n = 0
-        for p in paths:
-            base = os.path.basename(p if isinstance(p, str)
-                                    else p["path"])
-            pid = base[len("part-"):-len(".parquet")] \
-                if base.startswith("part-") else None
-            n += rows_of.get(pid, 0)
-        return n
-
-    survivors = [f["path"] for f in files]
-    return {
-        "parts_total": total,
-        "rows_total": rows_total,
-        "mode": mode,
-        "predicates": per_pred,
-        "zone_survivors": len(zone_only) if zone_only is not None
-        else total,
-        "bloom_pruned": (len(zone_only) - len(survivors))
-        if zone_only is not None else 0,
-        "parts_scanned": len(survivors),
-        "rows_upper_bound": _rows(survivors),
-        "columns": columns,
-    }
+    return {**plan(store_dir, *parse_filter(filter, filter_any)).record,
+            "columns": columns}
 
 
 def agg_encoded_rollup(store_dir: str, group_by: list[str], aggs: dict,

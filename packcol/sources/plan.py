@@ -1,0 +1,400 @@
+"""Read-side planning of every encoded-domain scan.
+
+One function decides which parts of a store a scan opens.
+:func:`plan` lists the part files once, reads each part's lineage
+manifest once, tests every predicate against the part's zone map and
+null counts, combines the tests by AND or OR, and probes the bloom
+sidecars (state/bloom.py) of the zone survivors on the driver while
+there are at most ``_BLOOM_DRIVER_CAP`` of them.  The :class:`Plan` it
+returns is both what the scan executes and what ``explain_scan``
+reports.
+
+:func:`part_mask` is the per-part half, run inside the scan tasks: the
+bloom skip the driver did not do, the filtered block read (the
+per-block row-group layout keeps the other columns' payload pages on
+disk), the absent-column rule of heterogeneous stores and the
+predicate mask on packed codes (codecs/access.py).
+
+Pruning is never lossy: a part without a manifest, zone, null count or
+bloom sidecar is kept.
+
+Predicate shapes (``filter=`` is a conjunction, ``filter_any=`` a
+disjunction; each takes one tuple or a list of them):
+
+    (col, "==", v)              (col, "between", lo, hi)   # inclusive
+    (col, "in", [v, ...])       (col, "prefix" | "like", "p" | "p%")
+    (col, "isnull")             (col, "notnull")
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+from dataclasses import dataclass
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
+
+from ..state import bloom
+from ..state.manifest import Manifest, zone_may_match
+
+# IN-lists longer than this are zone-tested on their [min, max]
+# envelope instead of value by value
+_IN_ZONE_CAP = 1024
+# the driver probes the blooms of at most this many zone survivors;
+# above it every scan task probes its own parts (part_mask), so the
+# driver never reads O(parts) sidecars at open scale.  Sequential on
+# purpose: ~0.5-1 ms per sidecar is GIL-bound zipfile parsing (a
+# 16-thread pool measured 5x slower)
+_BLOOM_DRIVER_CAP = 4096
+# IN-lists longer than this are never bloom-probed: at ~1% false
+# positives per value, P(any of N values hits) saturates toward 1 long
+# before that, so the probe disproves nothing (measured: a 19k-key
+# upsert retire probed 512 sidecars for zero prunes)
+_BLOOM_PROBE_VALUE_CAP = 4096
+
+
+def part_files(store_dir: str) -> list[str]:
+    """Paths of the store's part files, sorted by name."""
+    return [os.path.join(store_dir, f)
+            for f in sorted(os.listdir(store_dir))
+            if f.endswith(".parquet")]
+
+
+def part_id(path: str) -> str | None:
+    """The id of a ``part-<id>.parquet`` file; None for any other name
+    (such a file has no manifest or sidecar and is never pruned)."""
+    base = os.path.basename(path)
+    if not base.startswith("part-"):
+        return None
+    return base[len("part-"):-len(".parquet")]
+
+
+def _norm_pred(f) -> tuple:
+    """User predicate → normalized (col, op, lo, hi):
+    ``(col, "==", v)`` → eq, ``(col, "between", lo, hi)`` → range,
+    ``(col, "in", values)`` → in (lo = value tuple, hi = None),
+    ``(col, "prefix", p)`` / ``(col, "like", "p%")`` → prefix,
+    ``(col, "isnull")`` / ``(col, "notnull")`` → null tests."""
+    col, op, *vals = f
+    if op in ("==", "eq") and len(vals) == 1:
+        return (col, "eq", vals[0], vals[0])
+    if op in ("between", "range") and len(vals) == 2:
+        return (col, "range", vals[0], vals[1])
+    if op == "in" and len(vals) == 1 and \
+            isinstance(vals[0], (list, tuple, set, frozenset)):
+        return (col, "in", tuple(vals[0]), None)
+    if op in ("prefix", "startswith", "like") and len(vals) == 1 \
+            and isinstance(vals[0], str):
+        v = vals[0]
+        if op == "like":
+            # only the prefix shape 'p%' is pushable; other LIKE
+            # patterns need a decoded-scan filter the caller owns
+            if not (v.endswith("%") and "%" not in v[:-1]
+                    and "_" not in v):
+                raise ValueError(
+                    f"LIKE pattern {v!r} is not a plain prefix 'p%'")
+            v = v[:-1]
+        return (col, "prefix", v, None)
+    if op in ("isnull", "is_null") and not vals:
+        return (col, "isnull", None, None)
+    if op in ("notnull", "not_null", "is_not_null") and not vals:
+        return (col, "notnull", None, None)
+    raise ValueError(
+        f"unsupported filter {f!r}: expected (col, '==', v), "
+        "(col, 'between', lo, hi), (col, 'in', [v, ...]), "
+        "(col, 'prefix'|'like', p), (col, 'isnull') or "
+        "(col, 'notnull')")
+
+
+def parse_filter(filter, filter_any) -> tuple[list[tuple], str]:
+    """A scan call's ``filter`` (AND) or ``filter_any`` (OR) →
+    (normalized predicates, "and" | "or").  Neither → ([], "and"): an
+    unfiltered scan.  An empty list raises ValueError."""
+    if filter is not None and filter_any is not None:
+        raise ValueError("pass filter= (AND) or filter_any= (OR), "
+                         "not both")
+    raw, mode = (filter_any, "or") if filter_any is not None \
+        else (filter, "and")
+    if raw is None:
+        return [], mode
+    if isinstance(raw, list) and not raw:
+        # an empty AND would be true and an empty OR false; neither is
+        # "no filter", which only None means
+        raise ValueError(f"empty {'filter_any' if mode == 'or' else 'filter'}"
+                         " list: pass None for an unfiltered scan")
+    return [_norm_pred(f) for f in
+            (raw if isinstance(raw, list) else [raw])], mode
+
+
+# ---------------------------------------------------------------------------
+# zone and null-count tests
+# ---------------------------------------------------------------------------
+
+def _zone_bounds(column: str, lo, hi, zone: dict):
+    """Predicate bounds in a zone's physical domain, or None if the
+    value type doesn't map onto the zone kind (→ cannot prune)."""
+    import datetime
+    zone_kind = zone["kind"]
+    if zone_kind == "i64":
+        if isinstance(lo, (datetime.datetime, datetime.date)):
+            # convert in the COLUMN's recorded logical type — guessing a
+            # unit (us) against e.g. a timestamp[ns] zone would compare
+            # microseconds to nanoseconds and prune matching parts.
+            # Zones from older stores lack "dt": don't prune.
+            dt = zone.get("dt")
+            if dt is None:
+                return None
+            from ..codecs.access import _predicate_int
+            try:
+                return (_predicate_int(lo, dt), _predicate_int(hi, dt))
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError,
+                    ValueError):
+                return None
+        if isinstance(lo, (int, np.integer)):
+            return (int(lo), int(hi))
+        return None
+    if zone_kind == "f64":
+        try:
+            return (float(lo), float(hi))
+        except (TypeError, ValueError):
+            return None
+    if zone_kind == "str":
+        return (lo, hi) if isinstance(lo, str) else None
+    return None
+
+
+def _prefix_upper(prefix: str) -> str | None:
+    """Smallest string greater than every string with ``prefix``: the
+    prefix with its last incrementable code point bumped.  None when no
+    code point can be bumped (all U+10FFFF — cannot prune)."""
+    for i in range(len(prefix) - 1, -1, -1):
+        c = ord(prefix[i])
+        if c < 0x10FFFF:
+            return prefix[:i] + chr(c + 1)
+    return None
+
+
+def _range_ok(column: str, lo, hi, zone: dict) -> bool:
+    b = _zone_bounds(column, lo, hi, zone)
+    return b is None or zone_may_match(zone, *b)
+
+
+def _zone_ok(pred: tuple, m: dict | None) -> bool:
+    """May the part whose manifest is ``m`` hold a row matching
+    ``pred``?  IN-lists test each value (a scattered set such as IVF
+    probe lists {3, 47} prunes the parts between its values), or their
+    [min, max] envelope beyond _IN_ZONE_CAP values; prefixes test the
+    [prefix, successor(prefix)] interval; null tests read the manifest
+    null counts.  Anything unprovable → True."""
+    if m is None:
+        return True
+    col, op, lo, hi = pred
+    if op in ("isnull", "notnull"):
+        if "nulls" not in m:  # pre-null-aware manifest
+            return True
+        nn = m["nulls"].get(col, 0)
+        if op == "isnull":
+            return nn != 0
+        return not (nn >= m.get("rows", -1) >= 0)
+    zone = (m.get("zones") or {}).get(col)
+    if zone is None:
+        return True
+    if op == "in":
+        if len(lo) <= _IN_ZONE_CAP:
+            return any(_range_ok(col, v, v, zone) for v in lo)
+        try:
+            lo, hi = min(lo), max(lo)
+        except (TypeError, ValueError):
+            return True
+    elif op == "prefix":
+        hi = _prefix_upper(lo)
+        if hi is None:
+            return True
+    return _range_ok(col, lo, hi, zone)
+
+
+# ---------------------------------------------------------------------------
+# bloom probes
+# ---------------------------------------------------------------------------
+
+def _probe_values(pred: tuple) -> pa.Array | None:
+    """The values an eq / IN predicate probes a bloom sidecar with;
+    None when it cannot be probed (another operator, an IN-list beyond
+    _BLOOM_PROBE_VALUE_CAP values, an unhashable value type)."""
+    _, op, lo, _ = pred
+    if op not in ("eq", "in"):
+        return None
+    vals = list(lo) if op == "in" else [lo]
+    if len(vals) > _BLOOM_PROBE_VALUE_CAP:
+        return None
+    try:
+        return pa.array(vals)
+    except (pa.ArrowInvalid, pa.ArrowNotImplementedError, TypeError):
+        return None
+
+
+def _bloom_ok(path: str, column: str, vals: pa.Array | None) -> bool:
+    """False when the part's sidecar proves no value of ``vals`` is in
+    ``column`` (~KB read; the part's parquet is never opened)."""
+    pid = part_id(path)
+    if vals is None or pid is None:
+        return True
+    return bloom.bloom_may_contain(os.path.dirname(path), pid, column,
+                                   vals)
+
+
+def _bloom_keeps(path: str, preds: list[tuple], probes: list,
+                 mode: str, zone_ok: list[bool] | None = None) -> bool:
+    """AND: no predicate is disproven.  OR: some predicate passes its
+    zone test (``zone_ok``, all True when None) and is not disproven."""
+    if mode == "and":
+        return all(_bloom_ok(path, p[0], v) for p, v in zip(preds, probes))
+    zone_ok = zone_ok or [True] * len(preds)
+    return any(z and _bloom_ok(path, p[0], v)
+               for z, p, v in zip(zone_ok, preds, probes))
+
+
+# ---------------------------------------------------------------------------
+# the plan
+# ---------------------------------------------------------------------------
+
+def _load_manifests(store_dir: str, paths: list[str]) -> dict[str, dict]:
+    """{path: manifest} for the listed parts that have one; one
+    ``Manifest.load`` per part."""
+    if not os.path.isdir(os.path.join(store_dir, "_manifest")):
+        return {}
+    man = Manifest(store_dir)
+    done = man.done_parts()
+    return {p: man.load(part_id(p)) for p in paths if part_id(p) in done}
+
+
+@dataclass
+class Plan:
+    """One scan's pruning decision.  ``parts`` are the part paths the
+    scan opens, in name order; ``listed`` every part of the store.
+    ``blooms_probed`` is False only when the zone survivors were too
+    many for the driver to probe, and the scan tasks must probe their
+    own parts.  Manifests load lazily for unfiltered plans, which
+    prune nothing."""
+
+    store_dir: str
+    preds: list[tuple]
+    mode: str
+    listed: list[str]
+    parts: list[str]
+    zone_counts: list[int]  # per predicate: parts its zone test keeps
+    zone_survivors: int     # parts the combined zone tests keep
+    blooms_probed: bool
+
+    @functools.cached_property
+    def manifests(self) -> dict[str, dict]:
+        return _load_manifests(self.store_dir, self.listed)
+
+    @property
+    def files(self) -> list[dict]:
+        """The scan seed rows (``_part_scan_seed``)."""
+        return [{"path": p} for p in self.parts]
+
+    @property
+    def record(self) -> dict:
+        """What the scan reads, from metadata alone (``explain_scan``)."""
+        rows = {p: (self.manifests.get(p) or {}).get("rows", 0)
+                for p in self.listed}
+        return {
+            "parts_total": len(self.listed),
+            "rows_total": sum(rows.values()),
+            "mode": self.mode,
+            "predicates": [
+                {"predicate": [col, op, *(str(v) for v in (lo, hi)
+                                          if v is not None)],
+                 "zone_survivors": n}
+                for (col, op, lo, hi), n in zip(self.preds,
+                                                self.zone_counts)],
+            "zone_survivors": self.zone_survivors,
+            "bloom_pruned": self.zone_survivors - len(self.parts),
+            "parts_scanned": len(self.parts),
+            "rows_upper_bound": sum(rows[p] for p in self.parts),
+        }
+
+
+def plan(store_dir: str, preds: list[tuple], mode: str = "and") -> Plan:
+    """The parts of ``store_dir`` a scan with normalized ``preds``
+    (combined by ``mode``, "and" | "or") must open; see the module
+    docstring."""
+    assert mode in ("and", "or"), mode
+    listed = part_files(store_dir)
+    if not preds:
+        return Plan(store_dir, [], mode, listed, listed, [], len(listed),
+                    True)
+    mans = _load_manifests(store_dir, listed)
+    ok = {p: [_zone_ok(pred, mans.get(p)) for pred in preds]
+          for p in listed}
+    combine = all if mode == "and" else any
+    zoned = [p for p in listed if combine(ok[p])]
+    probed = len(zoned) <= _BLOOM_DRIVER_CAP
+    parts = zoned
+    if probed:
+        probes = [_probe_values(pred) for pred in preds]
+        parts = [p for p in zoned
+                 if _bloom_keeps(p, preds, probes, mode, ok[p])]
+    out = Plan(store_dir, list(preds), mode, listed, parts,
+               [sum(ok[p][i] for p in listed) for i in range(len(preds))],
+               len(zoned), probed)
+    out.manifests = mans
+    return out
+
+
+def part_mask(path: str, preds: list[tuple], mode: str,
+              columns=(), probe_blooms: bool = True):
+    """The per-part step of every encoded-domain scan task.
+
+    Reads the blocks of the predicate columns and ``columns`` and
+    evaluates ``preds`` (combined by ``mode``) on packed codes.
+    Returns ``(enc_of, mask)`` — the blocks by column name and the row
+    mask, None without predicates — or None when the part holds no
+    matching row: a bloom sidecar disproves it (only with
+    ``probe_blooms``, i.e. when the plan left its blooms unprobed), the
+    mask is empty, or the part lacks a column of ``columns`` or, under
+    AND, any predicate column (a part of another table in a
+    heterogeneous store).  Under OR a predicate on an absent column is
+    all-false, so the part is skipped only when every predicate column
+    is absent."""
+    from ..codecs import EncodedColumn
+    from ..codecs.access import eval_pred
+    if probe_blooms and preds:
+        probes = [_probe_values(pred) for pred in preds]
+        # OR: skippable only when EVERY disjunct is probed and disproven
+        if (mode == "and" or all(v is not None for v in probes)) and \
+                not _bloom_keeps(path, preds, probes, mode):
+            return None
+    pred_cols = {c for c, *_ in preds}
+    enc_rows = pq.read_table(
+        path, filters=[("column", "in", sorted(pred_cols | set(columns)))])
+    names = enc_rows.column("column").to_pylist()
+    if any(c not in names for c in columns):
+        return None
+    missing = pred_cols.difference(names)
+    if missing and (mode == "and" or missing == pred_cols):
+        return None
+    enc_of = {}
+    for i, name in enumerate(names):
+        enc_of[name] = EncodedColumn.from_row(
+            {k: enc_rows.column(k)[i].as_py() for k in
+             ("codec", "n_values", "params", "payload")})
+        enc_of[name].base_dir = os.path.dirname(path)
+    mask = None
+    for pred in preds:
+        if pred[0] not in enc_of:
+            continue  # OR: absent-column disjunct is all-false
+        m = eval_pred(enc_of[pred[0]], pred)
+        mask = m if mask is None else \
+            (mask & m) if mode == "and" else (mask | m)
+        if mode == "and" and not mask.any():
+            break  # conjunction already provably empty
+        if mode == "or" and mask.all():
+            break  # disjunction already provably full
+    if mask is not None and not mask.any():
+        return None
+    return enc_of, mask

@@ -7,16 +7,18 @@ The bloom sidecar closes that gap — one compact bit array per
 (part, column), built in the encode task from the same pass that
 computes zones, and probed BEFORE any payload read:
 
-* **driver-side** (``_bloom_prune`` in encode_pipeline.py): when the
+* **driver-side** (``plan`` in sources/plan.py): when the
   zone-surviving part set is small enough (≤ a cap), the driver loads
   only those parts' sidecars and drops disproven parts before
   scheduling any task — a point lookup on a 10^6-part store that
   zone-pruned to dozens of candidates reads a few KB of sidecar and
   schedules O(1) tasks;
-* **task-side** (EncodedFilterPart / _CountPart): above the cap the
-  probe moves into the scan task, which reads the ~KB sidecar first
-  and exits before touching the part's parquet — at open scale the
-  probe is distributed, never a driver bottleneck.
+* **task-side** (``part_mask`` in sources/plan.py, inside every
+  encoded-domain scan task): above the cap the probe moves into the
+  scan task, which reads the ~KB sidecar first and exits before
+  touching the part's parquet — at open scale the probe is
+  distributed, never a driver bottleneck.  Below the cap the tasks
+  do not probe again.
 
 False positives only cost a wasted scan; the filter NEVER produces
 false negatives (same contract as zone maps: best-effort, lossy-never).

@@ -469,8 +469,7 @@ def main() -> None:
         print(json.dumps(recompact(args.encoded, args.dest,
                                    merge_factor=args.merge_factor)))
     elif args.cmd == "filter":
-        from packcol.pipelines.encode_pipeline import (
-            filter_encoded, filter_encoded_range)
+        from packcol.sources.encoded import read_encoded
         if args.type == "schema":
             cast = _schema_cast(args.encoded)
         else:
@@ -480,13 +479,12 @@ def main() -> None:
         if (args.eq is None) == (args.range is None):
             sys.exit("exactly one of --eq / --range is required")
         if args.eq is not None:
-            ds = filter_encoded(args.encoded, args.column,
-                                cast(args.column, args.eq), cols)
+            flt = (args.column, "==", cast(args.column, args.eq))
         else:
-            ds = filter_encoded_range(args.encoded, args.column,
-                                      cast(args.column, args.range[0]),
-                                      cast(args.column, args.range[1]),
-                                      cols)
+            flt = (args.column, "between",
+                   cast(args.column, args.range[0]),
+                   cast(args.column, args.range[1]))
+        ds = read_encoded(args.encoded, columns=cols, filter=flt)
         if args.output:
             # materialize once: a lazy Dataset would re-run the whole
             # filter pipeline for write_parquet and again for count()

@@ -2,6 +2,8 @@
 clustered encoded store + centroid sidecar; probes reuse the store's
 IN-list pushdown."""
 
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -93,8 +95,8 @@ def test_in_survivors_scattered_values(tmp_path, ray_session):
     whose zones only cover the span between them."""
     import pyarrow as pa
     import pyarrow.parquet as pq
-    from packcol.pipelines.encode_pipeline import (_pred_survivors,
-                                                   encode_files)
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.plan import plan
     src = tmp_path / "src"
     src.mkdir()
     for v in range(4):  # four parts, one value of k each
@@ -104,14 +106,28 @@ def test_in_survivors_scattered_values(tmp_path, ray_session):
                        str(src / f"p{v}.parquet"))
     out = str(tmp_path / "store")
     encode_files([str(src / f"p{v}.parquet") for v in range(4)], out)
-    surv = _pred_survivors(out, ("k", "in", (0, 3), None))
-    assert len(surv) == 2  # envelope [0,3] would have kept all 4
+    surv = plan(out, [("k", "in", (0, 3), None)]).record["zone_survivors"]
+    assert surv == 2  # envelope [0,3] would have kept all 4
 
 
 def test_missing_sidecar_raises(tmp_path):
     from packcol.pipelines.ann_index import load_ivf_sidecar
     with pytest.raises(FileNotFoundError, match="IVF sidecar"):
         load_ivf_sidecar(str(tmp_path))
+
+
+def test_ivfpq_rejects_nbits_over_8(tmp_path, ray_session):
+    """PQ codes are one byte per subquantizer: more than 2^8 centroids
+    must be refused, not wrapped modulo 256, and before any work."""
+    import ray.data as rd
+    from packcol.pipelines.ann_index import build_ivfpq_store
+    rng = np.random.default_rng(2)
+    ds = rd.from_items([{"vec_id": i, "embedding": rng.standard_normal(8)
+                         .tolist()} for i in range(64)])
+    out = str(tmp_path / "pq9")
+    with pytest.raises(ValueError, match="nbits"):
+        build_ivfpq_store(ds, out, n_lists=2, m=2, nbits=9)
+    assert not os.path.exists(out)
 
 
 class TestIVFPQ:

@@ -131,14 +131,13 @@ def test_encode_writes_bloom_sidecars(bstore):
 
 
 def test_point_lookup_prunes_to_matching_parts(bstore):
-    from packcol.pipelines.encode_pipeline import (_bloom_prune,
-                                                   _surviving_parts)
     from packcol.sources.encoded import read_encoded
+    from packcol.sources.plan import plan
     _, out, paths = bstore
     url = pq.read_table(paths[3], columns=["url"]).column("url")[17].as_py()
-    surv = _surviving_parts(out, "url", url, url)
-    pruned = _bloom_prune(out, surv, [("url", "eq", url, url)])
-    assert len(surv) > 2 * len(pruned)  # most parts disproven driver-side
+    rec = plan(out, [("url", "eq", url, url)]).record
+    surv, pruned = rec["zone_survivors"], rec["parts_scanned"]
+    assert surv > 2 * pruned  # most parts disproven driver-side
     got = read_encoded(out, columns=["url", "text"],
                        filter=("url", "==", url)).to_pandas()
     assert list(got["url"]) == [url]

@@ -56,14 +56,14 @@ def test_cluster_pruning_effectiveness(stores, ray_session):
     the clustered store but reads every part of the unclustered one,
     and both return identical results."""
     import ray.data as rd
-    from packcol.pipelines.encode_pipeline import _surviving_parts
     from packcol.sources.encoded import count_encoded, read_encoded
+    from packcol.sources.plan import plan
     wt, src, dst, summary = stores
     exp = rd.read_parquet(wt).to_pandas()
     lo = exp["warc_ts"].quantile(0.48).to_pydatetime()
     hi = exp["warc_ts"].quantile(0.52).to_pydatetime()
-    n_src = len(_surviving_parts(src, "warc_ts", lo, hi))
-    n_dst = len(_surviving_parts(dst, "warc_ts", lo, hi))
+    n_src = len(plan(src, [("warc_ts", "range", lo, hi)]).parts)
+    n_dst = len(plan(dst, [("warc_ts", "range", lo, hi)]).parts)
     src_parts = sum(f.endswith(".parquet") for f in os.listdir(src))
     assert n_src == src_parts  # arrival order: nothing prunes
     assert n_dst <= max(2, summary["parts_zoned"] // 4)  # real pruning
@@ -130,10 +130,9 @@ def test_cluster_composite_key(stores, ray_session, tmp_path):
     exp = rd.read_parquet(wt).to_pandas()
     assert sorted(got["url"]) == sorted(exp["url"])
     # an eq probe on the primary key prunes
-    from packcol.pipelines.encode_pipeline import (_all_parts,
-                                                   _pred_survivors)
+    from packcol.sources.plan import plan
     lang = exp["lang"].iloc[0]
-    surv = _pred_survivors(dst, ("lang", "eq", lang, lang))
-    assert len(surv) < len(_all_parts(dst))
+    p = plan(dst, [("lang", "eq", lang, lang)])
+    assert p.record["zone_survivors"] < len(p.listed)
     with open(f"{dst}/_CLUSTERED") as f:
         assert f.read() == "lang,warc_ts"

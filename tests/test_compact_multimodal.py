@@ -123,11 +123,12 @@ def test_filter_encoded_on_recompacted_store(enc_dir, ray_session,
     the encoded-domain filter stays exact."""
     import ray.data as rd
     from packcol.pipelines.compact import recompact
-    from packcol.pipelines.encode_pipeline import (decode_files,
-                                                   filter_encoded)
+    from packcol.pipelines.encode_pipeline import decode_files
+    from packcol.sources.encoded import read_encoded
     dest = str(tmp_path / "merged_flt")
     recompact(enc_dir, dest, merge_factor=4)
-    got = filter_encoded(dest, "lang", "de", ["url", "lang"]).to_pandas()
+    got = read_encoded(dest, columns=["url", "lang"],
+                       filter=("lang", "==", "de")).to_pandas()
     exp = decode_files(enc_dir).to_pandas()
     exp = exp[exp["lang"] == "de"]
     assert sorted(got["url"]) == sorted(exp["url"])

@@ -613,17 +613,25 @@ def test_agg_encoded_disjunction(store, ray_session):
                     filter_any=[("lang", "==", "de")])
 
 
-def test_predicate_algebra_randomized(tmp_path, ray_session):
+def test_predicate_algebra_randomized(tmp_path, ray_session, monkeypatch):
     """Deterministic randomized sweep of the predicate algebra: random
     typed tables, random eq/range/IN/prefix/null predicate sets, AND
-    and OR results both match pandas truth (rows AND membership, not
-    just counts)."""
+    and OR results of every encoded-domain scan (read, count, agg,
+    exact and approximate distinct) match pandas truth (rows AND
+    membership, not just counts), and no part the plan drops holds a
+    matching row.  The last trial leaves every bloom probe to the scan
+    tasks."""
     import numpy as np
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from packcol.pipelines.encode_pipeline import encode_files
-    from packcol.sources.encoded import count_encoded, read_encoded
+    from packcol.pipelines.encode_pipeline import (DecodePartFile,
+                                                   encode_files)
+    from packcol.sources import plan as plan_mod
+    from packcol.sources.encoded import (agg_encoded,
+                                         approx_distinct_encoded,
+                                         count_distinct_encoded,
+                                         count_encoded, read_encoded)
 
     rng = np.random.default_rng(42)
     n = 1200
@@ -684,22 +692,53 @@ def test_predicate_algebra_randomized(tmp_path, ray_session):
                 (base + pd.Timedelta(minutes=int(lo))).to_pydatetime(),
                 (base + pd.Timedelta(minutes=int(hi))).to_pydatetime())
 
-    for trial in range(12):
-        preds = [rand_pred() for _ in range(int(rng.integers(1, 4)))]
-        m_and = np.logical_and.reduce([pd_mask(p) for p in preds])
-        m_or = np.logical_or.reduce([pd_mask(p) for p in preds])
-        got_and = read_encoded(out, columns=["rid"],
-                               filter=list(preds)).to_pandas()
-        got_or = read_encoded(out, columns=["rid"],
-                              filter_any=list(preds)).to_pandas()
-        # Ray's to_pandas() of a zero-block dataset drops columns
-        rid_and = sorted(got_and["rid"]) if len(got_and) else []
-        rid_or = sorted(got_or["rid"]) if len(got_or) else []
-        assert rid_and == sorted(df["rid"][m_and]), (trial, preds)
-        assert rid_or == sorted(df["rid"][m_or]), (trial, preds)
-        assert count_encoded(out, filter=list(preds)) == int(m_and.sum())
-        assert count_encoded(out, filter_any=list(preds)) == \
-            int(m_or.sum())
+    rids_of = {p: set(DecodePartFile(["rid"])(pa.table({"path": [p]}))
+                      .column("rid").to_pylist())
+               for p in plan_mod.part_files(out)}
+
+    def first(ds, col):  # the one value of a global aggregate, 0 if none
+        got = ds.to_pandas()
+        v = got[col].iloc[0] if len(got) else None
+        return 0 if v is None or pd.isna(v) else int(v)
+
+    for trial in range(13):
+        if trial < 12:
+            preds = [rand_pred() for _ in range(int(rng.integers(1, 4)))]
+        else:
+            # driver cap 0: the plan probes no bloom and every probe
+            # runs in the scan tasks.  One row's ts lies inside nearly
+            # every part's zone but in few parts, so under AND the
+            # tasks disprove most parts; "a" is in every part, so
+            # under OR they disprove none
+            r = int(np.flatnonzero(df["k_str"] == "a")[0])
+            preds = [("ts", "==", df["ts"][r].to_pydatetime()),
+                     ("k_str", "in", ["a", "g"])]
+            monkeypatch.setattr(plan_mod, "_BLOOM_DRIVER_CAP", 0)
+            p = plan_mod.plan(out, *plan_mod.parse_filter(preds, None))
+            assert not p.blooms_probed and len(p.parts) > 1
+        for kw, m in (("filter", np.logical_and.reduce(
+                           [pd_mask(p) for p in preds])),
+                      ("filter_any", np.logical_or.reduce(
+                           [pd_mask(p) for p in preds]))):
+            flt = {kw: list(preds)}
+            got = read_encoded(out, columns=["rid"], **flt).to_pandas()
+            # Ray's to_pandas() of a zero-block dataset drops columns
+            rids = sorted(got["rid"]) if len(got) else []
+            assert rids == sorted(df["rid"][m]), (trial, kw, preds)
+            assert count_encoded(out, **flt) == int(m.sum())
+            assert first(agg_encoded(out, aggs={"n": ("count",)}, **flt),
+                         "n") == int(m.sum()), (trial, kw, preds)
+            n_k = df["k_str"][m].nunique()
+            assert first(count_distinct_encoded(out, "k_str", **flt),
+                         "n_distinct") == n_k, (trial, kw, preds)
+            assert approx_distinct_encoded(out, "k_str", **flt) == \
+                {"n_distinct": n_k, "exact": True, "k": 1024}
+            # every part the plan drops holds no matching row
+            p = plan_mod.plan(out, *plan_mod.parse_filter(
+                flt.get("filter"), flt.get("filter_any")))
+            hits = set(df["rid"][m])
+            for path in set(p.listed) - set(p.parts):
+                assert rids_of[path].isdisjoint(hits), (trial, kw, path)
 
 
 def test_read_encoded_limit_prunes_plan(tmp_path, ray_session):

@@ -162,18 +162,21 @@ def test_spot_check_point_access(ray_session, webtext_dir, tmp_path):
 def test_filter_encoded_pushdown(ray_session, webtext_dir, tmp_path):
     """Equality filter runs on packed codes; only hits are decoded."""
     import ray.data as rd
-    from packcol.pipelines.encode_pipeline import encode_files, filter_encoded
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.encoded import read_encoded
     out = str(tmp_path / "enc_pred")
     paths = [os.path.join(webtext_dir, f) for f in os.listdir(webtext_dir)
              if f.endswith(".parquet")]
     encode_files(paths, out, target_bytes=1 << 20)
-    got = filter_encoded(out, "lang", "de", ["url", "lang"]).to_pandas()
+    got = read_encoded(out, columns=["url", "lang"],
+                       filter=("lang", "==", "de")).to_pandas()
     exp = rd.read_parquet(webtext_dir).to_pandas()
     exp = exp[exp["lang"] == "de"]
     assert sorted(got["url"]) == sorted(exp["url"])
     assert (got["lang"] == "de").all()
     # no-match value → empty
-    none = filter_encoded(out, "lang", "zz-none", ["url"]).to_pandas()
+    none = read_encoded(out, columns=["url"],
+                        filter=("lang", "==", "zz-none")).to_pandas()
     assert len(none) == 0
 
 
@@ -181,8 +184,8 @@ def test_filter_encoded_range_pushdown(ray_session, webtext_dir, tmp_path):
     """Range predicate evaluated in the encoded domain (dict code
     interval / FOR delta bounds) — matches a plaintext filter."""
     import ray.data as rd
-    from packcol.pipelines.encode_pipeline import (encode_files,
-                                                   filter_encoded_range)
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.encoded import read_encoded
     out = str(tmp_path / "enc_rng")
     paths = [os.path.join(webtext_dir, f) for f in os.listdir(webtext_dir)
              if f.endswith(".parquet")]
@@ -191,14 +194,14 @@ def test_filter_encoded_range_pushdown(ray_session, webtext_dir, tmp_path):
     # timestamp range on the FOR-encoded warc_ts column
     lo = exp["warc_ts"].quantile(0.25)
     hi = exp["warc_ts"].quantile(0.75)
-    got = filter_encoded_range(out, "warc_ts", lo.to_pydatetime(),
-                               hi.to_pydatetime(),
-                               ["url", "warc_ts"]).to_pandas()
+    got = read_encoded(out, columns=["url", "warc_ts"],
+                       filter=("warc_ts", "between", lo.to_pydatetime(),
+                               hi.to_pydatetime())).to_pandas()
     want = exp[(exp["warc_ts"] >= lo) & (exp["warc_ts"] <= hi)]
     assert sorted(got["url"]) == sorted(want["url"])
     # string range on the dict-encoded lang column
-    got2 = filter_encoded_range(out, "lang", "de", "en", ["url", "lang"]) \
-        .to_pandas()
+    got2 = read_encoded(out, columns=["url", "lang"],
+                        filter=("lang", "between", "de", "en")).to_pandas()
     want2 = exp[(exp["lang"] >= "de") & (exp["lang"] <= "en")]
     assert sorted(got2["url"]) == sorted(want2["url"])
     assert got2["lang"].between("de", "en").all()
@@ -235,8 +238,13 @@ def test_zone_map_part_pruning(ray_session, tmp_path):
     (driver-side manifest pruning), results stay exact."""
     import numpy as np
     import ray.data as rd
-    from packcol.pipelines.encode_pipeline import (
-        _surviving_parts, encode_files, filter_encoded_range)
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.encoded import read_encoded
+    from packcol.sources.plan import plan
+
+    def survivors(lo, hi):
+        return plan(out, [("id", "range", lo, hi)]).parts
+
     src = tmp_path / "src"
     src.mkdir()
     for i in range(4):  # part i holds ids [i*100, i*100+99]
@@ -247,14 +255,16 @@ def test_zone_map_part_pruning(ray_session, tmp_path):
     encode_files([str(src / f"f{i}.parquet") for i in range(4)], out,
                  target_bytes=1 << 20)
     # predicate inside part 1 only → exactly one part survives pruning
-    assert len(_surviving_parts(out, "id", 150, 160)) == 1
-    got = filter_encoded_range(out, "id", 150, 160, ["id", "v"]).to_pandas()
+    assert len(survivors(150, 160)) == 1
+    got = read_encoded(out, columns=["id", "v"],
+                       filter=("id", "between", 150, 160)).to_pandas()
     assert sorted(got["id"]) == list(range(150, 161))
     assert (got["v"] == got["id"] * 2).all()
     # predicate outside every part → zero parts read, empty result
-    assert _surviving_parts(out, "id", 5000, 6000) == []
-    assert len(filter_encoded_range(out, "id", 5000, 6000,
-                                    ["id"]).to_pandas()) == 0
+    assert survivors(5000, 6000) == []
+    assert len(read_encoded(out, columns=["id"],
+                            filter=("id", "between", 5000, 6000))
+               .to_pandas()) == 0
     # zoneless manifests (older stores) keep every part — not lossy
     for m in os.listdir(os.path.join(out, "_manifest")):
         import json
@@ -262,8 +272,9 @@ def test_zone_map_part_pruning(ray_session, tmp_path):
         d = json.load(open(p))
         d.pop("zones", None)
         json.dump(d, open(p, "w"))
-    assert len(_surviving_parts(out, "id", 150, 160)) == 4
-    got2 = filter_encoded_range(out, "id", 150, 160, ["id"]).to_pandas()
+    assert len(survivors(150, 160)) == 4
+    got2 = read_encoded(out, columns=["id"],
+                        filter=("id", "between", 150, 160)).to_pandas()
     assert sorted(got2["id"]) == list(range(150, 161))
 
 
@@ -405,8 +416,8 @@ def test_zone_pruning_timestamp_ns_unit(ray_session, tmp_path):
     was pruned and matching rows silently vanished."""
     import numpy as np
     from datetime import datetime
-    from packcol.pipelines.encode_pipeline import (encode_files,
-                                                   filter_encoded_range)
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.encoded import read_encoded
     ts = pa.array(np.datetime64("2024-01-01", "ns")
                   + np.arange(100) * np.timedelta64(1, "D"),
                   type=pa.timestamp("ns"))
@@ -415,9 +426,9 @@ def test_zone_pruning_timestamp_ns_unit(ray_session, tmp_path):
                              "ts": ts}), src)
     out = str(tmp_path / "enc_ns")
     encode_files([src], out, target_bytes=1 << 20)
-    got = filter_encoded_range(out, "ts", datetime(2024, 1, 10),
-                               datetime(2024, 1, 20),
-                               ["id"]).to_pandas()
+    got = read_encoded(out, columns=["id"],
+                       filter=("ts", "between", datetime(2024, 1, 10),
+                               datetime(2024, 1, 20))).to_pandas()
     assert len(got) == 11  # days 10..20 inclusive
 
 
@@ -425,15 +436,15 @@ def test_pruned_empty_result_keeps_types(ray_session, tmp_path):
     """Regression: the all-parts-pruned branch typed every column
     string; it must match the unpruned schema."""
     import numpy as np
-    from packcol.pipelines.encode_pipeline import (encode_files,
-                                                   filter_encoded_range)
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.encoded import read_encoded
     src = str(tmp_path / "t.parquet")
     pq.write_table(pa.table({"id": pa.array(range(50), pa.int64()),
                              "v": pa.array(np.arange(50) * 1.5)}), src)
     out = str(tmp_path / "enc_typed")
     encode_files([src], out, target_bytes=1 << 20)
-    empty = filter_encoded_range(out, "id", 10_000, 20_000,
-                                 ["id", "v"])
+    empty = read_encoded(out, columns=["id", "v"],
+                         filter=("id", "between", 10_000, 20_000))
     sch = empty.schema()
     assert dict(zip(sch.names, [str(t) for t in sch.types])) == {
         "id": "int64", "v": "double"}

@@ -192,8 +192,8 @@ def test_agg_encoded_with_prefix_and_notnull(nstore, ray_session):
 def test_part_pruning_prefix_and_nulls(tmp_path, ray_session):
     """Driver-side pruning: prefix prunes on the [prefix, successor)
     zone interval, null tests on manifest null counts."""
-    from packcol.pipelines.encode_pipeline import (_pred_survivors,
-                                                   encode_files)
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.plan import plan
     a = pd.DataFrame({"id": np.arange(0, 1000, dtype=np.int64),
                       "host": ["aaa.com"] * 500 + ["abc.com"] * 500})
     b = pd.DataFrame({"id": np.arange(1000, 2000, dtype=np.int64),
@@ -206,7 +206,7 @@ def test_part_pruning_prefix_and_nulls(tmp_path, ray_session):
                    str(src / "b.parquet"))
     out = str(tmp_path / "store")
     encode_files([str(src / "a.parquet"), str(src / "b.parquet")], out)
-    n = lambda pred: len(_pred_survivors(out, pred))  # noqa: E731
+    n = lambda pred: len(plan(out, [pred]).parts)  # noqa: E731
     assert n(("host", "isnull", None, None)) == 1
     assert n(("host", "notnull", None, None)) == 2
     assert n(("host", "prefix", "a", None)) == 1
@@ -215,8 +215,18 @@ def test_part_pruning_prefix_and_nulls(tmp_path, ray_session):
 
 
 def test_prefix_upper_edge_cases():
-    from packcol.pipelines.encode_pipeline import _prefix_upper
+    from packcol.sources.plan import _prefix_upper
     assert _prefix_upper("abc") == "abd"
     assert _prefix_upper("a\U0010FFFF") == "b"
     assert _prefix_upper("\U0010FFFF") is None
     assert _prefix_upper("z") == "{"
+
+
+def test_empty_filter_list_rejected():
+    """Only None means "no predicate": an empty AND list (true) or an
+    empty OR list (false) must not silently become a full scan."""
+    from packcol.sources.plan import parse_filter
+    assert parse_filter(None, None) == ([], "and")
+    for kw in ({"filter": []}, {"filter_any": []}):
+        with pytest.raises(ValueError, match="empty"):
+            parse_filter(kw.get("filter"), kw.get("filter_any"))

@@ -10,9 +10,13 @@ import pyarrow.parquet as pq
 import pytest
 
 from packcol.pipelines.cluster import cluster_store, zorder_store
-from packcol.pipelines.encode_pipeline import (_surviving_parts,
-                                               encode_files)
+from packcol.pipelines.encode_pipeline import encode_files
 from packcol.sources.encoded import read_encoded
+from packcol.sources.plan import plan
+
+
+def _surviving(store, col, lo, hi):
+    return plan(store, [(col, "range", lo, hi)]).parts
 
 
 @pytest.fixture(scope="module")
@@ -56,10 +60,10 @@ def test_both_keys_prune(stores):
     _, _, zo, lex = stores
     total_zo, total_lex = _parts(zo), _parts(lex)
     assert total_zo > 8 and total_lex > 8
-    zx = len(_surviving_parts(zo, "x", 0, 1000))
-    zy = len(_surviving_parts(zo, "y", 0.0, 100.0))
-    lx = len(_surviving_parts(lex, "x", 0, 1000))
-    ly = len(_surviving_parts(lex, "y", 0.0, 100.0))
+    zx = len(_surviving(zo, "x", 0, 1000))
+    zy = len(_surviving(zo, "y", 0.0, 100.0))
+    lx = len(_surviving(lex, "x", 0, 1000))
+    ly = len(_surviving(lex, "y", 0.0, 100.0))
     assert zx <= total_zo * 0.6, (zx, total_zo)
     assert zy <= total_zo * 0.6, (zy, total_zo)   # the new capability
     assert lx <= total_lex * 0.3                   # lex prunes primary
