@@ -833,8 +833,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def agg_encoded_events(sf):
         # aggregate pushdown over the encoded store: predicate masks on
         # packed codes, dict group column aggregates on integer codes
-        # (only distinct group values decode), partials merge in one
-        # distributed groupby — the decoded table never exists
+        # (only distinct group values decode), partials merge by group
+        # — the decoded table never exists
         from packcol.sources.encoded import agg_encoded
         out = _encoded_store(sf, "events")
         return agg_encoded(

@@ -140,7 +140,9 @@ def score_bigram_logprob(ds, model: dict, text_col: str = "text",
             np.add.at(c, r, 1.0)
             has = c > 0
             out[has] = s[has] / c[has]
-        return batch.append_column(out_col, pa.array(out))
+        # NaN marks the rows without a bigram: they score NULL
+        return batch.append_column(out_col,
+                                   pa.array(out, mask=np.isnan(out)))
 
     return ds.map_batches(score, batch_format="pyarrow",
                           zero_copy_batch=True)

@@ -6,7 +6,8 @@ rather than a sink: it returns a ``ray.data.Dataset`` of DECODED rows
 with
 
 * **lazy streaming decode** — one read task per part file, no shuffle,
-  nothing materialized beyond the blocks in flight;
+  nothing materialized beyond the blocks in flight (a filtered read
+  of a small plan decodes in-process instead: ``plan.execute``);
 * **column projection at the encoded-block level** — unrequested
   columns' payloads are filtered out of the part file read and never
   decoded (``DecodePartFile``);
@@ -55,7 +56,8 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from .plan import parse_filter, part_files, part_id, part_mask, plan
+from .plan import (collect, execute, parse_filter, part_files, part_id,
+                   part_mask, plan)
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
@@ -106,10 +108,9 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     ``limit`` is a LIMIT-without-ORDER head cut: unfiltered reads plan
     only the minimal prefix of parts whose manifest row counts cover
     it (a head of a 10^6-part store schedules O(1) tasks); filtered
-    reads apply it post-filter via the streaming executor's early
-    stop."""
-    from ..pipelines.encode_pipeline import (EncodedFilterPart,
-                                             _part_scan_seed, decode_files)
+    reads apply it post-filter (on a Ray-path plan, via the streaming
+    executor's early stop)."""
+    from ..pipelines.encode_pipeline import EncodedFilterPart, decode_files
     preds, mode = parse_filter(filter, filter_any)
     schema = encoded_schema(store_dir) \
         if columns is not None or preds else None
@@ -134,14 +135,11 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
         raise ValueError(f"no encoded parts found in {store_dir}")
     out_schema = pa.schema([schema.field(c) for c in out_columns])
     p = plan(store_dir, preds, mode)
-    if not p.parts:  # every part pruned — provably empty result
-        ds = rd.from_arrow(out_schema.empty_table())
-    else:
-        ds = _part_scan_seed(p.files).map_batches(
-            EncodedFilterPart(preds, out_columns, mode,
-                              probe_blooms=not p.blooms_probed,
-                              schema=out_schema),
-            batch_size=None, batch_format="pyarrow")
+    ds = execute(p, EncodedFilterPart(preds, out_columns, mode,
+                                      probe_blooms=not p.blooms_probed,
+                                      schema=out_schema))
+    if isinstance(ds, pa.Table):
+        ds = rd.from_arrow(ds)
     return ds.limit(limit) if limit is not None else ds
 
 
@@ -219,8 +217,9 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     metadata read — the payload parquet column is never touched).
     With ``filter`` (AND) / ``filter_any`` (OR), manifest zone maps +
     bloom sidecars prune parts driver-side (``plan``) and the residual
-    parts mask-sum on packed codes without decoding."""
-    from ..pipelines.encode_pipeline import _part_scan_seed
+    parts mask-sum on packed codes without decoding; the per-part
+    counts sum on the driver."""
+    import pyarrow.compute as pc
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
     if not preds:
@@ -234,12 +233,9 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
             if t.num_rows:  # rows of the part = n_values of any block
                 total += int(t.column("n_values")[0].as_py())
         return total
-    if not p.parts:
-        return 0
-    out = _part_scan_seed(p.files).map_batches(
-        _CountPart(preds, mode, probe_blooms=not p.blooms_probed),
-        batch_size=None, batch_format="pyarrow")
-    return int(out.sum("n") or 0)
+    n = collect(execute(p, _CountPart(preds, mode,
+                                      probe_blooms=not p.blooms_probed)))
+    return 0 if n is None else int(pc.sum(n.column("n")).as_py())
 
 
 class _AggPart:
@@ -249,19 +245,19 @@ class _AggPart:
 
     * predicate masks evaluate on packed codes (never decode the
       filter columns);
-    * a dict-codec group column groups on its INT CODES — only the
-      per-part dictionary's distinct values decode (late
+    * a null-free dict-codec group column groups on its INT CODES —
+      only the per-part dictionary's distinct values decode (late
       materialization: O(groups) string decodes, not O(rows));
     * count-only aggregates decode no value column at all.
 
-    Emits one partial row per (part, group): ``{group, __p__<out>...}``.
-    The caller merges partials with a distributed Ray groupby, so
-    driver state is never O(groups)."""
+    ``keys`` are the group columns, [] for a global aggregate.  Emits
+    one partial row per (part, group): ``{*keys, __p__<out>...}``;
+    ``_agg_merged`` merges them on the driver."""
 
-    def __init__(self, group_by: str | None, aggs: dict,
+    def __init__(self, keys: list[str], aggs: dict,
                  preds: list[tuple], mode: str = "and",
                  probe_blooms: bool = True):
-        self.group_by = group_by
+        self.keys = list(keys)
         self.aggs = aggs          # {out: ("count",) | (fn, col)}
         self.preds = preds        # normalized, possibly []
         self.mode = mode          # "and" conjunction / "or" disjunction
@@ -290,7 +286,7 @@ class _AggPart:
         from ..codecs.dictionary import ipc_deserialize_array
 
         val_cols = {s[1] for s in self.aggs.values() if len(s) > 1}
-        hard = val_cols | ({self.group_by} if self.group_by else set())
+        hard = val_cols | set(self.keys)
         specs, src = self._partial_specs()
         outs, out_types = [], {}
         for p in batch.column("path").to_pylist():
@@ -314,60 +310,56 @@ class _AggPart:
             sel = pa.array(np.flatnonzero(mask)) if mask is not None \
                 else None
 
-            # group key: dict codes when null-free (decode only the
+            # group keys: dict codes when null-free (decode only the
             # distinct values after aggregation), else decoded values
-            mapping = None
-            if self.group_by is None:
+            cols, mappings = {}, {}
+            if not self.keys:
                 # any present block carries the part's row count (an
                 # OR-mode pred column may be absent from this part)
                 n = next(iter(enc_of.values())).n_values if enc_of else 0
                 n_rows = int(mask.sum()) if mask is not None else n
-                garr = pa.array(np.zeros(n_rows, dtype=np.int64))
-            else:
-                genc = enc_of[self.group_by]
+                cols["__g"] = pa.array(np.zeros(n_rows, dtype=np.int64))
+            for i, key in enumerate(self.keys):
+                genc = enc_of[key]
                 if genc.codec == "dict" and \
                         not genc.buffers.get("validity", b""):
-                    codes = _dict_codes(genc).astype(np.int64,
-                                                     copy=False)
-                    garr = pa.array(codes)
-                    mapping = ipc_deserialize_array(genc.buffers["aux"])
+                    garr = pa.array(_dict_codes(genc).astype(
+                        np.int64, copy=False))
+                    mappings[f"__g{i}"] = ipc_deserialize_array(
+                        genc.buffers["aux"])
                 else:
                     garr = decode_any(genc)
-                if sel is not None:
-                    garr = garr.take(sel)
-            cols = {"__g": garr}
+                cols[f"__g{i}"] = garr.take(sel) if sel is not None \
+                    else garr
+                dt = genc.params.get("dtype")
+                if dt is not None:
+                    out_types[key] = str_to_type(dt)
+            gcols = list(cols)
             for c in sorted(val_cols):
                 arr = decode_any(enc_of[c])
                 cols[c] = arr.take(sel) if sel is not None else arr
                 out_types[c] = cols[c].type
-            part = pa.table(cols).group_by("__g").aggregate(specs)
-            if mapping is not None:
+            part = pa.table(cols).group_by(gcols).aggregate(specs)
+            for name, mapping in mappings.items():
                 part = part.set_column(
-                    part.schema.get_field_index("__g"), "__g",
-                    mapping.take(part.column("__g")))
-            if self.group_by is not None:
-                dt = enc_of[self.group_by].params.get("dtype")
-                if dt is not None:
-                    out_types[self.group_by] = str_to_type(dt)
+                    part.schema.get_field_index(name), name,
+                    mapping.take(part.column(name)))
             outs.append(self._rename(part, src))
         if not outs:
             return self.empty(src, out_types)
         return pa.concat_tables(outs, promote_options="permissive")
 
     def _rename(self, part: pa.Table, src: dict) -> pa.Table:
-        cols = {}
-        if self.group_by is not None:
-            cols[self.group_by] = part.column("__g")
+        cols = {key: part.column(f"__g{i}")
+                for i, key in enumerate(self.keys)}
         for out, name in src.items():
             cols[f"__p__{out}"] = part.column(name)
         return pa.table(cols)
 
     def empty(self, src: dict, out_types: dict) -> pa.Table:
         """A partials block with no rows, typed like a non-empty one."""
-        fields = {}
-        if self.group_by is not None:
-            fields[self.group_by] = out_types.get(self.group_by,
-                                                  pa.string())
+        fields = {key: out_types.get(key, pa.string())
+                  for key in self.keys}
         for out, spec in self.aggs.items():
             if spec[0] == "count":
                 fields[f"__p__{out}"] = pa.int64()
@@ -396,14 +388,12 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
     ``filter`` is given, evaluates the predicate on packed codes,
     groups dict-codec columns on their integer codes (decoding only
     the distinct group values), and skips value decodes entirely for
-    count-only aggregates.  Partials merge with one distributed Ray
-    groupby over O(parts x groups) tiny rows — no driver-side group
-    state.
+    count-only aggregates.  The O(parts x groups) partial rows merge on
+    the driver with one ``pa.Table.group_by`` on either executor path
+    (``plan.execute``); a null key forms a group, as in SQL.
 
     Returns a ``ray.data.Dataset`` with columns ``[group_by, *aggs]``
     (or a one-row Dataset without ``group_by``)."""
-    from ray.data.aggregate import Max, Min, Sum
-
     for out, spec in aggs.items():
         if spec[0] not in ("count", "sum", "min", "max", "avg"):
             raise ValueError(f"unsupported aggregate {spec[0]!r}")
@@ -411,7 +401,7 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
             raise ValueError(f"{out}: {spec[0]} needs a column")
 
     # AVG decomposes into mergeable sum + non-null-count partials; the
-    # ratio is taken AFTER the distributed merge (never per part)
+    # ratio is taken AFTER the merge (never per part)
     user_aggs = dict(aggs)
     avg_map = {}
     for out, spec in list(aggs.items()):
@@ -429,25 +419,6 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
         fast = _agg_from_manifests(store_dir, aggs)
         if fast is not None:
             return rd.from_arrow(fast)
-    p = plan(store_dir, preds, mode)
-    task = _AggPart(group_by, aggs, preds, mode,
-                    probe_blooms=not p.blooms_probed)
-    if not p.parts:
-        ds = rd.from_arrow(task.empty(task._partial_specs()[1], {}))
-    else:
-        from ..pipelines.encode_pipeline import _part_scan_seed
-        ds = _part_scan_seed(p.files) \
-            .map_batches(task, batch_size=None, batch_format="pyarrow")
-    merge = {"count": Sum, "sum": Sum, "min": Min, "max": Max}
-    ray_aggs = [merge[spec[0]](on=f"__p__{out}", alias_name=out)
-                for out, spec in aggs.items()]
-    if group_by is None:
-        res = ds.groupby(None).aggregate(*ray_aggs)
-    else:
-        res = ds.groupby(group_by).aggregate(*ray_aggs) \
-            .select_columns([group_by, *aggs.keys()])
-    if not avg_map:
-        return res
 
     def _finish_avg(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -466,7 +437,35 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
                 cols[out] = b.column(out)
         return pa.table(cols)
 
-    return res.map_batches(_finish_avg, batch_format="pyarrow")
+    keys = [] if group_by is None else [group_by]
+    res = _agg_merged(store_dir, keys, aggs, preds, mode)
+    return rd.from_arrow(_finish_avg(res) if avg_map else res)
+
+
+# how a partial of each aggregate merges across parts
+_MERGE = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+
+
+def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
+                preds: list[tuple], mode: str) -> pa.Table:
+    """``aggs`` grouped by ``keys`` ([] for a global aggregate): one
+    ``_AggPart`` scan, its partials merged on the driver by one
+    ``pa.Table.group_by`` (a null key forms a group, as in SQL).
+    Columns ``[*keys, *aggs]``."""
+    p = plan(store_dir, preds, mode)
+    task = _AggPart(keys, aggs, preds, mode,
+                    probe_blooms=not p.blooms_probed)
+    parts = execute(p, task)
+    if not isinstance(parts, pa.Table):
+        parts = collect(parts)
+        if parts is None:
+            parts = task.empty(task._partial_specs()[1], {})
+    res = parts.group_by(keys, use_threads=False).aggregate(
+        [(f"__p__{out}", _MERGE[spec[0]]) for out, spec in aggs.items()])
+    return pa.table(
+        {**{key: res.column(key) for key in keys},
+         **{out: res.column(f"__p__{out}_{_MERGE[spec[0]]}")
+            for out, spec in aggs.items()}})
 
 
 class _DistinctPairsPart:
@@ -597,35 +596,46 @@ def count_distinct_encoded(store_dir: str, column: str, *,
     """COUNT(DISTINCT column) [GROUP BY group_by] over the encoded
     store without a decoded table scan.
 
-    Three stages, each with bounded state:
+    Three stages:
 
     1. per part, distinct (group, value) pairs in the encoded domain
        (``_DistinctPairsPart`` — dict codecs dedupe on int codes and
        decode only the surviving distinct values; predicates mask on
        packed codes after zone/bloom part pruning);
-    2. ONE distributed groupby over the pair rows removes cross-part
-       duplicates (the only shuffle of data, O(global distinct pairs));
-    3. a count-per-group aggregate over the now-unique pairs (Ray
-       combiner-merged, O(groups) output).
+    2. a groupby over the pair rows removes cross-part duplicates;
+    3. a count-per-group aggregate over the now-unique pairs.
 
-    The driver never holds a distinct set; no stage's state exceeds
-    its own group's distinct pairs.  SQL semantics: null values don't
-    count, null group keys form a group.  Returns a Dataset with
-    columns [group_by, out] (or one row [out] without group_by)."""
+    When the plan runs in-process (``plan.execute``), stages 2 and 3
+    are two ``pa.Table.group_by`` calls on the driver, over pairs
+    bounded by the small plan's rows.  Otherwise they are Ray
+    groupbys: the only shuffle of data is O(global distinct pairs),
+    and the driver never holds a distinct set.  SQL semantics: null
+    values don't count, null group keys form a group.  Returns a
+    Dataset with columns [group_by, out] (or one row [out] without
+    group_by)."""
     from ray.data.aggregate import Count
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
-    task = _DistinctPairsPart(group_by, column, preds, mode,
-                              probe_blooms=not p.blooms_probed)
-    if not p.parts:
-        pairs = rd.from_arrow(task.empty({}))
-    else:
-        from ..pipelines.encode_pipeline import _part_scan_seed
-        pairs = _part_scan_seed(p.files).map_batches(
-            task, batch_size=None, batch_format="pyarrow")
+    pairs = execute(p, _DistinctPairsPart(group_by, column, preds, mode,
+                                          probe_blooms=not p.blooms_probed))
     # group keys travel null-safe as (__gf filled value, __gv validity)
     # — Ray's sort shuffle can't order null keys; restored below
-    keys = ["__gf", "__gv", column] if group_by is not None else [column]
+    gkeys = ["__gf", "__gv"] if group_by is not None else []
+    keys = [*gkeys, column]
+
+    def _restore(b: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+        g = pc.if_else(b.column("__gv"), b.column("__gf"),
+                       pa.nulls(b.num_rows, b.column("__gf").type))
+        return pa.table({group_by: g, out: b.column(out)})
+
+    if isinstance(pairs, pa.Table):
+        uniq = pairs.group_by(keys, use_threads=False).aggregate([])
+        res = uniq.group_by(gkeys, use_threads=False).aggregate(
+            [([], "count_all")])
+        res = pa.table({**{k: res.column(k) for k in gkeys},
+                        out: res.column("count_all")})
+        return rd.from_arrow(_restore(res) if gkeys else res)
     uniq = pairs.groupby(keys).aggregate(Count(on=column,
                                                alias_name="__c"))
     # count the now-unique pairs per group; on=column (values are
@@ -634,15 +644,8 @@ def count_distinct_encoded(store_dir: str, column: str, *,
     if group_by is None:
         return uniq.groupby(None).aggregate(
             Count(on=column, alias_name=out))
-    res = uniq.groupby(["__gf", "__gv"]).aggregate(
+    res = uniq.groupby(gkeys).aggregate(
         Count(on=column, alias_name=out))
-
-    def _restore(b: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        g = pc.if_else(b.column("__gv"), b.column("__gf"),
-                       pa.nulls(b.num_rows, b.column("__gf").type))
-        return pa.table({group_by: g, out: b.column(out)})
-
     return res.map_batches(_restore, batch_format="pyarrow")
 
 
@@ -883,7 +886,6 @@ def topk_encoded(store_dir: str, keys, k: int, *,
     Returns a ``pyarrow.Table`` (the result is ≤k rows — driver-sized
     by definition); with ``return_stats=True``, ``(table, stats)``."""
     import pyarrow.compute as pc
-    from ..pipelines.encode_pipeline import _part_scan_seed
     from .plan import _zone_bounds
     keys = [keys] if isinstance(keys, str) else list(keys)
     if k <= 0:
@@ -932,14 +934,8 @@ def topk_encoded(store_dir: str, keys, k: int, *,
     task = _TopKPart(keys, k, descending, out_columns, expect)
 
     def scan(ps: list[dict]):
-        if not ps:
-            return None
-        ds = _part_scan_seed([{"path": p["path"]} for p in ps]) \
-            .map_batches(task, batch_size=None, batch_format="pyarrow")
-        bs = [b for b in ds.iter_batches(batch_format="pyarrow",
-                                         batch_size=None)
-              if b.num_rows]
-        return pa.concat_tables(bs) if bs else None
+        return collect(execute(p_all.restrict([p["path"] for p in ps]),
+                               task))
 
     def guaranteed(p: dict) -> int:
         if p["rows"] is None or p["nulls"] is None:
@@ -1156,6 +1152,8 @@ def approx_distinct_encoded(store_dir: str, column: str, *,
     hashes (dict parts hash their VOCAB — zero row decodes) →
     ``repartition(fanin)`` block merges → driver union of ≤ fanin
     bottom-k lists, O(k × fanin) driver rows regardless of store size.
+    A plan that runs in-process (``plan.execute``) unions its per-part
+    lists on the driver directly.
 
     EXACT when the true distinct count is < k (every distinct hash was
     collected; ``exact=True`` in the result); beyond that the standard
@@ -1164,9 +1162,6 @@ def approx_distinct_encoded(store_dir: str, column: str, *,
     import numpy as np
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
-    if not p.parts:
-        return {"n_distinct": 0, "exact": True, "k": k}
-    from ..pipelines.encode_pipeline import _part_scan_seed
 
     def merge_block(batch: pa.Table) -> pa.Table:
         h = batch.column("h")
@@ -1176,17 +1171,15 @@ def approx_distinct_encoded(store_dir: str, column: str, *,
                       .view(np.uint64))[:k]
         return pa.table({"h": pa.array(v.view(np.int64))})
 
-    rows = (_part_scan_seed(p.files)
-            .map_batches(_KMVPart(column, k, preds, mode,
-                                  probe_blooms=not p.blooms_probed),
-                         batch_size=None, batch_format="pyarrow")
-            .repartition(fanin)
-            .map_batches(merge_block, batch_size=None,
-                         batch_format="pyarrow")
-            .to_pandas())
-    if len(rows) == 0:
+    rows = execute(p, _KMVPart(column, k, preds, mode,
+                               probe_blooms=not p.blooms_probed))
+    if not isinstance(rows, pa.Table):
+        rows = rows.repartition(fanin).map_batches(
+            merge_block, batch_size=None, batch_format="pyarrow")
+    rows = collect(rows)
+    if rows is None:
         return {"n_distinct": 0, "exact": True, "k": k}
-    hs = np.unique(rows["h"].to_numpy().view(np.uint64))
+    hs = np.unique(rows.column("h").to_numpy().view(np.uint64))
     if len(hs) < k:
         return {"n_distinct": int(len(hs)), "exact": True, "k": k}
     kth = float(hs[k - 1])
@@ -1247,23 +1240,58 @@ def explain_scan(store_dir: str, *, filter=None, filter_any=None,
     metadata alone (zero payload bytes).  Per predicate: the zone-map
     survivor count; then the survivors of the combined zone tests, the
     bloom-sidecar prune on them, and the row upper bound of the parts
-    left, from their manifest row counts.  The numbers a user needs to
-    see whether their layout (cluster_store / zorder_store / blooms)
-    is actually pruning — and what `read_encoded`/`agg_encoded`/
-    `count_encoded` will schedule."""
+    left, from their manifest row counts; the planned bytes and the
+    executor they choose ("local": in-process, or "ray").  The numbers
+    a user needs to see whether their layout (cluster_store /
+    zorder_store / blooms) is actually pruning — and what
+    `read_encoded`/`agg_encoded`/`count_encoded` will schedule."""
     return {**plan(store_dir, *parse_filter(filter, filter_any)).record,
             "columns": columns}
+
+
+def _agg_finest(store_dir: str, group_by: list[str], aggs: dict,
+                filter, filter_any):
+    """The finest level of ROLLUP / GROUPING SETS / CUBE: ``aggs``
+    grouped by every column of ``group_by``, from one encoded-domain
+    scan (``_agg_merged``; a null key forms a group, as in SQL).  Only decomposable aggregates (count / sum / min / max): AVG does
+    not re-aggregate from ratios.  Returns pandas."""
+    for out, spec in aggs.items():
+        if spec[0] not in _MERGE:
+            raise ValueError(
+                f"{out}: rollup needs a decomposable aggregate "
+                f"(count/sum/min/max), got {spec[0]!r} — decompose avg "
+                "into sum + count")
+    if not group_by:
+        raise ValueError("rollup needs at least one group column")
+    return _agg_merged(store_dir, group_by, aggs,
+                       *parse_filter(filter, filter_any)).to_pandas()
+
+
+def _reaggregate(df, keys: list[str], group_by: list[str], aggs: dict):
+    """``df`` (a finer level) re-aggregated by ``keys``; the other
+    ``group_by`` slots are NULL, SQL's marker for a rolled-up key."""
+    import pandas as pd
+    spec_map = {out: _MERGE[spec[0]] for out, spec in aggs.items()}
+    if keys:
+        sub = df.groupby(keys, dropna=False, as_index=False).agg(spec_map)
+    else:
+        sub = pd.DataFrame([{out: getattr(df[out], fn)()
+                             for out, fn in spec_map.items()}])
+    for c in group_by:
+        if c not in keys:
+            sub[c] = None
+    return sub[[*group_by, *aggs.keys()]]
 
 
 def agg_encoded_rollup(store_dir: str, group_by: list[str], aggs: dict,
                        filter: tuple | None = None,
                        filter_any: list | None = None):
     """SQL ``GROUP BY ROLLUP(a, b, ...)`` over the encoded store with
-    ONE scan: the finest level runs through ``agg_encoded`` (zone/
-    bloom pruning, packed-code predicates, dict-code grouping), and
-    every coarser subtotal level re-aggregates the finest RESULT —
-    O(groups) rows, never the data.  Rolled-up key slots are NULL,
-    matching SQL's marker convention.
+    ONE scan: the finest level is ``_agg_finest`` (zone/bloom pruning,
+    packed-code predicates, dict-code grouping), and every coarser
+    subtotal level re-aggregates the finest RESULT — O(groups) rows,
+    never the data.  Rolled-up key slots are NULL, matching SQL's
+    marker convention.
 
     Only decomposable aggregates (count / sum / min / max) are
     accepted: AVG does not re-aggregate from ratios — decompose it
@@ -1271,66 +1299,13 @@ def agg_encoded_rollup(store_dir: str, group_by: list[str], aggs: dict,
     with columns [group_by..., *aggs] (the grand total row has every
     key NULL)."""
     import pandas as pd
-    for out, spec in aggs.items():
-        if spec[0] not in ("count", "sum", "min", "max"):
-            raise ValueError(
-                f"{out}: rollup needs a decomposable aggregate "
-                f"(count/sum/min/max), got {spec[0]!r} — decompose avg "
-                "into sum + count")
     group_by = list(group_by)
-    if not group_by:
-        raise ValueError("rollup needs at least one group column")
-    fine = agg_encoded(store_dir, group_by=group_by[0]
-                       if len(group_by) == 1 else None,
-                       aggs=aggs, filter=filter, filter_any=filter_any) \
-        if len(group_by) == 1 else None
-    if fine is None:
-        # multi-key finest level: agg_encoded groups by ONE column, so
-        # group on a composite via a second tiny groupby over its
-        # partial rows?  Simpler and still one data scan: group by the
-        # first key in the encoded domain and finish the remaining
-        # keys with a Ray groupby over the decoded group columns —
-        # but that would re-read.  Instead read the per-part partials
-        # at the finest granularity with a plain projection scan:
-        from ray.data.aggregate import Count, Max, Min, Sum
-        need = sorted({s[1] for s in aggs.values() if len(s) > 1})
-        ds = read_encoded(store_dir, columns=group_by + need,
-                          filter=filter, filter_any=filter_any)
-        merge = {"count": Count, "sum": Sum, "min": Min, "max": Max}
-        ray_aggs = []
-        for out, spec in aggs.items():
-            if spec[0] == "count":
-                ray_aggs.append(Count(on=group_by[0], ignore_nulls=False,
-                                      alias_name=out))
-            else:
-                ray_aggs.append(merge[spec[0]](on=spec[1],
-                                               alias_name=out))
-        fine = ds.groupby(group_by).aggregate(*ray_aggs) \
-            .select_columns([*group_by, *aggs.keys()])
-    pdf = fine.to_pandas()
-    levels = [pdf]
-    cur = pdf
+    levels = [_agg_finest(store_dir, group_by, aggs, filter, filter_any)]
     for depth in range(len(group_by) - 1, -1, -1):
-        keys = group_by[:depth]
-        spec_map = {}
-        for out, spec in aggs.items():
-            spec_map[out] = {"count": "sum", "sum": "sum",
-                             "min": "min", "max": "max"}[spec[0]]
-        if keys:
-            sub = cur.groupby(keys, dropna=False, as_index=False) \
-                .agg(spec_map)
-        else:
-            sub = pd.DataFrame([{out: (cur[out].sum()
-                                       if fn == "sum" else
-                                       cur[out].min() if fn == "min"
-                                       else cur[out].max())
-                                 for out, fn in spec_map.items()}])
-        for c in group_by[depth:]:
-            sub[c] = None
-        levels.append(sub[[*group_by, *aggs.keys()]])
-        cur = sub
-    out = pd.concat(levels, ignore_index=True)
-    return out[[*group_by, *aggs.keys()]]
+        # each level from the previous one: O(groups), never the data
+        levels.append(_reaggregate(levels[-1], group_by[:depth],
+                                   group_by, aggs))
+    return pd.concat(levels, ignore_index=True)
 
 
 def agg_encoded_grouping_sets(store_dir: str, group_by: list[str],
@@ -1345,39 +1320,16 @@ def agg_encoded_grouping_sets(store_dir: str, group_by: list[str],
     case)."""
     import pandas as pd
     group_by = list(group_by)
-    norm = []
+    sets = [tuple(s_) for s_ in sets]
     for s_ in sets:
-        s_ = tuple(s_)
         if not set(s_) <= set(group_by):
             raise ValueError(f"grouping set {s_} is not a subset of "
                              f"{group_by}")
-        norm.append(s_)
-    # reuse rollup's finest-level machinery by asking it for the
-    # full-key rollup and discarding its subtotal levels
-    full = agg_encoded_rollup(store_dir, group_by, aggs, filter=filter,
-                              filter_any=filter_any)
-    finest = full[full[group_by].notna().all(axis=1)] \
-        if len(group_by) else full
-    spec_map = {out: {"count": "sum", "sum": "sum", "min": "min",
-                      "max": "max"}[spec[0]]
-                for out, spec in aggs.items()}
-    frames = []
-    for s_ in norm:
-        keys = [c for c in group_by if c in s_]
-        if keys:
-            sub = finest.groupby(keys, dropna=False, as_index=False) \
-                .agg(spec_map)
-        else:
-            sub = pd.DataFrame([{out: (finest[out].sum()
-                                       if fn == "sum" else
-                                       finest[out].min() if fn == "min"
-                                       else finest[out].max())
-                                 for out, fn in spec_map.items()}])
-        for c in group_by:
-            if c not in keys:
-                sub[c] = None
-        frames.append(sub[[*group_by, *aggs.keys()]])
-    return pd.concat(frames, ignore_index=True)
+    finest = _agg_finest(store_dir, group_by, aggs, filter, filter_any)
+    return pd.concat(
+        [_reaggregate(finest, [c for c in group_by if c in s_],
+                      group_by, aggs) for s_ in sets],
+        ignore_index=True)
 
 
 def agg_encoded_cube(store_dir: str, group_by: list[str], aggs: dict,

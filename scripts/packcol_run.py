@@ -309,7 +309,8 @@ def main() -> None:
 
     ex = sub.add_parser("explain", help="what a filtered scan WOULD "
                         "read, from manifests alone: per-predicate "
-                        "zone survivors, bloom prunes, row bound")
+                        "zone survivors, bloom prunes, row bound, "
+                        "planned bytes and executor (local | ray)")
     ex.add_argument("--encoded", required=True)
     ex.add_argument("--where", nargs=2, metavar=("COL", "VAL"),
                     action="append")

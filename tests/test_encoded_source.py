@@ -326,7 +326,7 @@ def test_agg_encoded(store, ray_session):
     """Grouped aggregates over the encoded store: dict group columns
     aggregate on integer codes (only distinct group values decode),
     count-only aggs decode no value column, predicates mask on packed
-    codes, partials merge in a distributed groupby."""
+    codes, partials merge by group."""
     import ray.data as rd
     from packcol.sources.encoded import agg_encoded
     wt, out = store
@@ -619,8 +619,9 @@ def test_predicate_algebra_randomized(tmp_path, ray_session, monkeypatch):
     and OR results of every encoded-domain scan (read, count, agg,
     exact and approximate distinct) match pandas truth (rows AND
     membership, not just counts), and no part the plan drops holds a
-    matching row.  The last trial leaves every bloom probe to the scan
-    tasks."""
+    matching row.  Trial 12 leaves every bloom probe to the scan
+    tasks; trial 13 sets the in-process crossover to 0, so every scan
+    of a non-empty plan runs through Ray Data instead of the driver."""
     import numpy as np
     import pandas as pd
     import pyarrow.parquet as pq
@@ -701,10 +702,11 @@ def test_predicate_algebra_randomized(tmp_path, ray_session, monkeypatch):
         v = got[col].iloc[0] if len(got) else None
         return 0 if v is None or pd.isna(v) else int(v)
 
-    for trial in range(13):
+    bloom_cap = plan_mod._BLOOM_DRIVER_CAP
+    for trial in range(14):
         if trial < 12:
             preds = [rand_pred() for _ in range(int(rng.integers(1, 4)))]
-        else:
+        if trial == 12:
             # driver cap 0: the plan probes no bloom and every probe
             # runs in the scan tasks.  One row's ts lies inside nearly
             # every part's zone but in few parts, so under AND the
@@ -716,6 +718,15 @@ def test_predicate_algebra_randomized(tmp_path, ray_session, monkeypatch):
             monkeypatch.setattr(plan_mod, "_BLOOM_DRIVER_CAP", 0)
             p = plan_mod.plan(out, *plan_mod.parse_filter(preds, None))
             assert not p.blooms_probed and len(p.parts) > 1
+        if trial == 13:
+            # crossover 0: every non-empty plan runs through Ray Data
+            preds = [("k_str", "in", ["a", "b"]), ("name", "prefix", "u1"),
+                     ("k_int", "between", 2, 9)]
+            monkeypatch.setattr(plan_mod, "_BLOOM_DRIVER_CAP", bloom_cap)
+            monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+            for f, fa in ((preds, None), (None, preds)):
+                p = plan_mod.plan(out, *plan_mod.parse_filter(f, fa))
+                assert p.parts and p.executor == "ray"
         for kw, m in (("filter", np.logical_and.reduce(
                            [pd_mask(p) for p in preds])),
                       ("filter_any", np.logical_or.reduce(
@@ -1111,6 +1122,160 @@ def test_explain_scan_prune_accounting(tmp_path, ray_session):
     # bloom prune shows up for a nonexistent dict value with in-zone
     miss = explain_scan(out, filter=("s", "==", "u999zz"))
     assert miss["parts_scanned"] <= miss["zone_survivors"]
+
+
+def _routed_ops(out):
+    """One call of each op routed through plan.execute, each giving a
+    plain Python answer."""
+    from packcol.sources import encoded as enc
+    flt = ("lang", "==", "en")
+
+    def agg():
+        got = enc.agg_encoded(out, group_by="lang",
+                              aggs={"n": ("count",)}).to_pandas()
+        return dict(zip(got["lang"], got["n"].astype(int)))
+
+    def distinct():
+        got = enc.count_distinct_encoded(
+            out, "lang", group_by="lang",
+            filter=("lang", "in", ["en", "de"])).to_pandas()
+        return sorted(got.itertuples(index=False, name=None))
+
+    return {
+        "read": lambda: sorted(enc.read_encoded(
+            out, columns=["url"], filter=flt).to_pandas()["url"]),
+        "count": lambda: enc.count_encoded(out, filter=flt),
+        "agg": agg,
+        "distinct": distinct,
+        "approx": lambda: enc.approx_distinct_encoded(out, "url",
+                                                      filter=flt),
+        "topk": lambda: enc.topk_encoded(
+            out, "warc_ts", 5, descending=True,
+            columns=["warc_ts"]).column("warc_ts").to_pylist(),
+    }
+
+
+def test_executor_paths_agree(store, monkeypatch):
+    """Under the crossover every routed op runs in-process and seeds
+    no Ray Data scan; over it (crossover 0) every op seeds one, and
+    both paths give the oracle's answers."""
+    from packcol.pipelines import encode_pipeline as ep
+    from packcol.sources import plan as plan_mod
+    wt, out = store
+    truth = pq.read_table(wt).to_pandas()
+    en = truth[truth["lang"] == "en"]
+    want = {
+        "read": sorted(en["url"]),
+        "count": len(en),
+        "agg": truth["lang"].value_counts().to_dict(),
+        "distinct": [("de", 1), ("en", 1)],
+        "approx": {"n_distinct": en["url"].nunique(), "exact": True,
+                   "k": 1024},
+        "topk": sorted(truth["warc_ts"], reverse=True)[:5],
+    }
+    assert plan_mod.plan(out, []).executor == "local"
+
+    def no_seed(files):
+        raise AssertionError("in-process plan seeded a Ray Data scan")
+
+    monkeypatch.setattr(ep, "_part_scan_seed", no_seed)
+    for op, fn in _routed_ops(out).items():
+        assert fn() == want[op], op
+
+    monkeypatch.undo()
+    seed, seeded = ep._part_scan_seed, []
+
+    def counted(files):
+        seeded.append(len(files))
+        return seed(files)
+
+    monkeypatch.setattr(ep, "_part_scan_seed", counted)
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    for op, fn in _routed_ops(out).items():
+        del seeded[:]
+        assert fn() == want[op], op
+        assert seeded and all(seeded), op
+
+
+def test_plan_records_planned_bytes_and_executor(store, monkeypatch):
+    """Plan.record (explain_scan) reports the planned bytes — the file
+    sizes of the parts to scan — and the executor they choose."""
+    from packcol.sources import plan as plan_mod
+    from packcol.sources.encoded import explain_scan
+    _, out = store
+    flt = ("lang", "==", "en")
+    rec = explain_scan(out, filter=flt)
+    p = plan_mod.plan(out, *plan_mod.parse_filter(flt, None))
+    assert rec["planned_bytes"] == sum(
+        os.path.getsize(q) for q in p.parts) > 0
+    assert rec["executor"] == "local"
+    assert explain_scan(out)["planned_bytes"] == sum(
+        os.path.getsize(q) for q in plan_mod.part_files(out))
+    none = explain_scan(out, filter=("lang", "==", "no-such-lang"))
+    assert none["parts_scanned"] == 0 and none["planned_bytes"] == 0
+    assert none["executor"] == "local"
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES",
+                        rec["planned_bytes"] - 1)
+    assert explain_scan(out, filter=flt)["executor"] == "ray"
+
+
+def test_rollup_cube_null_keys_match_duckdb(tmp_path, ray_session,
+                                            monkeypatch):
+    """GROUP BY, ROLLUP, CUBE and GROUPING SETS over a key with NULLs:
+    a NULL key is a group of its own, beside the NULL markers of the
+    rolled-up levels, as in DuckDB — with the scan in-process and on
+    Ray."""
+    import duckdb
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources import plan as plan_mod
+    from packcol.sources.encoded import (agg_encoded, agg_encoded_cube,
+                                         agg_encoded_grouping_sets,
+                                         agg_encoded_rollup)
+    rng = np.random.default_rng(17)
+    n = 3000
+    df = pd.DataFrame({
+        "a": rng.choice(["x", "y", "z"], n),
+        "b": np.where(rng.random(n) < 0.2, None,
+                      rng.choice(["p", "q"], n)),
+        "v": rng.integers(0, 1000, n).astype(np.int64)})
+    src = tmp_path / "nk.parquet"
+    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
+                   str(src), row_group_size=500)
+    out = str(tmp_path / "nk_store")
+    encode_files([str(src)], out, target_bytes=1 << 13)
+    con = duckdb.connect()
+    con.register("t", df)
+    aggs = {"n": ("count",), "sv": ("sum", "v"), "mx": ("max", "v")}
+    sql = "SELECT a, b, COUNT(*) AS n, SUM(v) AS sv, MAX(v) AS mx " \
+        "FROM t GROUP BY "
+
+    def canon(d):
+        d = d[["a", "b", "n", "sv", "mx"]].copy()
+        for c in ("a", "b"):
+            d[c] = d[c].fillna("∅")
+        d = d.astype({"n": int, "sv": int, "mx": int})
+        return d.sort_values(list(d.columns)).reset_index(drop=True)
+
+    for crossover in (plan_mod._LOCAL_PLAN_BYTES, 0):
+        monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", crossover)
+        got = agg_encoded(out, group_by="b", aggs=aggs).to_pandas()
+        want = con.execute(sql.replace("a, b", "NULL AS a, b", 1)
+                           + "b").df()
+        pd.testing.assert_frame_equal(canon(got.assign(a=None)),
+                                      canon(want), check_dtype=False,
+                                      obj="GROUP BY b")
+        for got, group in (
+                (agg_encoded_rollup(out, ["a", "b"], aggs),
+                 "ROLLUP(a, b)"),
+                (agg_encoded_rollup(out, ["b", "a"], aggs),
+                 "ROLLUP(b, a)"),
+                (agg_encoded_cube(out, ["a", "b"], aggs), "CUBE(a, b)"),
+                (agg_encoded_grouping_sets(out, ["a", "b"],
+                                           [("a", "b"), ("b",)], aggs),
+                 "GROUPING SETS ((a, b), (b))")):
+            want = con.execute(sql + group).df()
+            pd.testing.assert_frame_equal(canon(got), canon(want),
+                                          check_dtype=False, obj=group)
 
 
 def test_agg_encoded_rollup_matches_duckdb(tmp_path, ray_session):

@@ -2,6 +2,8 @@
 python reference model."""
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from packcol.pipelines.quality import (fit_bigram_lm, perplexity_filter,
@@ -97,7 +99,12 @@ def test_short_docs_score_null(ray_session):
     import ray.data as rd
     df = pd.DataFrame({"doc_id": [0, 1], "text": ["solo", "two words"]})
     model = fit_bigram_lm(rd.from_pandas(df), "text")
-    s = score_bigram_logprob(rd.from_pandas(df), model, "text") \
-        .to_pandas().sort_values("doc_id")
+    scored = score_bigram_logprob(rd.from_pandas(df), model, "text")
+    s = scored.to_pandas().sort_values("doc_id")
     assert np.isnan(s["lm_score"].iloc[0])
     assert np.isfinite(s["lm_score"].iloc[1])
+    # NULL, not NaN: pc.is_null does not count NaN by default
+    t = pa.concat_tables(list(scored.iter_batches(
+        batch_format="pyarrow", batch_size=None)))
+    t = t.sort_by("doc_id")
+    assert pc.is_null(t.column("lm_score")).to_pylist() == [True, False]
