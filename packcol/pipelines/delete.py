@@ -4,7 +4,8 @@
 predicate while touching ONLY the parts that can possibly match: the
 same zone-map + bloom pruning the read path uses selects the affected
 parts driver-side (tiny JSON / ~KB sidecars), each affected part
-evaluates the predicate on packed codes, and then
+evaluates the predicate on packed codes — in-process below the
+crossover (``sources/plan.py::execute``), else in Ray tasks — and then
 
 * zero matching rows  → the part is left byte-identical (never
   rewritten, never decoded);
@@ -34,7 +35,8 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sources.plan import parse_filter, part_id, part_mask, plan
+from ..sources.plan import (collect, execute, parse_filter, part_id,
+                            part_mask, plan)
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash
 
@@ -122,28 +124,26 @@ def delete_where(store_dir: str, filter,
     """Delete every row of the store matching ``filter`` (same shapes
     as ``read_encoded``: a predicate tuple or a list = conjunction).
     Only zone/bloom-surviving parts are even opened; see module doc.
+    ``filter`` None raises ValueError: a delete names its rows.
     ``exclude_parts`` (part ids) are never touched even when they
     match — the upsert pipeline uses it to shield freshly inserted
     parts from the replace-keys delete.  Returns {parts_total,
     parts_scanned, parts_untouched, parts_rewritten, parts_removed,
     rows_deleted}."""
-    from .encode_pipeline import _part_scan_seed
     preds, _ = parse_filter(filter, None)
+    if not preds:
+        raise ValueError("delete_where needs a filter: pass at least one "
+                         "predicate")
     p = plan(store_dir, preds, "and")
-    total = len(p.listed)
-    files = [f for f in p.files
-             if part_id(f["path"]) not in (exclude_parts or ())] \
-        if preds else []
-    if not files:
-        return {"parts_total": total, "parts_scanned": 0,
-                "parts_untouched": 0, "parts_rewritten": 0,
-                "parts_removed": 0, "rows_deleted": 0}
-    res = _part_scan_seed(files).map_batches(
-        _DeletePartTask(store_dir, preds, not p.blooms_probed),
-        batch_size=None, batch_format="pyarrow").to_pandas()
-    acts = res["action"].value_counts().to_dict()
-    return {"parts_total": total, "parts_scanned": len(res),
-            "parts_untouched": int(acts.get("untouched", 0)),
-            "parts_rewritten": int(acts.get("rewritten", 0)),
-            "parts_removed": int(acts.get("removed", 0)),
-            "rows_deleted": int(res["rows_deleted"].sum())}
+    p = p.restrict([f for f in p.parts
+                    if part_id(f) not in (exclude_parts or ())])
+    res = collect(execute(p, _DeletePartTask(store_dir, preds,
+                                             not p.blooms_probed)))
+    res = res.to_pydict() if res is not None else \
+        {"action": [], "rows_deleted": []}
+    acts = res["action"]
+    return {"parts_total": len(p.listed), "parts_scanned": len(acts),
+            "parts_untouched": acts.count("untouched"),
+            "parts_rewritten": acts.count("rewritten"),
+            "parts_removed": acts.count("removed"),
+            "rows_deleted": sum(res["rows_deleted"])}

@@ -15,10 +15,16 @@ Ordering is chosen for crash-safety, not elegance:
    readers: they list only top-level ``*.parquet``);
 2. **publish** — each staged part's manifest, bloom sidecar and part
    file rename into the store (same filesystem, atomic per file);
-3. **retire** — the replaced keys are deleted in bounded driver chunks
-   (``_KEY_CHUNK`` distinct values per pass, each pass zone/bloom
-   pruned), with the freshly published part ids EXCLUDED so the delete
-   can never eat the new rows;
+3. **retire** — a key scan (``_KeyColDistinct``) over the published
+   parts yields the replaced keys, and ``delete_where`` deletes them in
+   bounded driver chunks (``_KEY_CHUNK`` distinct values per pass, each
+   pass zone/bloom pruned), with the freshly published part ids
+   EXCLUDED so the delete can never eat the new rows.  Both steps run
+   through ``sources/plan.py::execute``: in-process on the driver when
+   their plan is at most ``_LOCAL_PLAN_BYTES``, else as Ray Data
+   ``map_batches`` (the key scan's result batches then stream, so the
+   driver never holds more than ``_KEY_CHUNK`` keys).  Only the staging
+   write of step 1 always runs on Ray;
 4. the staging dir is removed.
 
 A crash anywhere leaves the store readable; re-running the SAME upsert
@@ -42,7 +48,7 @@ import uuid
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sources.plan import part_id
+from ..sources.plan import blocks, execute, part_id, plan
 from ..state.bloom import _path as bloom_path
 from ..state.manifest import Manifest
 
@@ -62,7 +68,8 @@ _KEY_CHUNK = 1_000_000
 class _KeyColDistinct:
     """Task: per-part distinct non-null values of ONE column, decoded
     from the encoded blocks — the retire pass's key source.  Emits
-    O(distinct per part) rows; the driver holds ≤ _KEY_CHUNK at once."""
+    O(distinct per part) rows; on the Ray path the driver holds
+    ≤ _KEY_CHUNK at once."""
 
     def __init__(self, col: str):
         self.col = col
@@ -98,7 +105,7 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
     Returns {rows_inserted, parts_inserted, rows_deleted,
     parts_rewritten, parts_removed, parts_scanned}."""
     from .delete import delete_where
-    from .encode_pipeline import _part_scan_seed, write_encoded
+    from .encode_pipeline import write_encoded
     if not isinstance(key, str):
         raise ValueError(
             "upsert key must be a single column name (composite keys "
@@ -150,14 +157,10 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
                     stats[kk] += r.get(kk, 0)
                 pending.clear()
 
-            files = [{"path": os.path.join(store_dir,
-                                           f"part-{pid}.parquet")}
-                     for pid in new_ids]
-            key_ds = _part_scan_seed(files).map_batches(
-                _KeyColDistinct(key), batch_size=None,
-                batch_format="pyarrow")
-            for b in key_ds.iter_batches(batch_format="pyarrow",
-                                         batch_size=None):
+            new = plan(store_dir, []).restrict(
+                [os.path.join(store_dir, f"part-{pid}.parquet")
+                 for pid in new_ids])
+            for b in blocks(execute(new, _KeyColDistinct(key))):
                 for v in b.column(key).to_pylist():
                     pending.add(v)
                     if len(pending) >= _KEY_CHUNK:

@@ -324,9 +324,11 @@ class Plan:
             else "ray"
 
     def restrict(self, parts: list[str]) -> "Plan":
-        """This plan narrowed to ``parts``; the manifests are shared."""
+        """This plan narrowed to ``parts``; the manifests are shared
+        when loaded, and stay lazy otherwise."""
         out = dataclasses.replace(self, parts=list(parts))
-        out.manifests = self.manifests
+        if "manifests" in self.__dict__:
+            out.manifests = self.manifests
         return out
 
     @property
@@ -388,7 +390,7 @@ def execute(p: Plan, task):
     the task's ``pa.Table``.  An empty plan always runs here, so
     the task returns its typed empty block.  Above it: the lazy
     ``ray.data.Dataset`` of a ``map_batches`` over the parts.
-    ``collect`` brings either to the driver."""
+    ``blocks`` streams either to the driver, ``collect`` gathers it."""
     if p.executor == "local":
         return task(pa.table({"path": pa.array(p.parts, pa.string())}))
     from ..pipelines import encode_pipeline as ep
@@ -396,13 +398,20 @@ def execute(p: Plan, task):
         task, batch_size=None, batch_format="pyarrow")
 
 
+def blocks(res):
+    """The non-empty blocks of an ``execute`` result, one at a time (a
+    Ray result streams: the driver holds one block at once)."""
+    if isinstance(res, pa.Table):
+        res = [res]
+    else:
+        res = res.iter_batches(batch_format="pyarrow", batch_size=None)
+    return (b for b in res if b.num_rows)
+
+
 def collect(res) -> pa.Table | None:
     """The rows of an ``execute`` result as one driver table, or None
     when there are none."""
-    if isinstance(res, pa.Table):
-        return res if res.num_rows else None
-    tabs = [b for b in res.iter_batches(batch_format="pyarrow",
-                                        batch_size=None) if b.num_rows]
+    tabs = list(blocks(res))
     return pa.concat_tables(tabs, promote_options="permissive") \
         if tabs else None
 

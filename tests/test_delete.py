@@ -82,6 +82,19 @@ def test_delete_conjunction_and_store_stays_queryable(tmp_path,
         int((want.lang == "en").sum())
 
 
+def test_delete_without_filter_raises(tmp_path, ray_session):
+    """A delete names its rows: filter None is refused, not a no-op,
+    and the store is left as it was."""
+    from packcol.pipelines.delete import delete_where
+    from packcol.sources.encoded import count_encoded
+    full, out = _mk_store(tmp_path, ray_session)
+    with pytest.raises(ValueError, match="needs a filter"):
+        delete_where(out, None)
+    with pytest.raises(ValueError, match="empty filter"):
+        delete_where(out, [])
+    assert count_encoded(out) == len(full)
+
+
 def test_delete_no_match_leaves_bytes_identical(tmp_path, ray_session):
     from packcol.pipelines.delete import delete_where
     full, out = _mk_store(tmp_path, ray_session)

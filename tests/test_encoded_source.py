@@ -1219,6 +1219,31 @@ def test_plan_records_planned_bytes_and_executor(store, monkeypatch):
     assert explain_scan(out, filter=flt)["executor"] == "ray"
 
 
+def test_restrict_keeps_manifests_lazy(store, monkeypatch):
+    """Narrowing an unfiltered plan and sizing it reads no manifest; a
+    filtered plan's loaded manifests carry over to its restriction."""
+    from packcol.sources import plan as plan_mod
+    from packcol.state.manifest import Manifest
+    _, out = store
+    load, loads = Manifest.load, []
+
+    def counted(self, pid):
+        loads.append(pid)
+        return load(self, pid)
+
+    monkeypatch.setattr(Manifest, "load", counted)
+    listed = plan_mod.part_files(out)
+    sub = plan_mod.plan(out, []).restrict(listed[:2])
+    assert sub.planned_bytes == sum(os.path.getsize(q)
+                                    for q in listed[:2]) > 0
+    assert loads == []
+    full = plan_mod.plan(out, [("lang", "==", "en", "en")])
+    n = len(loads)
+    assert n == len(listed)
+    assert full.restrict(full.parts[:1]).manifests is full.manifests
+    assert len(loads) == n
+
+
 def test_rollup_cube_null_keys_match_duckdb(tmp_path, ray_session,
                                             monkeypatch):
     """GROUP BY, ROLLUP, CUBE and GROUPING SETS over a key with NULLs:

@@ -1,4 +1,5 @@
 """upsert_encoded: key-scoped MERGE over the encoded store."""
+import json
 import os
 
 import numpy as np
@@ -109,8 +110,8 @@ def test_upsert_string_key(tmp_path, ray_session):
     assert len(got) == 401
 
 
-def test_upsert_randomized_vs_pandas(tmp_path, ray_session):
-    """Fuzz: repeated random upserts match a pandas MERGE truth."""
+def _upsert_fuzz(tmp_path, turns):
+    """Repeated random upserts match a pandas MERGE truth."""
     import ray.data as rd
     rng = np.random.default_rng(21)
     df = pd.DataFrame({
@@ -119,7 +120,7 @@ def test_upsert_randomized_vs_pandas(tmp_path, ray_session):
         "s": rng.choice(list("abc"), 800)})
     out = _mkstore(tmp_path, df, name="fz")
     live = df.copy()
-    for turn in range(4):
+    for turn in range(turns):
         ids = rng.choice(2000, size=rng.integers(10, 120), replace=False)
         new = pd.DataFrame({
             "id": np.sort(ids).astype(np.int64),
@@ -131,6 +132,101 @@ def test_upsert_randomized_vs_pandas(tmp_path, ray_session):
         exp = live.sort_values("id").reset_index(drop=True)[
             ["id", "v", "s"]]
         pd.testing.assert_frame_equal(got, exp)
+
+
+def test_upsert_randomized_vs_pandas(tmp_path, ray_session):
+    """Fuzz: repeated random upserts match a pandas MERGE truth."""
+    _upsert_fuzz(tmp_path, turns=4)
+
+
+def test_upsert_randomized_vs_pandas_ray_path(tmp_path, ray_session,
+                                              monkeypatch):
+    """The fuzz's first turn with the key scan and retire on Ray, the
+    streamed keys retired in several bounded passes."""
+    from packcol.pipelines import delete, upsert
+    from packcol.sources import plan as plan_mod
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    monkeypatch.setattr(upsert, "_KEY_CHUNK", 4)
+    passes, delete_where = [], delete.delete_where
+
+    def counted(store, flt, **kw):
+        passes.append(len(flt[2]))
+        return delete_where(store, flt, **kw)
+
+    monkeypatch.setattr(delete, "delete_where", counted)
+    _upsert_fuzz(tmp_path, turns=1)
+    assert len(passes) > 1 and max(passes) == 4
+
+
+def _write_ops(store, base_df):
+    """An upsert (update + insert) and two deletes; their results."""
+    import ray.data as rd
+    from packcol.pipelines.delete import delete_where
+    upd = base_df[(base_df.id >= 100) & (base_df.id < 300)].copy()
+    upd["v"] = -1
+    ins = pd.DataFrame({"id": np.arange(9000, 9020, dtype=np.int64),
+                        "v": np.int64(7), "s": "new"})
+    return [upsert_encoded(store, rd.from_pandas(pd.concat([upd, ins])),
+                           "id"),
+            delete_where(store, ("s", "==", "x")),
+            delete_where(store, ("id", "between", 1000, 1499))]
+
+
+def _store_state(store):
+    """Part files and bloom sidecars by path ({path: bytes}), and the
+    manifests without their wall time ({path: dict})."""
+    blobs, mans = {}, {}
+    for sub in ("", "_bloom", "_manifest"):
+        d = os.path.join(store, sub)
+        for f in sorted(os.listdir(d)):
+            if not os.path.isfile(os.path.join(d, f)):
+                continue
+            with open(os.path.join(d, f), "rb") as fh:
+                data = fh.read()
+            if sub == "_manifest":
+                m = json.loads(data)
+                m.pop("wall_s", None)
+                mans[f] = m
+            else:
+                blobs[os.path.join(sub, f)] = data
+    return blobs, mans
+
+
+def test_write_executor_paths_agree(tmp_path, ray_session, base_df,
+                                    monkeypatch):
+    """Under the crossover an upsert's key scan and retire and a
+    delete run in-process and seed no Ray Data scan; over it
+    (crossover 0) they run on Ray.  Both paths return the same results
+    and leave the same bytes: part files, bloom sidecars and manifests
+    (but for their wall time)."""
+    import shutil
+    from packcol.pipelines import encode_pipeline as ep
+    from packcol.sources import plan as plan_mod
+    local = _mkstore(tmp_path, base_df)
+    on_ray = str(tmp_path / "ray_store")
+    shutil.copytree(local, on_ray)
+    assert plan_mod.plan(local, []).executor == "local"
+
+    def no_seed(files):
+        raise AssertionError("in-process plan seeded a Ray Data scan")
+
+    monkeypatch.setattr(ep, "_part_scan_seed", no_seed)
+    want = _write_ops(local, base_df)
+    assert want[0]["rows_deleted"] == 200
+    assert want[1]["parts_rewritten"] and want[2]["rows_deleted"]
+
+    monkeypatch.undo()
+    seed, seeded = ep._part_scan_seed, []
+
+    def counted(files):
+        seeded.append(len(files))
+        return seed(files)
+
+    monkeypatch.setattr(ep, "_part_scan_seed", counted)
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    assert _write_ops(on_ray, base_df) == want
+    assert len(seeded) == 4 and all(seeded)  # key scan, three retires
+    assert _store_state(on_ray) == _store_state(local)
 
 
 def test_attach_store_union(tmp_path, ray_session):
