@@ -7,7 +7,8 @@ with
 
 * **lazy streaming decode** — one read task per part file, no shuffle,
   nothing materialized beyond the blocks in flight (a filtered read
-  of a small plan decodes in-process instead: ``plan.execute``);
+  of a small plan decodes in-process instead, ``plan.execute``, and
+  returns its rows as a ``plan.LocalDataset``);
 * **column projection at the encoded-block level** — unrequested
   columns' payloads are filtered out of the part file read and never
   decoded (``DecodePartFile``);
@@ -56,8 +57,8 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from .plan import (collect, execute, parse_filter, part_files, part_id,
-                   part_mask, plan)
+from .plan import (LocalDataset, collect, execute, parse_filter,
+                   part_files, part_id, part_mask, plan)
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
@@ -109,7 +110,13 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     only the minimal prefix of parts whose manifest row counts cover
     it (a head of a 10^6-part store schedules O(1) tasks); filtered
     reads apply it post-filter (on a Ray-path plan, via the streaming
-    executor's early stop)."""
+    executor's early stop).
+
+    Returns a ``ray.data.Dataset``: a filtered read whose plan ran
+    in-process (``plan.execute``) returns its rows as a
+    :class:`~packcol.sources.plan.LocalDataset` (``limit`` is a table
+    slice); an unfiltered or Ray-path read is a lazy streaming
+    Dataset."""
     from ..pipelines.encode_pipeline import EncodedFilterPart, decode_files
     preds, mode = parse_filter(filter, filter_any)
     schema = encoded_schema(store_dir) \
@@ -139,7 +146,7 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
                                       probe_blooms=not p.blooms_probed,
                                       schema=out_schema))
     if isinstance(ds, pa.Table):
-        ds = rd.from_arrow(ds)
+        ds = LocalDataset(ds)
     return ds.limit(limit) if limit is not None else ds
 
 
@@ -392,8 +399,9 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
     the driver with one ``pa.Table.group_by`` on either executor path
     (``plan.execute``); a null key forms a group, as in SQL.
 
-    Returns a ``ray.data.Dataset`` with columns ``[group_by, *aggs]``
-    (or a one-row Dataset without ``group_by``)."""
+    Returns a :class:`~packcol.sources.plan.LocalDataset` (the merged
+    table, on either executor path) with columns ``[group_by, *aggs]``
+    (one row without ``group_by``)."""
     for out, spec in aggs.items():
         if spec[0] not in ("count", "sum", "min", "max", "avg"):
             raise ValueError(f"unsupported aggregate {spec[0]!r}")
@@ -418,7 +426,7 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
     if group_by is None and not preds:
         fast = _agg_from_manifests(store_dir, aggs)
         if fast is not None:
-            return rd.from_arrow(fast)
+            return LocalDataset(fast)
 
     def _finish_avg(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -439,7 +447,7 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
 
     keys = [] if group_by is None else [group_by]
     res = _agg_merged(store_dir, keys, aggs, preds, mode)
-    return rd.from_arrow(_finish_avg(res) if avg_map else res)
+    return LocalDataset(_finish_avg(res) if avg_map else res)
 
 
 # how a partial of each aggregate merges across parts
@@ -610,9 +618,10 @@ def count_distinct_encoded(store_dir: str, column: str, *,
     bounded by the small plan's rows.  Otherwise they are Ray
     groupbys: the only shuffle of data is O(global distinct pairs),
     and the driver never holds a distinct set.  SQL semantics: null
-    values don't count, null group keys form a group.  Returns a
-    Dataset with columns [group_by, out] (or one row [out] without
-    group_by)."""
+    values don't count, null group keys form a group.  Returns columns
+    [group_by, out] (or one row [out] without group_by): a
+    :class:`~packcol.sources.plan.LocalDataset` from an in-process
+    plan, else a lazy ``ray.data.Dataset``."""
     from ray.data.aggregate import Count
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
@@ -635,7 +644,7 @@ def count_distinct_encoded(store_dir: str, column: str, *,
             [([], "count_all")])
         res = pa.table({**{k: res.column(k) for k in gkeys},
                         out: res.column("count_all")})
-        return rd.from_arrow(_restore(res) if gkeys else res)
+        return LocalDataset(_restore(res) if gkeys else res)
     uniq = pairs.groupby(keys).aggregate(Count(on=column,
                                                alias_name="__c"))
     # count the now-unique pairs per group; on=column (values are
@@ -739,8 +748,8 @@ class _DistinctPart:
     built it from the part's values), so no row decodes and no take
     gather happen; a non-empty validity bitmap contributes the null.
     Other codecs decode the single column and ``pc.unique`` it.
-    Emits O(distinct-per-part) rows; the caller merges with one
-    distributed groupby."""
+    Emits O(distinct-per-part) rows; ``distinct_encoded`` merges
+    them."""
 
     def __init__(self, column: str, dtype: pa.DataType):
         self.column = column
@@ -786,23 +795,23 @@ def distinct_encoded(store_dir: str, column: str) -> "rd.Dataset":
     """SELECT DISTINCT ``column`` over the encoded store.
 
     Per-part distinct sets come from the encoded domain (dict blocks:
-    the dictionary itself, zero value decodes — see ``_DistinctPart``),
-    then ONE distributed groupby merges them; driver state is never
-    O(distinct).  Returns a one-column ``ray.data.Dataset``."""
+    the dictionary itself, zero value decodes — see ``_DistinctPart``)
+    through ``plan.execute``.  An in-process plan merges them with one
+    ``pa.Table.group_by`` and returns a :class:`LocalDataset`;
+    otherwise ONE distributed groupby merges them and the answer is a
+    lazy ``ray.data.Dataset``, so driver state is never O(distinct).
+    Either way one column, sorted by value."""
     from ray.data.aggregate import Count
     schema = encoded_schema(store_dir)
     if column not in schema.names:
         raise ValueError(f"unknown column {column!r}; store has "
                          f"{schema.names}")
-    files = [{"path": p} for p in part_files(store_dir)]
-    if not files:
-        return rd.from_arrow(
-            pa.table({column: pa.array([], schema.field(column).type)}))
-    from ..pipelines.encode_pipeline import _part_scan_seed
-    ds = _part_scan_seed(files) \
-        .map_batches(_DistinctPart(column, schema.field(column).type),
-                     batch_size=None, batch_format="pyarrow")
-    return ds.groupby(column).aggregate(Count()) \
+    res = execute(plan(store_dir, []),
+                  _DistinctPart(column, schema.field(column).type))
+    if isinstance(res, pa.Table):
+        return LocalDataset(res.group_by(column, use_threads=False)
+                            .aggregate([]).sort_by(column))
+    return res.groupby(column).aggregate(Count()) \
         .select_columns([column])
 
 
@@ -1068,7 +1077,9 @@ def sample_encoded(store_dir: str, fraction: float, *,
     independently with probability ``fraction``, decided by a pure
     hash of (seed, part id, row index) — reproducible across runs and
     cluster sizes, streaming, no shuffle, only the projected columns
-    of kept rows decode.  Returns a ``ray.data.Dataset``."""
+    of kept rows decode.  Returns a lazy ``ray.data.Dataset`` (an
+    empty :class:`~packcol.sources.plan.LocalDataset` when nothing can
+    be kept)."""
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     schema = encoded_schema(store_dir)
@@ -1080,7 +1091,7 @@ def sample_encoded(store_dir: str, fraction: float, *,
                          f"store has {sorted(schema.names)}")
     files = [{"path": p} for p in part_files(store_dir)]
     if not files or fraction == 0.0:
-        return rd.from_arrow(pa.table(
+        return LocalDataset(pa.table(
             {c: pa.array([], type=schema.field(c).type)
              for c in out_columns}))
     from ..pipelines.encode_pipeline import _part_scan_seed
@@ -1208,7 +1219,10 @@ def query(store_dir: str, *, columns: list[str] | None = None,
 
     The translation is exactly what a user would hand-write; this
     wrapper exists so callers porting SQL-ish pipelines hit the right
-    physical plan by default.  Returns a Dataset (aggregates included).
+    physical plan by default.  Returns what the primitive returns: a
+    :class:`~packcol.sources.plan.LocalDataset` for aggregates and
+    in-process filtered reads (an ``order_by`` then sorts it on Ray),
+    the top-k's ``pa.Table``, else a lazy ``ray.data.Dataset``.
     """
     order_keys = [order_by] if isinstance(order_by, str) \
         else list(order_by or [])

@@ -1125,40 +1125,52 @@ def test_explain_scan_prune_accounting(tmp_path, ray_session):
 
 
 def _routed_ops(out):
-    """One call of each op routed through plan.execute, each giving a
-    plain Python answer."""
+    """One call of each op routed through plan.execute, as (call,
+    answer): ``answer`` maps the call's result to a plain Python
+    value."""
     from packcol.sources import encoded as enc
     flt = ("lang", "==", "en")
 
-    def agg():
-        got = enc.agg_encoded(out, group_by="lang",
-                              aggs={"n": ("count",)}).to_pandas()
+    def agg(res):
+        got = res.to_pandas()
         return dict(zip(got["lang"], got["n"].astype(int)))
 
-    def distinct():
-        got = enc.count_distinct_encoded(
-            out, "lang", group_by="lang",
-            filter=("lang", "in", ["en", "de"])).to_pandas()
-        return sorted(got.itertuples(index=False, name=None))
+    def same(res):
+        return res
 
     return {
-        "read": lambda: sorted(enc.read_encoded(
-            out, columns=["url"], filter=flt).to_pandas()["url"]),
-        "count": lambda: enc.count_encoded(out, filter=flt),
-        "agg": agg,
-        "distinct": distinct,
-        "approx": lambda: enc.approx_distinct_encoded(out, "url",
-                                                      filter=flt),
-        "topk": lambda: enc.topk_encoded(
-            out, "warc_ts", 5, descending=True,
-            columns=["warc_ts"]).column("warc_ts").to_pylist(),
+        "read": (lambda: enc.read_encoded(out, columns=["url"],
+                                          filter=flt),
+                 lambda res: sorted(res.to_pandas()["url"])),
+        "count": (lambda: enc.count_encoded(out, filter=flt), same),
+        "agg": (lambda: enc.agg_encoded(out, group_by="lang",
+                                        aggs={"n": ("count",)}), agg),
+        "distinct": (lambda: enc.count_distinct_encoded(
+            out, "lang", group_by="lang",
+            filter=("lang", "in", ["en", "de"])),
+            lambda res: sorted(res.to_pandas().itertuples(
+                index=False, name=None))),
+        "distinct_values": (lambda: enc.distinct_encoded(out, "lang"),
+                            lambda res: list(res.to_pandas()["lang"])),
+        "approx": (lambda: enc.approx_distinct_encoded(out, "url",
+                                                       filter=flt),
+                   same),
+        "topk": (lambda: enc.topk_encoded(
+            out, "warc_ts", 5, descending=True, columns=["warc_ts"]),
+            lambda res: res.column("warc_ts").to_pylist()),
     }
 
 
 def test_executor_paths_agree(store, monkeypatch):
-    """Under the crossover every routed op runs in-process and seeds
-    no Ray Data scan; over it (crossover 0) every op seeds one, and
+    """Under the crossover every routed op runs in-process: it seeds no
+    Ray Data scan, and its answer is consumed through to_pandas,
+    iter_batches, count and limit without ``rd.from_arrow`` or a
+    streaming executor.  Over it (crossover 0) every op seeds one, and
     both paths give the oracle's answers."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
     from packcol.pipelines import encode_pipeline as ep
     from packcol.sources import plan as plan_mod
     wt, out = store
@@ -1169,18 +1181,28 @@ def test_executor_paths_agree(store, monkeypatch):
         "count": len(en),
         "agg": truth["lang"].value_counts().to_dict(),
         "distinct": [("de", 1), ("en", 1)],
+        "distinct_values": sorted(truth["lang"].unique()),
         "approx": {"n_distinct": en["url"].nunique(), "exact": True,
                    "k": 1024},
         "topk": sorted(truth["warc_ts"], reverse=True)[:5],
     }
     assert plan_mod.plan(out, []).executor == "local"
 
-    def no_seed(files):
-        raise AssertionError("in-process plan seeded a Ray Data scan")
+    def no_ray(*a, **kw):
+        raise AssertionError("in-process answer started Ray Data")
 
-    monkeypatch.setattr(ep, "_part_scan_seed", no_seed)
-    for op, fn in _routed_ops(out).items():
-        assert fn() == want[op], op
+    monkeypatch.setattr(ep, "_part_scan_seed", no_ray)
+    monkeypatch.setattr(rd, "from_arrow", no_ray)
+    monkeypatch.setattr(StreamingExecutor, "execute", no_ray)
+    for op, (call, answer) in _routed_ops(out).items():
+        res = call()
+        if isinstance(res, rd.Dataset):
+            assert isinstance(res, plan_mod.LocalDataset), op
+            rows = sum(b.num_rows for b in res.iter_batches(
+                batch_format="pyarrow", batch_size=None))
+            assert res.count() == rows == len(res.to_pandas()) > 0, op
+            assert res.limit(1).count() == 1, op
+        assert answer(res) == want[op], op
 
     monkeypatch.undo()
     seed, seeded = ep._part_scan_seed, []
@@ -1191,10 +1213,152 @@ def test_executor_paths_agree(store, monkeypatch):
 
     monkeypatch.setattr(ep, "_part_scan_seed", counted)
     monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
-    for op, fn in _routed_ops(out).items():
+    for op, (call, answer) in _routed_ops(out).items():
         del seeded[:]
-        assert fn() == want[op], op
+        assert answer(call()) == want[op], op
         assert seeded and all(seeded), op
+
+
+def test_local_dataset_matches_ray_dataset(store, tmp_path):
+    """An in-process answer (a LocalDataset) behaves as
+    ``rd.from_arrow`` of its table does: the methods it reads from the
+    table, and the Ray methods it falls through to."""
+    import pickle
+
+    import ray.data as rd
+
+    from packcol.sources import plan as plan_mod
+    from packcol.sources.encoded import read_encoded
+    _, out = store
+    local = read_encoded(out, columns=["url", "lang", "warc_ts"],
+                         filter=("lang", "in", ["en", "de"]))
+    assert isinstance(local, plan_mod.LocalDataset)
+    table = plan_mod.collect(local)
+    ref = rd.from_arrow(table)
+    n = table.num_rows
+    assert n > 10
+
+    def frame(ds, by="url"):
+        return ds.to_pandas().sort_values(by, ignore_index=True)
+
+    pd.testing.assert_frame_equal(local.to_pandas(), ref.to_pandas())
+    assert local.count() == ref.count() == n
+    assert local.take_all() == ref.take_all()
+    assert local.take(4) == ref.take(4)
+    for size, drop in ((None, False), (7, False), (7, True)):
+        got, exp = (
+            [b.num_rows for b in ds.iter_batches(
+                batch_size=size, batch_format="pyarrow", drop_last=drop)]
+            for ds in (local, ref))
+        assert got == exp, (size, drop)
+    for a, b in zip(local.iter_batches(batch_size=5, batch_format="numpy"),
+                    ref.iter_batches(batch_size=5, batch_format="numpy")):
+        assert a.keys() == b.keys()
+        assert all((a[k] == b[k]).all() for k in a)
+    pd.testing.assert_frame_equal(local.limit(3).to_pandas(),
+                                  ref.limit(3).to_pandas())
+    assert local.materialize() is local
+    pd.testing.assert_frame_equal(local.to_pandas(limit=n),
+                                  ref.to_pandas(limit=n))
+    for ds in (local, ref):
+        with pytest.raises(ValueError, match="more than the given limit"):
+            ds.to_pandas(limit=n - 1)
+        with pytest.raises(ValueError, match="more than the given limit"):
+            ds.take_all(limit=n - 1)
+
+    # the methods that fall through to Ray
+    pd.testing.assert_frame_equal(
+        frame(local.groupby("lang").count(), "lang"),
+        frame(ref.groupby("lang").count(), "lang"))
+    pd.testing.assert_frame_equal(local.sort("url").to_pandas(),
+                                  ref.sort("url").to_pandas())
+    pd.testing.assert_frame_equal(
+        frame(local.map_batches(lambda b: b, batch_format="pyarrow")),
+        frame(ref.map_batches(lambda b: b, batch_format="pyarrow")))
+    pd.testing.assert_frame_equal(
+        frame(local.union(rd.from_arrow(table.slice(0, 3)))),
+        frame(ref.union(rd.from_arrow(table.slice(0, 3)))))
+    assert local.schema() == ref.schema()
+    local.materialize().write_parquet(str(tmp_path / "local"))
+    ref.materialize().write_parquet(str(tmp_path / "ref"))
+    pd.testing.assert_frame_equal(
+        pq.read_table(str(tmp_path / "local")).to_pandas()
+        .sort_values("url", ignore_index=True),
+        pq.read_table(str(tmp_path / "ref")).to_pandas()
+        .sort_values("url", ignore_index=True))
+    for ds in (local, read_encoded(out, columns=["url", "lang", "warc_ts"],
+                                   filter=("lang", "in", ["en", "de"]))):
+        back = pickle.loads(pickle.dumps(ds))
+        assert isinstance(back, plan_mod.LocalDataset)
+        pd.testing.assert_frame_equal(back.to_pandas(), ref.to_pandas())
+
+
+def test_read_limit_agrees_across_executors(store, monkeypatch):
+    """``read_encoded(..., limit=k)`` gives the same rows in-process (a
+    table slice) and on Ray (the streaming early stop, its order kept)
+    for k = 0, k below the matches and k above them."""
+    from ray.data import DataContext
+
+    from packcol.sources import plan as plan_mod
+    from packcol.sources.encoded import read_encoded
+    _, out = store
+    flt = ("lang", "==", "en")
+
+    def rows(k):
+        return read_encoded(out, columns=["url", "warc_ts"], filter=flt,
+                            limit=k).to_pandas()
+
+    matches = len(read_encoded(out, columns=["url"], filter=flt)
+                  .to_pandas())
+    assert matches > 2
+    ks = (0, matches // 2, matches + 5)
+    local = [rows(k) for k in ks]
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    monkeypatch.setattr(DataContext.get_current().execution_options,
+                        "preserve_order", True)
+    for k, got in zip(ks, local):
+        ray_rows = rows(k)
+        assert len(got) == len(ray_rows) == min(k, matches), k
+        if k:
+            pd.testing.assert_frame_equal(got, ray_rows)
+
+
+def test_perfbench_consumes_lookup_answers(store, monkeypatch):
+    """The benchmark's consumer (``perfbench.workloads._tables``) reads
+    every lookup-op answer (point, IN, range and agg) on both
+    executors."""
+    from packcol.sources import plan as plan_mod
+    from packcol.sources.encoded import agg_encoded, read_encoded
+    from perfbench.workloads import _tables
+    wt, out = store
+    truth = pq.read_table(wt).to_pandas()
+    urls = list(truth["url"][:3])
+    ts = sorted(truth["warc_ts"])
+    lo, hi = ts[10], ts[40]
+    cols = ["url", "lang", "warc_ts"]
+    ops = {
+        "point": (lambda: read_encoded(out, columns=cols,
+                                       filter=("url", "==", urls[0])),
+                  truth[truth["url"] == urls[0]]),
+        "in": (lambda: read_encoded(out, columns=cols,
+                                    filter=("url", "in", urls)),
+               truth[truth["url"].isin(urls)]),
+        "range": (lambda: read_encoded(
+            out, columns=cols, filter=("warc_ts", "between", lo, hi)),
+            truth[(truth["warc_ts"] >= lo) & (truth["warc_ts"] <= hi)]),
+    }
+    for executor_bytes in (plan_mod._LOCAL_PLAN_BYTES, 0):
+        monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", executor_bytes)
+        for op, (call, exp) in ops.items():
+            t = _tables(call())
+            assert t is not None and t.column_names == cols, op
+            assert sorted(t.column("url").to_pylist()) == \
+                sorted(exp["url"]), op
+        t = _tables(agg_encoded(out, group_by="lang",
+                                aggs={"n": ("count",)}))
+        assert dict(zip(t.column("lang").to_pylist(),
+                        t.column("n").to_pylist())) == \
+            truth["lang"].value_counts().to_dict()
 
 
 def test_plan_records_planned_bytes_and_executor(store, monkeypatch):
