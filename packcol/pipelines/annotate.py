@@ -29,23 +29,15 @@ vectorized; it runs once per part inside the scan task.
 from __future__ import annotations
 
 import os
-import time
-import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..sources.plan import part_files, part_id as part_id_of
+from ..stages.encode import encoded_blocks
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash
-
-
-def _write_part(path: str, enc: pa.Table) -> None:
-    tmp = path + f".tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(enc, tmp, compression="zstd", compression_level=3,
-                   row_group_size=1, use_dictionary=False,
-                   write_statistics=["column"])
-    os.replace(tmp, path)
+from .encode_pipeline import write_part_file
 
 
 def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
@@ -104,7 +96,7 @@ class _AddColPart:
         self.bloom = bloom
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
         from ..stages.encode import encode_table
         out = {"part_id": [], "action": []}
         for p in batch.column("path").to_pylist():
@@ -121,14 +113,12 @@ class _AddColPart:
                     f"part {part_id} lacks input column(s) {missing} "
                     f"(has {sorted(names)}) — annotate needs a "
                     "homogeneous store")
-            cols = {}
-            for c in self.input_columns:
-                e = EncodedColumn.from_row(
-                    {k: enc.column(k)[names.index(c)].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                e.base_dir = os.path.dirname(p)
-                cols[c] = decode_any(e)
-            t_in = pa.table(cols)
+            blocks = dict(encoded_blocks(
+                enc.filter(pa.compute.is_in(
+                    enc.column("column"), pa.array(self.input_columns))),
+                os.path.dirname(p)))
+            t_in = pa.table({c: decode_any(blocks[c])
+                             for c in self.input_columns})
             arr = self.fn(t_in)
             if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
                 arr = pa.array(arr)
@@ -139,7 +129,6 @@ class _AddColPart:
                     f"fn returned {len(arr)} values for "
                     f"{t_in.num_rows} rows in part {part_id}")
             new_t = pa.table({self.name: arr})
-            t0 = time.perf_counter()
             new_enc = encode_table(new_t, part_id=part_id)
             kept = enc.filter(pa.compute.not_equal(
                 enc.column("column"), self.name)) \
@@ -148,7 +137,7 @@ class _AddColPart:
                 pa.concat_tables([kept, new_enc
                                   .select(kept.column_names)]),
                 len(set(names) - {self.name}) + 1)
-            _write_part(p, merged)
+            write_part_file(p, merged)
             zones = compute_zones(new_t)
             add = {"zones": zones, "nulls": null_counts_of(new_t),
                    "codecs": dict(zip(
@@ -197,7 +186,7 @@ class _DropColPart:
                 enc.filter(pc.not_equal(enc.column("column"),
                                         self.name)),
                 len(set(names)) - 1)
-            _write_part(p, kept)
+            write_part_file(p, kept)
             from ..state.bloom import load_blooms, save_blooms, _path
             blooms = load_blooms(self.store_dir, part_id)
             if self.name in blooms:
@@ -279,7 +268,7 @@ class _RenameColPart:
             enc = enc.set_column(i, "column", pa.array(
                 [self.new if n == self.old else n for n in names],
                 type=pa.string()))
-            _write_part(p, enc)
+            write_part_file(p, enc)
             # manifest + bloom keys follow the rename
             man = Manifest(self.store_dir)
             try:

@@ -39,65 +39,25 @@ per-part metrics rows.
 from __future__ import annotations
 
 import os
-import time
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-import ray.data as rd
-
-from ..state.manifest import (Manifest, compute_zones,
-                              null_counts_of, params_hash)
+from ..state.manifest import Manifest
+from .encode_pipeline import DatasetPartWriter
 
 
-class ClusterPartWriter:
-    """Stateless task: one sorted batch -> encoded part + manifest
-    record (same on-disk contract as EncodePartitionWriter).  Retry-safe:
-    the part id is a pure function of the batch content and the write is
-    an atomic rename."""
+class ClusterPartWriter(DatasetPartWriter):
+    """Stateless task: one sorted batch -> one ``c-``-prefixed part
+    whose manifest records the clustering key (``clustered_on``).
+    Bloom sidecars too: the sort clusters ONE key, so point lookups on
+    every OTHER column still need the bloom path."""
+
+    prefix = "c-"
 
     def __init__(self, out_dir: str, key):
-        self.out_dir = out_dir
+        super().__init__(out_dir)
         # str = single key; list = composite (primary first)
-        self.key = key
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.encode import content_part_id, encode_table
-        t0 = time.perf_counter()
-        part_id = "c-" + content_part_id(batch)
-        enc = encode_table(batch, part_id=part_id)
-        dest = os.path.join(self.out_dir, f"part-{part_id}.parquet")
-        # one row group per encoded block: projection / predicate reads
-        # prune other columns' payload pages (see EncodePartitionWriter).
-        # Writer-unique tmp: byte-identical sorted blocks (constant-key
-        # data) share a part id; private staging + atomic rename keeps
-        # concurrent identical writers safe (see DatasetPartWriter)
-        import uuid
-        tmp = dest + f".tmp-{uuid.uuid4().hex[:8]}"
-        pq.write_table(enc, tmp, compression="zstd",
-                       compression_level=3, row_group_size=1,
-                       use_dictionary=False, write_statistics=["column"])
-        os.replace(tmp, dest)
-        orig = sum(enc.column("orig_bytes").to_pylist())
-        encb = sum(enc.column("enc_bytes").to_pylist())
-        zones = compute_zones(batch)
-        # bloom sidecars too: the sort clusters ONE key, so point
-        # lookups on every OTHER column still need the bloom path
-        from .encode_pipeline import build_part_blooms
-        blooms = build_part_blooms(batch, zones, self.out_dir, part_id,
-                                   "auto")
-        Manifest(self.out_dir).record(part_id, {
-            "rows": batch.num_rows, "orig_bytes": orig,
-            "enc_bytes": encb, "zones": zones, "blooms": blooms,
-            "nulls": null_counts_of(batch),
-            "codecs": dict(zip(enc.column("column").to_pylist(),
-                               enc.column("codec").to_pylist())),
-            "params_hash": params_hash(enc),
-            "clustered_on": self.key,
-            "wall_s": round(time.perf_counter() - t0, 4)})
-        return pa.table({"part_id": [part_id],
-                         "rows": [batch.num_rows],
-                         "orig_bytes": [orig], "enc_bytes": [encb]})
+        self.meta = {"clustered_on": key}
 
 
 def key_zone_overlap(store_dir: str, key: str) -> dict:

@@ -22,8 +22,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..stages.encode import decode_rows, encode_table
-from ..state.manifest import Manifest, params_hash
+from ..stages.encode import decode_rows, encoded_blocks
 
 
 def compact_columns(enc_dir: str, dest_dir: str) -> dict:
@@ -63,51 +62,27 @@ def compact_columns(enc_dir: str, dest_dir: str) -> dict:
 
 class RecompactGroup:
     """Task: a group of small encoded part files → decode → one bigger
-    re-encoded part (deterministic: new part_id = joined old ids)."""
+    re-encoded part (deterministic: new part_id = joined old ids).
+    Merged parts keep the full query layer: ``write_part`` rebuilds the
+    zone maps (part pruning + metadata MIN/MAX) and bloom sidecars
+    (point lookups) from the decoded table in hand — without them a
+    recompacted store silently degrades to full scans."""
 
     def __init__(self, dest_dir: str):
         self.dest_dir = dest_dir
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"part_id": [], "rows": [], "orig_bytes": [], "enc_bytes": []}
+        from .encode_pipeline import write_part
+        out = []
         for row in batch.to_pylist():
             paths = row["paths"]
-            tables = [decode_rows(pq.read_table(p),
-                                  base_dir=os.path.dirname(p))
-                      for p in paths]
-            merged = pa.concat_tables(tables).combine_chunks()
-            part_id = row["new_part_id"]
-            enc = encode_table(merged, part_id=part_id)
-            dest = os.path.join(self.dest_dir, f"part-{part_id}.parquet")
-            # per-block row groups, same rationale as the encode writer
-            pq.write_table(enc, dest + ".tmp", compression="zstd",
-                           compression_level=3, row_group_size=1,
-                           use_dictionary=False,
-                           write_statistics=["column"])
-            os.replace(dest + ".tmp", dest)
-            orig = sum(enc.column("orig_bytes").to_pylist())
-            encb = sum(enc.column("enc_bytes").to_pylist())
-            # merged parts keep the full query layer: zone maps (part
-            # pruning + metadata MIN/MAX) and bloom sidecars (point
-            # lookups) are rebuilt from the decoded table in hand —
-            # without them a recompacted store silently degrades to
-            # full scans
-            from ..state.manifest import compute_zones, null_counts_of
-            from .encode_pipeline import build_part_blooms
-            zones = compute_zones(merged)
-            blooms = build_part_blooms(merged, zones, self.dest_dir,
-                                       part_id, "auto")
-            Manifest(self.dest_dir).record(part_id, {
-                "inputs": [os.path.basename(p) for p in paths],
-                "rows": merged.num_rows, "orig_bytes": orig,
-                "enc_bytes": encb, "zones": zones, "blooms": blooms,
-                "nulls": null_counts_of(merged),
-                "params_hash": params_hash(enc)})
-            out["part_id"].append(part_id)
-            out["rows"].append(merged.num_rows)
-            out["orig_bytes"].append(orig)
-            out["enc_bytes"].append(encb)
-        return pa.table(out)
+            merged = pa.concat_tables(
+                [decode_rows(pq.read_table(p), base_dir=os.path.dirname(p))
+                 for p in paths]).combine_chunks()
+            out.append(write_part(
+                self.dest_dir, row["new_part_id"], merged,
+                meta={"inputs": [os.path.basename(p) for p in paths]}))
+        return pa.Table.from_pylist(out)
 
 
 def read_column(dest_dir: str, column: str):
@@ -117,21 +92,16 @@ def read_column(dest_dir: str, column: str):
     path = os.path.join(dest_dir, f"{column}.parquet")
 
     def decode_file(batch: pa.Table) -> pa.Table:
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
         from ..codecs.base import str_to_type
         import json as _json
         fpath = batch.column("path")[0].as_py()
+        enc_rows = pq.read_table(fpath)
+        arrays, dtype = [], None
         # shared-ref blocks resolve their vocabulary sidecar relative
         # to the store directory (the _shared/ copy made by
         # compact_columns)
-        base_dir = os.path.dirname(fpath)
-        enc_rows = pq.read_table(fpath)
-        arrays, dtype = [], None
-        for i in range(enc_rows.num_rows):
-            row = {k: enc_rows.column(k)[i].as_py() for k in
-                   ("codec", "n_values", "params", "payload")}
-            enc = EncodedColumn.from_row(row)
-            enc.base_dir = base_dir
+        for _, enc in encoded_blocks(enc_rows, os.path.dirname(fpath)):
             a = decode_any(enc)
             dtype = a.type
             arrays.append(a)

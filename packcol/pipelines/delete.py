@@ -30,15 +30,15 @@ parts).
 from __future__ import annotations
 
 import os
-import time
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..sources.plan import (collect, execute, parse_filter, part_id,
                             part_mask, plan)
-from ..state.manifest import Manifest, compute_zones, null_counts_of, \
-    params_hash
+from ..state.manifest import Manifest
+# not used here: perfbench/trace.py patches delete.compute_zones
+from ..state.manifest import compute_zones  # noqa: F401
 
 
 class _DeletePartTask:
@@ -52,7 +52,7 @@ class _DeletePartTask:
         self.probe_blooms = probe_blooms
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.encode import decode_rows, encode_table
+        from ..stages.encode import decode_rows
         from ..state.bloom import _path as bloom_path
         out = {"part_id": [], "action": [], "rows_deleted": []}
         man = Manifest(self.store_dir)
@@ -80,39 +80,20 @@ class _DeletePartTask:
                 continue
             # partial: decode survivors once, re-encode under the same
             # id, swap atomically
-            t = decode_rows(pq.read_table(p),
-                            base_dir=os.path.dirname(p))
-            keep = t.filter(pa.array(~mask))
-            t0 = time.perf_counter()
-            enc = encode_table(keep, part_id=pid)
-            import uuid
-            tmp = p + f".tmp-{uuid.uuid4().hex[:8]}"
-            pq.write_table(enc, tmp, compression="zstd",
-                           compression_level=3, row_group_size=1,
-                           use_dictionary=False,
-                           write_statistics=["column"])
-            os.replace(tmp, p)
-            zones = compute_zones(keep)
-            from .encode_pipeline import build_part_blooms
+            from .encode_pipeline import write_part
             old = {}
             try:
                 old = man.load(pid)
             except FileNotFoundError:
                 pass
-            blooms = build_part_blooms(keep, zones, self.store_dir,
-                                       pid, "auto")
-            orig = sum(enc.column("orig_bytes").to_pylist())
-            encb = sum(enc.column("enc_bytes").to_pylist())
-            man.record(pid, {
-                "rows": keep.num_rows, "orig_bytes": orig,
-                "enc_bytes": encb, "zones": zones, "blooms": blooms,
-                "nulls": null_counts_of(keep),
-                "codecs": dict(zip(enc.column("column").to_pylist(),
-                                   enc.column("codec").to_pylist())),
-                "params_hash": params_hash(enc),
+            keep = decode_rows(pq.read_table(p),
+                               base_dir=os.path.dirname(p)) \
+                .filter(pa.array(~mask))
+            write_part(self.store_dir, pid, keep, meta={
                 "rows_deleted_cum":
-                    int(old.get("rows_deleted_cum", 0)) + n_del,
-                "wall_s": round(time.perf_counter() - t0, 4)})
+                    int(old.get("rows_deleted_cum", 0)) + n_del})
+            if part_id(p) is None:  # survivors now live in part-<pid>
+                os.remove(p)
             out["part_id"].append(pid)
             out["action"].append("rewritten")
             out["rows_deleted"].append(n_del)

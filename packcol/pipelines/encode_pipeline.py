@@ -30,8 +30,8 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..stages.encode import (ENC_SCHEMA, DecodeBatch, EncodeBatch,
-                             RoundtripVerify, decode_rows, encode_table)
+from ..stages.encode import (DecodeBatch, EncodeBatch, RoundtripVerify,
+                             decode_rows, encode_table)
 from ..state.manifest import (Manifest, compute_zones,
                               null_counts_of, params_hash)
 
@@ -143,61 +143,80 @@ class EncodePartitionWriter:
                 for c in self.shared_vocab_columns}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"part_id": [], "rows": [], "orig_bytes": [], "enc_bytes": [],
-               "wall_s": []}
         # seed rows are either bare descriptors or LPT bins of them
         # ({"descs": [...]}, see _seed_bins)
-        for row in batch.to_pylist():
-            descs = row["descs"] if "descs" in row else [row]
-            for d in descs:
-                self._encode_one(d, out)
-        return pa.table(out)
+        return pa.Table.from_pylist([
+            self._encode_one(d) for row in batch.to_pylist()
+            for d in (row["descs"] if "descs" in row else [row])])
 
-    def _encode_one(self, d: dict, out: dict) -> None:
-        t0 = time.perf_counter()
-        pf = pq.ParquetFile(d["path"])
-        t = pf.read_row_groups(
+    def _encode_one(self, d: dict) -> dict:
+        t = pq.ParquetFile(d["path"]).read_row_groups(
             list(range(d["rg_start"], d["rg_end"] + 1)),
             columns=self.columns)
-        enc = encode_table(t, part_id=d["part_id"],
-                           codec_overrides=self.codec_overrides,
-                           column_encoders=self._column_encoders())
-        dest = os.path.join(self.out_dir, f"part-{d['part_id']}.parquet")
-        # one row group PER BLOCK (row): projection / predicate readers
-        # pass parquet filters on `column` and the pruned row groups'
-        # payload pages never leave storage — the part file behaves like
-        # a column store internally.  Stats kept only for the pruning
-        # key; ~0.1% size overhead at 64 MB parts (measured r4)
-        pq.write_table(enc, dest + ".tmp", compression="zstd",
-                       compression_level=3, row_group_size=1,
-                       use_dictionary=False, write_statistics=["column"])
-        os.replace(dest + ".tmp", dest)
-        orig = sum(enc.column("orig_bytes").to_pylist())
-        encb = sum(enc.column("enc_bytes").to_pylist())
-        zones = compute_zones(t)
-        blooms = self._build_blooms(t, zones, d["part_id"])
-        Manifest(self.out_dir).record(d["part_id"], {
-            "input": d["path"], "rg_start": d["rg_start"],
-            "rg_end": d["rg_end"], "rows": t.num_rows,
-            "input_bytes": d.get("input_bytes"),
-            "part_input_bytes": d.get("bytes"),
-            "orig_bytes": orig, "enc_bytes": encb,
-            "blooms": blooms,
-            "zones": zones, "nulls": null_counts_of(t),
-            "codecs": dict(zip(enc.column("column").to_pylist(),
-                               enc.column("codec").to_pylist())),
-            "params_hash": params_hash(enc),
-            "wall_s": round(time.perf_counter() - t0, 4)})
-        out["part_id"].append(d["part_id"])
-        out["rows"].append(t.num_rows)
-        out["orig_bytes"].append(orig)
-        out["enc_bytes"].append(encb)
-        out["wall_s"].append(time.perf_counter() - t0)
+        return write_part(
+            self.out_dir, d["part_id"], t,
+            codec_overrides=self.codec_overrides,
+            column_encoders=self._column_encoders(),
+            bloom_columns=self.bloom_columns,
+            meta={"input": d["path"], "rg_start": d["rg_start"],
+                  "rg_end": d["rg_end"],
+                  "input_bytes": d.get("input_bytes"),
+                  "part_input_bytes": d.get("bytes")})
 
-    def _build_blooms(self, t: pa.Table, zones: dict,
-                      part_id: str) -> list[str]:
-        return build_part_blooms(t, zones, self.out_dir, part_id,
-                                 self.bloom_columns)
+
+def write_part_file(path: str, enc: pa.Table) -> None:
+    """Write the block rows ``enc`` of one part to ``path`` atomically.
+
+    One row group PER BLOCK (row): projection / predicate readers pass
+    parquet filters on ``column`` and the pruned row groups' payload
+    pages never leave storage, so the part file behaves like a column
+    store internally.  Statistics are kept only for that pruning key
+    (~0.1% size overhead at 64 MB parts).  The tmp name is
+    writer-unique (``.tmp-<hex>``, which fsck knows): two byte-identical
+    blocks map to the SAME content-addressed part id, and a shared tmp
+    path would let their writes interleave; private staging plus the
+    atomic rename makes last-one-wins safe."""
+    import uuid
+    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
+    pq.write_table(enc, tmp, compression="zstd", compression_level=3,
+                   row_group_size=1, use_dictionary=False,
+                   write_statistics=["column"])
+    os.replace(tmp, path)
+
+
+def write_part(store_dir: str, part_id: str, table: pa.Table, *,
+               codec_overrides: dict | None = None,
+               column_encoders: dict | None = None,
+               bloom_columns: list[str] | str | None = "auto",
+               meta: dict | None = None) -> dict:
+    """Write decoded ``table`` as part ``part_id`` of the store: encode,
+    atomic part-file write (``write_part_file``), zone map, bloom
+    sidecar (``build_part_blooms``) and one manifest record that holds
+    the full metadata key set plus the caller's ``meta`` extras
+    (lineage such as ``input`` / ``inputs`` / ``clustered_on``).  The
+    one writer of every store mutation that creates or rewrites a
+    part.  Returns the part's stats row {part_id, rows, orig_bytes,
+    enc_bytes, wall_s}."""
+    t0 = time.perf_counter()
+    enc = encode_table(table, part_id=part_id,
+                       codec_overrides=codec_overrides,
+                       column_encoders=column_encoders)
+    write_part_file(os.path.join(store_dir, f"part-{part_id}.parquet"),
+                    enc)
+    zones = compute_zones(table)
+    blooms = build_part_blooms(table, zones, store_dir, part_id,
+                               bloom_columns)
+    row = {"part_id": part_id, "rows": table.num_rows,
+           "orig_bytes": sum(enc.column("orig_bytes").to_pylist()),
+           "enc_bytes": sum(enc.column("enc_bytes").to_pylist())}
+    Manifest(store_dir).record(part_id, {
+        **(meta or {}), **row,
+        "zones": zones, "nulls": null_counts_of(table), "blooms": blooms,
+        "codecs": dict(zip(enc.column("column").to_pylist(),
+                           enc.column("codec").to_pylist())),
+        "params_hash": params_hash(enc),
+        "wall_s": round(time.perf_counter() - t0, 4)})
+    return {**row, "wall_s": time.perf_counter() - t0}
 
 
 def build_part_blooms(t: pa.Table, zones: dict, out_dir: str,
@@ -437,12 +456,16 @@ def encode_dataset(ds: "rd.Dataset",
 
 
 class DatasetPartWriter:
-    """Stateless task: one batch of DECODED rows → encoded part +
-    manifest + bloom sidecar — the generic Dataset-sink counterpart of
+    """Stateless task: one batch of DECODED rows → one part of the
+    store (``write_part``) — the generic Dataset-sink counterpart of
     EncodePartitionWriter (which reads parquet slices itself).
-    Retry-safe: the part id is a pure function of the batch content and
-    the write is an atomic rename (same contract as ClusterPartWriter,
+    Retry-safe: the part id is ``prefix`` + a pure function of the
+    batch content and the write is an atomic rename.  ``meta`` is the
+    lineage every part of this writer records (ClusterPartWriter,
     pipelines/cluster.py)."""
+
+    prefix = "w-"
+    meta: dict | None = None
 
     def __init__(self, out_dir: str, codec_overrides: dict | None = None,
                  bloom_columns: list[str] | str | None = "auto"):
@@ -451,40 +474,11 @@ class DatasetPartWriter:
         self.bloom_columns = bloom_columns
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import uuid
-
         from ..stages.encode import content_part_id
-        t0 = time.perf_counter()
-        part_id = "w-" + content_part_id(batch)
-        enc = encode_table(batch, part_id=part_id,
-                           codec_overrides=self.codec_overrides)
-        dest = os.path.join(self.out_dir, f"part-{part_id}.parquet")
-        # writer-unique tmp name: two byte-identical blocks map to the
-        # SAME part id (content-addressed ⇒ set semantics for exact
-        # duplicate blocks); a shared tmp path would let their writes
-        # interleave, so each writer stages privately and the atomic
-        # rename makes last-one-wins safe (identical content either way)
-        tmp = dest + f".tmp-{uuid.uuid4().hex[:8]}"
-        pq.write_table(enc, tmp, compression="zstd",
-                       compression_level=3, row_group_size=1,
-                       use_dictionary=False, write_statistics=["column"])
-        os.replace(tmp, dest)
-        orig = sum(enc.column("orig_bytes").to_pylist())
-        encb = sum(enc.column("enc_bytes").to_pylist())
-        zones = compute_zones(batch)
-        blooms = build_part_blooms(batch, zones, self.out_dir, part_id,
-                                   self.bloom_columns)
-        Manifest(self.out_dir).record(part_id, {
-            "rows": batch.num_rows, "orig_bytes": orig,
-            "enc_bytes": encb, "zones": zones, "blooms": blooms,
-            "nulls": null_counts_of(batch),
-            "codecs": dict(zip(enc.column("column").to_pylist(),
-                               enc.column("codec").to_pylist())),
-            "params_hash": params_hash(enc),
-            "wall_s": round(time.perf_counter() - t0, 4)})
-        return pa.table({"part_id": [part_id],
-                         "rows": [batch.num_rows],
-                         "orig_bytes": [orig], "enc_bytes": [encb]})
+        return pa.Table.from_pylist([write_part(
+            self.out_dir, self.prefix + content_part_id(batch), batch,
+            codec_overrides=self.codec_overrides,
+            bloom_columns=self.bloom_columns, meta=self.meta)])
 
 
 def write_encoded(ds: "rd.Dataset", out_dir: str, *,
@@ -651,9 +645,8 @@ class SpotCheckPart:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        from ..codecs import EncodedColumn
         from ..codecs.access import get_value
+        from ..sources.plan import read_blocks
         n_checked = n_bad = 0
         man = Manifest(self.out_dir)
         for part_id in batch.column("part_id").to_pylist():
@@ -666,7 +659,7 @@ class SpotCheckPart:
             pf = pq.ParquetFile(meta["input"])
             orig = pf.read_row_groups(
                 list(range(meta["rg_start"], meta["rg_end"] + 1)))
-            enc_rows = pq.read_table(
+            enc_of = read_blocks(
                 os.path.join(self.out_dir, f"part-{part_id}.parquet"))
             if orig.num_rows == 0:
                 continue  # nothing to sample in an empty partition
@@ -679,11 +672,7 @@ class SpotCheckPart:
             rng = np.random.default_rng(seed)
             rows = rng.integers(0, orig.num_rows,
                                 size=min(self.k, orig.num_rows))
-            for i in range(enc_rows.num_rows):
-                name = enc_rows.column("column")[i].as_py()
-                enc = EncodedColumn.from_row(
-                    {k: enc_rows.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
+            for name, enc in enc_of.items():
                 col = orig.column(name)
                 for r in rows:
                     n_checked += 1

@@ -46,9 +46,8 @@ class _CheckPart:
         self.deep = deep
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.compute as pc
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
+        from ..stages.encode import encoded_blocks
         out = {"part_id": [], "issue": []}
 
         def add(pid, msg):
@@ -84,18 +83,18 @@ class _CheckPart:
                     add(pid, f"payload digest {got} != manifest "
                              f"{m['payload_digest']} — file changed "
                              "after record (bit rot / foreign write)")
-            for i, name in enumerate(names):
+            good = []
+            for i, (name, params) in enumerate(
+                    zip(names, enc.column("params").to_pylist())):
                 try:
-                    json.loads(enc.column("params")[i].as_py())
+                    json.loads(params)
+                    good.append(i)
                 except ValueError:
                     add(pid, f"{name}: unparseable params")
-                    continue
-                if not self.deep:
-                    continue
-                e = EncodedColumn.from_row(
-                    {k: enc.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                e.base_dir = os.path.dirname(p)
+            if not self.deep:
+                continue
+            for name, e in encoded_blocks(enc.take(good),
+                                          os.path.dirname(p)):
                 try:
                     arr = decode_any(e)
                 except Exception as ex:

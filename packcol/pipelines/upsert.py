@@ -46,9 +46,8 @@ import shutil
 import uuid
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-from ..sources.plan import blocks, execute, part_id, plan
+from ..sources.plan import blocks, execute, part_id, plan, read_blocks
 from ..state.bloom import _path as bloom_path
 from ..state.manifest import Manifest
 
@@ -76,17 +75,12 @@ class _KeyColDistinct:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
         outs = []
         for p in batch.column("path").to_pylist():
-            enc_rows = pq.read_table(
-                p, filters=[("column", "in", [self.col])])
-            if enc_rows.num_rows == 0:
+            enc = read_blocks(p, [self.col]).get(self.col)
+            if enc is None:
                 continue
-            enc = EncodedColumn.from_row(
-                {k: enc_rows.column(k)[0].as_py() for k in
-                 ("codec", "n_values", "params", "payload")})
-            enc.base_dir = os.path.dirname(p)
             vals = decode_any(enc)
             if isinstance(vals, pa.ChunkedArray):
                 vals = vals.combine_chunks()
@@ -94,6 +88,25 @@ class _KeyColDistinct:
         if not outs:
             return pa.table({self.col: pa.array([], type=pa.string())})
         return pa.concat_tables(outs, promote_options="permissive")
+
+
+def _transfer_part(src_dir: str, dst_dir: str, f: str,
+                   transfer=os.replace) -> None:
+    """Move part file ``f`` (``transfer``: ``os.replace``, or a copy)
+    from store ``src_dir`` to ``dst_dir``: manifest, then bloom
+    sidecar, then the part file last, so a part is never visible
+    without its pruning metadata (a missing manifest only degrades to
+    "cannot prune" anyway).  Overwrites what ``dst_dir`` holds."""
+    pid = part_id(f) or f
+    man_src, man_dst = Manifest(src_dir), Manifest(dst_dir)
+    if os.path.exists(man_src._path(pid)):
+        transfer(man_src._path(pid), man_dst._path(pid))
+    b = bloom_path(src_dir, pid)
+    if os.path.exists(b):
+        dst_b = bloom_path(dst_dir, pid)
+        os.makedirs(os.path.dirname(dst_b), exist_ok=True)
+        transfer(b, dst_b)
+    transfer(os.path.join(src_dir, f), os.path.join(dst_dir, f))
 
 
 def upsert_encoded(store_dir: str, ds, key: str, *,
@@ -119,26 +132,11 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
         w = write_encoded(ds, staging, codec_overrides=codec_overrides,
                           bloom_columns=bloom_columns,
                           rows_per_part=rows_per_part)
-        # publish: manifest + bloom before the part file, so a part is
-        # never visible without its pruning metadata (a missing
-        # manifest only degrades to "cannot prune" anyway)
-        man_src, man_dst = Manifest(staging), Manifest(store_dir)
-        os.makedirs(man_dst.dir, exist_ok=True)
         new_ids = []
         for f in sorted(os.listdir(staging)):
-            if not f.endswith(".parquet"):
-                continue
-            pid = part_id(f) or f
-            new_ids.append(pid)
-            if os.path.exists(man_src._path(pid)):
-                os.replace(man_src._path(pid), man_dst._path(pid))
-            b = bloom_path(staging, pid)
-            if os.path.exists(b):
-                dst_b = bloom_path(store_dir, pid)
-                os.makedirs(os.path.dirname(dst_b), exist_ok=True)
-                os.replace(b, dst_b)
-            os.replace(os.path.join(staging, f),
-                       os.path.join(store_dir, f))
+            if f.endswith(".parquet"):
+                new_ids.append(part_id(f) or f)
+                _transfer_part(staging, store_dir, f)
         # retire: replaced keys come from the just-published parts'
         # decoded key column (ds itself ran exactly once, above);
         # chunked so the driver never holds more than _KEY_CHUNK values
@@ -197,17 +195,16 @@ def attach_store(src_dir: str, dst_dir: str, *,
             f"{src_dir} uses a shared-vocab sidecar; recompact it to "
             "self-describing parts before attaching")
     os.makedirs(dst_dir, exist_ok=True)
-    man_src, man_dst = Manifest(src_dir), Manifest(dst_dir)
-    os.makedirs(man_dst.dir, exist_ok=True)
+    man_src = Manifest(src_dir)
     attached = deduped = rows = 0
     for f in sorted(os.listdir(src_dir)):
         if not f.endswith(".parquet"):
             continue
         pid = part_id(f) or f
-        src_f = os.path.join(src_dir, f)
         dest = os.path.join(dst_dir, f)
         if os.path.exists(dest):
-            if not filecmp.cmp(src_f, dest, shallow=False):
+            if not filecmp.cmp(os.path.join(src_dir, f), dest,
+                               shallow=False):
                 raise ValueError(
                     f"part id collision on {f}: source and destination "
                     "differ byte-wise — shards built from same-named "
@@ -216,18 +213,8 @@ def attach_store(src_dir: str, dst_dir: str, *,
             continue  # byte-identical: keep dst's copy + sidecars
         attached += 1
         if os.path.exists(man_src._path(pid)):
-            try:
-                rows += int(man_src.load(pid).get("rows") or 0)
-            except FileNotFoundError:
-                pass
-        _transfer = os.replace if move else shutil.copy2
-        if os.path.exists(man_src._path(pid)):
-            _transfer(man_src._path(pid), man_dst._path(pid))
-        b = bloom_path(src_dir, pid)
-        if os.path.exists(b):
-            dst_b = bloom_path(dst_dir, pid)
-            os.makedirs(os.path.dirname(dst_b), exist_ok=True)
-            _transfer(b, dst_b)
-        _transfer(src_f, dest)
+            rows += int(man_src.load(pid).get("rows") or 0)
+        _transfer_part(src_dir, dst_dir, f,
+                       os.replace if move else shutil.copy2)
     return {"parts_attached": attached, "parts_deduped": deduped,
             "rows_attached": rows}

@@ -58,7 +58,7 @@ import pyarrow.parquet as pq
 import ray.data as rd
 
 from .plan import (LocalDataset, collect, execute, parse_filter,
-                   part_files, part_id, part_mask, plan)
+                   part_files, part_id, part_mask, plan, read_blocks)
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
@@ -758,18 +758,12 @@ class _DistinctPart:
     def __call__(self, batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        from ..codecs import EncodedColumn, decode_any
+        from ..codecs import decode_any
         from ..codecs.base import str_to_type
         from ..codecs.dictionary import ipc_deserialize_array
         outs = []
         for p in batch.column("path").to_pylist():
-            enc_rows = pq.read_table(
-                p, filters=[("column", "==", self.column)])
-            for i in range(enc_rows.num_rows):
-                enc = EncodedColumn.from_row(
-                    {k: enc_rows.column(k)[i].as_py() for k in
-                     ("codec", "n_values", "params", "payload")})
-                enc.base_dir = os.path.dirname(p)
+            for enc in read_blocks(p, [self.column]).values():
                 if enc.codec == "dict":
                     vals = ipc_deserialize_array(enc.buffers["aux"])
                     dt = enc.params.get("dtype")

@@ -511,6 +511,17 @@ def collect(res) -> pa.Table | None:
         if tabs else None
 
 
+def read_blocks(path: str, columns=None) -> dict:
+    """The blocks of one part file by column name
+    (``stages/encode.py::encoded_blocks``).  With ``columns`` only
+    their blocks are read: the per-block row-group layout keeps the
+    other columns' payload pages on disk."""
+    from ..stages.encode import encoded_blocks
+    enc_rows = pq.read_table(path, filters=None if columns is None else
+                             [("column", "in", sorted(columns))])
+    return dict(encoded_blocks(enc_rows, os.path.dirname(path)))
+
+
 def part_mask(path: str, preds: list[tuple], mode: str,
               columns=(), probe_blooms: bool = True):
     """The per-part step of every encoded-domain scan task.
@@ -526,7 +537,6 @@ def part_mask(path: str, preds: list[tuple], mode: str,
     heterogeneous store).  Under OR a predicate on an absent column is
     all-false, so the part is skipped only when every predicate column
     is absent."""
-    from ..codecs import EncodedColumn
     from ..codecs.access import eval_pred
     if probe_blooms and preds:
         probes = [_probe_values(pred) for pred in preds]
@@ -535,20 +545,12 @@ def part_mask(path: str, preds: list[tuple], mode: str,
                 not _bloom_keeps(path, preds, probes, mode):
             return None
     pred_cols = {c for c, *_ in preds}
-    enc_rows = pq.read_table(
-        path, filters=[("column", "in", sorted(pred_cols | set(columns)))])
-    names = enc_rows.column("column").to_pylist()
-    if any(c not in names for c in columns):
+    enc_of = read_blocks(path, pred_cols | set(columns))
+    if any(c not in enc_of for c in columns):
         return None
-    missing = pred_cols.difference(names)
+    missing = pred_cols.difference(enc_of)
     if missing and (mode == "and" or missing == pred_cols):
         return None
-    enc_of = {}
-    for i, name in enumerate(names):
-        enc_of[name] = EncodedColumn.from_row(
-            {k: enc_rows.column(k)[i].as_py() for k in
-             ("codec", "n_values", "params", "payload")})
-        enc_of[name].base_dir = os.path.dirname(path)
     mask = None
     for pred in preds:
         if pred[0] not in enc_of:

@@ -30,6 +30,22 @@ ENC_SCHEMA = pa.schema([
     ("n_cols", pa.int64()),   # columns in this partition → lets a
                               # decoder DETECT a mid-partition re-split
 ])
+# the fields of a block row that make the block (EncodedColumn.from_row)
+BLOCK_FIELDS = ("codec", "n_values", "params", "payload")
+
+
+def encoded_blocks(enc_rows: pa.Table, base_dir: str | None = None):
+    """Yield ``(column, EncodedColumn)`` for each block row of
+    ``enc_rows``, in row order — the one reader of the block-row
+    schema (a part file's path form: ``sources/plan.py::read_blocks``).
+    ``base_dir``, the part's store directory, lets shared-vocab blocks
+    resolve their sidecar."""
+    cols = [enc_rows.column(k) for k in ("column", *BLOCK_FIELDS)]
+    for i in range(enc_rows.num_rows):
+        name, *vals = (c[i].as_py() for c in cols)
+        enc = EncodedColumn.from_row(dict(zip(BLOCK_FIELDS, vals)))
+        enc.base_dir = base_dir
+        yield name, enc
 
 
 def content_part_id(batch: pa.Table) -> str:
@@ -133,21 +149,14 @@ def decode_rows(enc_rows: pa.Table, expect_complete: bool = True,
                 f"incomplete partition: {enc_rows.num_rows} of {exp} "
                 "column rows present (encoded rows were re-split "
                 "mid-partition; decode via groupby('part_id'))")
-    cols, names = {}, []
-    for i in range(enc_rows.num_rows):
-        row = {k: enc_rows.column(k)[i].as_py() for k in
-               ("codec", "n_values", "params", "payload")}
-        name = enc_rows.column("column")[i].as_py()
+    cols = {}
+    for name, enc in encoded_blocks(enc_rows, base_dir):
         if name in cols:
             raise ValueError(
                 f"duplicate encoded row for column {name!r} "
                 f"(part_id collision or mixed partitions in one group)")
-        enc = EncodedColumn.from_row(row)
-        if base_dir is not None:
-            enc.base_dir = base_dir  # lets shared-vocab blocks resolve
         cols[name] = decode_any(enc)
-        names.append(name)
-    return pa.table({n: cols[n] for n in names})
+    return pa.table(cols)
 
 
 class EncodeBatch:
