@@ -12,9 +12,11 @@ crossover (``sources/plan.py::execute``), else in Ray tasks — and then
 * every row matches   → the part file, its manifest and its bloom
   sidecar are removed;
 * a strict subset     → the surviving rows are decoded once,
-  re-encoded (fresh per-part codec selection — deletions change the
-  distribution) and swapped in atomically under the SAME part id, with
-  zones / blooms / null counts rebuilt.
+  re-encoded with the codecs the part's manifest records (no codec
+  selection: the survivors are a subset of rows those codecs already
+  held; ``encode_with_guard`` still re-selects a codec it does not
+  know or that cannot encode them) and swapped in atomically under
+  the SAME part id, with zones / blooms / null counts rebuilt.
 
 At 100 TB this is the retention / right-to-be-forgotten shape: a
 point-key delete rewrites O(1) parts, not the store.  Idempotent — a
@@ -79,7 +81,7 @@ class _DeletePartTask:
                 out["rows_deleted"].append(n_del)
                 continue
             # partial: decode survivors once, re-encode under the same
-            # id, swap atomically
+            # id with the part's recorded codecs, swap atomically
             from .encode_pipeline import write_part
             old = {}
             try:
@@ -89,7 +91,8 @@ class _DeletePartTask:
             keep = decode_rows(pq.read_table(p),
                                base_dir=os.path.dirname(p)) \
                 .filter(pa.array(~mask))
-            write_part(self.store_dir, pid, keep, meta={
+            write_part(self.store_dir, pid, keep,
+                       codec_overrides=old.get("codecs"), meta={
                 "rows_deleted_cum":
                     int(old.get("rows_deleted_cum", 0)) + n_del})
             if part_id(p) is None:  # survivors now live in part-<pid>

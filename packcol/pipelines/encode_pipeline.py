@@ -245,6 +245,23 @@ def build_part_blooms(t: pa.Table, zones: dict, out_dir: str,
     return sorted(blooms)
 
 
+def _selection_path(out_dir: str) -> str:
+    return os.path.join(out_dir, "_selection", "codecs.json")
+
+
+def load_store_selection(out_dir: str) -> dict:
+    """The store's recorded codec choice ({column: codec} from
+    ``_selection/codecs.json``, written by ``store_selection``); {} when
+    the store has none.  Read-only: a write into an existing store
+    (an upsert's staging part) reuses the choice, it never makes one."""
+    import json
+    try:
+        with open(_selection_path(out_dir)) as f:
+            return json.load(f)["codecs"]
+    except FileNotFoundError:
+        return {}
+
+
 def store_selection(out_dir: str, paths: list[str],
                     sample_rows: int = 4096, max_files: int = 2) -> dict:
     """Codec selection ONCE per STORE from a bounded deterministic
@@ -264,10 +281,9 @@ def store_selection(out_dir: str, paths: list[str],
     per-part selection inside encode_with_guard, and the store-vs-raw
     size guard still applies per part."""
     import json as _json
-    spath = os.path.join(out_dir, "_selection", "codecs.json")
-    if os.path.exists(spath):
-        with open(spath) as f:
-            return _json.load(f)["codecs"]
+    sel = load_store_selection(out_dir)
+    if sel:
+        return sel
     from ..stages.select import choose_codec
     from ..stages.stats import column_stats
     tabs = []
@@ -287,6 +303,7 @@ def store_selection(out_dir: str, paths: list[str],
     sel = {name: choose_codec(t.column(name).type,
                               column_stats(t.column(name).combine_chunks()))
            for name in t.column_names}
+    spath = _selection_path(out_dir)
     os.makedirs(os.path.dirname(spath), exist_ok=True)
     tmp = f"{spath}.tmp{os.getpid()}"
     with open(tmp, "w") as f:
@@ -481,7 +498,7 @@ class DatasetPartWriter:
             bloom_columns=self.bloom_columns, meta=self.meta)])
 
 
-def write_encoded(ds: "rd.Dataset", out_dir: str, *,
+def write_encoded(ds: "rd.Dataset | pa.Table", out_dir: str, *,
                   codec_overrides: dict | None = None,
                   bloom_columns: list[str] | str | None = "auto",
                   rows_per_part: int | None = None) -> dict:
@@ -501,16 +518,32 @@ def write_encoded(ds: "rd.Dataset", out_dir: str, *,
     Dataset, not an immutable file set; for checkpointed ingest of
     files, use ``encode_files``.
 
+    A driver-sized input (``sources/plan.py::driver_blocks``: a
+    ``pa.Table``, a ``LocalDataset`` or a materialized Dataset of at
+    most ``_LOCAL_PLAN_BYTES``) is written in-process by the same
+    writer over the batches Ray would give it: one per non-empty block,
+    or ``rows_per_part``-row slices of the whole input.  Anything else
+    runs as a Ray Data ``map_batches``.
+
     Returns aggregate metrics {parts, rows, orig_bytes, enc_bytes,
     ratio} for the rows written THIS call."""
+    from ..sources.plan import driver_blocks
     os.makedirs(out_dir, exist_ok=True)
     w = DatasetPartWriter(out_dir, codec_overrides, bloom_columns)
-    mt = ds.map_batches(
-        w, batch_size=rows_per_part, batch_format="pyarrow") \
-        .to_pandas()  # tiny: one row per written part
-    orig = int(mt["orig_bytes"].sum())
-    enc = int(mt["enc_bytes"].sum())
-    return {"parts": len(mt), "rows": int(mt["rows"].sum()),
+    bs = driver_blocks(ds)
+    if bs is None:
+        parts = ds.map_batches(
+            w, batch_size=rows_per_part, batch_format="pyarrow") \
+            .to_pandas().to_dict("records")  # tiny: one row per part
+    else:
+        if rows_per_part:
+            t = pa.concat_tables(bs, promote_options="permissive")
+            bs = [t.slice(i, rows_per_part)
+                  for i in range(0, t.num_rows, rows_per_part)]
+        parts = [r for b in bs if b.num_rows for r in w(b).to_pylist()]
+    orig = int(sum(r["orig_bytes"] for r in parts))
+    enc = int(sum(r["enc_bytes"] for r in parts))
+    return {"parts": len(parts), "rows": int(sum(r["rows"] for r in parts)),
             "orig_bytes": orig, "enc_bytes": enc,
             "ratio": round(orig / enc, 4) if enc else 0.0}
 

@@ -10,9 +10,15 @@ query-layer metadata (manifests, zone maps, bloom sidecars).
 
 Ordering is chosen for crash-safety, not elegance:
 
-1. **stage** — ``ds`` streams once through ``write_encoded`` into a
+1. **stage** — ``ds`` goes once through ``write_encoded`` into a
    private ``<store>/_upsert-<token>/`` staging store (invisible to
-   readers: they list only top-level ``*.parquet``);
+   readers: they list only top-level ``*.parquet``), with the store's
+   codec choice (``_selection/codecs.json``) as codec overrides, so no
+   codec selection runs unless a column drifted out of its codec.  A
+   ``pa.Table``, a ``LocalDataset`` or a materialized Dataset of at
+   most ``_LOCAL_PLAN_BYTES`` (``sources/plan.py::driver_table``) is
+   staged in-process as one part; any other Dataset streams through a
+   Ray Data ``map_batches``;
 2. **publish** — each staged part's manifest, bloom sidecar and part
    file rename into the store (same filesystem, atomic per file);
 3. **retire** — a key scan (``_KeyColDistinct``) over the published
@@ -23,8 +29,9 @@ Ordering is chosen for crash-safety, not elegance:
    through ``sources/plan.py::execute``: in-process on the driver when
    their plan is at most ``_LOCAL_PLAN_BYTES``, else as Ray Data
    ``map_batches`` (the key scan's result batches then stream, so the
-   driver never holds more than ``_KEY_CHUNK`` keys).  Only the staging
-   write of step 1 always runs on Ray;
+   driver never holds more than ``_KEY_CHUNK`` keys).  The retire's
+   partial rewrites keep each part's recorded codecs.  A small upsert
+   thus starts no Ray Data execution at all;
 4. the staging dir is removed.
 
 A crash anywhere leaves the store readable; re-running the SAME upsert
@@ -47,7 +54,8 @@ import uuid
 
 import pyarrow as pa
 
-from ..sources.plan import blocks, execute, part_id, plan, read_blocks
+from ..sources.plan import (blocks, driver_table, execute, part_id, plan,
+                            read_blocks)
 from ..state.bloom import _path as bloom_path
 from ..state.manifest import Manifest
 
@@ -113,25 +121,31 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
                    rows_per_part: int | None = None,
                    codec_overrides: dict | None = None,
                    bloom_columns="auto") -> dict:
-    """MERGE ``ds`` into the store on ``key``; see module doc.
+    """MERGE ``ds`` (a ``ray.data.Dataset`` or a ``pa.Table``) into
+    the store on ``key``; see module doc.  ``codec_overrides`` win over
+    the store's codec choice.
 
     Returns {rows_inserted, parts_inserted, rows_deleted,
     parts_rewritten, parts_removed, parts_scanned}."""
     from .delete import delete_where
-    from .encode_pipeline import write_encoded
+    from .encode_pipeline import load_store_selection, write_encoded
     if not isinstance(key, str):
         raise ValueError(
             "upsert key must be a single column name (composite keys "
             "would need tuple-IN deletes, which the predicate algebra "
             "does not express)")
-    if key not in ds.schema().names:
+    t = driver_table(ds)
+    names = (t.schema if t is not None else ds.schema()).names
+    if key not in names:
         raise ValueError(f"key column {key!r} not in dataset schema "
-                         f"{ds.schema().names}")
+                         f"{names}")
     staging = os.path.join(store_dir, f"_upsert-{uuid.uuid4().hex[:12]}")
     try:
-        w = write_encoded(ds, staging, codec_overrides=codec_overrides,
-                          bloom_columns=bloom_columns,
-                          rows_per_part=rows_per_part)
+        w = write_encoded(
+            ds if t is None else t, staging,
+            codec_overrides={**load_store_selection(store_dir),
+                             **(codec_overrides or {})},
+            bloom_columns=bloom_columns, rows_per_part=rows_per_part)
         new_ids = []
         for f in sorted(os.listdir(staging)):
             if f.endswith(".parquet"):

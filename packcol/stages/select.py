@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from ..codecs import EncodedColumn, get_codec
+from ..codecs import EncodedColumn, all_codecs, get_codec
 from ..codecs.bitpack import bits_needed
 from ..codecs.forpack import is_int_like
 from ..codecs.fsst import _is_stringy
@@ -107,13 +107,16 @@ def choose_codec(dtype: pa.DataType, s: dict,
 def encode_with_guard(arr: pa.Array, codec_name: str | None = None,
                       stats: dict | None = None) -> EncodedColumn:
     """Encode with the chosen (or auto-chosen) codec; fall back to
-    passthrough if the encoded form is not smaller than raw."""
+    passthrough if the encoded form is not smaller than raw.  A
+    ``codec_name`` that is not registered (a reused choice recorded by
+    another version) or cannot encode ``arr`` falls back to selection."""
     from .stats import column_stats
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    if codec_name is not None and not get_codec(codec_name).can_encode(
-            arr.type, stats):
-        codec_name = None  # override not applicable to this dtype → auto
+    if codec_name is not None and (
+            codec_name not in all_codecs() or
+            not get_codec(codec_name).can_encode(arr.type, stats)):
+        codec_name = None  # unknown, or not applicable to this dtype → auto
     if codec_name is None:
         stats = stats or column_stats(arr)
         codec_name = choose_codec(arr.type, stats)

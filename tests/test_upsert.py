@@ -192,13 +192,41 @@ def _store_state(store):
     return blobs, mans
 
 
+def _no_ray_data(monkeypatch):
+    """Make any Ray Data scan seed or streaming execution raise."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from packcol.pipelines import encode_pipeline as ep
+
+    def no_ray(*a, **kw):
+        raise AssertionError("in-process write started Ray Data")
+
+    monkeypatch.setattr(ep, "_part_scan_seed", no_ray)
+    monkeypatch.setattr(StreamingExecutor, "execute", no_ray)
+
+
+def _map_batches_fns(monkeypatch):
+    """Record the type name of every ``Dataset.map_batches`` callable."""
+    import ray.data as rd
+    fns, map_batches = [], rd.Dataset.map_batches
+
+    def counted(self, fn, *a, **kw):
+        fns.append(type(fn).__name__)
+        return map_batches(self, fn, *a, **kw)
+
+    monkeypatch.setattr(rd.Dataset, "map_batches", counted)
+    return fns
+
+
 def test_write_executor_paths_agree(tmp_path, ray_session, base_df,
                                     monkeypatch):
-    """Under the crossover an upsert's key scan and retire and a
-    delete run in-process and seed no Ray Data scan; over it
-    (crossover 0) they run on Ray.  Both paths return the same results
-    and leave the same bytes: part files, bloom sidecars and manifests
-    (but for their wall time)."""
+    """Under the crossover an upsert (staging write, key scan and
+    retire) and a delete run in-process and start no Ray Data
+    execution; over it (crossover 0) they run on Ray, the staging write
+    as a ``map_batches`` of the part writer.  Both paths return the
+    same results and leave the same bytes: part files, bloom sidecars
+    and manifests (but for their wall time)."""
     import shutil
     from packcol.pipelines import encode_pipeline as ep
     from packcol.sources import plan as plan_mod
@@ -207,10 +235,7 @@ def test_write_executor_paths_agree(tmp_path, ray_session, base_df,
     shutil.copytree(local, on_ray)
     assert plan_mod.plan(local, []).executor == "local"
 
-    def no_seed(files):
-        raise AssertionError("in-process plan seeded a Ray Data scan")
-
-    monkeypatch.setattr(ep, "_part_scan_seed", no_seed)
+    _no_ray_data(monkeypatch)
     want = _write_ops(local, base_df)
     assert want[0]["rows_deleted"] == 200
     assert want[1]["parts_rewritten"] and want[2]["rows_deleted"]
@@ -224,9 +249,161 @@ def test_write_executor_paths_agree(tmp_path, ray_session, base_df,
 
     monkeypatch.setattr(ep, "_part_scan_seed", counted)
     monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    fns = _map_batches_fns(monkeypatch)
     assert _write_ops(on_ray, base_df) == want
     assert len(seeded) == 4 and all(seeded)  # key scan, three retires
+    assert fns[0] == "DatasetPartWriter"  # the staging write
     assert _store_state(on_ray) == _store_state(local)
+
+
+@pytest.fixture(scope="module")
+def webtext_table(tmp_path_factory):
+    from packcol.sources.webtext import write_webtext
+    paths = write_webtext(str(tmp_path_factory.mktemp("wt")), n_rows=600,
+                          n_parts=2, seed=3)
+    return pa.concat_tables([pq.read_table(p) for p in paths])
+
+
+@pytest.mark.parametrize("src", ["rows_per_part", "blocks",
+                                 "local_dataset", "table"])
+def test_write_encoded_in_process_matches_ray(tmp_path, ray_session,
+                                              webtext_table, monkeypatch,
+                                              src):
+    """A driver-sized input is written in-process, without Ray Data,
+    over the batches Ray gives the same writer: ``rows_per_part``-row
+    slices, one part per block, or one part for a driver table.  The
+    stores are byte-identical to the Ray path's."""
+    import ray.data as rd
+    from packcol.pipelines.encode_pipeline import write_encoded
+    from packcol.sources import plan as plan_mod
+    t = webtext_table
+    half = t.num_rows // 2
+    inputs = {  # (in-process input, its Ray form, rows_per_part)
+        "rows_per_part": (lambda: rd.from_arrow(t),
+                          lambda: rd.from_arrow(t), 250),
+        "blocks": (lambda: rd.from_arrow([t.slice(0, half),
+                                          t.slice(half)]),
+                   lambda: rd.from_arrow([t.slice(0, half),
+                                          t.slice(half)]), None),
+        "local_dataset": (lambda: plan_mod.LocalDataset(t),
+                          lambda: rd.from_arrow(t), None),
+        "table": (lambda: t, lambda: rd.from_arrow(t), None)}
+    local_in, ray_in, rows_per_part = inputs[src]
+    local, on_ray = str(tmp_path / "local"), str(tmp_path / "ray")
+    ds = local_in()
+    with monkeypatch.context() as m:
+        _no_ray_data(m)
+        got = write_encoded(ds, local, rows_per_part=rows_per_part)
+    with monkeypatch.context() as m:
+        m.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+        fns = _map_batches_fns(m)
+        want = write_encoded(ray_in(), on_ray, rows_per_part=rows_per_part)
+        assert fns == ["DatasetPartWriter"]
+    n_parts = {"rows_per_part": 3, "blocks": 2}.get(src, 1)
+    assert got == want and got["parts"] == n_parts
+    assert got["rows"] == t.num_rows
+    assert _store_state(local) == _store_state(on_ray)
+
+
+def _count_column_stats(monkeypatch):
+    """Count ``stages.stats.column_stats`` calls (also through the name
+    ``stages/encode.py`` imported)."""
+    from packcol.stages import encode as st_encode
+    from packcol.stages import stats
+    calls, column_stats = [], stats.column_stats
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return column_stats(*a, **kw)
+
+    monkeypatch.setattr(stats, "column_stats", counted)
+    monkeypatch.setattr(st_encode, "column_stats", counted)
+    return calls
+
+
+def _manifests(store):
+    from packcol.state.manifest import Manifest
+    man = Manifest(store)
+    return {pid: man.load(pid) for pid in man.done_parts()}
+
+
+def test_rewrites_reuse_the_recorded_codecs(tmp_path, ray_session, base_df,
+                                            monkeypatch):
+    """A delete's partial rewrite keeps the part's recorded codecs and
+    an upsert stages with the store's codec choice: neither runs codec
+    selection (no ``column_stats`` call)."""
+    import ray.data as rd
+    from packcol.pipelines.delete import delete_where
+    from packcol.pipelines.encode_pipeline import load_store_selection
+    out = _mkstore(tmp_path, base_df)
+    sel = load_store_selection(out)
+    assert set(sel) == {"id", "v", "s"}
+    before = _manifests(out)
+    calls = _count_column_stats(monkeypatch)
+    r = delete_where(out, ("id", "in", [3, 700, 1400]))
+    assert r["parts_rewritten"] == 3 and not calls
+    after = _manifests(out)
+    changed = [pid for pid in before
+               if after[pid]["rows"] != before[pid]["rows"]]
+    assert len(changed) == 3
+    for pid in changed:
+        assert after[pid]["codecs"] == before[pid]["codecs"]
+
+    upd = base_df[(base_df.id >= 10) & (base_df.id < 40)] \
+        .reset_index(drop=True)
+    upd["v"] = (upd["v"] + 1) % 100
+    r = upsert_encoded(out, rd.from_pandas(upd), "id")
+    assert r["rows_deleted"] == 30 and r["parts_rewritten"]
+    assert not calls
+    new = [m for pid, m in _manifests(out).items() if pid.startswith("w-")]
+    assert len(new) == 1 and new[0]["codecs"] == sel
+    exp = base_df[~base_df.id.isin([3, 700, 1400])].copy()
+    exp.loc[exp.id.between(10, 39), "v"] = (exp["v"] + 1) % 100
+    pd.testing.assert_frame_equal(_read_sorted(out),
+                                  exp.reset_index(drop=True))
+
+
+def test_drifted_upsert_and_bad_recorded_codecs(tmp_path, ray_session,
+                                                base_df):
+    """Reused codecs are a hint, never a hazard: int values far outside
+    the store's range (and negative, which a bit-pack cannot hold)
+    round-trip, and a rewrite whose manifest records an unknown codec,
+    or ``for`` on a string column, falls back to selection."""
+    from packcol.pipelines.delete import delete_where
+    from packcol.state.manifest import Manifest
+    out = _mkstore(tmp_path, base_df)
+    big = 1 << 60
+    new = pa.table({
+        "id": pa.array([5, 6, 10 ** 15, -(10 ** 15)], pa.int64()),
+        "v": pa.array([big, -big, 0, 1 - big], pa.int64()),
+        "s": ["far", "x", "y", "z"]})
+    r = upsert_encoded(out, new, "id")
+    assert r["rows_inserted"] == 4 and r["rows_deleted"] == 2
+    live = pd.concat([base_df[~base_df.id.isin([5, 6])], new.to_pandas()])
+    pd.testing.assert_frame_equal(
+        _read_sorted(out),
+        live.sort_values("id").reset_index(drop=True)[["id", "v", "s"]])
+
+    mans = _manifests(out)
+    old = sorted(pid for pid in mans if not pid.startswith("w-"))
+    edits = {old[0]: ("v", "no-such-codec"), old[1]: ("s", "for")}
+    man = Manifest(out)
+    victims = []
+    for pid, (col, codec) in edits.items():
+        m = mans[pid]
+        m["codecs"][col] = codec
+        with open(man._path(pid), "w") as f:
+            json.dump(m, f)
+        victims.append(m["zones"]["id"]["min"])  # a row of the part
+    r = delete_where(out, ("id", "in", victims))
+    assert r["parts_rewritten"] == 2 and r["rows_deleted"] == 2
+    after = _manifests(out)
+    for pid, (col, codec) in edits.items():
+        assert after[pid]["codecs"][col] not in (codec, None)
+    live = live[~live.id.isin(victims)]
+    pd.testing.assert_frame_equal(
+        _read_sorted(out),
+        live.sort_values("id").reset_index(drop=True)[["id", "v", "s"]])
 
 
 def test_attach_store_union(tmp_path, ray_session):
