@@ -33,7 +33,7 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sources.plan import part_files, part_id as part_id_of
+from ..sources.plan import collect, execute, part_id as part_id_of, plan
 from ..stages.encode import encoded_blocks
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash
@@ -205,15 +205,15 @@ class _DropColPart:
 
 
 def _run(store_dir: str, task) -> dict:
-    from .encode_pipeline import _part_scan_seed
-    files = [{"path": p} for p in part_files(store_dir)]
-    if not files:
-        return {"parts_total": 0}
-    res = _part_scan_seed(files).map_batches(
-        task, batch_size=None, batch_format="pyarrow").to_pandas()
-    acts = res["action"].value_counts().to_dict()
-    return {"parts_total": len(files),
-            **{f"parts_{k}": int(v) for k, v in acts.items()}}
+    """Run the per-part ``task`` over every part (``plan.execute``);
+    {parts_total, parts_<action>: count}."""
+    import collections
+    p = plan(store_dir, [])
+    res = collect(execute(p, task))
+    acts = collections.Counter(
+        res.column("action").to_pylist() if res is not None else ())
+    return {"parts_total": len(p.parts),
+            **{f"parts_{k}": v for k, v in acts.items()}}
 
 
 def add_column_encoded(store_dir: str, name: str, fn,

@@ -124,8 +124,7 @@ def read_column(dest_dir: str, column: str):
     return ds.map_batches(decode_file, batch_size=1, batch_format="pyarrow")
 
 
-def recompact(enc_dir: str, dest_dir: str, merge_factor: int = 4,
-              cpus_per_task: float = 1) -> dict:
+def recompact(enc_dir: str, dest_dir: str, merge_factor: int = 4) -> dict:
     """Merge every `merge_factor` adjacent parts into one larger part."""
     os.makedirs(dest_dir, exist_ok=True)
     files = [os.path.join(enc_dir, f) for f in sorted(os.listdir(enc_dir))
@@ -136,8 +135,7 @@ def recompact(enc_dir: str, dest_dir: str, merge_factor: int = 4,
              for i, g in enumerate(groups)]
     ds = rd.from_items(items, override_num_blocks=max(len(items), 1))
     res = ds.map_batches(RecompactGroup(dest_dir), batch_size=1,
-                         batch_format="pyarrow",
-                         num_cpus=cpus_per_task).to_pandas()
+                         batch_format="pyarrow").to_pandas()
     orig, enc = int(res["orig_bytes"].sum()), int(res["enc_bytes"].sum())
     return {"parts": len(res), "rows": int(res["rows"].sum()),
             "orig_bytes": orig, "enc_bytes": enc,

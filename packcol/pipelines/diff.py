@@ -30,11 +30,11 @@ resumable/lineage design.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pyarrow as pa
 
+from ..sources.plan import (LocalDataset, as_dataset, blocks, execute,
+                            part_id, plan)
 from ..state.manifest import Manifest
 
 _FP_DRIVER_CAP = 16_000_000  # 8 B/fp → ~128 MB driver-side per side
@@ -99,14 +99,14 @@ def diff_store_parts(a_dir: str, b_dir: str) -> dict:
 
 def _rows_with_fp(store: str, pids: list[str], columns):
     """Decoded rows of the given parts, plus a __fp row-fingerprint
-    column (vectorized content-hash kernel)."""
-    import ray.data as rd
+    column (vectorized content-hash kernel); None when none of the
+    parts is in the store."""
     from .content_hash import batch_row_hashes
-    from .encode_pipeline import DecodePartFile, _part_scan_seed
-    files = [{"path": os.path.join(store, f"part-{p}.parquet")}
-             for p in pids
-             if os.path.exists(os.path.join(store, f"part-{p}.parquet"))]
-    if not files:
+    from .encode_pipeline import DecodePartFile
+    want = set(pids)
+    p = plan(store, [])
+    p = p.restrict([f for f in p.parts if part_id(f) in want])
+    if not p.parts:
         return None
 
     dec = DecodePartFile(list(columns) if columns is not None else None)
@@ -116,56 +116,66 @@ def _rows_with_fp(store: str, pids: list[str], columns):
         return t.append_column(
             "__fp", pa.array(batch_row_hashes(t).view(np.int64)))
 
-    return _part_scan_seed(files).map_batches(
-        task, batch_size=None, batch_format="pyarrow")
+    return as_dataset(execute(p, task))
 
 
 def _fp_set(ds) -> np.ndarray:
     """Sorted distinct fingerprints of a Dataset's __fp column,
     collected with a hard driver cap (8 B/fp)."""
     chunks, total = [], 0
-    if ds is not None:
-        for b in ds.select_columns(["__fp"]) \
-                .iter_batches(batch_format="pyarrow"):
-            arr = b.column("__fp").combine_chunks() \
-                if isinstance(b.column("__fp"), pa.ChunkedArray) \
-                else b.column("__fp")
-            v = arr.to_numpy(zero_copy_only=False)
-            chunks.append(v)
-            total += len(v)
-            if total > _FP_DRIVER_CAP:
-                raise ValueError(
-                    f"more than {_FP_DRIVER_CAP} differing-part rows; "
-                    "the snapshots diverge too much for a row-level "
-                    "diff — compare at part level (diff_store_parts) "
-                    "or recompact first")
+    if ds is not None and not isinstance(ds, LocalDataset):
+        ds = ds.select_columns(["__fp"])  # only fingerprints leave workers
+    for b in blocks(ds) if ds is not None else ():
+        v = b.column("__fp").to_numpy()
+        chunks.append(v)
+        total += len(v)
+        if total > _FP_DRIVER_CAP:
+            raise ValueError(
+                f"more than {_FP_DRIVER_CAP} differing-part rows; "
+                "the snapshots diverge too much for a row-level "
+                "diff — compare at part level (diff_store_parts) "
+                "or recompact first")
     if not chunks:
         return np.empty(0, dtype=np.int64)
     return np.unique(np.concatenate(chunks))
 
 
+def _drop_fps(batch: pa.Table, other: np.ndarray) -> pa.Table:
+    """The rows of ``batch`` whose __fp is NOT in the sorted ``other``
+    (binary search, vectorized membership), without the __fp column."""
+    v = batch.column("__fp").to_numpy()
+    if len(other):
+        idx = np.searchsorted(other, v)
+        idx[idx == len(other)] = 0
+        keep = other[idx] != v
+    else:
+        keep = np.ones(len(v), dtype=bool)
+    return batch.filter(pa.array(keep)).drop_columns(["__fp"])
+
+
 class _AntiFp:
-    """Keep rows whose __fp is NOT in the broadcast other-side set
-    (binary search on the sorted array — one object-store get per
-    worker, vectorized membership)."""
+    """``_drop_fps`` against the broadcast other-side set (one
+    object-store get per worker)."""
 
     def __init__(self, other_ref):
         self.other_ref = other_ref
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
-        other: np.ndarray = ray.get(self.other_ref)
-        fp = batch.column("__fp")
-        if isinstance(fp, pa.ChunkedArray):
-            fp = fp.combine_chunks()
-        v = fp.to_numpy(zero_copy_only=False)
-        if len(other):
-            idx = np.searchsorted(other, v)
-            idx[idx == len(other)] = 0
-            keep = other[idx] != v
-        else:
-            keep = np.ones(len(v), dtype=bool)
-        return batch.filter(pa.array(keep)).drop_columns(["__fp"])
+        return _drop_fps(batch, ray.get(self.other_ref))
+
+
+def _anti(rows, other: np.ndarray):
+    """``rows`` (a ``_rows_with_fp`` result) without the rows whose
+    fingerprint is in ``other``: on the driver for an in-process
+    result, as a Ray Data ``map_batches`` otherwise."""
+    import ray
+    if rows is None:
+        return LocalDataset(pa.table({}))
+    if isinstance(rows, LocalDataset):
+        return LocalDataset(_drop_fps(rows._table, other))
+    return rows.map_batches(_AntiFp(ray.put(other)), batch_size=None,
+                            batch_format="pyarrow")
 
 
 def diff_stores(a_dir: str, b_dir: str, *, row_level: bool = True,
@@ -176,23 +186,11 @@ def diff_stores(a_dir: str, b_dir: str, *, row_level: bool = True,
     B) — computed ONLY over the asymmetric parts.  ``columns``
     restricts both the fingerprint and the output to a projection
     (diff by key columns instead of whole rows)."""
-    import ray
-    import ray.data as rd
     meta = diff_store_parts(a_dir, b_dir)
     if not row_level:
         return meta
     rows_a = _rows_with_fp(a_dir, meta["only_a_parts"], columns)
     rows_b = _rows_with_fp(b_dir, meta["only_b_parts"], columns)
-    fps_a = _fp_set(rows_a)
-    fps_b = _fp_set(rows_b)
-
-    def _empty():
-        return rd.from_arrow(pa.table({}))
-
-    meta["added_rows"] = _empty() if rows_b is None else \
-        rows_b.map_batches(_AntiFp(ray.put(fps_a)), batch_size=None,
-                           batch_format="pyarrow")
-    meta["removed_rows"] = _empty() if rows_a is None else \
-        rows_a.map_batches(_AntiFp(ray.put(fps_b)), batch_size=None,
-                           batch_format="pyarrow")
+    meta["added_rows"] = _anti(rows_b, _fp_set(rows_a))
+    meta["removed_rows"] = _anti(rows_a, _fp_set(rows_b))
     return meta

@@ -13,6 +13,12 @@ Two encode paths:
   the "resumable output" layout: one file per partition, never one giant
   file.
 
+The per-part scans of a written store (:func:`decode_files`,
+:func:`verify_files`, :func:`spot_check_files`) run their task through
+``sources/plan.py::execute``: in-process on the driver for a store of
+at most ``_LOCAL_PLAN_BYTES`` of part files, a Ray Data ``map_batches``
+over the parts above it.
+
 Scale notes (100 TB design): the descriptor dataset is tiny (one row per
 ~64 MB of input) and fans out to stateless tasks — no shuffle anywhere
 in encode.  Decode-verify is per-partition (no shuffle).  The only wide
@@ -30,6 +36,9 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from ..sources.plan import (as_dataset, collect, driver_blocks,
+                            empty_block, execute, part_id, part_mask, plan,
+                            read_blocks)
 from ..stages.encode import (DecodeBatch, EncodeBatch, RoundtripVerify,
                              decode_rows, encode_table)
 from ..state.manifest import (Manifest, compute_zones,
@@ -315,8 +324,6 @@ def store_selection(out_dir: str, paths: list[str],
 def encode_files(paths: list[str], out_dir: str, resume: bool = True,
                  target_bytes: int = _DEFAULT_TARGET_BYTES,
                  codec_overrides: dict | None = None,
-                 concurrency: int | None = None,
-                 cpus_per_task: float = 1,
                  shared_vocab_columns: list[str] | None = None,
                  bloom_columns: list[str] | str | None = "auto") -> dict:
     """Checkpointed encode of parquet files → encoded parts + manifest.
@@ -371,8 +378,7 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
             EncodePartitionWriter(out_dir, codec_overrides,
                                   shared_vocab_columns=shared_vocab_columns,
                                   bloom_columns=bloom_columns),
-            batch_size=1, batch_format="pyarrow", num_cpus=cpus_per_task,
-            **({"concurrency": concurrency} if concurrency else {}))
+            batch_size=1, batch_format="pyarrow")
         mt = metrics.to_pandas()  # tiny: one row per partition
     else:
         import pandas as pd
@@ -396,7 +402,9 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
 class DecodePartFile:
     """Task: one encoded part file path → decoded original table.
     With `columns`, only those encoded-block rows are read and decoded —
-    column pruning without touching other payloads."""
+    column pruning without touching other payloads.  A batch of no
+    parts (an empty plan) gives the typed empty block of ``columns``
+    (no columns without a projection)."""
 
     def __init__(self, columns: list[str] | None = None):
         self.columns = columns
@@ -416,6 +424,8 @@ class DecodePartFile:
             tables.append(decode_rows(
                 enc, expect_complete=self.columns is None,
                 base_dir=os.path.dirname(p)))
+        if not tables:
+            return empty_block(self.columns or [], None)
         return pa.concat_tables(tables)
 
 
@@ -423,43 +433,36 @@ def _part_scan_seed(files: list[dict]) -> "rd.Dataset":
     """Seed a per-part scan with O(cluster CPUs) blocks, not one block
     per part — the same driver-prologue bound as _seed_bins (a 10^6-part
     store must not create 10^6 driver-side blocks); every scan task
-    loops the paths in its batch, so fewer/larger blocks are free."""
+    loops the paths in its batch, so fewer/larger blocks are free.
+    Called only by ``sources/plan.py::execute``."""
     nb = min(max(len(files), 1), max(4 * _cluster_cpus(), 16))
     return rd.from_items(files, override_num_blocks=nb)
 
 
-def decode_files(out_dir: str, concurrency: int | None = None,
-                 cpus_per_task: float = 1,
-                 columns: list[str] | None = None,
+def decode_files(out_dir: str, columns: list[str] | None = None,
                  limit: int | None = None) -> "rd.Dataset":
-    """Streaming decode of an encoded directory → Dataset of original
-    blocks (one task per part file; no shuffle).  Pass `columns` to
-    decode a projection only (pruning at the encoded-block level).
+    """Decode of an encoded directory → Dataset of original blocks
+    (one ``DecodePartFile`` call per part; no shuffle).  Pass `columns`
+    to decode a projection only (pruning at the encoded-block level).
     With ``limit``, only the minimal prefix of parts whose manifest
     row counts guarantee ≥limit rows is even planned (parts without a
     recorded count are kept conservatively) — the caller still applies
     ``Dataset.limit`` for the exact cut; this prunes the plan so a
-    head-style read of a 10^6-part store schedules O(1) tasks."""
-    from ..sources.plan import plan
+    head-style read of a 10^6-part store schedules O(1) tasks.
+
+    Returns a :class:`~packcol.sources.plan.LocalDataset` when the
+    plan ran in-process (``plan.execute``), else a lazy streaming
+    Dataset."""
     p = plan(out_dir, [], "and")
-    files = p.files
     if limit is not None and limit >= 0:
-        pruned, got = [], 0
-        for f in files:
-            pruned.append(f)
-            got += (p.manifests.get(f["path"]) or {}).get("rows") or 0
+        prefix, got = [], 0
+        for path in p.parts:
+            prefix.append(path)
+            got += (p.manifests.get(path) or {}).get("rows") or 0
             if got >= limit:
                 break
-        files = pruned
-    # O(cluster CPUs) seed blocks: parts are byte-balanced by plan, so a
-    # contiguous even-count split stays balanced; per-file blocks cost a
-    # serial driver prologue at high part counts (see _seed_bins)
-    nb = min(max(len(files), 1), max(4 * _cluster_cpus(), 16))
-    ds = rd.from_items(files, override_num_blocks=nb)
-    return ds.map_batches(DecodePartFile(columns), batch_size=None,
-                          batch_format="pyarrow", num_cpus=cpus_per_task,
-                          **({"concurrency": concurrency} if concurrency
-                             else {}))
+        p = p.restrict(prefix)
+    return as_dataset(execute(p, DecodePartFile(columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +530,6 @@ def write_encoded(ds: "rd.Dataset | pa.Table", out_dir: str, *,
 
     Returns aggregate metrics {parts, rows, orig_bytes, enc_bytes,
     ratio} for the rows written THIS call."""
-    from ..sources.plan import driver_blocks
     os.makedirs(out_dir, exist_ok=True)
     w = DatasetPartWriter(out_dir, codec_overrides, bloom_columns)
     bs = driver_blocks(ds)
@@ -586,44 +588,58 @@ def verify_dataset(ds: "rd.Dataset",
     }
 
 
+def text_mismatches(html, text) -> tuple[int, int]:
+    """(rows, rows where extract_text(html) != text, byte-identical) of
+    one block's ``html`` and ``text`` columns: the reference-parity
+    invariant (BASELINE.json input_hint)."""
+    import pyarrow.compute as pc
+    from ..sources.webtext import extract_text_batch
+    if isinstance(html, pa.ChunkedArray):
+        html = html.combine_chunks()
+    if isinstance(text, pa.ChunkedArray):
+        text = text.combine_chunks()
+    eq = pc.equal(extract_text_batch(html).cast(pa.large_string()),
+                  text.cast(pa.large_string()))
+    return len(eq), len(eq) - int(
+        pc.sum(pc.cast(eq, pa.int64())).as_py() or 0)
+
+
 class DecodeVerifyPart:
     """Fused task: encoded part file → decode → extract_text check →
     (rows, mismatches) counts only.  Nothing big ever enters the object
     store — the 100 TB-scale shape for a full-corpus verify."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        from ..sources.webtext import extract_text_batch
         n = bad = 0
         for p in batch.column("path").to_pylist():
             t = decode_rows(pq.read_table(p),
                             base_dir=os.path.dirname(p))
             if {"html", "text"} <= set(t.column_names):
-                html = t.column("html").combine_chunks()
-                text = t.column("text").combine_chunks()
-                got = extract_text_batch(html)
-                eq = pc.equal(got.cast(pa.large_string()),
-                              text.cast(pa.large_string()))
-                n += len(eq)
-                bad += len(eq) - int(
-                    pc.sum(pc.cast(eq, pa.int64())).as_py() or 0)
+                dn, dbad = text_mismatches(t.column("html"),
+                                           t.column("text"))
+                n += dn
+                bad += dbad
             else:
                 # generic schema: decode success + row count only
                 n += t.num_rows
         return pa.table({"n": [n], "n_bad": [bad]})
 
 
-def verify_files(out_dir: str, cpus_per_task: float = 1) -> dict:
-    """Decode every encoded part and check extract_text(html)==text, fused
-    in one task per part; returns {rows, mismatches}."""
-    from ..sources.plan import part_files
-    files = [{"path": p} for p in part_files(out_dir)]
-    nb = min(max(len(files), 1), max(4 * _cluster_cpus(), 16))
-    ds = rd.from_items(files, override_num_blocks=nb)
-    res = ds.map_batches(DecodeVerifyPart(), batch_size=None,
-                         batch_format="pyarrow",
-                         num_cpus=cpus_per_task).to_pandas()
-    return {"rows": int(res["n"].sum()), "mismatches": int(res["n_bad"].sum())}
+def _sum_counts(res) -> tuple[int, int]:
+    """The summed ``n`` and ``n_bad`` of a count task's result (one row
+    per task call); (0, 0) when it has no rows."""
+    t = collect(res)
+    if t is None:
+        return 0, 0
+    return sum(t.column("n").to_pylist()), sum(t.column("n_bad").to_pylist())
+
+
+def verify_files(out_dir: str) -> dict:
+    """Decode every encoded part and check extract_text(html)==text,
+    fused in one ``DecodeVerifyPart`` call per part (``plan.execute``);
+    returns {rows, mismatches}."""
+    n, bad = _sum_counts(execute(plan(out_dir, []), DecodeVerifyPart()))
+    return {"rows": n, "mismatches": bad}
 
 
 class EncodedFilterPart:
@@ -647,7 +663,6 @@ class EncodedFilterPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..codecs import decode_any
-        from ..sources.plan import part_mask
         outs = []
         for p in batch.column("path").to_pylist():
             hit = part_mask(p, self.preds, self.mode, self.out_columns,
@@ -660,30 +675,25 @@ class EncodedFilterPart:
                                   for name in self.out_columns}))
         if outs:
             return pa.concat_tables(outs)
-        sch = self.schema
-        return pa.table({
-            n: pa.array([], sch.field(n).type if sch is not None and
-                        n in sch.names else pa.string())
-            for n in self.out_columns})
+        return empty_block(self.out_columns, self.schema)
 
 
 class SpotCheckPart:
     """Task: sample k rows of one encoded part, read each via O(1) point
     access (codecs/access.py) and compare against the original cells
     re-read from the manifested input slice — verification that never
-    decodes whole blocks (SeqVector::get-style sampling)."""
+    decodes whole blocks (SeqVector::get-style sampling).  ``manifests``
+    is the plan's {path: manifest} (``Plan.manifests``)."""
 
-    def __init__(self, out_dir: str, k: int = 8):
-        self.out_dir = out_dir
+    def __init__(self, manifests: dict[str, dict], k: int = 8):
+        self.manifests = manifests
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..codecs.access import get_value
-        from ..sources.plan import read_blocks
         n_checked = n_bad = 0
-        man = Manifest(self.out_dir)
-        for part_id in batch.column("part_id").to_pylist():
-            meta = man.load(part_id)
+        for path in batch.column("path").to_pylist():
+            meta = self.manifests.get(path) or {}
             if not meta.get("input"):
                 # no input lineage to compare against: parts written by
                 # the Dataset sink / cluster writers, or rewritten by
@@ -692,8 +702,7 @@ class SpotCheckPart:
             pf = pq.ParquetFile(meta["input"])
             orig = pf.read_row_groups(
                 list(range(meta["rg_start"], meta["rg_end"] + 1)))
-            enc_of = read_blocks(
-                os.path.join(self.out_dir, f"part-{part_id}.parquet"))
+            enc_of = read_blocks(path)
             if orig.num_rows == 0:
                 continue  # nothing to sample in an empty partition
             # stable digest seed: hash(str) is salted per process
@@ -701,7 +710,7 @@ class SpotCheckPart:
             # every worker/run — not reproducible verification
             import hashlib as _hl
             seed = int.from_bytes(
-                _hl.sha1(part_id.encode()).digest()[:4], "little")
+                _hl.sha1(part_id(path).encode()).digest()[:4], "little")
             rng = np.random.default_rng(seed)
             rows = rng.integers(0, orig.num_rows,
                                 size=min(self.k, orig.num_rows))
@@ -715,34 +724,24 @@ class SpotCheckPart:
 
 
 def spot_check_files(out_dir: str, k: int = 8) -> dict:
-    """Sampled point-access verification across all encoded parts."""
-    parts = [{"part_id": p} for p in sorted(Manifest(out_dir).done_parts())]
-    ds = rd.from_items(parts, override_num_blocks=max(len(parts), 1))
-    res = ds.map_batches(SpotCheckPart(out_dir, k), batch_size=1,
-                         batch_format="pyarrow").to_pandas()
-    return {"checked": int(res["n"].sum()),
-            "mismatches": int(res["n_bad"].sum())}
+    """Sampled point-access verification across the store's part files
+    (``plan.execute``); a manifest whose part file is gone is fsck's
+    (``check_store``), not checked here."""
+    p = plan(out_dir, [])
+    n, bad = _sum_counts(execute(p, SpotCheckPart(p.manifests, k)))
+    return {"checked": n, "mismatches": bad}
 
 
 def verify_url_text_invariant(decoded: "rd.Dataset") -> dict:
     """The reference-parity invariant: extract_text(html) == text,
     byte-identical, per url (BASELINE.json input_hint).  Vectorized
-    per-batch; global result is a cheap aggregate of counts."""
-    from ..sources.webtext import extract_text_batch
+    per-batch (``text_mismatches``); global result is a cheap aggregate
+    of counts."""
 
     def check(batch: pa.Table) -> pa.Table:
-        html = batch.column("html")
-        if isinstance(html, pa.ChunkedArray):
-            html = html.combine_chunks()
-        text = batch.column("text")
-        if isinstance(text, pa.ChunkedArray):
-            text = text.combine_chunks()
-        got = extract_text_batch(html)
-        import pyarrow.compute as pc
-        eq = pc.equal(got.cast(pa.large_string()),
-                      text.cast(pa.large_string()))
-        n_bad = len(eq) - int(pc.sum(pc.cast(eq, pa.int64())).as_py() or 0)
-        return pa.table({"n": [len(eq)], "n_bad": [n_bad]})
+        n, n_bad = text_mismatches(batch.column("html"),
+                                   batch.column("text"))
+        return pa.table({"n": [n], "n_bad": [n_bad]})
 
-    res = decoded.map_batches(check, batch_format="pyarrow").to_pandas()
-    return {"rows": int(res["n"].sum()), "mismatches": int(res["n_bad"].sum())}
+    n, bad = _sum_counts(decoded.map_batches(check, batch_format="pyarrow"))
+    return {"rows": n, "mismatches": bad}

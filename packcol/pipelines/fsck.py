@@ -4,8 +4,9 @@
 format — part files, lineage manifests, bloom sidecars — plus the
 transient artifacts the mutation pipelines stage (``*.tmp-*`` writer
 files, ``_upsert-*`` staging dirs).  Driver-side work is O(parts)
-metadata only; the per-part structural checks run distributed with the
-same O(cluster CPUs) seeding as every other part scan.  ``deep=True``
+metadata only; the per-part structural checks run through
+``sources/plan.py::execute`` like every other part scan (in-process
+for a small store, on Ray above it).  ``deep=True``
 additionally decodes every column and proves the manifest's pruning
 metadata against the actual values (zone bounds contain min/max, null
 counts match) — the invariant the entire pushdown layer rests on, so a
@@ -26,7 +27,7 @@ import time
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..sources.plan import part_files, part_id
+from ..sources.plan import collect, execute, part_files, part_id, plan
 from ..state.bloom import BLOOM_DIR
 from ..state.manifest import Manifest
 
@@ -130,7 +131,6 @@ class _CheckPart:
 def check_store(store_dir: str, *, deep: bool = False) -> dict:
     """Audit the store; returns {parts_total, issues: [(part_id|path,
     message)], counts: {...}, ok}.  Never mutates anything."""
-    from .encode_pipeline import _part_scan_seed
     issues: list[tuple[str, str]] = []
     parts = _part_ids(store_dir)
     manifests: dict = {}
@@ -153,13 +153,11 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
         if f.startswith("_upsert-") and os.path.isdir(fp) \
                 and now - os.path.getmtime(fp) > _STALE_S:
             issues.append((f, "stale upsert staging dir"))
-    files = [{"path": p} for p in part_files(store_dir)]
-    if files:
-        res = _part_scan_seed(files).map_batches(
-            _CheckPart(store_dir, manifests, deep), batch_size=None,
-            batch_format="pyarrow").to_pandas()
-        if len(res):  # Ray's to_pandas drops columns on empty datasets
-            issues += list(zip(res["part_id"], res["issue"]))
+    res = collect(execute(plan(store_dir, []),
+                          _CheckPart(store_dir, manifests, deep)))
+    if res is not None:
+        issues += list(zip(res.column("part_id").to_pylist(),
+                           res.column("issue").to_pylist()))
     kinds: dict[str, int] = {}
     for _, msg in issues:
         k = msg.split(":")[0].split("(")[0].strip()

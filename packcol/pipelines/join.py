@@ -454,8 +454,7 @@ def merge_join_clustered(left_store: str, right_store: str, on: str, *,
                          left_columns: list[str] | None = None,
                          right_columns: list[str] | None = None,
                          right_suffix: str = "_r",
-                         max_fanout: int = 64,
-                         cpus_per_task: float = 1):
+                         max_fanout: int = 64):
     """Zone-aligned merge join: large ⋈ large over two encoded stores
     clustered on the join key, with NO shuffle — the third physical
     join strategy next to ``broadcast_join`` (small dim) and
@@ -509,5 +508,4 @@ def merge_join_clustered(left_store: str, right_store: str, on: str, *,
         return rd.from_arrow(join_task._joined_empty())
     nb = min(len(items), max(4 * _cluster_cpus(), 16))
     return rd.from_items(items, override_num_blocks=nb).map_batches(
-        join_task, batch_size=None, batch_format="pyarrow",
-        num_cpus=cpus_per_task)
+        join_task, batch_size=None, batch_format="pyarrow")

@@ -6,9 +6,9 @@ rather than a sink: it returns a ``ray.data.Dataset`` of DECODED rows
 with
 
 * **lazy streaming decode** — one read task per part file, no shuffle,
-  nothing materialized beyond the blocks in flight (a filtered read
-  of a small plan decodes in-process instead, ``plan.execute``, and
-  returns its rows as a ``plan.LocalDataset``);
+  nothing materialized beyond the blocks in flight (a read of a small
+  plan decodes in-process instead, ``plan.execute``, and returns its
+  rows as a ``plan.LocalDataset``);
 * **column projection at the encoded-block level** — unrequested
   columns' payloads are filtered out of the part file read and never
   decoded (``DecodePartFile``);
@@ -57,8 +57,9 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from .plan import (LocalDataset, collect, execute, parse_filter,
-                   part_files, part_id, part_mask, plan, read_blocks)
+from .plan import (LocalDataset, as_dataset, collect, empty_block, execute,
+                   parse_filter, part_files, part_id, part_mask, plan,
+                   read_blocks)
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
@@ -93,9 +94,7 @@ def encoded_schema(store_dir: str) -> pa.Schema:
 def read_encoded(store_dir: str, *, columns: list[str] | None = None,
                  filter: tuple | None = None,
                  filter_any: list | None = None,
-                 limit: int | None = None,
-                 concurrency: int | None = None,
-                 cpus_per_task: float = 1) -> "rd.Dataset":
+                 limit: int | None = None) -> "rd.Dataset":
     """Dataset of decoded rows from an encoded store — the generic
     source form of ``decode_files``.
 
@@ -112,11 +111,10 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     reads apply it post-filter (on a Ray-path plan, via the streaming
     executor's early stop).
 
-    Returns a ``ray.data.Dataset``: a filtered read whose plan ran
-    in-process (``plan.execute``) returns its rows as a
+    Returns a ``ray.data.Dataset``: a read whose plan ran in-process
+    (``plan.execute``) returns its rows as a
     :class:`~packcol.sources.plan.LocalDataset` (``limit`` is a table
-    slice); an unfiltered or Ray-path read is a lazy streaming
-    Dataset."""
+    slice); a Ray-path read is a lazy streaming Dataset."""
     from ..pipelines.encode_pipeline import EncodedFilterPart, decode_files
     preds, mode = parse_filter(filter, filter_any)
     schema = encoded_schema(store_dir) \
@@ -133,20 +131,16 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if not preds:
-        ds = decode_files(store_dir, columns=columns,
-                          concurrency=concurrency,
-                          cpus_per_task=cpus_per_task, limit=limit)
+        ds = decode_files(store_dir, columns=columns, limit=limit)
         return ds.limit(limit) if limit is not None else ds
     out_columns = list(columns) if columns is not None else schema.names
     if not out_columns:
         raise ValueError(f"no encoded parts found in {store_dir}")
     out_schema = pa.schema([schema.field(c) for c in out_columns])
     p = plan(store_dir, preds, mode)
-    ds = execute(p, EncodedFilterPart(preds, out_columns, mode,
-                                      probe_blooms=not p.blooms_probed,
-                                      schema=out_schema))
-    if isinstance(ds, pa.Table):
-        ds = LocalDataset(ds)
+    ds = as_dataset(execute(p, EncodedFilterPart(
+        preds, out_columns, mode, probe_blooms=not p.blooms_probed,
+        schema=out_schema)))
     return ds.limit(limit) if limit is not None else ds
 
 
@@ -1054,13 +1048,7 @@ class _SamplePart:
             outs.append(pa.table({c: decode_any(enc_of[c]).take(sel)
                                   for c in self.out_columns}))
         if not outs:
-            def _typ(c):
-                if self.out_schema is not None and \
-                        self.out_schema.get_field_index(c) >= 0:
-                    return self.out_schema.field(c).type
-                return pa.string()
-            return pa.table({c: pa.array([], type=_typ(c))
-                             for c in self.out_columns})
+            return empty_block(self.out_columns, self.out_schema)
         return pa.concat_tables(outs)
 
 
@@ -1071,9 +1059,11 @@ def sample_encoded(store_dir: str, fraction: float, *,
     independently with probability ``fraction``, decided by a pure
     hash of (seed, part id, row index) — reproducible across runs and
     cluster sizes, streaming, no shuffle, only the projected columns
-    of kept rows decode.  Returns a lazy ``ray.data.Dataset`` (an
-    empty :class:`~packcol.sources.plan.LocalDataset` when nothing can
-    be kept)."""
+    of kept rows decode.  Returns a
+    :class:`~packcol.sources.plan.LocalDataset` when the plan ran
+    in-process (``plan.execute``; always for an empty store or
+    ``fraction`` 0, which scan no part), else a lazy streaming
+    Dataset."""
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     schema = encoded_schema(store_dir)
@@ -1083,16 +1073,12 @@ def sample_encoded(store_dir: str, fraction: float, *,
     if unknown:
         raise ValueError(f"unknown column(s) {unknown}; "
                          f"store has {sorted(schema.names)}")
-    files = [{"path": p} for p in part_files(store_dir)]
-    if not files or fraction == 0.0:
-        return LocalDataset(pa.table(
-            {c: pa.array([], type=schema.field(c).type)
-             for c in out_columns}))
-    from ..pipelines.encode_pipeline import _part_scan_seed
+    p = plan(store_dir, [])
+    if fraction == 0.0:
+        p = p.restrict([])
     out_schema = pa.schema([schema.field(c) for c in out_columns])
-    return _part_scan_seed(files).map_batches(
-        _SamplePart(fraction, seed, out_columns, out_schema),
-        batch_size=None, batch_format="pyarrow")
+    return as_dataset(execute(
+        p, _SamplePart(fraction, seed, out_columns, out_schema)))
 
 
 class _KMVPart:

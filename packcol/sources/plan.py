@@ -15,7 +15,11 @@ per-block row-group layout keeps the other columns' payload pages on
 disk), the absent-column rule of heterogeneous stores and the
 predicate mask on packed codes (codecs/access.py).
 
-:func:`execute` runs a plan's per-part task.  A plan of at most
+:func:`execute` runs a plan's per-part task: every per-part scan of
+an encoded store goes through it (filtered and unfiltered reads, the
+aggregates, verify, spot-check, fsck, annotate, diff, sample, and the
+upsert's key scan and retire); a caller that picks the parts narrows
+the plan with :meth:`Plan.restrict`.  A plan of at most
 ``_LOCAL_PLAN_BYTES`` planned bytes runs in-process on the driver, one
 call over all its parts, and the caller merges the partials there; a
 larger plan runs as a Ray Data ``map_batches`` over its parts.  A
@@ -314,11 +318,6 @@ class Plan:
     def manifests(self) -> dict[str, dict]:
         return _load_manifests(self.store_dir, self.listed)
 
-    @property
-    def files(self) -> list[dict]:
-        """The scan seed rows (``_part_scan_seed``)."""
-        return [{"path": p} for p in self.parts]
-
     @functools.cached_property
     def planned_bytes(self) -> int:
         """Bytes of the part files to scan (one stat per part)."""
@@ -403,8 +402,24 @@ def execute(p: Plan, task):
     if p.executor == "local":
         return task(pa.table({"path": pa.array(p.parts, pa.string())}))
     from ..pipelines import encode_pipeline as ep
-    return ep._part_scan_seed(p.files).map_batches(
+    return ep._part_scan_seed([{"path": f} for f in p.parts]).map_batches(
         task, batch_size=None, batch_format="pyarrow")
+
+
+def as_dataset(res) -> "rd.Dataset":
+    """An ``execute`` result as a Dataset: a driver table becomes a
+    :class:`LocalDataset`, a Ray result stays the lazy Dataset."""
+    return LocalDataset(res) if isinstance(res, pa.Table) else res
+
+
+def empty_block(columns: list[str], schema: pa.Schema | None) -> pa.Table:
+    """The block of a scan task that produced no rows (an empty plan, or
+    no part matched): ``columns`` typed from ``schema``, string when it
+    does not name them, so schemas unify across tasks."""
+    return pa.table({
+        n: pa.array([], schema.field(n).type if schema is not None and
+                    n in schema.names else pa.string())
+        for n in columns})
 
 
 class LocalDataset(MaterializedDataset):

@@ -185,3 +185,57 @@ def test_overwrite_replaces_stale_zone_and_null_metadata(store):
     # end-to-end: a predicate on the stale zone range must now scan,
     # not prune — every row survives a notnull count
     assert count_encoded(out, ("derived", "notnull")) == len(df)
+
+
+def _store_bytes(store):
+    """{relative path: bytes} of every part file and bloom sidecar, and
+    {manifest file: record without wall_s}."""
+    import json
+    blobs, mans = {}, {}
+    for root, _, files in os.walk(store):
+        for f in files:
+            path = os.path.join(root, f)
+            rel = os.path.relpath(path, store)
+            with open(path, "rb") as fh:
+                data = fh.read()
+            if rel.startswith("_manifest"):
+                m = json.loads(data)
+                m.pop("wall_s", None)
+                mans[rel] = m
+            else:
+                blobs[rel] = data
+    return blobs, mans
+
+
+def test_add_column_executor_paths_agree(store, monkeypatch):
+    """add_column_encoded runs in-process on a small store, and on Ray
+    with the crossover at 0; both leave byte-identical part files,
+    bloom sidecars and manifests (but for their wall time)."""
+    import shutil
+
+    from packcol.pipelines import encode_pipeline as ep
+    from packcol.sources import plan as plan_mod
+    out, _ = store
+    on_ray = out + "_ray"
+    shutil.copytree(out, on_ray)
+    assert plan_mod.plan(out, []).executor == "local"
+
+    def add(s):
+        return add_column_encoded(s, "n_tokens", _make_ntok(), ["text"],
+                                  bloom=True)
+
+    with monkeypatch.context() as m:
+        m.setattr(ep, "_part_scan_seed", None)  # no Ray Data scan
+        want = add(out)
+    seed, seeded = ep._part_scan_seed, []
+
+    def counted(files):
+        seeded.append(len(files))
+        return seed(files)
+
+    monkeypatch.setattr(ep, "_part_scan_seed", counted)
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    assert add(on_ray) == want
+    assert want["parts_annotated"] == want["parts_total"] > 1
+    assert seeded == [want["parts_total"]]
+    assert _store_bytes(on_ray) == _store_bytes(out)

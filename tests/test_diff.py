@@ -106,3 +106,37 @@ def test_driver_cap_guard(ray_session, tmp_path, monkeypatch):
     b = _store(tmp, "b", _df(n=500, seed=6))  # fully different
     with pytest.raises(ValueError, match="diverge too much"):
         diff_stores(a, b)
+
+
+def test_diff_executor_paths_agree(ray_session, tmp_path, monkeypatch):
+    """diff_stores reads the asymmetric parts in-process on small
+    stores (the answers are driver tables) and on Ray with the
+    crossover at 0; both give the same added and removed rows."""
+    from packcol.pipelines import encode_pipeline as ep
+    from packcol.sources import plan as plan_mod
+    tmp = str(tmp_path)
+    df = _df()
+    df2 = df.copy()
+    df2.loc[df2["id"].between(100, 119), "val"] += 7
+    df2 = df2[df2["id"] != 3000]
+    a = _store(tmp, "a", df)
+    b = _store(tmp, "b", df2)
+
+    def rows(full):
+        return {k: full[k].to_pandas().sort_values("id")
+                .reset_index(drop=True)
+                for k in ("added_rows", "removed_rows")}
+
+    with monkeypatch.context() as m:
+        m.setattr(ep, "_part_scan_seed", None)  # no Ray Data scan
+        local = diff_stores(a, b)
+    assert all(isinstance(local[k], plan_mod.LocalDataset)
+               for k in ("added_rows", "removed_rows"))
+    local = rows(local)
+    assert list(local["added_rows"]["id"]) == list(range(100, 120))
+    assert list(local["removed_rows"]["id"]) == \
+        list(range(100, 120)) + [3000]
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    on_ray = rows(diff_stores(a, b))
+    for k in local:
+        pd.testing.assert_frame_equal(on_ray[k], local[k])

@@ -1128,6 +1128,8 @@ def _routed_ops(out):
     """One call of each op routed through plan.execute, as (call,
     answer): ``answer`` maps the call's result to a plain Python
     value."""
+    from packcol.pipelines import encode_pipeline as ep
+    from packcol.pipelines.fsck import check_store
     from packcol.sources import encoded as enc
     flt = ("lang", "==", "en")
 
@@ -1158,6 +1160,17 @@ def _routed_ops(out):
         "topk": (lambda: enc.topk_encoded(
             out, "warc_ts", 5, descending=True, columns=["warc_ts"]),
             lambda res: res.column("warc_ts").to_pylist()),
+        "scan": (lambda: enc.read_encoded(out, columns=["url", "lang"]),
+                 lambda res: sorted(res.to_pandas().itertuples(
+                     index=False, name=None))),
+        "verify": (lambda: ep.verify_files(out), same),
+        "spot": (lambda: ep.spot_check_files(out),
+                 lambda res: (res["checked"] > 0, res["mismatches"])),
+        "fsck": (lambda: check_store(out, deep=True),
+                 lambda res: (res["ok"], res["parts_total"])),
+        "sample": (lambda: enc.sample_encoded(out, 0.5, seed=3,
+                                              columns=["url"]),
+                   lambda res: sorted(res.to_pandas()["url"])),
     }
 
 
@@ -1166,7 +1179,8 @@ def test_executor_paths_agree(store, monkeypatch):
     Ray Data scan, and its answer is consumed through to_pandas,
     iter_batches, count and limit without ``rd.from_arrow`` or a
     streaming executor.  Over it (crossover 0) every op seeds one, and
-    both paths give the oracle's answers."""
+    both paths give the oracle's answers (the sample's: the same
+    rows)."""
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
@@ -1185,6 +1199,11 @@ def test_executor_paths_agree(store, monkeypatch):
         "approx": {"n_distinct": en["url"].nunique(), "exact": True,
                    "k": 1024},
         "topk": sorted(truth["warc_ts"], reverse=True)[:5],
+        "scan": sorted(truth[["url", "lang"]].itertuples(index=False,
+                                                         name=None)),
+        "verify": {"rows": len(truth), "mismatches": 0},
+        "spot": (True, 0),
+        "fsck": (True, len(plan_mod.part_files(out))),
     }
     assert plan_mod.plan(out, []).executor == "local"
 
@@ -1202,7 +1221,10 @@ def test_executor_paths_agree(store, monkeypatch):
                 batch_format="pyarrow", batch_size=None))
             assert res.count() == rows == len(res.to_pandas()) > 0, op
             assert res.limit(1).count() == 1, op
-        assert answer(res) == want[op], op
+        # the sample's oracle is its in-process answer, checked below
+        assert answer(res) == want.setdefault(op, answer(res)), op
+    assert 0 < len(want["sample"]) < len(truth)
+    assert set(want["sample"]) <= set(truth["url"])
 
     monkeypatch.undo()
     seed, seeded = ep._part_scan_seed, []

@@ -518,3 +518,46 @@ def test_resume_reencodes_inplace_rewritten_input(ray_session, tmp_path):
     assert m3["encoded_rows_this_run"] > 0
     got = read_encoded(out).to_pandas().sort_values("id")
     assert list(got["v"]) == list(df2["v"])
+
+
+def test_spot_check_skips_an_orphan_manifest(ray_session, webtext_dir,
+                                             tmp_path):
+    """A manifest whose part file is gone is fsck's to report; the
+    spot check samples the parts that are there."""
+    from packcol.pipelines.encode_pipeline import (encode_files,
+                                                   spot_check_files)
+    from packcol.pipelines.fsck import check_store
+    out = str(tmp_path / "enc_orphan")
+    paths = sorted(os.path.join(webtext_dir, f)
+                   for f in os.listdir(webtext_dir)
+                   if f.endswith(".parquet"))
+    encode_files(paths, out, target_bytes=1 << 20)
+    full = spot_check_files(out, k=5)
+    parts = sorted(f for f in os.listdir(out) if f.endswith(".parquet"))
+    assert len(parts) > 1
+    os.remove(os.path.join(out, parts[0]))
+    res = spot_check_files(out, k=5)
+    assert res["mismatches"] == 0
+    assert 0 < res["checked"] < full["checked"]
+    assert check_store(out)["counts"]["orphan manifest"] == 1
+
+
+def test_empty_store_scans(ray_session, tmp_path):
+    """Every per-part scan of a store with no parts returns zero rows
+    or counts."""
+    from packcol.pipelines.encode_pipeline import (decode_files,
+                                                   encode_files,
+                                                   spot_check_files,
+                                                   verify_files)
+    from packcol.pipelines.fsck import check_store
+    from packcol.sources.encoded import read_encoded, sample_encoded
+    out = str(tmp_path / "enc_empty")
+    assert encode_files([], out)["parts"] == 0
+    assert read_encoded(out).count() == 0
+    assert decode_files(out).count() == 0
+    assert len(decode_files(out, columns=["url"]).to_pandas()) == 0
+    assert verify_files(out) == {"rows": 0, "mismatches": 0}
+    assert spot_check_files(out) == {"checked": 0, "mismatches": 0}
+    r = check_store(out, deep=True)
+    assert r["ok"] and r["parts_total"] == 0
+    assert sample_encoded(out, 0.5).count() == 0
