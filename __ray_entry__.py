@@ -1809,39 +1809,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
             final, batch_format="pyarrow")
     q["audio_frames_meta"] = audio_frames_meta
 
-    def image_codec_dims(sf):
-        """REAL PNG + baseline-JPEG + PNM + GIF decode (pure-numpy
-        codecs, functions/png.py / jpeg.py / gif.py): the mixed-format
-        fixture cycles formats with the content id and keeps the
-        closed-form dims formula, so format sniff AND decoded
-        (height, width) have a pure-SQL oracle over range()."""
-        import ray.data as rd
-        from packcol.sources.media_fixture import images_table_formats
-        from packcol.stages.multimodal import ImageFeatureStage
-
-        def add_fmt(b: pa.Table) -> pa.Table:
-            from packcol.functions.media import sniff_image_format
-            col = b.column("image")
-            if isinstance(col, pa.ChunkedArray):
-                col = col.combine_chunks()
-            fmts = [sniff_image_format(col[i].as_py())
-                    for i in range(len(col))]
-            return b.append_column("fmt", pa.array(fmts, pa.string()))
-
-        def final(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "img_id": b.column("img_id"),
-                "fmt": b.column("fmt"),
-                "height": b.column("height").cast(pa.int64()),
-                "width": b.column("width").cast(pa.int64())})
-        return rd.from_arrow(
-            images_table_formats(n_rows=36, n_distinct=12)) \
-            .map_batches(add_fmt, batch_format="pyarrow") \
-            .map_batches(ImageFeatureStage(), batch_format="pyarrow",
-                         batch_size=12, concurrency=2, num_cpus=1) \
-            .map_batches(final, batch_format="pyarrow")
-    q["image_codec_dims"] = image_codec_dims
-
     def video_frames_meta(sf):
         """Video frame-sampling plumbing (rows-only by design: the
         per-frame features aren't SQL-expressible): concatenated-PNM
@@ -1953,7 +1920,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         #   quantiles_nchars / label_centroids / events_by_type_salted /
         #   user_running_total: green r3+r4 (exiled r5 for the new
         #   kll_quantiles_nchars + join_encoded_store +
-        #   kmer_counts_minimizer + image_codec_dims — exact quantiles
+        #   kmer_counts_minimizer + a since-retired media-family query
+        #   — exact quantiles
         #   stay covered by quantiles_nchars_by_lang in the head, the
         #   sketch path by kll_quantiles_nchars, k-means by
         #   ann_ivf_exact, groupby shapes by revenue_by_brand /
@@ -2414,14 +2382,6 @@ def oracle_sql() -> dict[str, str]:
             "SELECT o.o_orderkey, o.o_orderstatus, o.o_custkey, "
             "c.c_nationkey, c.c_mktsegment FROM orders o "
             "JOIN customer c ON o.o_custkey = c.c_custkey"),
-        "image_codec_dims": (
-            "SELECT CAST(img_id AS BIGINT) AS img_id, "
-            "CASE ((img_id % 12) % 4) WHEN 0 THEN 'png' "
-            "WHEN 1 THEN 'jpeg' WHEN 2 THEN 'pnm' "
-            "ELSE 'gif' END AS fmt, "
-            "CAST(16 + ((img_id % 12) * 5) % 32 AS BIGINT) AS height, "
-            "CAST(16 + ((img_id % 12) * 7) % 40 AS BIGINT) AS width "
-            "FROM range(36) t(img_id)"),
         "purchases_nearby_clicks": (
             "SELECT p.event_id, COUNT(c.event_id) AS n_nearby "
             "FROM events p LEFT JOIN events c "

@@ -1,7 +1,7 @@
 """Pure-numpy media codecs: real decode for formats that need no
 external libraries.
 
-The container has no PIL/libjpeg/torchaudio, but NETPBM images (P5
+No PIL/libjpeg/torchaudio is required: NETPBM images (P5
 grayscale / P6 RGB) and RIFF/WAVE PCM audio are simple enough to parse
 with numpy alone — so the multimodal stages decode THESE formats for
 real, and only exotic formats (JPEG/PNG/MP3/...) remain stubbed.  All
@@ -91,39 +91,18 @@ def decode_pnm_stream(buf: bytes) -> list[np.ndarray]:
 
 
 def sniff_image_format(buf: bytes) -> str | None:
-    """Magic-byte dispatch: 'pnm' | 'png' | 'jpeg' | 'gif' | None."""
+    """Magic-byte dispatch: 'pnm' | None."""
     if buf[:2] in (b"P5", b"P6"):
         return "pnm"
-    if buf[:8] == b"\x89PNG\r\n\x1a\n":
-        return "png"
-    if buf[:3] == b"\xff\xd8\xff":
-        return "jpeg"
-    if buf[:6] in (b"GIF87a", b"GIF89a"):
-        return "gif"
     return None
 
 
 def decode_image(buf: bytes) -> np.ndarray:
-    """Decode any really-supported format (PNM P5/P6, PNG, baseline
-    JPEG, GIF — first frame) to an (h, w[, ch]) uint8 array; raises ValueError on
-    unrecognized magic so stages can apply their fake/raise policy.
-    16-bit PNG is down-shifted to uint8 here (the feature pipeline is
-    8-bit); use decode_png directly to keep full precision."""
-    fmt = sniff_image_format(buf)
-    if fmt == "pnm":
+    """Decode any really-supported format (PNM P5/P6) to an
+    (h, w[, ch]) uint8 array; raises ValueError on unrecognized magic
+    so stages can apply their fake/raise policy."""
+    if sniff_image_format(buf) == "pnm":
         return decode_pnm(buf)
-    if fmt == "png":
-        from .png import decode_png
-        img = decode_png(buf)
-        if img.dtype == np.uint16:
-            img = (img >> 8).astype(np.uint8)
-        return img
-    if fmt == "jpeg":
-        from .jpeg import decode_jpeg
-        return decode_jpeg(buf)
-    if fmt == "gif":
-        from .gif import decode_gif
-        return decode_gif(buf)
     raise ValueError(f"unrecognized image magic {buf[:4]!r}")
 
 

@@ -929,8 +929,8 @@ def image_near_dup_pairs(ds, image_col: str = "image",
                          id_col: str = "id", max_dist: int = 3,
                          max_bucket: int = _DEFAULT_MAX_BUCKET):
     """Near-duplicate IMAGE pairs: per-row 64-bit perceptual hash
-    (functions/media.py::image_phash — real PNM/PNG/JPEG decode, 8×8
-    mean thumbnail, mean-threshold bits) → the same banded Hamming
+    (functions/media.py::image_phash — real PNM decode, 8×8 mean
+    thumbnail, mean-threshold bits) → the same banded Hamming
     machinery as SimHash.  Only (id, phash) rows shuffle — never image
     bytes."""
     def stage(batch: pa.Table) -> pa.Table:

@@ -1201,8 +1201,9 @@ def query(store_dir: str, *, columns: list[str] | None = None,
     wrapper exists so callers porting SQL-ish pipelines hit the right
     physical plan by default.  Returns what the primitive returns: a
     :class:`~packcol.sources.plan.LocalDataset` for aggregates and
-    in-process filtered reads (an ``order_by`` then sorts it on Ray),
-    the top-k's ``pa.Table``, else a lazy ``ray.data.Dataset``.
+    in-process filtered reads (an ``order_by`` then sorts its driver
+    table in-process, with Ray's block-sort kernel), the top-k's
+    ``pa.Table``, else a lazy ``ray.data.Dataset``.
     """
     order_keys = [order_by] if isinstance(order_by, str) \
         else list(order_by or [])

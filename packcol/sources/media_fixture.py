@@ -88,41 +88,6 @@ def audio_table(n_rows: int = 24) -> pa.Table:
     })
 
 
-def make_image_fmt(g: int, seed: int = 0) -> bytes:
-    """Deterministic payload for content id ``g`` in a format cycling
-    with ``g % 4``: PNG RGB8 (0), baseline JPEG grayscale (1), P5 (2),
-    GIF grayscale (3) — all four really-decoded web-crawl formats.
-    Dims follow the same closed-form as make_image, so the SQL oracle
-    for (height, width, fmt) is pure arithmetic over range()."""
-    h, w = image_dims(g)
-    rng = np.random.default_rng(seed * 100003 + g)
-    if g % 4 == 0:
-        from ..functions.png import encode_png
-        return encode_png(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
-    if g % 4 == 1:
-        from ..functions.jpeg import encode_jpeg
-        return encode_jpeg(rng.integers(0, 256, (h, w), dtype=np.uint8))
-    if g % 4 == 2:
-        from ..functions.media import encode_pnm
-        return encode_pnm(rng.integers(0, 256, (h, w), dtype=np.uint8))
-    from ..functions.gif import encode_gif
-    return encode_gif(rng.integers(0, 256, (h, w), dtype=np.uint8))
-
-
-def images_table_formats(n_rows: int = 36, n_distinct: int = 12,
-                         seed: int = 0) -> pa.Table:
-    """(img_id:int64, image:large_binary) across PNG/JPEG/PNM with the
-    same planted-duplicate structure as images_table (rows i, j byte-
-    identical iff i % n_distinct == j % n_distinct)."""
-    payloads = [make_image_fmt(g, seed) for g in range(n_distinct)]
-    return pa.table({
-        "img_id": pa.array(range(n_rows), type=pa.int64()),
-        "image": pa.array([payloads[i % n_distinct]
-                           for i in range(n_rows)],
-                          type=pa.large_binary()),
-    })
-
-
 def make_video(i: int, seed: int = 0) -> bytes:
     """Deterministic "video": ``2 + i % 5`` concatenated P5/P6 frames
     (dims of content id ``i % 8``), the library-free stand-in container

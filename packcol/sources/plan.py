@@ -50,6 +50,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
+from ray.data._internal.planner.exchange.sort_task_spec import SortKey
 from ray.data.block import BlockAccessor
 from ray.data.dataset import MaterializedDataset
 
@@ -428,11 +429,11 @@ class LocalDataset(MaterializedDataset):
 
     Every answer of an in-process plan is returned as one.  Consuming
     it through ``iter_batches``, ``to_pandas``, ``count``, ``take``,
-    ``take_all``, ``limit`` or ``materialize`` reads the table and
-    starts no Ray Data execution: a ``rd.from_arrow`` answer costs
-    ~28 ms of ``ray.put``, stats-actor RPC and streaming-executor
+    ``take_all``, ``limit``, ``sort`` or ``materialize`` reads the
+    table and starts no Ray Data execution: a ``rd.from_arrow`` answer
+    costs ~28 ms of ``ray.put``, stats-actor RPC and streaming-executor
     start-up to read back 25 rows, the table ~0.2 ms.  Everything
-    else (``groupby``, ``sort``, ``map_batches``, ``union``,
+    else (``groupby``, ``map_batches``, ``union``,
     ``write_parquet``, ``schema``, ...) is Ray's own method, run on
     ``rd.from_arrow(table)``, built once on first use: Ray's methods
     reach its ``_plan`` and ``_logical_plan`` through ``__getattr__``.
@@ -503,6 +504,21 @@ class LocalDataset(MaterializedDataset):
         if limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
         return LocalDataset(self._table.slice(0, limit))
+
+    def sort(self, key, descending=False, boundaries=None):
+        if boundaries is not None or key is None:
+            # range-partitioned output blocks (and Ray's error for a
+            # missing key) stay Ray's
+            return super().sort(key, descending, boundaries)
+        sort_key = SortKey(key, descending)
+        sort_key.validate_schema(self._table.schema)
+        if self._table.num_rows == 0:
+            # Ray's block sort of an empty block drops its columns
+            return self
+        # Ray's own block-sort kernel: the rows and null order of
+        # rd.from_arrow(table).sort(key, descending)
+        return LocalDataset(
+            BlockAccessor.for_block(self._table).sort(sort_key))
 
     def materialize(self) -> "LocalDataset":
         return self

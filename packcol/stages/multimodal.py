@@ -74,9 +74,9 @@ class ImageFeatureStage:
             else:
                 raise NotImplementedError(
                     f"image format {raw[:4]!r} is not one of the "
-                    "really-decoded formats (PNM P5/P6, PNG, baseline "
-                    "JPEG, GIF — all pure-numpy; PIL is not in this "
-                    "environment); pass fake=True for the stub")
+                    "really-decoded formats (PNM P5/P6, pure-numpy; PIL "
+                    "is not in this environment); pass fake=True for "
+                    "the stub")
         return pa.table({
             **{c: batch.column(c) for c in batch.column_names
                if c != self.image_col},
@@ -91,9 +91,8 @@ class ImageFeatureStage:
 class ImageResizeStage:
     """binary image column → resized column (nearest-neighbor, pure
     numpy) — the decode→transform→re-encode pattern for image
-    normalization pipelines.  Output format follows the input format
-    (PNM→PNM, PNG→PNG, JPEG→JPEG) so downstream consumers see the
-    same container they fed in."""
+    normalization pipelines.  Input and output are PNM, so downstream
+    consumers see the same container they fed in."""
 
     def __init__(self, out_h: int, out_w: int, image_col: str = "image"):
         self.out_h, self.out_w = out_h, out_w
@@ -101,32 +100,15 @@ class ImageResizeStage:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..codecs.fsst import buffer_view
-        from ..functions.media import (decode_image, encode_pnm,
-                                       resize_nearest,
-                                       sniff_image_format)
+        from ..functions.media import decode_pnm, encode_pnm, resize_nearest
         col = batch.column(self.image_col)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         d, offs = buffer_view(col)
-        out = []
-        for i in range(len(col)):
-            raw = d[offs[i]:offs[i + 1]].tobytes()
-            fmt = sniff_image_format(raw)
-            small = resize_nearest(decode_image(raw),
-                                   self.out_h, self.out_w)
-            if fmt == "png":
-                from ..functions.png import encode_png
-                out.append(encode_png(small))
-            elif fmt == "jpeg":
-                from ..functions.jpeg import encode_jpeg
-                out.append(encode_jpeg(small))
-            elif fmt == "gif":
-                # nearest-neighbor subsets pixels, so the resized color
-                # set ⊆ the source palette — always re-encodable
-                from ..functions.gif import encode_gif
-                out.append(encode_gif(small))
-            else:
-                out.append(encode_pnm(small))
+        out = [encode_pnm(resize_nearest(
+                   decode_pnm(d[offs[i]:offs[i + 1]].tobytes()),
+                   self.out_h, self.out_w))
+               for i in range(len(col))]
         return batch.set_column(
             batch.column_names.index(self.image_col), self.image_col,
             pa.array(out, type=pa.large_binary()))

@@ -10,7 +10,9 @@ import duckdb
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+# the checkout this file is in, whose __ray_entry__ the tests import
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 SF_DIR = "/root/testdata/sf0.01"
 TABLES = ["region", "nation", "customer", "supplier", "part", "orders",

@@ -1279,6 +1279,8 @@ def test_local_dataset_matches_ray_dataset(store, tmp_path):
         assert all((a[k] == b[k]).all() for k in a)
     pd.testing.assert_frame_equal(local.limit(3).to_pandas(),
                                   ref.limit(3).to_pandas())
+    pd.testing.assert_frame_equal(local.sort("url").to_pandas(),
+                                  ref.sort("url").to_pandas())
     assert local.materialize() is local
     pd.testing.assert_frame_equal(local.to_pandas(limit=n),
                                   ref.to_pandas(limit=n))
@@ -1292,8 +1294,6 @@ def test_local_dataset_matches_ray_dataset(store, tmp_path):
     pd.testing.assert_frame_equal(
         frame(local.groupby("lang").count(), "lang"),
         frame(ref.groupby("lang").count(), "lang"))
-    pd.testing.assert_frame_equal(local.sort("url").to_pandas(),
-                                  ref.sort("url").to_pandas())
     pd.testing.assert_frame_equal(
         frame(local.map_batches(lambda b: b, batch_format="pyarrow")),
         frame(ref.map_batches(lambda b: b, batch_format="pyarrow")))
@@ -1313,6 +1313,63 @@ def test_local_dataset_matches_ray_dataset(store, tmp_path):
         back = pickle.loads(pickle.dumps(ds))
         assert isinstance(back, plan_mod.LocalDataset)
         pd.testing.assert_frame_equal(back.to_pandas(), ref.to_pandas())
+
+
+def test_query_order_by_sorts_in_process(store, monkeypatch):
+    """``query(order_by=...)`` over an aggregate or an in-process
+    filtered read sorts the driver table and starts no Ray Data
+    execution, and returns the rows Ray's ``Dataset.sort`` does: nulls,
+    one key either way, two keys with mixed ``descending``.  A sort
+    with ``boundaries`` stays Ray's."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from packcol.sources import plan as plan_mod
+    from packcol.sources.encoded import query
+    _, out = store
+    aggs = {"n": ("count",), "last": ("max", "warc_ts")}
+    flt = ("lang", "in", ["en", "de"])
+    cols = ["url", "lang", "warc_ts"]
+    nulls = pa.table({"a": [3, None, 1, 2, 2, None],
+                      "b": ["x", "y", None, "a", "b", "c"]})
+    sorts = [("a", False), ("a", True), (["a", "b"], [False, True]),
+             (["b", "a"], True)]
+
+    def ray_sorted(table, key, descending):
+        return rd.from_arrow(table).sort(key, descending=descending) \
+            .to_pandas()
+
+    want_agg = ray_sorted(
+        plan_mod.collect(query(out, group_by="lang", aggs=aggs)),
+        ["n", "lang"], [True, False])
+    want_read = ray_sorted(
+        plan_mod.collect(query(out, columns=cols, where=flt)),
+        ["lang", "warc_ts"], [False, True]).head(9)
+    want_nulls = [ray_sorted(nulls, k, d) for k, d in sorts]
+    by_ray = plan_mod.LocalDataset(nulls).sort("a", boundaries=[2])
+    assert not isinstance(by_ray, plan_mod.LocalDataset)
+    pd.testing.assert_frame_equal(by_ray.to_pandas(), want_nulls[0])
+
+    def no_ray(*a, **kw):
+        raise AssertionError("in-process sort started Ray Data")
+
+    monkeypatch.setattr(StreamingExecutor, "execute", no_ray)
+    agg = query(out, group_by="lang", aggs=aggs, order_by=["n", "lang"],
+                descending=[True, False])
+    read = query(out, columns=cols, where=flt,
+                 order_by=["lang", "warc_ts"], descending=[False, True],
+                 limit=9)
+    for got, want in ((agg, want_agg), (read, want_read)):
+        assert isinstance(got, plan_mod.LocalDataset)
+        pd.testing.assert_frame_equal(got.to_pandas(), want)
+    for (key, desc), want in zip(sorts, want_nulls):
+        got = plan_mod.LocalDataset(nulls).sort(key, descending=desc)
+        pd.testing.assert_frame_equal(got.to_pandas(), want)
+    empty = plan_mod.LocalDataset(nulls.slice(0, 0)).sort("a")
+    assert empty.to_pandas().columns.tolist() == ["a", "b"]
+    with pytest.raises(ValueError, match="no such column"):
+        plan_mod.LocalDataset(nulls).sort("c")
 
 
 def test_read_limit_agrees_across_executors(store, monkeypatch):
