@@ -31,9 +31,9 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-from ..sources.plan import collect, execute, part_id as part_id_of, plan
+from ..sources.plan import (collect, execute, part_id as part_id_of, plan,
+                            read_part)
 from ..stages.encode import encoded_blocks
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash
@@ -101,7 +101,7 @@ class _AddColPart:
         out = {"part_id": [], "action": []}
         for p in batch.column("path").to_pylist():
             part_id = part_id_of(p) or os.path.basename(p)
-            enc = pq.read_table(p)
+            enc = read_part(p)
             names = enc.column("column").to_pylist()
             if self.name in names and not self.overwrite:
                 out["part_id"].append(part_id)
@@ -171,7 +171,7 @@ class _DropColPart:
         out = {"part_id": [], "action": []}
         for p in batch.column("path").to_pylist():
             part_id = part_id_of(p) or os.path.basename(p)
-            enc = pq.read_table(p)
+            enc = read_part(p)
             names = enc.column("column").to_pylist()
             if self.name not in names:
                 out["part_id"].append(part_id)
@@ -254,7 +254,7 @@ class _RenameColPart:
         out = {"part_id": [], "action": []}
         for p in batch.column("path").to_pylist():
             part_id = part_id_of(p) or os.path.basename(p)
-            enc = pq.read_table(p)
+            enc = read_part(p)
             names = enc.column("column").to_pylist()
             if self.old not in names:
                 out["part_id"].append(part_id)

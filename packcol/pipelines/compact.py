@@ -22,6 +22,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
+from ..sources.plan import read_part
 from ..stages.encode import decode_rows, encoded_blocks
 
 
@@ -77,7 +78,7 @@ class RecompactGroup:
         for row in batch.to_pylist():
             paths = row["paths"]
             merged = pa.concat_tables(
-                [decode_rows(pq.read_table(p), base_dir=os.path.dirname(p))
+                [decode_rows(read_part(p), base_dir=os.path.dirname(p))
                  for p in paths]).combine_chunks()
             out.append(write_part(
                 self.dest_dir, row["new_part_id"], merged,
@@ -96,7 +97,7 @@ def read_column(dest_dir: str, column: str):
         from ..codecs.base import str_to_type
         import json as _json
         fpath = batch.column("path")[0].as_py()
-        enc_rows = pq.read_table(fpath)
+        enc_rows = read_part(fpath)
         arrays, dtype = [], None
         # shared-ref blocks resolve their vocabulary sidecar relative
         # to the store directory (the _shared/ copy made by

@@ -34,10 +34,9 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..sources.plan import (collect, execute, parse_filter, part_id,
-                            part_mask, plan)
+                            part_mask, plan, read_part)
 from ..state.manifest import Manifest
 # not used here: perfbench/trace.py patches delete.compute_zones
 from ..state.manifest import compute_zones  # noqa: F401
@@ -48,10 +47,10 @@ class _DeletePartTask:
     untouched / removed / rewritten-in-place."""
 
     def __init__(self, store_dir: str, preds: list[tuple],
-                 probe_blooms: bool = True):
+                 probes: list | None = None):
         self.store_dir = store_dir
         self.preds = preds
-        self.probe_blooms = probe_blooms
+        self.probes = probes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.encode import decode_rows
@@ -61,8 +60,7 @@ class _DeletePartTask:
         for p in batch.column("path").to_pylist():
             pid = part_id(p) or os.path.basename(p)
             # mask True = row matches the predicate = DELETE
-            hit = part_mask(p, self.preds, "and",
-                            probe_blooms=self.probe_blooms)
+            hit = part_mask(p, self.preds, "and", probes=self.probes)
             mask = hit[1] if hit is not None else None
             n_del = int(mask.sum()) if mask is not None else 0
             if n_del == 0:
@@ -88,7 +86,7 @@ class _DeletePartTask:
                 old = man.load(pid)
             except FileNotFoundError:
                 pass
-            keep = decode_rows(pq.read_table(p),
+            keep = decode_rows(read_part(p),
                                base_dir=os.path.dirname(p)) \
                 .filter(pa.array(~mask))
             write_part(self.store_dir, pid, keep,
@@ -122,7 +120,7 @@ def delete_where(store_dir: str, filter,
     p = p.restrict([f for f in p.parts
                     if part_id(f) not in (exclude_parts or ())])
     res = collect(execute(p, _DeletePartTask(store_dir, preds,
-                                             not p.blooms_probed)))
+                                             p.task_probes)))
     res = res.to_pydict() if res is not None else \
         {"action": [], "rows_deleted": []}
     acts = res["action"]

@@ -38,7 +38,7 @@ import ray.data as rd
 
 from ..sources.plan import (as_dataset, collect, driver_blocks,
                             empty_block, execute, part_id, part_mask, plan,
-                            read_blocks)
+                            read_blocks, read_part)
 from ..stages.encode import (DecodeBatch, EncodeBatch, RoundtripVerify,
                              decode_rows, encode_table)
 from ..state.manifest import (Manifest, compute_zones,
@@ -176,10 +176,11 @@ class EncodePartitionWriter:
 def write_part_file(path: str, enc: pa.Table) -> None:
     """Write the block rows ``enc`` of one part to ``path`` atomically.
 
-    One row group PER BLOCK (row): projection / predicate readers pass
-    parquet filters on ``column`` and the pruned row groups' payload
-    pages never leave storage, so the part file behaves like a column
-    store internally.  Statistics are kept only for that pruning key
+    One row group PER BLOCK (row): projection / predicate readers
+    (``sources/plan.py::read_part``) select row groups by index from
+    the footer's ``column`` statistics, and the other row groups'
+    payload pages never leave storage, so the part file behaves like a
+    column store internally.  Statistics are kept only for that key
     (~0.1% size overhead at 64 MB parts).  The tmp name is
     writer-unique (``.tmp-<hex>``, which fsck knows): two byte-identical
     blocks map to the SAME content-addressed part id, and a shared tmp
@@ -412,17 +413,10 @@ class DecodePartFile:
     def __call__(self, batch: pa.Table) -> pa.Table:
         tables = []
         for p in batch.column("path").to_pylist():
-            if self.columns is not None:
-                # parquet-level filter: with the per-block row-group
-                # layout, unrequested blocks' payload pages are pruned
-                # by the column statistics and never read; on older
-                # single-group stores this degrades to a row filter
-                enc = pq.read_table(
-                    p, filters=[("column", "in", list(self.columns))])
-            else:
-                enc = pq.read_table(p)
+            # unrequested blocks' payload pages are never read
             tables.append(decode_rows(
-                enc, expect_complete=self.columns is None,
+                read_part(p, self.columns),
+                expect_complete=self.columns is None,
                 base_dir=os.path.dirname(p)))
         if not tables:
             return empty_block(self.columns or [], None)
@@ -612,8 +606,7 @@ class DecodeVerifyPart:
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = bad = 0
         for p in batch.column("path").to_pylist():
-            t = decode_rows(pq.read_table(p),
-                            base_dir=os.path.dirname(p))
+            t = decode_rows(read_part(p), base_dir=os.path.dirname(p))
             if {"html", "text"} <= set(t.column_names):
                 dn, dbad = text_mismatches(t.column("html"),
                                            t.column("text"))
@@ -646,19 +639,19 @@ class EncodedFilterPart:
     """Task: a filtered scan of encoded parts.  ``preds`` (normalized,
     combined by ``mode``) evaluate on packed codes without decoding the
     filter columns (sources/plan.py::part_mask, codecs/access.py); only
-    the matching rows of ``out_columns`` decode.  ``probe_blooms``: the
-    plan left the parts' bloom sidecars unprobed.  ``schema`` types the
-    empty block of a task that matched nothing, so schemas unify
-    across tasks."""
+    the matching rows of ``out_columns`` decode.  ``probes``: the
+    bloom probes of a plan that left the parts' sidecars unprobed
+    (``Plan.task_probes``).  ``schema`` types the empty block of a task
+    that matched nothing, so schemas unify across tasks."""
 
     def __init__(self, preds: list[tuple], out_columns: list[str],
-                 mode: str = "and", probe_blooms: bool = True,
+                 mode: str = "and", probes: list | None = None,
                  schema: pa.Schema | None = None):
         assert mode in ("and", "or"), mode
         self.preds = preds
         self.out_columns = out_columns
         self.mode = mode
-        self.probe_blooms = probe_blooms
+        self.probes = probes
         self.schema = schema
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -666,7 +659,7 @@ class EncodedFilterPart:
         outs = []
         for p in batch.column("path").to_pylist():
             hit = part_mask(p, self.preds, self.mode, self.out_columns,
-                            self.probe_blooms)
+                            probes=self.probes)
             if hit is None:
                 continue
             enc_of, mask = hit

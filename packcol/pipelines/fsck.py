@@ -25,9 +25,9 @@ import os
 import time
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
-from ..sources.plan import collect, execute, part_files, part_id, plan
+from ..sources.plan import (collect, execute, part_files, part_id, plan,
+                            read_part)
 from ..state.bloom import BLOOM_DIR
 from ..state.manifest import Manifest
 
@@ -58,7 +58,7 @@ class _CheckPart:
         for p in batch.column("path").to_pylist():
             pid = part_id(p) or os.path.basename(p)
             try:
-                enc = pq.read_table(p)
+                enc = read_part(p)
             except Exception as e:  # unreadable part is the finding
                 add(pid, f"unreadable part file: {e}")
                 continue

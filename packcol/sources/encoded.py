@@ -53,13 +53,12 @@ import json
 import os
 
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 import ray.data as rd
 
 from .plan import (LocalDataset, as_dataset, collect, empty_block, execute,
                    parse_filter, part_files, part_id, part_mask, plan,
-                   read_blocks)
+                   read_blocks, read_part)
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
@@ -69,7 +68,7 @@ def encoded_schema(store_dir: str) -> pa.Schema:
     from ..codecs.base import str_to_type
     fields: dict[str, pa.DataType] = {}
     for path in part_files(store_dir):
-        meta = pq.read_table(path, columns=["column", "params"])
+        meta = read_part(path, fields=["column", "params"])
         for name, params in zip(meta.column("column").to_pylist(),
                                 meta.column("params").to_pylist()):
             if name not in fields:
@@ -139,7 +138,7 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     out_schema = pa.schema([schema.field(c) for c in out_columns])
     p = plan(store_dir, preds, mode)
     ds = as_dataset(execute(p, EncodedFilterPart(
-        preds, out_columns, mode, probe_blooms=not p.blooms_probed,
+        preds, out_columns, mode, probes=p.task_probes,
         schema=out_schema)))
     return ds.limit(limit) if limit is not None else ds
 
@@ -194,16 +193,15 @@ class _CountPart:
     columns' blocks of the plan's parts."""
 
     def __init__(self, preds: list[tuple], mode: str = "and",
-                 probe_blooms: bool = True):
+                 probes: list | None = None):
         self.preds = preds  # normalized, combined by mode
         self.mode = mode    # "and" conjunction / "or" disjunction
-        self.probe_blooms = probe_blooms
+        self.probes = probes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = 0
         for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode,
-                            probe_blooms=self.probe_blooms)
+            hit = part_mask(p, self.preds, self.mode, probes=self.probes)
             if hit is not None:
                 n += int(hit[1].sum())
         return pa.table({"n": pa.array([n], pa.int64())})
@@ -230,12 +228,12 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
             if m is not None and "rows" in m:
                 total += m["rows"]
                 continue
-            t = pq.read_table(path, columns=["column", "n_values"])
+            t = read_part(path, fields=["column", "n_values"])
             if t.num_rows:  # rows of the part = n_values of any block
                 total += int(t.column("n_values")[0].as_py())
         return total
     n = collect(execute(p, _CountPart(preds, mode,
-                                      probe_blooms=not p.blooms_probed)))
+                                      probes=p.task_probes)))
     return 0 if n is None else int(pc.sum(n.column("n")).as_py())
 
 
@@ -257,12 +255,12 @@ class _AggPart:
 
     def __init__(self, keys: list[str], aggs: dict,
                  preds: list[tuple], mode: str = "and",
-                 probe_blooms: bool = True):
+                 probes: list | None = None):
         self.keys = list(keys)
         self.aggs = aggs          # {out: ("count",) | (fn, col)}
         self.preds = preds        # normalized, possibly []
         self.mode = mode          # "and" conjunction / "or" disjunction
-        self.probe_blooms = probe_blooms
+        self.probes = probes
 
     def _partial_specs(self):
         """pyarrow group_by aggregation specs (deduped) + the result
@@ -295,7 +293,7 @@ class _AggPart:
                 # global COUNT(*) with no filter: the part's row count
                 # is any block's n_values — metadata columns only, the
                 # payload pages are never read
-                meta = pq.read_table(p, columns=["n_values"])
+                meta = read_part(p, fields=["n_values"])
                 if meta.num_rows:
                     outs.append(pa.table(
                         {f"__p__{out}": pa.array(
@@ -304,7 +302,7 @@ class _AggPart:
                          for out in self.aggs}))
                 continue
             hit = part_mask(p, self.preds, self.mode, sorted(hard),
-                            self.probe_blooms)
+                            probes=self.probes)
             if hit is None:
                 continue
             enc_of, mask = hit
@@ -456,7 +454,7 @@ def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
     Columns ``[*keys, *aggs]``."""
     p = plan(store_dir, preds, mode)
     task = _AggPart(keys, aggs, preds, mode,
-                    probe_blooms=not p.blooms_probed)
+                    probes=p.task_probes)
     parts = execute(p, task)
     if not isinstance(parts, pa.Table):
         parts = collect(parts)
@@ -485,12 +483,12 @@ class _DistinctPairsPart:
 
     def __init__(self, group_by: str | None, column: str,
                  preds: list[tuple], mode: str = "and",
-                 probe_blooms: bool = True):
+                 probes: list | None = None):
         self.group_by = group_by
         self.column = column
         self.preds = preds
         self.mode = mode
-        self.probe_blooms = probe_blooms
+        self.probes = probes
 
     def empty(self, out_types: dict) -> pa.Table:
         """A pairs block with no rows, typed like a non-empty one."""
@@ -515,7 +513,7 @@ class _DistinctPairsPart:
         outs, out_types = [], {}
         for p in batch.column("path").to_pylist():
             hit = part_mask(p, self.preds, self.mode, sorted(hard),
-                            self.probe_blooms)
+                            probes=self.probes)
             if hit is None:
                 continue
             enc_of, mask = hit
@@ -620,7 +618,7 @@ def count_distinct_encoded(store_dir: str, column: str, *,
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
     pairs = execute(p, _DistinctPairsPart(group_by, column, preds, mode,
-                                          probe_blooms=not p.blooms_probed))
+                                          probes=p.task_probes))
     # group keys travel null-safe as (__gf filled value, __gv validity)
     # — Ray's sort shuffle can't order null keys; restored below
     gkeys = ["__gf", "__gv"] if group_by is not None else []
@@ -1091,12 +1089,12 @@ class _KMVPart:
     hash-unique them.  Emits ≤ k uint64 rows per part."""
 
     def __init__(self, column: str, k: int, preds: list[tuple],
-                 mode: str = "and", probe_blooms: bool = True):
+                 mode: str = "and", probes: list | None = None):
         self.column = column
         self.k = k
         self.preds = preds
         self.mode = mode
-        self.probe_blooms = probe_blooms
+        self.probes = probes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -1107,7 +1105,7 @@ class _KMVPart:
         outs = []
         for p in batch.column("path").to_pylist():
             hit = part_mask(p, self.preds, self.mode, [self.column],
-                            self.probe_blooms)
+                            probes=self.probes)
             if hit is None:
                 continue
             enc_of, mask = hit
@@ -1163,7 +1161,7 @@ def approx_distinct_encoded(store_dir: str, column: str, *,
         return pa.table({"h": pa.array(v.view(np.int64))})
 
     rows = execute(p, _KMVPart(column, k, preds, mode,
-                               probe_blooms=not p.blooms_probed))
+                               probes=p.task_probes))
     if not isinstance(rows, pa.Table):
         rows = rows.repartition(fanin).map_batches(
             merge_block, batch_size=None, batch_format="pyarrow")

@@ -10,10 +10,11 @@ returns is both what the scan executes and what ``explain_scan``
 reports.
 
 :func:`part_mask` is the per-part half, run inside the scan tasks: the
-bloom skip the driver did not do, the filtered block read (the
-per-block row-group layout keeps the other columns' payload pages on
-disk), the absent-column rule of heterogeneous stores and the
-predicate mask on packed codes (codecs/access.py).
+bloom skip the driver did not do, the block read (:func:`read_part`
+reads only the row groups of the wanted columns' blocks, so the other
+columns' payload pages stay on disk), the absent-column rule of
+heterogeneous stores and the predicate mask on packed codes
+(codecs/access.py).
 
 :func:`execute` runs a plan's per-part task: every per-part scan of
 an encoded store goes through it (filtered and unfiltered reads, the
@@ -63,8 +64,9 @@ _IN_ZONE_CAP = 1024
 # the driver probes the blooms of at most this many zone survivors;
 # above it every scan task probes its own parts (part_mask), so the
 # driver never reads O(parts) sidecars at open scale.  Sequential on
-# purpose: ~0.5-1 ms per sidecar is GIL-bound zipfile parsing (a
-# 16-thread pool measured 5x slower)
+# purpose: a cache miss costs ~0.5-1 ms per sidecar of GIL-bound
+# zipfile parsing (a 16-thread pool measured 5x slower); a hit in the
+# per-process bloom cache (state/bloom.py) costs one os.stat
 _BLOOM_DRIVER_CAP = 4096
 # IN-lists longer than this are never bloom-probed: at ~1% false
 # positives per value, P(any of N values hits) saturates toward 1 long
@@ -262,20 +264,30 @@ def _probe_values(pred: tuple) -> pa.Array | None:
         return None
 
 
-def _bloom_ok(path: str, column: str, vals: pa.Array | None) -> bool:
-    """False when the part's sidecar proves no value of ``vals`` is in
-    ``column`` (~KB read; the part's parquet is never opened)."""
+def bloom_probes(preds: list[tuple]) -> list[tuple]:
+    """Per predicate: its probe values (``_probe_values``) and the memo
+    its probes share, so each value set is fingerprinted once per op,
+    not once per part (state/bloom.py)."""
+    return [(_probe_values(pred), {}) for pred in preds]
+
+
+def _bloom_ok(path: str, column: str, probe: tuple) -> bool:
+    """False when the part's sidecar proves no value of the probe is in
+    ``column`` (one cached sidecar; the part's parquet is never
+    opened)."""
+    vals, memo = probe
     pid = part_id(path)
     if vals is None or pid is None:
         return True
     return bloom.bloom_may_contain(os.path.dirname(path), pid, column,
-                                   vals)
+                                   vals, memo)
 
 
 def _bloom_keeps(path: str, preds: list[tuple], probes: list,
                  mode: str, zone_ok: list[bool] | None = None) -> bool:
     """AND: no predicate is disproven.  OR: some predicate passes its
-    zone test (``zone_ok``, all True when None) and is not disproven."""
+    zone test (``zone_ok``, all True when None) and is not disproven.
+    ``probes`` is ``bloom_probes(preds)``."""
     if mode == "and":
         return all(_bloom_ok(path, p[0], v) for p, v in zip(preds, probes))
     zone_ok = zone_ok or [True] * len(preds)
@@ -323,6 +335,13 @@ class Plan:
     def planned_bytes(self) -> int:
         """Bytes of the part files to scan (one stat per part)."""
         return sum(os.path.getsize(p) for p in self.parts)
+
+    @property
+    def task_probes(self) -> list | None:
+        """The bloom probes each scan task runs (``part_mask``'s
+        ``probes``): ``bloom_probes(preds)``, None when the driver
+        probed."""
+        return None if self.blooms_probed else bloom_probes(self.preds)
 
     @property
     def executor(self) -> str:
@@ -380,7 +399,7 @@ def plan(store_dir: str, preds: list[tuple], mode: str = "and") -> Plan:
     probed = len(zoned) <= _BLOOM_DRIVER_CAP
     parts = zoned
     if probed:
-        probes = [_probe_values(pred) for pred in preds]
+        probes = bloom_probes(preds)
         parts = [p for p in zoned
                  if _bloom_keeps(p, preds, probes, mode, ok[p])]
     out = Plan(store_dir, list(preds), mode, listed, parts,
@@ -587,37 +606,74 @@ def collect(res) -> pa.Table | None:
         if tabs else None
 
 
+def _block_row_groups(md: pq.FileMetaData, columns) -> list[int] | None:
+    """The row groups of a part that hold the blocks of ``columns``,
+    from the footer's ``column`` statistics; None unless every non-empty
+    row group is exactly one block's (min == max), as ``write_part_file``
+    writes them."""
+    names = md.schema.names
+    if "column" not in names:
+        return None
+    j, idx = names.index("column"), []
+    for i in range(md.num_row_groups):
+        rg = md.row_group(i)
+        if not rg.num_rows:
+            continue
+        st = rg.column(j).statistics
+        if st is None or not st.has_min_max or st.min != st.max:
+            return None
+        if st.min in columns:
+            idx.append(i)
+    return idx
+
+
+def read_part(path: str, columns=None, fields=None) -> pa.Table:
+    """The block rows of one part file, the one reader of part files:
+    with ``columns`` only the blocks of those columns, with ``fields``
+    only those fields of the block rows (``stages/encode.py::
+    ENC_SCHEMA``).  The row groups are picked by index from the footer
+    (one per block), so the other blocks' payload pages stay on disk;
+    a part whose row groups are not one block each (an old
+    single-row-group part, or one without ``column`` statistics) takes
+    a parquet filter read instead."""
+    with pq.ParquetFile(path) as pf:
+        md = pf.metadata
+        idx = list(range(md.num_row_groups)) if columns is None else \
+            _block_row_groups(md, columns)
+        if idx is not None:
+            return pf.read_row_groups(idx, columns=fields)
+    return pq.read_table(path, columns=fields,
+                         filters=[("column", "in", sorted(columns))])
+
+
 def read_blocks(path: str, columns=None) -> dict:
     """The blocks of one part file by column name
-    (``stages/encode.py::encoded_blocks``).  With ``columns`` only
-    their blocks are read: the per-block row-group layout keeps the
-    other columns' payload pages on disk."""
+    (``stages/encode.py::encoded_blocks``); with ``columns`` only
+    theirs (``read_part``)."""
     from ..stages.encode import encoded_blocks
-    enc_rows = pq.read_table(path, filters=None if columns is None else
-                             [("column", "in", sorted(columns))])
-    return dict(encoded_blocks(enc_rows, os.path.dirname(path)))
+    return dict(encoded_blocks(read_part(path, columns),
+                               os.path.dirname(path)))
 
 
 def part_mask(path: str, preds: list[tuple], mode: str,
-              columns=(), probe_blooms: bool = True):
+              columns=(), probes: list | None = None):
     """The per-part step of every encoded-domain scan task.
 
     Reads the blocks of the predicate columns and ``columns`` and
     evaluates ``preds`` (combined by ``mode``) on packed codes.
     Returns ``(enc_of, mask)`` — the blocks by column name and the row
     mask, None without predicates — or None when the part holds no
-    matching row: a bloom sidecar disproves it (only with
-    ``probe_blooms``, i.e. when the plan left its blooms unprobed), the
+    matching row: a bloom sidecar disproves it (only with ``probes``,
+    a plan's ``task_probes`` when it left its blooms unprobed), the
     mask is empty, or the part lacks a column of ``columns`` or, under
     AND, any predicate column (a part of another table in a
     heterogeneous store).  Under OR a predicate on an absent column is
     all-false, so the part is skipped only when every predicate column
     is absent."""
     from ..codecs.access import eval_pred
-    if probe_blooms and preds:
-        probes = [_probe_values(pred) for pred in preds]
+    if probes:
         # OR: skippable only when EVERY disjunct is probed and disproven
-        if (mode == "and" or all(v is not None for v in probes)) and \
+        if (mode == "and" or all(v is not None for v, _ in probes)) and \
                 not _bloom_keeps(path, preds, probes, mode):
             return None
     pred_cols = {c for c, *_ in preds}

@@ -35,11 +35,31 @@ bit array ``<col>`` plus an int64 meta triple ``<col>/meta`` =
 [k, n_keys, hash_kind] (0 = bytes, 1 = int64).  Written atomically
 (tmp + rename) beside the part's manifest; a missing / stale sidecar
 simply never prunes (compaction and cluster rewrites drop them).
+
+Probe cost: each process keeps the blooms it has read in a cache of
+``(sidecar path, column)`` entries bounded by ``_CACHE_BYTES`` (least
+recently used out first).  An entry is valid while the sidecar's
+``(st_ino, st_mtime_ns, st_size)`` is unchanged, so a hit costs one
+``os.stat`` and a miss one column's ``load_blooms``, what an uncached
+probe costs; the part id alone is not a key, because annotate
+rewrites a part's sidecar under the same id.  Two rewrites within one
+timestamp tick could keep all three (the second reusing the inode the
+first freed), so on a filesystem with whole-second timestamps a
+sidecar is cached only once it is older than ``_RACY_NS``; finer
+timestamps are taken to be finer than two rewrites.  A corrupt
+sidecar is cached as no bloom and never prunes.  The probe values of
+one predicate are fingerprinted once per op: ``probe_bloom`` and
+``bloom_may_contain`` take a ``memo`` dict shared across the parts,
+keyed on what the bit positions depend on, ``(hash kind, dt, m_bits)``.
 """
 
 from __future__ import annotations
 
+import collections
 import os
+import threading
+import time
+import zipfile
 
 import numpy as np
 import pyarrow as pa
@@ -59,6 +79,19 @@ BLOOM_DIR = "_bloom"
 _BITS_PER_KEY = 10        # with k=7 → ~0.8% false-positive rate
 _K = 7
 _MAX_BITS = 1 << 23       # 1 MB cap per (part, column)
+# per-process bloom cache bound: bytes of bit arrays held, plus
+# _ENTRY_BYTES of bookkeeping per entry (an entry for a column with no
+# bloom holds no bits)
+_CACHE_BYTES = 64 << 20
+_ENTRY_BYTES = 256
+# a sidecar with a whole-second mtime (a filesystem with 1-2 s
+# timestamps) modified less than this before the probe is read but not
+# cached: two rewrites inside one such tick can leave the same
+# (st_ino, st_mtime_ns, st_size), the rename having freed the old inode
+# for reuse.  Finer timestamps (Linux: one jiffy, <= 10 ms) are taken
+# to be finer than two rewrites of one sidecar, each of which also
+# writes the part file and its manifest
+_RACY_NS = 2_000_000_000
 # auto-eligibility: unzoned string/binary key columns (url-ish), not
 # document payloads — hashing a 100 KB html body per row would double
 # encode cost for a column nobody point-probes
@@ -174,15 +207,22 @@ def build_bloom(arr: pa.Array, kind: int) -> dict | None:
             "dt": str(arr.type)}
 
 
-def probe_bloom(bloom: dict, values: pa.Array) -> np.ndarray:
-    """May-contain mask, one bool per value (True = possibly present)."""
-    if bloom["hash"] == HASH_I64 and bloom.get("dt"):
-        from ..codecs.base import str_to_type
-        values = values.cast(str_to_type(bloom["dt"]))
-    fp = _fingerprint(values, bloom["hash"])
+def probe_bloom(bloom: dict, values: pa.Array,
+                memo: dict | None = None) -> np.ndarray:
+    """May-contain mask, one bool per value (True = possibly present).
+    ``memo``: the bit positions of ``values`` by ``(hash kind, dt,
+    m_bits)``, shared by the probes of one value set (one op's parts)."""
     bits = bloom["bits"]
     m_bits = len(bits) << 3
-    pos = _positions(fp, m_bits)  # k × n
+    key = (bloom["hash"], bloom.get("dt"), m_bits)
+    pos = None if memo is None else memo.get(key)
+    if pos is None:
+        if bloom["hash"] == HASH_I64 and bloom.get("dt"):
+            from ..codecs.base import str_to_type
+            values = values.cast(str_to_type(bloom["dt"]))
+        pos = _positions(_fingerprint(values, bloom["hash"]), m_bits)
+        if memo is not None:
+            memo[key] = pos
     hit = (bits[(pos >> np.uint64(3)).astype(np.int64)] >>
            (pos & np.uint64(7)).astype(np.uint8)) & 1
     return hit.all(axis=0).astype(bool)
@@ -254,19 +294,64 @@ def load_blooms(store_dir: str, part_id: str,
                 out[col] = {"bits": z[col], "k": int(meta[0]),
                             "n": int(meta[1]), "hash": int(meta[2]),
                             "dt": dt or None}
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         return {}  # corrupt sidecar: fall back to scanning (never lossy)
     return out
 
 
+# (sidecar path, column) -> (stat signature, bloom or None, bytes
+# charged), least recently used first
+_cache: collections.OrderedDict = collections.OrderedDict()
+_cache_bytes = 0
+_cache_lock = threading.Lock()
+
+
+def _cached_bloom(store_dir: str, part_id: str, column: str) -> dict | None:
+    """The bloom of ``column`` in a part's sidecar through the
+    per-process cache; None when there is none (absent, corrupt, or no
+    entry for the column).  A miss costs what a probe without the cache
+    costs: one column's ``load_blooms``."""
+    global _cache_bytes
+    p = _path(store_dir, part_id)
+    now = time.time_ns()
+    try:
+        st = os.stat(p)
+    except OSError:
+        return None
+    sig = (st.st_ino, st.st_mtime_ns, st.st_size)
+    key = (p, column)
+    settled = st.st_mtime_ns % 10**9 or st.st_mtime_ns <= now - _RACY_NS
+    # a miss loads under the lock too: probes run one after another by
+    # design (plan.py::_BLOOM_DRIVER_CAP), and np.load parses the .npy
+    # headers with ast, whose constructor in CPython 3.11 raised
+    # SystemError when two threads ran it at once
+    with _cache_lock:
+        hit = _cache.get(key)
+        if hit is not None and hit[0] == sig:
+            _cache.move_to_end(key)
+            return hit[1]
+        b = load_blooms(store_dir, part_id, [column]).get(column)
+        size = _ENTRY_BYTES + (0 if b is None else b["bits"].nbytes)
+        if hit is not None:
+            del _cache[key]
+            _cache_bytes -= hit[2]
+        if settled and size <= _CACHE_BYTES:
+            _cache[key] = (sig, b, size)
+            _cache_bytes += size
+            while _cache_bytes > _CACHE_BYTES:
+                _cache_bytes -= _cache.popitem(last=False)[1][2]
+    return b
+
+
 def bloom_may_contain(store_dir: str, part_id: str, column: str,
-                      values: pa.Array) -> bool:
+                      values: pa.Array, memo: dict | None = None) -> bool:
     """Could ANY of ``values`` be in this part's column?  Conservative:
-    no sidecar / no entry / unhashable predicate type → True."""
-    b = load_blooms(store_dir, part_id, [column]).get(column)
+    no sidecar / no entry / unhashable predicate type → True.  ``memo``
+    as for ``probe_bloom``."""
+    b = _cached_bloom(store_dir, part_id, column)
     if b is None:
         return True
     try:
-        return bool(probe_bloom(b, values).any())
+        return bool(probe_bloom(b, values, memo).any())
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError, ValueError):
         return True

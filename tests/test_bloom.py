@@ -4,6 +4,7 @@ point-lookup part pruning for columns zone maps can't help with
 predicate on packed codes (codecs/access.py::filter_in)."""
 
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -274,3 +275,228 @@ def test_empty_string_filter_not_pruned_end_to_end(tmp_path, ray_session):
     got = read_encoded(store, columns=["url", "text"],
                        filter=("url", "==", "")).to_pandas()
     assert list(got["url"]) == [""] and list(got["text"]) == ["bb"]
+
+
+# ------------------------------------------------ sidecar cache and memo
+
+@pytest.fixture()
+def fresh_cache(monkeypatch):
+    """An empty per-process bloom cache for one test."""
+    import collections
+    from packcol.state import bloom
+    monkeypatch.setattr(bloom, "_cache", collections.OrderedDict())
+    monkeypatch.setattr(bloom, "_cache_bytes", 0)
+    return bloom
+
+
+def _age(store_dir, *pids):
+    """Set the sidecars' mtime a minute back: on a filesystem with
+    whole-second timestamps the cache keeps only a sidecar older than
+    _RACY_NS."""
+    from packcol.state.bloom import _path
+    then = time.time_ns() - 60 * 10**9
+    for pid in pids:
+        os.utime(_path(store_dir, pid), ns=(then, then))
+
+
+def test_cache_sees_annotate_rewrite(tmp_path, ray_session, fresh_cache):
+    """add_column_encoded(bloom=True) rewrites a cached sidecar under the
+    same part id; the very next probe in the same process sees it."""
+    from packcol.pipelines.annotate import add_column_encoded
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.plan import part_files, part_id
+    n = 600
+    src = tmp_path / "a.parquet"
+    pq.write_table(pa.table({
+        "id": pa.array(np.arange(n, dtype=np.int64)),
+        "key": pa.array([f"k{i}" for i in range(n)])}), str(src),
+        row_group_size=100)
+    out = str(tmp_path / "store")
+    encode_files([str(src)], out, target_bytes=1 << 12)
+    pids = [part_id(p) for p in part_files(out)]
+    assert len(pids) > 1
+    _age(out, *pids)
+    nope = pa.array(["nope"])
+    for pid in pids:
+        assert not bloom_may_contain(out, pid, "key", nope)
+        # no "tag" entry yet: cannot prune
+        assert bloom_may_contain(out, pid, "tag", nope)
+    assert len(fresh_cache._cache) == 2 * len(pids)
+    add_column_encoded(out, "tag", lambda t: pa.array(
+        [f"t{v}" for v in t.column("id").to_pylist()]), ["id"],
+        bloom=True)
+    for pid in pids:
+        assert not bloom_may_contain(out, pid, "tag", nope)
+        assert "tag" in load_blooms(out, pid)
+    first = load_blooms(out, pids[0])["tag"]
+    tags = [f"t{i}" for i in range(n)]
+    assert probe_bloom(first, pa.array(tags)).any()
+
+
+def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
+    """A sidecar overwritten with garbage after a good probe of the same
+    path was cached never prunes."""
+    d = str(tmp_path)
+    save_blooms(d, "p0", {"url": build_bloom(pa.array(["k1", "k2"]),
+                                             HASH_BYTES)})
+    _age(d, "p0")
+    nope = pa.array(["nope"])
+    assert not bloom_may_contain(d, "p0", "url", nope)
+    assert len(fresh_cache._cache) == 1
+    with open(os.path.join(d, "_bloom", "p0.npz"), "wb") as f:
+        f.write(b"garbage")
+    assert bloom_may_contain(d, "p0", "url", nope)
+    _age(d, "p0")  # cached as no bloom: still never prunes
+    assert bloom_may_contain(d, "p0", "url", nope)
+    assert bloom_may_contain(d, "p0", "url", nope)
+    assert load_blooms(d, "p0") == {}
+    # and a good rewrite after the garbage prunes again
+    save_blooms(d, "p0", {"url": build_bloom(pa.array(["k3"]),
+                                             HASH_BYTES)})
+    assert not bloom_may_contain(d, "p0", "url", nope)
+    assert bloom_may_contain(d, "p0", "url", pa.array(["k3"]))
+
+
+def test_cache_skips_racily_new_sidecar(tmp_path, fresh_cache):
+    """On whole-second timestamps a sidecar modified within _RACY_NS of
+    the probe is not cached: rewritten in place with the same size and
+    mtime (so the same inode, mtime and size) the next probe still sees
+    the new blooms.  Older, it is cached."""
+    from packcol.state.bloom import _path
+    d = str(tmp_path)
+    p = _path(d, "p0")
+
+    def write(key):
+        save_blooms(d, "p0", {"url": build_bloom(pa.array([key]),
+                                                 HASH_BYTES)})
+        with open(p, "rb") as f:
+            return f.read()
+
+    b2, b1 = write("k2"), write("k1")
+    assert len(b1) == len(b2) and b1 != b2
+    whole = (time.time_ns() // 10**9 - 1) * 10**9  # 1-2 s back
+    os.utime(p, ns=(whole, whole))
+    ino = os.stat(p).st_ino
+    assert not bloom_may_contain(d, "p0", "url", pa.array(["k2"]))
+    assert not fresh_cache._cache
+    with open(p, "r+b") as f:
+        f.write(b2)
+    os.utime(p, ns=(whole, whole))
+    assert os.stat(p).st_ino == ino
+    assert bloom_may_contain(d, "p0", "url", pa.array(["k2"]))
+    assert not fresh_cache._cache
+    os.utime(p, ns=(whole - 2 * 10**9, whole - 2 * 10**9))
+    assert not bloom_may_contain(d, "p0", "url", pa.array(["k1"]))
+    assert list(fresh_cache._cache) == [(p, "url")]
+
+
+def test_memoized_probe_equals_unmemoized():
+    """One memo shared by the probes of one value set gives every bloom
+    the answer of an unmemoized probe: every hash kind, blooms of
+    different m_bits in one op, and timestamp[us] values against
+    timestamp[ns] and timestamp[us] blooms (the dt cast)."""
+    import datetime as dt
+    from packcol.state.bloom import HASH_BYTES_SAMPLED
+    strs = [f"https://h{i}.example.com/{i}" for i in range(3000)]
+    ts = [dt.datetime(2024, 1, 1) + dt.timedelta(minutes=i)
+          for i in range(3000)]
+    cases = [
+        (HASH_BYTES, [pa.array(strs[:40]), pa.array(strs)],
+         pa.array(strs[::97] + ["miss", ""])),
+        (HASH_BYTES_SAMPLED, [pa.array(strs[:40]), pa.array(strs)],
+         pa.array(strs[::97] + ["miss", ""])),
+        (HASH_I64, [pa.array(np.arange(40, dtype=np.int64)),
+                    pa.array(np.arange(3000, dtype=np.int64))],
+         pa.array([3, 39, 2999, 5000, -1])),
+        (HASH_I64, [pa.array(ts[:40]).cast(pa.timestamp("ns")),
+                    pa.array(ts).cast(pa.timestamp("ns")),
+                    pa.array(ts).cast(pa.timestamp("us"))],
+         pa.array([ts[3], ts[2999], dt.datetime(2030, 1, 1)])),
+    ]
+    for kind, builds, vals in cases:
+        blooms = [build_bloom(a, kind) for a in builds]
+        assert len({len(b["bits"]) for b in blooms}) > 1  # two m_bits
+        memo = {}
+        for _ in range(2):  # the second pass is all memo hits
+            for b in blooms:
+                want = probe_bloom(b, vals)
+                assert want.any() and not want.all(), kind
+                assert probe_bloom(b, vals, memo).tolist() == \
+                    want.tolist(), (kind, b["dt"])
+        assert len(memo) == len({(b["hash"], b["dt"], len(b["bits"]))
+                                 for b in blooms})
+    # the dt cast is part of the key: same m_bits, different units
+    ns = build_bloom(pa.array(ts).cast(pa.timestamp("ns")), HASH_I64)
+    us = build_bloom(pa.array(ts).cast(pa.timestamp("us")), HASH_I64)
+    assert len(ns["bits"]) == len(us["bits"])
+    memo, probe = {}, pa.array([ts[10]])
+    assert probe_bloom(ns, probe, memo)[0] and probe_bloom(us, probe, memo)[0]
+
+
+def test_cache_byte_bound_evicts(tmp_path, monkeypatch, fresh_cache):
+    """The cache holds at most _CACHE_BYTES (bit arrays plus
+    _ENTRY_BYTES per entry) and evicts the least recently used entry
+    first; evicted blooms still probe."""
+    d = str(tmp_path)
+    for i in range(3):
+        save_blooms(d, f"p{i}", {"url": build_bloom(
+            pa.array([f"k{i}-{j}" for j in range(800)]), HASH_BYTES)})
+    _age(d, "p0", "p1", "p2")
+    size = len(load_blooms(d, "p0")["url"]["bits"]) + \
+        fresh_cache._ENTRY_BYTES
+    monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)
+    path = fresh_cache._path
+    nope = pa.array(["nope"])
+    for pid in ("p0", "p1", "p2"):
+        assert not bloom_may_contain(d, pid, "url", nope)
+        assert fresh_cache._cache_bytes <= 2 * size
+    assert list(fresh_cache._cache) == [(path(d, "p1"), "url"),
+                                        (path(d, "p2"), "url")]
+    assert bloom_may_contain(d, "p0", "url", pa.array(["k0-5"]))  # reload
+    assert list(fresh_cache._cache) == [(path(d, "p2"), "url"),
+                                        (path(d, "p0"), "url")]
+    # a bloom larger than the whole bound is read but not cached
+    monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", size - 1)
+    assert not bloom_may_contain(d, "p1", "url", nope)
+    assert (path(d, "p1"), "url") not in fresh_cache._cache
+
+
+def test_cache_bytes_consistent_under_threads(tmp_path, monkeypatch,
+                                              fresh_cache):
+    """Threads probing through an evicting cache keep its byte count
+    equal to the sum of its entries and within the bound."""
+    import sys
+    import threading
+    d = str(tmp_path)
+    for i in range(6):
+        save_blooms(d, f"p{i}", {"url": build_bloom(
+            pa.array([f"k{i}-{j}" for j in range(200)]), HASH_BYTES)})
+    _age(d, *(f"p{i}" for i in range(6)))
+    size = len(load_blooms(d, "p0")["url"]["bits"]) + \
+        fresh_cache._ENTRY_BYTES
+    monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)
+    errors = []
+
+    def work(seed):
+        try:
+            for j in range(400):
+                pid = f"p{(seed + j) % 6}"
+                assert bloom_may_contain(d, pid, "url",
+                                         pa.array([f"k{pid[1:]}-3"]))
+        except Exception as e:  # surfaced by the assert below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,))
+                   for s in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    held = sum(e[2] for e in fresh_cache._cache.values())
+    assert fresh_cache._cache_bytes == held <= 2 * size

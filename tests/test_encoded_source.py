@@ -244,6 +244,54 @@ def test_per_block_row_groups_prune_projection(store, ray_session):
     assert list(prj["lang"]) == list(exp["lang"])
 
 
+
+def test_read_part_matches_filter_read(store, tmp_path):
+    """read_part picks a part's row groups by index from the footer and
+    returns the table of the parquet filter read it replaces: on a
+    current-layout part, on a single-row-group part and on a part
+    without ``column`` statistics (both take the filter read)."""
+    from packcol.sources.plan import _block_row_groups, read_part
+    _, out = store
+    part = next(os.path.join(out, f) for f in sorted(os.listdir(out))
+                if f.endswith(".parquet"))
+    enc = pq.read_table(part)
+    one_group = str(tmp_path / "part-one.parquet")
+    pq.write_table(enc, one_group, row_group_size=None)
+    no_stats = str(tmp_path / "part-nostats.parquet")
+    pq.write_table(enc, no_stats, row_group_size=1, write_statistics=False)
+    for path, by_index in ((part, True), (one_group, False),
+                           (no_stats, False)):
+        md = pq.ParquetFile(path).metadata
+        assert (_block_row_groups(md, ["url"]) is not None) == by_index
+        for cols in (["lang"], ["url", "warc_ts"], ["html", "nope"]):
+            want = pq.read_table(path, filters=[("column", "in", cols)])
+            assert read_part(path, cols).equals(want), (path, cols)
+            assert read_part(path, set(cols), ["column", "n_values"]) \
+                .equals(want.select(["column", "n_values"])), (path, cols)
+        assert read_part(path).equals(enc)
+        assert read_part(path, fields=["column", "params"]).equals(
+            enc.select(["column", "params"]))
+
+
+def test_filtered_read_skips_pyarrow_dataset(store, monkeypatch):
+    """A filtered read of a current-layout store reads its parts by
+    row-group index: it never calls pq.read_table (the pyarrow.dataset
+    path)."""
+    from packcol.sources.encoded import count_encoded, read_encoded
+    _, out = store
+    want = read_encoded(out, columns=["url", "lang"],
+                        filter=("lang", "==", "de")).to_pandas()
+    assert len(want) > 0
+
+    def no_dataset(*a, **kw):
+        raise AssertionError("part read went through pq.read_table")
+
+    monkeypatch.setattr(pq, "read_table", no_dataset)
+    got = read_encoded(out, columns=["url", "lang"],
+                       filter=("lang", "==", "de")).to_pandas()
+    assert sorted(got["url"]) == sorted(want["url"])
+    assert count_encoded(out, filter=("lang", "==", "de")) == len(want)
+
 def _cli_module():
     import importlib.util
     path = os.path.join(os.path.dirname(__file__), "..", "scripts",
