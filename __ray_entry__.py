@@ -1724,114 +1724,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         return out
     q["heavy_hitters_langs"] = heavy_hitters_langs
 
-    # --- multimodal (image/audio) driver checks ---------------------------
-    # The synthetic P5/P6 + WAV fixtures (sources/media_fixture.py) derive
-    # every checked property from a closed-form formula of the row id, so
-    # the oracles are pure SQL over range() — no pinned values.  The
-    # stages decode the payload bytes FOR REAL (functions/media.py).
-    def _images_ds():
-        import ray.data as rd
-        from packcol.sources.media_fixture import images_table
-        return rd.from_arrow(images_table(n_rows=48, n_distinct=20))
-
-    def image_features_dims(sf):
-        """P5/P6 header+pixel decode in an actor-pool stage: the
-        decoded (width, height) of every synthetic image must match
-        the fixture's closed-form dims formula."""
-        from packcol.stages.multimodal import ImageFeatureStage
-
-        def final(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "img_id": b.column("img_id"),
-                "width": b.column("width").cast(pa.int64()),
-                "height": b.column("height").cast(pa.int64())})
-        return _images_ds().map_batches(
-            ImageFeatureStage(), batch_format="pyarrow", batch_size=16,
-            concurrency=2, num_cpus=1).map_batches(
-            final, batch_format="pyarrow")
-    q["image_features_dims"] = image_features_dims
-
-    def image_dedup_phash(sf):
-        """Exact image dedup by perceptual hash: the fixture plants
-        byte-identical duplicates (content g = img_id % 20), so
-        grouping on phash must keep exactly min(img_id)=g per group
-        with the derivable multiplicity."""
-        from ray.data.aggregate import Count, Min
-        from packcol.stages.multimodal import ImageFeatureStage
-        d = _images_ds().map_batches(
-            ImageFeatureStage(), batch_format="pyarrow", batch_size=16,
-            concurrency=2, num_cpus=1) \
-            .groupby("phash") \
-            .aggregate(Min(on="img_id", alias_name="keep_id"),
-                       Count(alias_name="n"))
-
-        def final(b: pa.Table) -> pa.Table:
-            return pa.table({"keep_id": b.column("keep_id"),
-                             "n": b.column("n")})
-        return d.map_batches(final, batch_format="pyarrow")
-    q["image_dedup_phash"] = image_dedup_phash
-
-    def image_resize_dims(sf):
-        """decode → nearest-neighbor resize → re-encode → decode loop:
-        every output image must re-decode to the target (8, 10)."""
-        from packcol.stages.multimodal import (ImageFeatureStage,
-                                               ImageResizeStage)
-
-        def final(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "img_id": b.column("img_id"),
-                "width": b.column("width").cast(pa.int64()),
-                "height": b.column("height").cast(pa.int64())})
-        return _images_ds().map_batches(
-            ImageResizeStage(8, 10), batch_format="pyarrow",
-            batch_size=16, concurrency=2, num_cpus=1).map_batches(
-            ImageFeatureStage(), batch_format="pyarrow",
-            batch_size=16).map_batches(final, batch_format="pyarrow")
-    q["image_resize_dims"] = image_resize_dims
-
-    def audio_frames_meta(sf):
-        """RIFF/WAVE PCM decode + 2048-sample framing: sample_rate and
-        frame count per row must match the fixture formulas."""
-        import ray.data as rd
-        import pyarrow.compute as pc
-        from packcol.sources.media_fixture import audio_table
-        from packcol.stages.multimodal import AudioFrameSampleStage
-
-        def final(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "aud_id": b.column("aud_id"),
-                "sample_rate": b.column("sample_rate").cast(pa.int64()),
-                "n_frames": pc.list_value_length(
-                    b.column("frames")).cast(pa.int64())})
-        return rd.from_arrow(audio_table(n_rows=24)).map_batches(
-            AudioFrameSampleStage(), batch_format="pyarrow",
-            batch_size=8, concurrency=2, num_cpus=1).map_batches(
-            final, batch_format="pyarrow")
-    q["audio_frames_meta"] = audio_frames_meta
-
-    def video_frames_meta(sf):
-        """Video frame-sampling plumbing (rows-only by design: the
-        per-frame features aren't SQL-expressible): concatenated-PNM
-        "videos" demuxed for real, every-2nd-frame features as a list
-        column.  Frame counts follow the fixture's closed form
-        (2 + vid_id % 5), pinned by tests/test_media.py."""
-        import ray.data as rd
-        import pyarrow.compute as pc
-        from packcol.sources.media_fixture import videos_table
-        from packcol.stages.multimodal import VideoFrameSampleStage
-
-        def final(b: pa.Table) -> pa.Table:
-            return pa.table({
-                "vid_id": b.column("vid_id"),
-                "n_frames": b.column("n_frames").cast(pa.int64()),
-                "n_sampled": pc.list_value_length(
-                    b.column("frame_features")).cast(pa.int64())})
-        return rd.from_arrow(videos_table(n_rows=16)).map_batches(
-            VideoFrameSampleStage(every=2, max_frames=8),
-            batch_format="pyarrow", batch_size=8, concurrency=2,
-            num_cpus=1).map_batches(final, batch_format="pyarrow")
-    q["video_frames_meta"] = video_frames_meta
-
     # --- codec auto-selection decisions (deterministic) ------------------
     # The decision is a pure function of the column stats, so the sf0.01
     # expectations can be PINNED as a VALUES oracle — a driver-checkable
@@ -1904,9 +1796,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         #   head)
         "kmer_counts", "auto_roundtrip_documents",
         #   curate_documents / events_top_users / forecast_revenue_q6 /
-        #   top_orders_q3: green r3+r4 (exiled r5 for the four
-        #   multimodal queries image_features_dims / image_dedup_phash /
-        #   image_resize_dims / audio_frames_meta — curation stays
+        #   top_orders_q3: green r3+r4 (exiled r5 for four
+        #   since-retired media-family queries — curation stays
         #   covered by curate_near_verified, top-k by store_topk_ts +
         #   global_top_k tests, window/join shapes by asof/sessionize/
         #   pricing_summary/orders_by_nation in the head)
@@ -1960,7 +1851,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         #   head by customers_without_orders)
         "blocklist_filter",
         # (a) rows-only by design
-        "video_frames_meta",
         "minhash_pairs_est", "simhash_pairs_hamming", "langid",
         "fingerprint", "embedding_dedup_lsh", "ann_ivf", "ann_lsh",
         "ngram_dedup_scores", "curate_documents_near",
@@ -2086,28 +1976,6 @@ def oracle_sql() -> dict[str, str]:
             "(SELECT MIN(doc_id) FROM ok GROUP BY text)"),
         # pinned deterministic decisions of the codec selector on the
         # sf0.01 documents table (stability contract, not a recompute)
-        # multimodal fixtures: every checked property is a closed-form
-        # function of the row id (sources/media_fixture.py docstring) —
-        # the oracle recomputes the formulas in SQL, nothing is pinned
-        "image_features_dims": (
-            "SELECT CAST(range AS BIGINT) AS img_id, "
-            "CAST(16 + ((range % 20) * 7) % 40 AS BIGINT) AS width, "
-            "CAST(16 + ((range % 20) * 5) % 32 AS BIGINT) AS height "
-            "FROM range(0, 48)"),
-        "image_dedup_phash": (
-            "SELECT CAST(range AS BIGINT) AS keep_id, "
-            "CAST(CASE WHEN range < 8 THEN 3 ELSE 2 END AS BIGINT) AS n "
-            "FROM range(0, 20)"),
-        "image_resize_dims": (
-            "SELECT CAST(range AS BIGINT) AS img_id, "
-            "CAST(10 AS BIGINT) AS width, CAST(8 AS BIGINT) AS height "
-            "FROM range(0, 48)"),
-        "audio_frames_meta": (
-            "SELECT CAST(range AS BIGINT) AS aud_id, "
-            "CAST(CASE range % 3 WHEN 0 THEN 8000 WHEN 1 THEN 16000 "
-            "ELSE 22050 END AS BIGINT) AS sample_rate, "
-            "CAST(1 + range % 5 AS BIGINT) AS n_frames "
-            "FROM range(0, 24)"),
         "codec_selection": (
             "SELECT * FROM (VALUES "
             "('doc_id', 'delta'), ('text', 'tokdict'), ('lang', 'dict'), "

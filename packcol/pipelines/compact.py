@@ -8,9 +8,10 @@ Two forms (SURVEY.md §2.8):
   not touched — each row stays a self-describing block.
 * :func:`recompact` — size compaction: decode runs of small adjacent
   partitions and re-encode them as bigger ones (no shuffle — parts are
-  grouped by contiguous ranges on the driver, each group is one task).
-  Bigger blocks amortize per-block dictionaries/symbol tables, improving
-  the compression ratio.
+  grouped by contiguous ranges on the driver, each group is one item
+  of ``sources/plan.py::execute_rows``).  Bigger blocks amortize
+  per-block dictionaries/symbol tables, improving the compression
+  ratio.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..sources.plan import read_part
+from ..sources.plan import as_dataset, collect, execute_rows, read_part
 from ..stages.encode import decode_rows, encoded_blocks
 
 
@@ -89,7 +90,8 @@ class RecompactGroup:
 def read_column(dest_dir: str, column: str):
     """Decode one column from a column-major compacted layout — reads a
     single file, never touches other columns' payloads.  Returns a
-    Dataset of single-column blocks."""
+    Dataset of single-column blocks (a ``LocalDataset`` when the file
+    is driver-sized, ``execute_rows``)."""
     path = os.path.join(dest_dir, f"{column}.parquet")
 
     def decode_file(batch: pa.Table) -> pa.Table:
@@ -121,8 +123,8 @@ def read_column(dest_dir: str, column: str):
             [a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
              for a in arrays])})
 
-    ds = rd.from_items([{"path": path}], override_num_blocks=1)
-    return ds.map_batches(decode_file, batch_size=1, batch_format="pyarrow")
+    return as_dataset(execute_rows(pa.table({"path": [path]}),
+                                   os.path.getsize(path), decode_file))
 
 
 def recompact(enc_dir: str, dest_dir: str, merge_factor: int = 4) -> dict:
@@ -132,12 +134,14 @@ def recompact(enc_dir: str, dest_dir: str, merge_factor: int = 4) -> dict:
              if f.endswith(".parquet")]
     groups = [files[i:i + merge_factor]
               for i in range(0, len(files), merge_factor)]
-    items = [{"paths": g, "new_part_id": f"c{i:05d}x{len(g)}"}
-             for i, g in enumerate(groups)]
-    ds = rd.from_items(items, override_num_blocks=max(len(items), 1))
-    res = ds.map_batches(RecompactGroup(dest_dir), batch_size=1,
-                         batch_format="pyarrow").to_pandas()
-    orig, enc = int(res["orig_bytes"].sum()), int(res["enc_bytes"].sum())
-    return {"parts": len(res), "rows": int(res["rows"].sum()),
+    items = pa.table({
+        "paths": pa.array(groups, pa.list_(pa.string())),
+        "new_part_id": [f"c{i:05d}x{len(g)}" for i, g in enumerate(groups)]})
+    res = collect(execute_rows(items, sum(map(os.path.getsize, files)),
+                               RecompactGroup(dest_dir)))
+    parts = res.to_pylist() if res is not None else []
+    orig = sum(p["orig_bytes"] for p in parts)
+    enc = sum(p["enc_bytes"] for p in parts)
+    return {"parts": len(parts), "rows": sum(p["rows"] for p in parts),
             "orig_bytes": orig, "enc_bytes": enc,
             "ratio": round(orig / enc, 4) if enc else 0.0}

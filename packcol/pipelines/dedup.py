@@ -811,7 +811,7 @@ def hamming_banded_pairs(hashed, id_col: str, hash_col: str,
     shares at least one exact block (pigeonhole) — groupby(block) to
     find candidates, exact Hamming check inside the group.  Input rows:
     (id_col, hash_col) with the hash as an int64 view of a uint64.
-    Works for any 64-bit locality hash (text SimHash, image phash)."""
+    Works for any 64-bit locality hash (e.g. text SimHash)."""
     assert 64 % n_bands == 0
     width = 64 // n_bands
     band_mask = np.uint64((1 << width) - 1)
@@ -923,31 +923,3 @@ def simhash_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                             zero_copy_batch=True)
     return hamming_banded_pairs(hashed, id_col, "h64", max_dist,
                                 max_bucket=max_bucket, kind="simhash")
-
-
-def image_near_dup_pairs(ds, image_col: str = "image",
-                         id_col: str = "id", max_dist: int = 3,
-                         max_bucket: int = _DEFAULT_MAX_BUCKET):
-    """Near-duplicate IMAGE pairs: per-row 64-bit perceptual hash
-    (functions/media.py::image_phash — real PNM decode, 8×8 mean
-    thumbnail, mean-threshold bits) → the same banded Hamming
-    machinery as SimHash.  Only (id, phash) rows shuffle — never image
-    bytes."""
-    def stage(batch: pa.Table) -> pa.Table:
-        from ..codecs.fsst import buffer_view
-        from ..functions.media import decode_image, image_phash
-        col = batch.column(image_col)
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        d, offs = buffer_view(col)
-        ph = np.empty(len(col), dtype=np.uint64)
-        for i in range(len(col)):
-            ph[i] = image_phash(decode_image(d[offs[i]:offs[i + 1]]
-                                             .tobytes()))
-        return pa.table({id_col: _col(batch, id_col),
-                         "h64": ph.view(np.int64)})
-
-    hashed = ds.map_batches(stage, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return hamming_banded_pairs(hashed, id_col, "h64", max_dist,
-                                max_bucket=max_bucket, kind="phash")

@@ -11,13 +11,13 @@ Two encode paths:
   via the lineage manifest, each task reads its own slice, encodes,
   writes ``part-<id>.parquet`` atomically, and records lineage.  This is
   the "resumable output" layout: one file per partition, never one giant
-  file.
+  file.  It always runs on Ray Data, seeded by :func:`_part_scan_seed`.
 
 The per-part scans of a written store (:func:`decode_files`,
 :func:`verify_files`, :func:`spot_check_files`) run their task through
 ``sources/plan.py::execute``: in-process on the driver for a store of
 at most ``_LOCAL_PLAN_BYTES`` of part files, a Ray Data ``map_batches``
-over the parts above it.
+over the parts above it, seeded by the same :func:`_part_scan_seed`.
 
 Scale notes (100 TB design): the descriptor dataset is tiny (one row per
 ~64 MB of input) and fans out to stateless tasks — no shuffle anywhere
@@ -94,33 +94,6 @@ def _cluster_cpus() -> int:
         return os.cpu_count() or 8
 
 
-def _seed_bins(parts: list[dict], waves: int = 4) -> list[dict]:
-    """LPT bin-pack partition descriptors into O(cluster CPUs) seed
-    items, each carrying a byte-balanced list under ``descs``.
-
-    Two reasons over one-item-per-part (profiled r4, BASELINE.md):
-    (1) `from_items` block-creation cost scales with BLOCK count, not
-    item count (206 blocks cost ~0.45 s of serial driver prologue at
-    32 CPUs — 15% of the encode wall; 64 bins cost ~0.1 s), and at
-    100 TB the plan is ~10^6 descriptors — per-part blocks would be a
-    driver metadata explosion.  (2) fewer tasks amortize dispatch.
-    ``waves`` bins per CPU keeps late-straggler loss bounded at ~1/waves
-    of one task even with byte skew (LPT guarantees bins within ~max
-    part of each other)."""
-    import heapq
-    k = min(len(parts), max(waves * _cluster_cpus(), 16))
-    if k >= len(parts):
-        return [{"descs": [p]} for p in parts]
-    heap = [(0, i) for i in range(k)]
-    heapq.heapify(heap)
-    bins: list[list[dict]] = [[] for _ in range(k)]
-    for p in sorted(parts, key=lambda p: -p.get("bytes", 0)):
-        sz, i = heapq.heappop(heap)
-        bins[i].append(p)
-        heapq.heappush(heap, (sz + p.get("bytes", 0), i))
-    return [{"descs": b} for b in bins if b]
-
-
 # ---------------------------------------------------------------------------
 # checkpointed flagship
 # ---------------------------------------------------------------------------
@@ -152,11 +125,8 @@ class EncodePartitionWriter:
                 for c in self.shared_vocab_columns}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        # seed rows are either bare descriptors or LPT bins of them
-        # ({"descs": [...]}, see _seed_bins)
-        return pa.Table.from_pylist([
-            self._encode_one(d) for row in batch.to_pylist()
-            for d in (row["descs"] if "descs" in row else [row])])
+        return pa.Table.from_pylist(
+            [self._encode_one(d) for d in batch.to_pylist()])
 
     def _encode_one(self, d: dict) -> dict:
         t = pq.ParquetFile(d["path"]).read_row_groups(
@@ -372,14 +342,11 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
     todo = [p for p in parts if not _unchanged(p)]
     skipped = len(parts) - len(todo)
     if todo:
-        # byte-balanced seed bins, O(cluster CPUs) blocks (see _seed_bins)
-        seeds = _seed_bins(todo)
-        ds = rd.from_items(seeds, override_num_blocks=len(seeds))
-        metrics = ds.map_batches(
+        metrics = _part_scan_seed(todo).map_batches(
             EncodePartitionWriter(out_dir, codec_overrides,
                                   shared_vocab_columns=shared_vocab_columns,
                                   bloom_columns=bloom_columns),
-            batch_size=1, batch_format="pyarrow")
+            batch_size=None, batch_format="pyarrow")
         mt = metrics.to_pandas()  # tiny: one row per partition
     else:
         import pandas as pd
@@ -424,11 +391,25 @@ class DecodePartFile:
 
 
 def _part_scan_seed(files: list[dict]) -> "rd.Dataset":
-    """Seed a per-part scan with O(cluster CPUs) blocks, not one block
-    per part — the same driver-prologue bound as _seed_bins (a 10^6-part
-    store must not create 10^6 driver-side blocks); every scan task
-    loops the paths in its batch, so fewer/larger blocks are free.
-    Called only by ``sources/plan.py::execute``."""
+    """The one Ray Data seed of a per-part job: its item rows in
+    O(cluster CPUs) blocks, not one block per item (``from_items``
+    block creation is serial driver work, and a 10^6-part store must
+    not create 10^6 driver-side blocks); every task loops the items of
+    its batch (``map_batches(batch_size=None)``), so fewer, larger
+    blocks are free.  Byte balance is the planner's job: the ingest's
+    descriptors are already packed to ``target_bytes``
+    (``plan_partitions``).
+
+    Two callers: ``sources/plan.py::execute_rows`` above the in-process
+    bound, and ``encode_files``, which always seeds here.  A prototype
+    in-process ingest wrote byte-identical parts and was faster on
+    perfbench's ingest workload (1 CPU: ``ingest_mbps`` 32 → 40,
+    ``peak_rss_mb`` 789 → 610).  But the first set-up build of that
+    workload is where about 2 s of Ray worker and Ray Data stats-actor
+    start-up falls today, and the median leaves it out.  Without it,
+    the start-up lands in the warm-up upsert, whose input perfbench
+    builds with ``rd.from_arrow``, and ``setup_s`` counts it: 4.9-5.4 s
+    rose to 7.1-7.2 s."""
     nb = min(max(len(files), 1), max(4 * _cluster_cpus(), 16))
     return rd.from_items(files, override_num_blocks=nb)
 

@@ -20,6 +20,8 @@ the join output — the dedup/curation workhorses.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pyarrow as pa
 
@@ -467,7 +469,10 @@ def merge_join_clustered(left_store: str, right_store: str, on: str, *,
     right parts, so joining two 100 TB stores streams both sides
     exactly once with no all-to-all exchange — the map-side merge the
     classic sort-merge join does after ITS shuffle, with the sort
-    amortized into the stores' physical layout (cluster_store).
+    amortized into the stores' physical layout (cluster_store).  The
+    items run through ``sources/plan.py::execute_rows``, so when the
+    parts they name are driver-sized the join runs in-process and
+    returns a ``LocalDataset``.
 
     Only left-row-preserving join types are supported (inner /
     left outer / left semi / left anti): per-part processing emits
@@ -478,9 +483,8 @@ def merge_join_clustered(left_store: str, right_store: str, on: str, *,
     overlaps more right parts, the plan is degenerating toward
     all-pairs and the call refuses with guidance (re-cluster or use
     shuffle_join) instead of silently running an O(L x R) join."""
-    import ray.data as rd
     from ..sources.encoded import encoded_schema
-    from .encode_pipeline import _cluster_cpus
+    from ..sources.plan import as_dataset, execute_rows
     if join_type not in _LEFT_PRESERVING:
         raise ValueError(
             f"merge_join_clustered supports {_LEFT_PRESERVING}; "
@@ -504,8 +508,8 @@ def merge_join_clustered(left_store: str, right_store: str, on: str, *,
     items = plan["items"]
     join_task = _MergeJoinPart(on, right_on, left_columns, right_columns,
                                join_type, right_suffix, lschema, rschema)
-    if not items:
-        return rd.from_arrow(join_task._joined_empty())
-    nb = min(len(items), max(4 * _cluster_cpus(), 16))
-    return rd.from_items(items, override_num_blocks=nb).map_batches(
-        join_task, batch_size=None, batch_format="pyarrow")
+    files = {f for it in items for f in [it["lpath"], *it["rpaths"]]}
+    rows = pa.Table.from_pylist(items, pa.schema(
+        {"lpath": pa.string(), "rpaths": pa.list_(pa.string())}))
+    return as_dataset(execute_rows(
+        rows, sum(map(os.path.getsize, files)), join_task))

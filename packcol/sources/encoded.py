@@ -143,12 +143,6 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     return ds.limit(limit) if limit is not None else ds
 
 
-def read_encoded_blocks(store_dir: str) -> "rd.Dataset":
-    """Raw encoded-block rows (part_id/column/codec/params/payload) —
-    the physical view, for compaction / stats tooling."""
-    return rd.read_parquet(part_files(store_dir))
-
-
 def store_stats(store_dir: str) -> dict:
     """Metadata-only store summary from the per-partition lineage
     manifests — zero payload bytes read, O(parts) tiny JSON.  This is

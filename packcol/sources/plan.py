@@ -20,15 +20,19 @@ heterogeneous stores and the predicate mask on packed codes
 an encoded store goes through it (filtered and unfiltered reads, the
 aggregates, verify, spot-check, fsck, annotate, diff, sample, and the
 upsert's key scan and retire); a caller that picks the parts narrows
-the plan with :meth:`Plan.restrict`.  A plan of at most
-``_LOCAL_PLAN_BYTES`` planned bytes runs in-process on the driver, one
-call over all its parts, and the caller merges the partials there; a
-larger plan runs as a Ray Data ``map_batches`` over its parts.  A
+the plan with :meth:`Plan.restrict`.  :func:`execute_rows` is its
+general form, for the per-item jobs whose items are not one part of
+one store (recompaction groups, a column-major column file, the merge
+join's left part with its right parts).  A job of at most
+``_LOCAL_PLAN_BYTES`` input bytes runs in-process on the driver, one
+call over all its items, and the caller merges the partials there; a
+larger job runs as a Ray Data ``map_batches`` over its items.  A
 driver-sized answer goes back to the caller as a :class:`LocalDataset`,
 a ``ray.data.Dataset`` that reads its driver table without starting
 Ray Data.  The write side takes the same bound the other way:
 :func:`driver_blocks` hands a driver-sized input to the writer
-in-process.
+in-process.  The ingest (``encode_files``) seeds the same Ray path
+(``_part_scan_seed``) at every size.
 
 Pruning is never lossy: a part without a manifest, zone, null count or
 bloom sidecar is kept.
@@ -73,8 +77,8 @@ _BLOOM_DRIVER_CAP = 4096
 # before that, so the probe disproves nothing (measured: a 19k-key
 # upsert retire probed 512 sidecars for zero prunes)
 _BLOOM_PROBE_VALUE_CAP = 4096
-# plans of at most this many planned bytes (part file bytes) run
-# in-process (execute).  Measured on one CPU over webtext stores of
+# jobs of at most this many input bytes (part file bytes) run
+# in-process (execute_rows).  Measured on one CPU over webtext stores of
 # 8-128 parts (1.8-29.8 MiB planned), the in-process path beat Ray Data
 # on every routed op at every size (Ray adds 0.06-0.7 s to start the
 # scan and merge), so the bound is not a speed crossover: it caps the
@@ -347,8 +351,7 @@ class Plan:
     def executor(self) -> str:
         """Where ``execute`` runs the plan: "local" (in-process) or
         "ray"."""
-        return "local" if self.planned_bytes <= _LOCAL_PLAN_BYTES \
-            else "ray"
+        return _executor(self.planned_bytes)
 
     def restrict(self, parts: list[str]) -> "Plan":
         """This plan narrowed to ``parts``; the manifests are shared
@@ -409,20 +412,34 @@ def plan(store_dir: str, preds: list[tuple], mode: str = "and") -> Plan:
     return out
 
 
-def execute(p: Plan, task):
-    """Run the per-part ``task`` over the parts of ``p``.
+def _executor(nbytes: int) -> str:
+    """Where a job over ``nbytes`` of input files runs: "local"
+    (in-process) up to ``_LOCAL_PLAN_BYTES``, else "ray"."""
+    return "local" if nbytes <= _LOCAL_PLAN_BYTES else "ray"
 
-    At most ``_LOCAL_PLAN_BYTES`` planned bytes (``p.executor`` is
-    "local"): one in-process call over every part, and the result is
-    the task's ``pa.Table``.  An empty plan always runs here, so
-    the task returns its typed empty block.  Above it: the lazy
-    ``ray.data.Dataset`` of a ``map_batches`` over the parts.
-    ``blocks`` streams either to the driver, ``collect`` gathers it;
-    both also take a :class:`LocalDataset`."""
-    if p.executor == "local":
-        return task(pa.table({"path": pa.array(p.parts, pa.string())}))
+
+def execute(p: Plan, task):
+    """Run the per-part ``task`` over the parts of ``p``: ``execute_rows``
+    of one ``path`` row per part and the plan's planned bytes."""
+    return execute_rows(pa.table({"path": pa.array(p.parts, pa.string())}),
+                        p.planned_bytes, task)
+
+
+def execute_rows(rows: pa.Table, nbytes: int, task):
+    """Run the per-item ``task`` over the item ``rows`` (a part path, a
+    group of parts, a left part with its right parts), whose input
+    files hold ``nbytes`` bytes on disk.
+
+    At most ``_LOCAL_PLAN_BYTES`` (``_executor``): one in-process call
+    over every row, and the result is the task's ``pa.Table``.  No
+    rows always run here, so the task returns its typed empty block.
+    Above it: the lazy ``ray.data.Dataset`` of a ``map_batches`` over
+    the rows.  ``blocks`` streams either to the driver, ``collect``
+    gathers it, ``as_dataset`` makes either a Dataset."""
+    if _executor(nbytes) == "local":
+        return task(rows)
     from ..pipelines import encode_pipeline as ep
-    return ep._part_scan_seed([{"path": f} for f in p.parts]).map_batches(
+    return ep._part_scan_seed(rows.to_pylist()).map_batches(
         task, batch_size=None, batch_format="pyarrow")
 
 

@@ -15,12 +15,11 @@ Decode resolves ``params["shared_ref"]`` against the part's directory
 (one mmap'd read per worker process, cached), then runs the ordinary
 toksep decode over shared-vocab ⊕ patch.
 
-Mirrors FsstEncodeActor (stages/fsst_actor.py) and the reference's
-sample-don't-scan table build (/root/reference/src/naive_impl/
-seq_vector/minimizers.rs:38-142); the vocabulary file plays the role of
-the reference's static symbol→code table (naive.rs:49-74) promoted to
-cluster-shared state (broadcast once — ``ray.put``/sidecar — instead of
-re-shipped per block).
+Follows the reference's sample-don't-scan table build
+(``src/naive_impl/seq_vector/minimizers.rs:38-142``); the vocabulary
+file plays the role of the reference's static symbol→code table
+(naive.rs:49-74) promoted to cluster-shared state (broadcast once —
+``ray.put``/sidecar — instead of re-shipped per block).
 
 Usage:
     vocabs = build_shared_vocab(paths, ["html", "text"])

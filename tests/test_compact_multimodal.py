@@ -1,8 +1,7 @@
-"""Compaction + multimodal plumbing tests."""
+"""Compaction tests: column-major compaction, recompaction, read_column."""
 
 import os
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
@@ -48,63 +47,6 @@ def test_recompact_roundtrip(enc_dir, ray_session, tmp_path):
     pd.testing.assert_frame_equal(a, b)
     # bigger blocks → ratio at least as good (amortized headers)
     assert res["ratio"] > 1.0
-
-
-def _image_table(n=20):
-    rng = np.random.default_rng(1)
-    return pa.table({
-        "id": pa.array(range(n), type=pa.int64()),
-        "image": pa.array([rng.bytes(rng.integers(1000, 50000))
-                           for _ in range(n)], type=pa.large_binary()),
-    })
-
-
-def test_image_stage_plumbing(ray_session):
-    import ray.data as rd
-    from packcol.stages.multimodal import IMAGE_FEATURE_DIM, ImageFeatureStage
-    ds = rd.from_arrow(_image_table())
-    out = ds.map_batches(ImageFeatureStage(fake=True),
-                         batch_format="pyarrow", batch_size=8,
-                         concurrency=2, num_cpus=1)
-    t = out.to_pandas()
-    assert len(t) == 20
-    assert set(t.columns) == {"id", "width", "height", "phash", "feature"}
-    assert all(len(f) == IMAGE_FEATURE_DIM for f in t["feature"])
-    # deterministic across runs
-    t2 = ds.map_batches(ImageFeatureStage(fake=True),
-                        batch_format="pyarrow", batch_size=8,
-                        concurrency=2, num_cpus=1).to_pandas()
-    np.testing.assert_allclose(np.stack(t["feature"]),
-                               np.stack(t2["feature"]))
-
-
-def test_image_stage_without_decoder_raises():
-    # non-PNM payloads need a native decoder; fake=False must raise
-    from packcol.stages.multimodal import ImageFeatureStage
-    stage = ImageFeatureStage(fake=False)
-    with pytest.raises(NotImplementedError):
-        stage(_image_table(2))
-
-
-def test_audio_stage_plumbing(ray_session):
-    import ray.data as rd
-    from packcol.stages.multimodal import (AUDIO_FRAME_FEATURES,
-                                           AudioFrameSampleStage)
-    rng = np.random.default_rng(2)
-    t = pa.table({
-        "id": pa.array(range(10), type=pa.int64()),
-        "audio": pa.array([rng.bytes(rng.integers(2000, 60000))
-                           for _ in range(10)], type=pa.large_binary()),
-    })
-    ds = rd.from_arrow(t)
-    out = ds.map_batches(AudioFrameSampleStage(fake=True),
-                         batch_format="pyarrow", batch_size=4,
-                         concurrency=2).to_pandas()
-    assert len(out) == 10
-    assert (out["sample_rate"] == 0).all()  # fake path: no real rate
-    for frames in out["frames"]:
-        assert len(frames) >= 1
-        assert all(len(fr) == AUDIO_FRAME_FEATURES for fr in frames)
 
 
 def test_read_single_column(enc_dir, ray_session, tmp_path):

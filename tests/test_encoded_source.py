@@ -1289,6 +1289,90 @@ def test_executor_paths_agree(store, monkeypatch):
         assert seeded and all(seeded), op
 
 
+def _store_files(store_dir):
+    """{relative path: bytes} of every file under ``store_dir``, with the
+    manifests parsed and their wall time dropped."""
+    import json
+    got = {}
+    for dirpath, _, names in os.walk(store_dir):
+        for n in names:
+            path = os.path.join(dirpath, n)
+            with open(path, "rb") as f:
+                data = f.read()
+            if os.path.basename(dirpath) == "_manifest":
+                data = json.loads(data)
+                data.pop("wall_s", None)
+            got[os.path.relpath(path, store_dir)] = data
+    return got
+
+
+def test_item_jobs_executor_paths_agree(store, tmp_path, monkeypatch):
+    """recompact, compact.read_column and merge_join_clustered run
+    through plan.execute_rows.  Under the crossover they run in-process:
+    no Ray Data seed or streaming execution, and the Dataset answers are
+    LocalDatasets.  Over it (crossover 0) each seeds one Ray Data scan.
+    Both paths give the oracle's answers, and the recompacted stores
+    are byte-identical (the manifests but for their wall time)."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    from packcol.pipelines import encode_pipeline as ep
+    from packcol.pipelines.compact import (compact_columns, read_column,
+                                           recompact)
+    from packcol.pipelines.join import merge_join_clustered
+    from packcol.sources import plan as plan_mod
+    wt, out = store
+    truth = pq.read_table(wt).to_pandas()
+    cols = str(tmp_path / "cols")
+    compact_columns(out, cols)  # a Ray Data groupby: built unpatched
+    n_src = len(plan_mod.part_files(out))
+    joined = truth[["url", "warc_ts"]].merge(truth[["warc_ts", "lang"]],
+                                             on="warc_ts")
+    want = [{"parts": -(-n_src // 2), "rows": len(truth)},
+            sorted(truth["lang"]),
+            sorted(joined.itertuples(index=False, name=None))]
+
+    def run(dest):
+        res = recompact(out, dest, merge_factor=2)
+        langs = read_column(cols, "lang")
+        pairs = merge_join_clustered(out, out, "warc_ts",
+                                     left_columns=["url"],
+                                     right_columns=["lang"])
+        return res, langs, pairs
+
+    def answers(res, langs, pairs):
+        return [{k: res[k] for k in ("parts", "rows")},
+                sorted(langs.to_pandas()["lang"]),
+                sorted(pairs.to_pandas()[["url", "warc_ts", "lang"]]
+                       .itertuples(index=False, name=None))]
+
+    def no_ray(*a, **kw):
+        raise AssertionError("in-process job started Ray Data")
+
+    local = str(tmp_path / "local")
+    with monkeypatch.context() as m:
+        m.setattr(ep, "_part_scan_seed", no_ray)
+        m.setattr(rd, "from_arrow", no_ray)
+        m.setattr(StreamingExecutor, "execute", no_ray)
+        res = run(local)
+        assert all(isinstance(ds, plan_mod.LocalDataset) for ds in res[1:])
+        assert answers(*res) == want
+
+    seed, seeded = ep._part_scan_seed, []
+
+    def counted(files):
+        seeded.append(len(files))
+        return seed(files)
+
+    monkeypatch.setattr(ep, "_part_scan_seed", counted)
+    monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
+    on_ray = str(tmp_path / "on_ray")
+    assert answers(*run(on_ray)) == want
+    assert seeded == [-(-n_src // 2), 1, n_src]
+    assert _store_files(on_ray) == _store_files(local)
+
+
 def test_local_dataset_matches_ray_dataset(store, tmp_path):
     """An in-process answer (a LocalDataset) behaves as
     ``rd.from_arrow`` of its table does: the methods it reads from the
