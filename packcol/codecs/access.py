@@ -1,12 +1,14 @@
-"""Point access into encoded blocks without full decode.
+"""Encoded-domain predicates: filters evaluated on packed codes.
 
-The reference's packed buffer supports O(1) random reads of any value
-(`SeqVector::get_kmer_u64` / `Kmer::get`,
-/root/reference/src/naive_impl/seq_vector.rs:96-103,
-/root/reference/src/kmer.rs:46-53).  The generalization: read row `i` of
-an EncodedColumn touching only O(1) (bit-pack, FOR, dict) or O(runs)
-(RLE, binary-searched) of the payload — used by decode-verify sampling
-so spot checks never decode whole blocks.
+The reference's packed buffer answers reads without a full decode
+(`SeqVector::get_kmer_u64` / `Kmer::get`, its
+``src/naive_impl/seq_vector.rs:96-103`` and ``src/kmer.rs:46-53``).
+Here every predicate of a part scan (``eval_pred``) evaluates on the
+block's packed form where its codec has one: dictionary codes (dict,
+rle), integer deltas (for, bitpack) and compressed bytes (fsst
+equality and IN).  Other codecs and ops decode the block, which stays
+exact.  The rows a read returns then decode through
+``codecs/base.py::take_any``.
 """
 
 from __future__ import annotations
@@ -17,61 +19,6 @@ import pyarrow as pa
 
 from .base import EncodedColumn, str_to_type, validity_from_bytes
 from .dictionary import ipc_deserialize_array
-
-
-def _unpack_one(payload: bytes, width: int, i: int) -> int:
-    """Extract the i-th width-bit value from a packed little-endian
-    bitstream, touching at most 16 bytes."""
-    if width == 0:
-        return 0
-    bit = i * width
-    byte0 = bit // 8
-    nbytes = (bit % 8 + width + 7) // 8
-    chunk = payload[byte0:byte0 + nbytes]
-    acc = int.from_bytes(chunk, "little")
-    return (acc >> (bit % 8)) & ((1 << width) - 1)
-
-
-def get_value(enc: EncodedColumn, i: int):
-    """Row i of an encoded column, as a Python value (None for nulls)."""
-    if not (0 <= i < enc.n_values):
-        raise IndexError(i)
-    valid = validity_from_bytes(enc.buffers.get("validity", b""),
-                                enc.n_values)
-    if valid is not None and not valid[i]:
-        return None
-    p = enc.params
-    if enc.codec == "dict":
-        code = _unpack_one(enc.buffers["payload"], p["width"], i)
-        dictionary = ipc_deserialize_array(enc.buffers["aux"])
-        return dictionary[code].as_py()
-    if enc.codec in ("for", "bitpack"):
-        delta = _unpack_one(enc.buffers["payload"], p["width"], i)
-        # mod-2^64 add in a uint64 array, then reinterpret — wrapping
-        # via scalar np.int64(np.uint64(...)) raises on numpy >= 2.0
-        u = np.array([p["base"]], dtype=np.int64).view(np.uint64)
-        with np.errstate(over="ignore"):
-            u = u + np.uint64(delta)
-        v64 = u.view(np.int64)
-        from .forpack import from_int64_numpy
-        return from_int64_numpy(v64, str_to_type(p["dtype"]))[0].as_py()
-    if enc.codec == "rle":
-        # vectorized unpack of the run lengths (one pass over the small
-        # lens buffer), then binary search the cumulative lengths
-        from .bitpack import unpack
-        nr = p["n_runs"]
-        words = np.frombuffer(enc.buffers["lens"], dtype=np.uint64)
-        lens = unpack(words, p["len_width"], nr).astype(np.int64)
-        ends = np.cumsum(lens)
-        run = int(np.searchsorted(ends, i, side="right"))
-        code = _unpack_one(enc.buffers["payload"], p["val_width"], run) - 1
-        if code < 0:
-            return None
-        dictionary = ipc_deserialize_array(enc.buffers["aux"])
-        return dictionary[code].as_py()
-    # fsst / store: no sub-linear path — decode the block (documented)
-    from .base import decode_any
-    return decode_any(enc)[i].as_py()
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +92,14 @@ def _predicate_int(value, dtype_str: str | None) -> int:
 
 def filter_eq(enc: EncodedColumn, value) -> np.ndarray:
     """Boolean mask of rows equal to `value`, computed on codes
-    (dict / rle) or deltas (for) — never decodes the column."""
+    (dict / rle), deltas (for / bitpack) or compressed bytes (fsst,
+    ``fsst.py::match_values``); other codecs, uint64 for / bitpack
+    blocks and the fsst fallbacks decode the block."""
+    if enc.codec == "fsst":
+        from .fsst import match_values
+        mask = match_values(enc, [value])
+        if mask is not None:
+            return mask
     valid = validity_from_bytes(enc.buffers.get("validity", b""),
                                 enc.n_values)
     cd = _code_domain(enc)
@@ -181,8 +135,13 @@ def filter_eq(enc: EncodedColumn, value) -> np.ndarray:
 
 def filter_in(enc: EncodedColumn, values) -> np.ndarray:
     """Mask of rows whose value is in `values` (an IN-list), computed on
-    codes / deltas like filter_eq — one np.isin over the packed stream
-    instead of len(values) eq passes."""
+    codes / deltas / compressed bytes like filter_eq — one set test
+    over the packed stream instead of len(values) eq passes."""
+    if enc.codec == "fsst":
+        from .fsst import match_values
+        mask = match_values(enc, list(values))
+        if mask is not None:
+            return mask
     valid = validity_from_bytes(enc.buffers.get("validity", b""),
                                 enc.n_values)
     import pyarrow.compute as pc

@@ -163,6 +163,12 @@ class Codec:
     def decode(self, enc: EncodedColumn) -> pa.Array:
         raise NotImplementedError
 
+    def take(self, enc: EncodedColumn, rows) -> pa.Array:
+        """Rows ``rows`` (integer indices: any order, repeats allowed)
+        of the block, equal to ``decode(enc).take(rows)``, which is the
+        default; a codec with random access decodes only those rows."""
+        return self.decode(enc).take(rows)
+
 
 _REGISTRY: dict[str, Codec] = {}
 
@@ -182,3 +188,9 @@ def all_codecs() -> dict[str, Codec]:
 
 def decode_any(enc: EncodedColumn) -> pa.Array:
     return get_codec(enc.codec).decode(enc)
+
+
+def take_any(enc: EncodedColumn, rows) -> pa.Array:
+    """Rows ``rows`` of a block (``Codec.take``): the decode of a read
+    that returns only some of a block's rows."""
+    return get_codec(enc.codec).take(enc, rows)

@@ -23,6 +23,21 @@ loop, mirroring the branch-free spirit of the reference's
   form /root/reference/src/naive_impl/seq_vector.rs:18-22).
 
 String offsets are themselves delta+bit-packed via :mod:`.bitpack`.
+
+Reads work on the compressed rows (FSST's random-access design point):
+
+* ``FsstCodec.take`` expands only the selected rows' byte ranges;
+* ``match_values`` answers equality and IN on the compressed bytes.
+  This is exact because compression is a function of each string
+  alone: matches never cross string boundaries (``_fsst_compress_chunk``
+  kills them at ``b-1``), so a probe compressed by itself with the
+  block's rounds gives the same bytes as an equal row's slice.  The
+  converse needs decode to invert the probe's compression, which holds
+  unless, after round r-1, the probe contains one of round r's code
+  bytes: those bytes were unused in every row at that stage, so such
+  a probe equals no row.  The test is per round, not against the union
+  of all rounds' codes, because a later round may reuse as a code a
+  byte that an earlier round consumed entirely.
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ import pyarrow.compute as pc
 from .base import (Codec, EncodedColumn, register, str_to_type, type_to_str,
                    validity_from_bytes, validity_to_bytes)
 from .bitpack import bits_needed, pack, unpack
+from .gather import take_concat
 
 _SAMPLE_MAX = 1 << 20   # bytes of data sampled for digram counting
 _MIN_COUNT = 8          # a digram must appear ≥ this often in the sample
@@ -139,23 +155,101 @@ class FsstCodec(Codec):
         )
 
     def decode(self, enc: EncodedColumn) -> pa.Array:
-        n, p = enc.n_values, enc.params
-        e = np.frombuffer(enc.buffers["payload"], dtype=np.uint8)
-        lens = unpack(np.frombuffer(enc.buffers["lens"], dtype=np.uint64),
-                      p["len_width"], n).view(np.int64)
-        enc_offs = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lens, out=enc_offs[1:])
-        if "rounds" in p:
-            rounds = p["rounds"]
-        else:  # legacy single-round blocks
-            rounds = [[p["codes"], p["digrams"]]] if p.get("codes") else []
-        out, out_offs = fsst_expand_fused(e, enc_offs, rounds)
-        dtype = str_to_type(p["dtype"])
-        arr = _array_from_parts(out, out_offs, n, dtype)
-        valid = validity_from_bytes(enc.buffers.get("validity", b""), n)
-        if valid is not None:
-            arr = pc.if_else(pa.array(valid), arr, pa.nulls(n, type=dtype))
-        return arr
+        e, enc_offs = _stored_rows(enc)
+        return _expand_rows(enc, e, enc_offs, None)
+
+    def take(self, enc: EncodedColumn, rows) -> pa.Array:
+        idx = np.asarray(rows, dtype=np.int64)
+        if len(idx) and (idx.min() < 0 or idx.max() >= enc.n_values):
+            raise IndexError(f"row index out of range [0, {enc.n_values})")
+        sub, sub_offs = take_concat(_row_view(*_stored_rows(enc)), idx)
+        return _expand_rows(enc, sub, sub_offs, idx)
+
+
+def _rounds(p: dict) -> list:
+    """The block's ``[codes, digrams]`` rounds in encode order; a legacy
+    single-round block (``codes``/``digrams`` params) is one round."""
+    if "rounds" in p:
+        return p["rounds"]
+    return [[p["codes"], p["digrams"]]] if p.get("codes") else []
+
+
+def _stored_rows(enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
+    """(payload:uint8, offsets:int64) of the block's compressed rows."""
+    n = enc.n_values
+    lens = unpack(np.frombuffer(enc.buffers["lens"], dtype=np.uint64),
+                  enc.params["len_width"], n).view(np.int64)
+    enc_offs = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lens, out=enc_offs[1:])
+    return np.frombuffer(enc.buffers["payload"], dtype=np.uint8), enc_offs
+
+
+def _row_view(data: np.ndarray, offs: np.ndarray) -> pa.Array:
+    """Zero-copy ``large_binary`` array of the strings (data, offs)."""
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(offs) - 1,
+        [None, pa.py_buffer(offs), pa.py_buffer(data)])
+
+
+def _expand_rows(enc: EncodedColumn, e: np.ndarray, enc_offs: np.ndarray,
+                 idx: np.ndarray | None) -> pa.Array:
+    """The block's rows ``idx`` (all when None), whose compressed bytes
+    are (e, enc_offs), decoded to the column's type with its nulls."""
+    n = len(enc_offs) - 1
+    out, out_offs = fsst_expand_fused(e, enc_offs, _rounds(enc.params))
+    dtype = str_to_type(enc.params["dtype"])
+    arr = _array_from_parts(out, out_offs, n, dtype)
+    valid = validity_from_bytes(enc.buffers.get("validity", b""),
+                                enc.n_values)
+    if valid is not None:
+        if idx is not None:
+            valid = valid[idx]
+        arr = pc.if_else(pa.array(valid), arr, pa.nulls(n, type=dtype))
+    return arr
+
+
+def match_values(enc: EncodedColumn, values) -> np.ndarray | None:
+    """Mask of the rows equal to one of ``values``, compared on the
+    compressed bytes (see the module docstring for why this is exact);
+    no row is reconstructed.  All probes compress in one
+    ``fsst_compress`` call per round.  None when the decode path must
+    answer instead: more values than rows, or a value that is not a
+    ``str`` (or, on a binary column, ``bytes``), so its result or error
+    stays the decode path's."""
+    dtype = str_to_type(enc.params["dtype"])
+    kinds = (str, bytes) if (pa.types.is_binary(dtype)
+                             or pa.types.is_large_binary(dtype)) else str
+    if len(values) > enc.n_values or \
+            not all(isinstance(v, kinds) for v in values):
+        return None
+    probes = [v.encode() if isinstance(v, str) else v for v in values]
+    offs = np.zeros(len(probes) + 1, dtype=np.int64)
+    np.cumsum([len(v) for v in probes], out=offs[1:])
+    d = np.frombuffer(b"".join(probes), dtype=np.uint8)
+    ok = np.ones(len(probes), dtype=bool)
+    for codes, digrams in _rounds(enc.params):
+        code_bytes = np.asarray(codes, dtype=np.uint8)
+        is_code = np.zeros(256, dtype=bool)
+        is_code[code_bytes] = True
+        # a probe holding one of this round's code bytes equals no row
+        hit = np.flatnonzero(is_code.take(d))
+        ok[np.searchsorted(offs, hit, side="right") - 1] = False
+        d, offs = fsst_compress(d, offs, code_bytes,
+                                np.asarray(digrams, dtype=np.int64))
+    rows = _row_view(*_stored_rows(enc))
+    probes = _row_view(d, offs).filter(pa.array(ok))
+    if len(values) == 1:
+        if not len(probes):
+            return np.zeros(enc.n_values, dtype=bool)
+        mask = pc.equal(rows, probes[0])
+    else:
+        mask = pc.is_in(rows, value_set=probes)
+    mask = mask.to_numpy(zero_copy_only=False)
+    valid = validity_from_bytes(enc.buffers.get("validity", b""),
+                                enc.n_values)
+    if valid is not None:  # null rows are stored as ""
+        mask &= valid
+    return mask
 
 
 _CHUNK_BYTES = 2 << 20
@@ -254,20 +348,26 @@ def _fsst_compress_chunk(d: np.ndarray, offs: np.ndarray,
 
 def build_expansion_table(rounds: list) -> tuple[np.ndarray, np.ndarray]:
     """Fuse all rounds into (exp_bytes[256, L], exp_len[256]): the full
-    final expansion of every byte value.  Round r codes expand through
-    the earlier rounds recursively; plain bytes expand to themselves."""
-    exp = {b: bytes([b]) for b in range(256)}
-    for codes, digrams in rounds:  # apply in encode order; later rounds
-        # reference earlier codes, so expansions compose left to right
-        for c, dg in zip(codes, digrams):
-            exp[int(c)] = exp[dg >> 8] + exp[dg & 255]
-    max_len = max(len(v) for v in exp.values())
-    table = np.zeros((256, max_len), dtype=np.uint8)
-    lens = np.zeros(256, dtype=np.int64)
-    for b, v in exp.items():
-        table[b, :len(v)] = np.frombuffer(v, dtype=np.uint8)
-        lens[b] = len(v)
-    return table, lens
+    final expansion of every byte value, zero-padded past its length.
+    Round r codes expand through the earlier rounds; plain bytes expand
+    to themselves.  A round at most doubles a length, so after
+    ``_MAX_ROUNDS`` (3) rounds an expansion fits one little-endian
+    uint64, and a round's update is one shift-or over its codes (its
+    digrams never hold its own codes: those bytes were unused in its
+    input)."""
+    if len(rounds) > _MAX_ROUNDS:
+        raise ValueError(f"fsst block has {len(rounds)} rounds, "
+                         f"at most {_MAX_ROUNDS} are decodable")
+    exp = np.arange(256, dtype="<u8")
+    lens = np.ones(256, dtype=np.int64)
+    for codes, digrams in rounds:
+        dg = np.array(digrams, dtype=np.int64)
+        hi, lo = dg >> 8, dg & 255
+        codes = np.array(codes, dtype=np.int64)
+        exp[codes] = exp[hi] | (exp[lo] << (8 * lens[hi]).astype(np.uint64))
+        lens[codes] = lens[hi] + lens[lo]
+    table = exp.view(np.uint8).reshape(256, 8)[:, :int(lens.max())]
+    return np.ascontiguousarray(table), lens
 
 
 def fsst_expand_fused(e: np.ndarray, enc_offs: np.ndarray,
@@ -296,62 +396,6 @@ def fsst_expand_fused(e: np.ndarray, enc_offs: np.ndarray,
     full = np.zeros(ne + 1, dtype=np.int64)
     full[1:ne] = starts[1:]
     full[ne] = total
-    return out, full[enc_offs]
-
-
-def fsst_decompress(e: np.ndarray, enc_offs: np.ndarray,
-                    code_bytes: np.ndarray, digrams: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Chunked at string boundaries like fsst_compress (cache-resident
-    temporaries)."""
-    if len(e) <= _CHUNK_BYTES or len(enc_offs) <= 2:
-        return _fsst_decompress_chunk(e, enc_offs, code_bytes, digrams)
-    cut_bytes = np.arange(_CHUNK_BYTES, len(e), _CHUNK_BYTES, dtype=np.int64)
-    cut_rows = np.unique(np.searchsorted(enc_offs, cut_bytes, side="left"))
-    cut_rows = cut_rows[(cut_rows > 0) & (cut_rows < len(enc_offs) - 1)]
-    bounds = [0, *cut_rows.tolist(), len(enc_offs) - 1]
-    outs, offs_parts = [], [np.zeros(1, dtype=np.int64)]
-    base = np.int64(0)
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        lo, hi = enc_offs[a], enc_offs[b]
-        o, oo = _fsst_decompress_chunk(
-            np.ascontiguousarray(e[lo:hi]), enc_offs[a:b + 1] - lo,
-            code_bytes, digrams)
-        outs.append(o)
-        offs_parts.append(oo[1:] + base)
-        base += oo[-1]
-    return np.concatenate(outs), np.concatenate(offs_parts)
-
-
-def _fsst_decompress_chunk(e: np.ndarray, enc_offs: np.ndarray,
-                           code_bytes: np.ndarray, digrams: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    ne = len(e)
-    if ne == 0 or len(code_bytes) == 0:
-        return e.copy(), enc_offs.copy()
-    is_code_tbl = np.zeros(256, dtype=bool)
-    is_code_tbl[code_bytes.astype(np.int64)] = True
-    hi_tbl = np.zeros(256, dtype=np.uint8)
-    lo_tbl = np.zeros(256, dtype=np.uint8)
-    hi_tbl[code_bytes.astype(np.int64)] = (digrams >> 8).astype(np.uint8)
-    lo_tbl[code_bytes.astype(np.int64)] = (digrams & 255).astype(np.uint8)
-    is_code = is_code_tbl.take(e)
-    # start[i] = i + #codes before i  (each code adds one extra out byte)
-    extra = np.cumsum(is_code, dtype=np.int64)
-    starts = np.arange(ne, dtype=np.int64)
-    starts += extra
-    starts -= is_code          # shift: codes count from their own position
-    total = ne + int(extra[-1])
-    out = np.empty(total, dtype=np.uint8)
-    lit = ~is_code
-    out[starts[lit]] = e[lit]
-    ecodes = e[is_code]
-    cs = starts[is_code]
-    out[cs] = hi_tbl.take(ecodes)
-    out[cs + 1] = lo_tbl.take(ecodes)
-    full = np.zeros(ne + 1, dtype=np.int64)
-    full[1:] = starts + 1
-    full[1:][is_code] += 1
     return out, full[enc_offs]
 
 

@@ -3,7 +3,8 @@
 Two forms (SURVEY.md §2.8):
 
 * :func:`compact_columns` — layout compaction: regroup encoded-block rows
-  into one file per column (shuffle key = ``column``), so a reader of a
+  into one file per column (on the driver for a driver-sized store,
+  else a Ray Data shuffle keyed on ``column``), so a reader of a
   single column touches one file instead of every part.  Payloads are
   not touched — each row stays a self-describing block.
 * :func:`recompact` — size compaction: decode runs of small adjacent
@@ -19,19 +20,25 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..sources.plan import as_dataset, collect, execute_rows, read_part
+from ..sources.plan import (_executor, as_dataset, blocks, collect,
+                            execute_rows, read_part)
 from ..stages.encode import decode_rows, encoded_blocks
 
 
 def compact_columns(enc_dir: str, dest_dir: str) -> dict:
-    """Regroup encoded rows column-major: dest/<column>.parquet.
+    """Regroup encoded rows column-major: dest/<column>.parquet, each
+    column's blocks sorted by ``part_id``.
 
-    The shuffle moves only encoded payloads (already compressed), and
-    one groupby key per column keeps the exchange tiny."""
+    Parts of at most ``_LOCAL_PLAN_BYTES`` in all regroup on the driver
+    (one ``read_part`` each, no Ray Data).  Bigger stores take a Ray
+    Data ``groupby("column")``: the shuffle moves only encoded payloads
+    (already compressed), and one groupby key per column keeps the
+    exchange tiny."""
     import shutil
     os.makedirs(dest_dir, exist_ok=True)
     # carry the shared-vocabulary sidecar along: shared-ref toksep
@@ -43,23 +50,30 @@ def compact_columns(enc_dir: str, dest_dir: str) -> dict:
                         dirs_exist_ok=True)
     files = [os.path.join(enc_dir, f) for f in sorted(os.listdir(enc_dir))
              if f.endswith(".parquet")]
-    ds = rd.read_parquet(files)
 
     def write_group(group: pa.Table) -> pa.Table:
         col = group.column("column")[0].as_py()
         dest = os.path.join(dest_dir, f"{col}.parquet")
-        idx = pa.compute.sort_indices(group.column("part_id"))
+        idx = pc.sort_indices(group.column("part_id"))
         pq.write_table(group.take(idx), dest + ".tmp",
                        compression="zstd", compression_level=3)
         os.replace(dest + ".tmp", dest)
         return pa.table({"column": [col], "n_blocks": [group.num_rows],
                          "bytes": [os.path.getsize(dest)]})
 
-    out = ds.groupby("column").map_groups(
-        write_group, batch_format="pyarrow").to_pandas()
+    if _executor(sum(map(os.path.getsize, files))) == "local":
+        parts = [read_part(f) for f in files]
+        t = pa.concat_tables(parts, promote_options="permissive") \
+            if parts else None
+        out = [] if t is None else [
+            write_group(t.filter(pc.equal(t.column("column"), c)))
+            for c in pc.unique(t.column("column")).to_pylist()]
+    else:
+        out = blocks(rd.read_parquet(files).groupby("column").map_groups(
+            write_group, batch_format="pyarrow"))
     return {r["column"]: {"n_blocks": int(r["n_blocks"]),
                           "bytes": int(r["bytes"])}
-            for _, r in out.iterrows()}
+            for b in out for r in b.to_pylist()}
 
 
 class RecompactGroup:

@@ -618,9 +618,11 @@ def verify_files(out_dir: str) -> dict:
 
 class EncodedFilterPart:
     """Task: a filtered scan of encoded parts.  ``preds`` (normalized,
-    combined by ``mode``) evaluate on packed codes without decoding the
-    filter columns (sources/plan.py::part_mask, codecs/access.py); only
-    the matching rows of ``out_columns`` decode.  ``probes``: the
+    combined by ``mode``) evaluate on the filter columns' packed form
+    where the codec has one (sources/plan.py::part_mask,
+    codecs/access.py).  ``out_columns`` decode through ``take_any`` at
+    the matching rows: an fsst block expands only those rows, other
+    codecs decode the block and take them.  ``probes``: the
     bloom probes of a plan that left the parts' sidecars unprobed
     (``Plan.task_probes``).  ``schema`` types the empty block of a task
     that matched nothing, so schemas unify across tasks."""
@@ -636,7 +638,7 @@ class EncodedFilterPart:
         self.schema = schema
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..codecs import decode_any
+        from ..codecs import take_any
         outs = []
         for p in batch.column("path").to_pylist():
             hit = part_mask(p, self.preds, self.mode, self.out_columns,
@@ -644,8 +646,8 @@ class EncodedFilterPart:
             if hit is None:
                 continue
             enc_of, mask = hit
-            sel = pa.array(np.flatnonzero(mask))
-            outs.append(pa.table({name: decode_any(enc_of[name]).take(sel)
+            sel = np.flatnonzero(mask)
+            outs.append(pa.table({name: take_any(enc_of[name], sel)
                                   for name in self.out_columns}))
         if outs:
             return pa.concat_tables(outs)
@@ -653,18 +655,18 @@ class EncodedFilterPart:
 
 
 class SpotCheckPart:
-    """Task: sample k rows of one encoded part, read each via O(1) point
-    access (codecs/access.py) and compare against the original cells
-    re-read from the manifested input slice — verification that never
-    decodes whole blocks (SeqVector::get-style sampling).  ``manifests``
-    is the plan's {path: manifest} (``Plan.manifests``)."""
+    """Task: sample k rows of one encoded part, read them with one
+    ``take_any`` per column and compare against the original cells
+    re-read from the manifested input slice (SeqVector::get-style
+    sampling: an fsst block expands only the sampled rows).
+    ``manifests`` is the plan's {path: manifest} (``Plan.manifests``)."""
 
     def __init__(self, manifests: dict[str, dict], k: int = 8):
         self.manifests = manifests
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..codecs.access import get_value
+        from ..codecs import take_any
         n_checked = n_bad = 0
         for path in batch.column("path").to_pylist():
             meta = self.manifests.get(path) or {}
@@ -689,11 +691,10 @@ class SpotCheckPart:
             rows = rng.integers(0, orig.num_rows,
                                 size=min(self.k, orig.num_rows))
             for name, enc in enc_of.items():
-                col = orig.column(name)
-                for r in rows:
-                    n_checked += 1
-                    if get_value(enc, int(r)) != col[int(r)].as_py():
-                        n_bad += 1
+                got = take_any(enc, rows).to_pylist()
+                want = orig.column(name).take(rows).to_pylist()
+                n_checked += len(rows)
+                n_bad += sum(g != w for g, w in zip(got, want))
         return pa.table({"n": [n_checked], "n_bad": [n_bad]})
 
 

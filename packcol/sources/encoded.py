@@ -17,8 +17,9 @@ with
   JSON, before any data read (``plan.plan``);
 * **predicate pushdown into the encoded domain** — eq / range
   predicates evaluate on packed codes / FOR deltas / order-preserving
-  dictionary codes (``codecs/access.py``) and only the matching rows of
-  the projected columns decode.
+  dictionary codes / FSST compressed bytes (``codecs/access.py``), and
+  the projected columns decode at the matching rows through
+  ``codecs.take_any`` (an fsst block expands only those rows).
 
 This is the read half of the store contract the north rule's
 encode → compact → decode-verify pipeline writes (the reference's
@@ -231,6 +232,13 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     return 0 if n is None else int(pc.sum(n.column("n")).as_py())
 
 
+def _decode_at(enc, sel):
+    """The rows ``sel`` (a row-index array) of a block, or all of them
+    when ``sel`` is None (a part scan without predicates)."""
+    from ..codecs import decode_any, take_any
+    return decode_any(enc) if sel is None else take_any(enc, sel)
+
+
 class _AggPart:
     """Task: grouped partial aggregates of one encoded part.
 
@@ -273,7 +281,6 @@ class _AggPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import decode_any
         from ..codecs.access import _dict_codes
         from ..codecs.base import str_to_type
         from ..codecs.dictionary import ipc_deserialize_array
@@ -300,8 +307,7 @@ class _AggPart:
             if hit is None:
                 continue
             enc_of, mask = hit
-            sel = pa.array(np.flatnonzero(mask)) if mask is not None \
-                else None
+            sel = np.flatnonzero(mask) if mask is not None else None
 
             # group keys: dict codes when null-free (decode only the
             # distinct values after aggregation), else decoded values
@@ -320,17 +326,17 @@ class _AggPart:
                         np.int64, copy=False))
                     mappings[f"__g{i}"] = ipc_deserialize_array(
                         genc.buffers["aux"])
+                    if sel is not None:
+                        garr = garr.take(sel)
                 else:
-                    garr = decode_any(genc)
-                cols[f"__g{i}"] = garr.take(sel) if sel is not None \
-                    else garr
+                    garr = _decode_at(genc, sel)
+                cols[f"__g{i}"] = garr
                 dt = genc.params.get("dtype")
                 if dt is not None:
                     out_types[key] = str_to_type(dt)
             gcols = list(cols)
             for c in sorted(val_cols):
-                arr = decode_any(enc_of[c])
-                cols[c] = arr.take(sel) if sel is not None else arr
+                cols[c] = _decode_at(enc_of[c], sel)
                 out_types[c] = cols[c].type
             part = pa.table(cols).group_by(gcols).aggregate(specs)
             for name, mapping in mappings.items():
@@ -497,7 +503,6 @@ class _DistinctPairsPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import decode_any
         from ..codecs.access import _dict_codes
         from ..codecs.base import str_to_type
         from ..codecs.dictionary import ipc_deserialize_array
@@ -511,8 +516,7 @@ class _DistinctPairsPart:
             if hit is None:
                 continue
             enc_of, mask = hit
-            sel = pa.array(np.flatnonzero(mask)) if mask is not None \
-                else None
+            sel = np.flatnonzero(mask) if mask is not None else None
 
             def _col(name):
                 """(array-or-codes, mapping): dict codecs without a
@@ -526,10 +530,9 @@ class _DistinctPairsPart:
                     codes = _dict_codes(enc).astype(np.int64, copy=False)
                     arr = pa.array(codes)
                     mapping = ipc_deserialize_array(enc.buffers["aux"])
-                else:
-                    arr, mapping = decode_any(enc), None
-                return (arr.take(sel) if sel is not None else arr,
-                        mapping)
+                    return (arr.take(sel) if sel is not None else arr,
+                            mapping)
+                return _decode_at(enc, sel), None
 
             varr, vmap = _col(self.column)
             cols, keys = {}, []
@@ -800,12 +803,13 @@ def distinct_encoded(store_dir: str, column: str) -> "rd.Dataset":
 # ---------------------------------------------------------------------------
 
 class _TopKPart:
-    """Per-part local top-k: decode only the sort keys + projection,
-    drop rows with a null sort key (``ORDER BY ... LIMIT`` semantics —
-    nulls sort last and never enter a top-k smaller than the non-null
-    count), keep the k best rows by the multi-key sort.  Each task
-    emits ≤k rows, so the driver merge is O(parts_scanned × k), never
-    O(rows) — the same contract as the other store-scan tasks."""
+    """Per-part local top-k: decode only the sort keys, drop rows with a
+    null sort key (``ORDER BY ... LIMIT`` semantics — nulls sort last
+    and never enter a top-k smaller than the non-null count), keep the
+    k best rows by the multi-key sort and read the projection at those
+    rows only (``take_any``).  Each task emits ≤k rows, so the driver
+    merge is O(parts_scanned × k), never O(rows) — the same contract
+    as the other store-scan tasks."""
 
     def __init__(self, keys: list[str], k: int, descending: bool,
                  out_columns: list[str],
@@ -821,8 +825,9 @@ class _TopKPart:
         self.expect_dtypes = expect_dtypes or {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import numpy as np
         import pyarrow.compute as pc
-        from ..codecs import decode_any
+        from ..codecs import decode_any, take_any
         outs = []
         for p in batch.column("path").to_pylist():
             hit = part_mask(p, [], "and", self.need)
@@ -833,17 +838,22 @@ class _TopKPart:
                    (None, self.expect_dtypes.get(c))
                    for c in self.need if c in self.expect_dtypes):
                 continue  # same name, different logical type
-            t = pa.table({n: decode_any(enc_of[n]) for n in self.need})
+            kt = pa.table({kc: decode_any(enc_of[kc])
+                           for kc in dict.fromkeys(self.keys)})
             mask = None
             for kc in self.keys:
-                m = pc.is_valid(t.column(kc))
+                m = pc.is_valid(kt.column(kc))
                 mask = m if mask is None else pc.and_(mask, m)
-            t = t.filter(mask)
-            if t.num_rows == 0:
+            live = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
+            if not len(live):
                 continue
             idx = pc.sort_indices(
-                t, sort_keys=[(kc, self.order) for kc in self.keys])
-            outs.append(t.take(idx.slice(0, self.k)))
+                kt.take(live),
+                sort_keys=[(kc, self.order) for kc in self.keys])
+            rows = live[idx.slice(0, self.k).to_numpy()]
+            outs.append(pa.table({
+                n: kt.column(n).take(rows) if n in kt.column_names
+                else take_any(enc_of[n], rows) for n in self.need}))
         if not outs:
             # empty blocks yield no batches downstream; types here are
             # placeholders that never meet a non-empty block's schema
@@ -1009,7 +1019,7 @@ class _SamplePart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import decode_any
+        from ..codecs import take_any
         from ..functions.text import _splitmix64
         # clamp: fraction*2^64 at 1.0 overflows uint64, and a <-compare
         # against 2^64-1 would still drop the one-in-2^64 max hash —
@@ -1036,8 +1046,7 @@ class _SamplePart:
                 keep = np.flatnonzero(h < thresh)
             if not len(keep):
                 continue
-            sel = pa.array(keep)
-            outs.append(pa.table({c: decode_any(enc_of[c]).take(sel)
+            outs.append(pa.table({c: take_any(enc_of[c], keep)
                                   for c in self.out_columns}))
         if not outs:
             return empty_block(self.out_columns, self.out_schema)
@@ -1092,7 +1101,6 @@ class _KMVPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs import decode_any
         from ..codecs.dictionary import ipc_deserialize_array
         from ..stages.profile import value_hashes
 
@@ -1108,10 +1116,8 @@ class _KMVPart:
                 vals = ipc_deserialize_array(venc.buffers["aux"])
                 hs = value_hashes(vals)  # vocab only — no row decode
             else:
-                arr = decode_any(venc)
-                if mask is not None:
-                    arr = arr.take(pa.array(np.flatnonzero(mask)))
-                hs = value_hashes(arr)
+                hs = value_hashes(_decode_at(
+                    venc, None if mask is None else np.flatnonzero(mask)))
             if len(hs) == 0:
                 continue
             hs = np.unique(hs)[:self.k]

@@ -154,8 +154,9 @@ def test_property_ints_all_codecs(xs):
 
 
 def test_point_access():
-    """O(1)/O(runs) point reads match full decode (SeqVector::get parity)."""
-    from packcol.codecs.access import get_value
+    """Row reads (``take_any``) match full decode (SeqVector::get
+    parity)."""
+    from packcol.codecs import take_any
     cases = [
         ("dict", pa.array(["en", "de", None, "fr", "en"] * 10)),
         ("for", pa.array([100, None, 250, 7, 99999] * 10, type=pa.int64())),
@@ -167,7 +168,8 @@ def test_point_access():
         enc = CODECS[name].encode(arr)
         full = CODECS[name].decode(enc)
         for i in [0, 1, len(arr) // 2, len(arr) - 1]:
-            assert get_value(enc, i) == full[i].as_py(), (name, i)
+            assert take_any(enc, [i]).to_pylist() == [full[i].as_py()], \
+                (name, i)
 
 
 def test_order_preserving_codes_sort():
@@ -337,10 +339,12 @@ class TestBitpackCodec:
     def test_point_access_and_filter(self):
         import numpy as np
         from packcol.codecs import get_codec
-        from packcol.codecs.access import filter_eq, get_value
+        from packcol.codecs import take_any
+        from packcol.codecs.access import filter_eq
         vals = [5, 9, 5, 0, 1023, 5]
         enc = get_codec("bitpack").encode(pa.array(vals, type=pa.int64()))
-        assert [get_value(enc, i) for i in range(len(vals))] == vals
+        assert [take_any(enc, [i])[0].as_py()
+                for i in range(len(vals))] == vals
         np.testing.assert_array_equal(
             filter_eq(enc, 5), np.array([1, 0, 1, 0, 0, 1], dtype=bool))
 

@@ -1308,11 +1308,14 @@ def _store_files(store_dir):
 
 def test_item_jobs_executor_paths_agree(store, tmp_path, monkeypatch):
     """recompact, compact.read_column and merge_join_clustered run
-    through plan.execute_rows.  Under the crossover they run in-process:
+    through plan.execute_rows, and compact_columns regroups on the
+    driver under the same crossover.  Under it they run in-process:
     no Ray Data seed or streaming execution, and the Dataset answers are
-    LocalDatasets.  Over it (crossover 0) each seeds one Ray Data scan.
-    Both paths give the oracle's answers, and the recompacted stores
-    are byte-identical (the manifests but for their wall time)."""
+    LocalDatasets.  Over it (crossover 0) each item job seeds one Ray
+    Data scan and compact_columns takes a Ray Data groupby.  Both paths
+    give the oracle's answers, the recompacted stores are
+    byte-identical (the manifests but for their wall time), and so are
+    the column-major files."""
     import ray.data as rd
     from ray.data._internal.execution.streaming_executor import \
         StreamingExecutor
@@ -1324,8 +1327,6 @@ def test_item_jobs_executor_paths_agree(store, tmp_path, monkeypatch):
     from packcol.sources import plan as plan_mod
     wt, out = store
     truth = pq.read_table(wt).to_pandas()
-    cols = str(tmp_path / "cols")
-    compact_columns(out, cols)  # a Ray Data groupby: built unpatched
     n_src = len(plan_mod.part_files(out))
     joined = truth[["url", "warc_ts"]].merge(truth[["warc_ts", "lang"]],
                                              on="warc_ts")
@@ -1335,6 +1336,8 @@ def test_item_jobs_executor_paths_agree(store, tmp_path, monkeypatch):
 
     def run(dest):
         res = recompact(out, dest, merge_factor=2)
+        cols = dest + "-cols"
+        assert set(compact_columns(out, cols)) == set(truth.columns)
         langs = read_column(cols, "lang")
         pairs = merge_join_clustered(out, out, "warc_ts",
                                      left_columns=["url"],
@@ -1371,6 +1374,7 @@ def test_item_jobs_executor_paths_agree(store, tmp_path, monkeypatch):
     assert answers(*run(on_ray)) == want
     assert seeded == [-(-n_src // 2), 1, n_src]
     assert _store_files(on_ray) == _store_files(local)
+    assert _store_files(on_ray + "-cols") == _store_files(local + "-cols")
 
 
 def test_local_dataset_matches_ray_dataset(store, tmp_path):
