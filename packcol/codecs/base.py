@@ -79,6 +79,9 @@ class EncodedColumn:
     # runtime-only (never serialized): directory for resolving shared
     # sidecar refs (params["shared_ref"]) written next to encoded parts
     base_dir: str | None = None
+    # runtime-only: what a codec derived from the buffers once and reads
+    # again within one scan (fsst's unpacked row offsets)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def enc_bytes(self) -> int:

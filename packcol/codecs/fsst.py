@@ -155,14 +155,14 @@ class FsstCodec(Codec):
         )
 
     def decode(self, enc: EncodedColumn) -> pa.Array:
-        e, enc_offs = _stored_rows(enc)
+        e, enc_offs = _rows_of(enc)
         return _expand_rows(enc, e, enc_offs, None)
 
     def take(self, enc: EncodedColumn, rows) -> pa.Array:
         idx = np.asarray(rows, dtype=np.int64)
         if len(idx) and (idx.min() < 0 or idx.max() >= enc.n_values):
             raise IndexError(f"row index out of range [0, {enc.n_values})")
-        sub, sub_offs = take_concat(_row_view(*_stored_rows(enc)), idx)
+        sub, sub_offs = take_concat(_row_view(*_rows_of(enc)), idx)
         return _expand_rows(enc, sub, sub_offs, idx)
 
 
@@ -182,6 +182,16 @@ def _stored_rows(enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
     enc_offs = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=enc_offs[1:])
     return np.frombuffer(enc.buffers["payload"], dtype=np.uint8), enc_offs
+
+
+def _rows_of(enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
+    """``_stored_rows(enc)``, unpacked once per block: a filtered read's
+    mask (``match_values``) and its output rows (``FsstCodec.take``)
+    share it through the block's runtime ``memo``."""
+    got = enc.memo.get("fsst_rows")
+    if got is None:
+        got = enc.memo["fsst_rows"] = _stored_rows(enc)
+    return got
 
 
 def _row_view(data: np.ndarray, offs: np.ndarray) -> pa.Array:
@@ -236,7 +246,7 @@ def match_values(enc: EncodedColumn, values) -> np.ndarray | None:
         ok[np.searchsorted(offs, hit, side="right") - 1] = False
         d, offs = fsst_compress(d, offs, code_bytes,
                                 np.asarray(digrams, dtype=np.int64))
-    rows = _row_view(*_stored_rows(enc))
+    rows = _row_view(*_rows_of(enc))
     probes = _row_view(d, offs).filter(pa.array(ok))
     if len(values) == 1:
         if not len(probes):

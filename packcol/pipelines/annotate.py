@@ -36,8 +36,11 @@ from ..sources.plan import (collect, execute, part_id as part_id_of, plan,
                             read_part)
 from ..stages.encode import encoded_blocks
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
-    params_hash
+    params_hash, value_counts_of
 from .encode_pipeline import write_part_file
+
+# the manifest entries keyed by column name (state/manifest.py)
+_COLUMN_KEYS = ("zones", "nulls", "codecs", "values")
 
 
 def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
@@ -48,19 +51,20 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
     manifests (older stores) stay absent — pruning simply won't apply.
 
     ``replace`` names the column whose metadata the ``add`` dict is
-    authoritative for: its old zones/nulls/codecs entries are popped
+    authoritative for: its old zones/nulls/codecs/values entries are popped
     BEFORE the add is applied, so absent-in-new means absent-in-
     manifest.  Without it, an overwrite whose recomputed column is no
     longer zonable (compute_zones omits all-null / long-string
     columns) or whose null count dropped to 0 (null_counts_of omits
     zero-null columns) would keep the STALE entry and let zone /
-    notnull pushdown wrongly prune parts."""
+    notnull pushdown wrongly prune parts, and a stale "values" entry
+    would give a wrong metadata COUNT."""
     man = Manifest(store_dir)
     try:
         m = man.load(part_id)
     except FileNotFoundError:
         return
-    for key in ("zones", "nulls", "codecs"):
+    for key in _COLUMN_KEYS:
         d = m.get(key)
         if d is None:
             continue
@@ -139,10 +143,11 @@ class _AddColPart:
                 len(set(names) - {self.name}) + 1)
             write_part_file(p, merged)
             zones = compute_zones(new_t)
+            codecs = dict(zip(new_enc.column("column").to_pylist(),
+                              new_enc.column("codec").to_pylist()))
             add = {"zones": zones, "nulls": null_counts_of(new_t),
-                   "codecs": dict(zip(
-                       new_enc.column("column").to_pylist(),
-                       new_enc.column("codec").to_pylist()))}
+                   "codecs": codecs,
+                   "values": value_counts_of(new_t, codecs)}
             if self.bloom:
                 from ..state.bloom import (_hash_kind, build_bloom,
                                            load_blooms, save_blooms)
@@ -276,7 +281,7 @@ class _RenameColPart:
             except FileNotFoundError:
                 m = None
             if m is not None:
-                for key in ("zones", "nulls", "codecs"):
+                for key in _COLUMN_KEYS:
                     d = m.get(key)
                     if d is not None and self.old in d:
                         d[self.new] = d.pop(self.old)

@@ -42,7 +42,8 @@ from ..sources.plan import (as_dataset, collect, driver_blocks,
 from ..stages.encode import (DecodeBatch, EncodeBatch, RoundtripVerify,
                              decode_rows, encode_table)
 from ..state.manifest import (Manifest, compute_zones,
-                              null_counts_of, params_hash)
+                              null_counts_of, params_hash,
+                              value_counts_of)
 
 _DEFAULT_TARGET_BYTES = 64 << 20
 
@@ -172,7 +173,9 @@ def write_part(store_dir: str, part_id: str, table: pa.Table, *,
     """Write decoded ``table`` as part ``part_id`` of the store: encode,
     atomic part-file write (``write_part_file``), zone map, bloom
     sidecar (``build_part_blooms``) and one manifest record that holds
-    the full metadata key set plus the caller's ``meta`` extras
+    the full metadata key set (``values``: the exact value counts of
+    low-cardinality string columns, ``value_counts_of``) plus the
+    caller's ``meta`` extras
     (lineage such as ``input`` / ``inputs`` / ``clustered_on``).  The
     one writer of every store mutation that creates or rewrites a
     part.  Returns the part's stats row {part_id, rows, orig_bytes,
@@ -189,11 +192,12 @@ def write_part(store_dir: str, part_id: str, table: pa.Table, *,
     row = {"part_id": part_id, "rows": table.num_rows,
            "orig_bytes": sum(enc.column("orig_bytes").to_pylist()),
            "enc_bytes": sum(enc.column("enc_bytes").to_pylist())}
+    codecs = dict(zip(enc.column("column").to_pylist(),
+                      enc.column("codec").to_pylist()))
     Manifest(store_dir).record(part_id, {
         **(meta or {}), **row,
         "zones": zones, "nulls": null_counts_of(table), "blooms": blooms,
-        "codecs": dict(zip(enc.column("column").to_pylist(),
-                           enc.column("codec").to_pylist())),
+        "codecs": codecs, "values": value_counts_of(table, codecs),
         "params_hash": params_hash(enc),
         "wall_s": round(time.perf_counter() - t0, 4)})
     return {**row, "wall_s": time.perf_counter() - t0}

@@ -9,8 +9,9 @@ metadata only; the per-part structural checks run through
 for a small store, on Ray above it).  ``deep=True``
 additionally decodes every column and proves the manifest's pruning
 metadata against the actual values (zone bounds contain min/max, null
-counts match) — the invariant the entire pushdown layer rests on, so a
-violation here means reads could silently skip matching rows.
+counts and value counts match) — the invariant the entire pushdown
+layer and the metadata COUNT rest on, so a violation here means reads
+could silently skip matching rows or counts come out wrong.
 
 ``repair_store`` removes what is provably garbage (orphan manifests /
 blooms whose part is gone, stale tmp files, stale staging dirs) and
@@ -29,7 +30,7 @@ import pyarrow as pa
 from ..sources.plan import (collect, execute, part_files, part_id, plan,
                             read_part)
 from ..state.bloom import BLOOM_DIR
-from ..state.manifest import Manifest
+from ..state.manifest import Manifest, value_counts
 
 _STALE_S = 3600  # tmp/staging younger than this may be a live writer
 
@@ -122,6 +123,16 @@ class _CheckPart:
                         add(pid, f"{name}: values escape zone "
                                  f"[{zone['min']}, {zone['max']}] — "
                                  "pushdown would skip matching rows")
+                counts = (m.get("values") or {}).get(name)
+                if counts is not None:
+                    actual = value_counts(arr)
+                    if actual != counts:
+                        bad = sorted((v for v in {**counts, **actual}
+                                      if actual.get(v) != counts.get(v)),
+                                     key=str)
+                        add(pid, f"{name}: manifest value counts differ "
+                                 f"from the decoded column at {bad[:3]} — "
+                                 "a metadata COUNT would be wrong")
         if not out["part_id"]:
             return pa.table({"part_id": pa.array([], pa.string()),
                              "issue": pa.array([], pa.string())})

@@ -150,7 +150,10 @@ def store_stats(store_dir: str) -> dict:
     the 100 TB answer to "how big / what codecs / what ranges": the
     same manifests that make encodes resumable double as the store's
     statistics catalog (rows, logical/encoded bytes, per-column codec
-    histogram, global zone spans)."""
+    histogram, global zone spans).  It always answers from the
+    manifests; only ``disk_bytes`` stats the part files.  The
+    manifests' per-part value counts (``"values"``) are not summarized
+    here: ``count_encoded`` / ``agg_encoded`` answer from them."""
     from ..state.manifest import Manifest
     mans = Manifest(store_dir).load_all()
     codec_hist: dict[str, dict[str, int]] = {}
@@ -210,8 +213,12 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     counts; parts missing a manifest fall back to one n_values
     metadata read — the payload parquet column is never touched).
     With ``filter`` (AND) / ``filter_any`` (OR), manifest zone maps +
-    bloom sidecars prune parts driver-side (``plan``) and the residual
-    parts mask-sum on packed codes without decoding; the per-part
+    bloom sidecars prune parts driver-side (``plan``).  When every
+    predicate is an eq / IN / isnull / notnull on one and the same
+    column whose per-part value counts every kept part's manifest
+    records (``"values"``), the count is their sum and no part is
+    read (``_agg_from_manifests``).  Otherwise the kept parts
+    mask-sum on packed codes without decoding, and the per-part
     counts sum on the driver."""
     import pyarrow.compute as pc
     preds, mode = parse_filter(filter, filter_any)
@@ -227,6 +234,9 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
             if t.num_rows:  # rows of the part = n_values of any block
                 total += int(t.column("n_values")[0].as_py())
         return total
+    fast = _agg_from_manifests(store_dir, {"n": ("count",)}, p=p)
+    if fast is not None:
+        return int(fast.column("n")[0].as_py())
     n = collect(execute(p, _CountPart(preds, mode,
                                       probes=p.task_probes)))
     return 0 if n is None else int(pc.sum(n.column("n")).as_py())
@@ -246,9 +256,10 @@ class _AggPart:
 
     * predicate masks evaluate on packed codes (never decode the
       filter columns);
-    * a null-free dict-codec group column groups on its INT CODES —
-      only the per-part dictionary's distinct values decode (late
-      materialization: O(groups) string decodes, not O(rows));
+    * a dict or rle group column groups on its row codes
+      (``codecs/access.py::_code_domain``; code -1 is the NULL group)
+      — only the groups' values decode (late materialization:
+      O(groups) string decodes, not O(rows));
     * count-only aggregates decode no value column at all.
 
     ``keys`` are the group columns, [] for a global aggregate.  Emits
@@ -281,9 +292,8 @@ class _AggPart:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
-        from ..codecs.access import _dict_codes
+        from ..codecs.access import _code_domain
         from ..codecs.base import str_to_type
-        from ..codecs.dictionary import ipc_deserialize_array
 
         val_cols = {s[1] for s in self.aggs.values() if len(s) > 1}
         hard = val_cols | set(self.keys)
@@ -309,8 +319,8 @@ class _AggPart:
             enc_of, mask = hit
             sel = np.flatnonzero(mask) if mask is not None else None
 
-            # group keys: dict codes when null-free (decode only the
-            # distinct values after aggregation), else decoded values
+            # group keys: a dict / rle key groups on its row codes
+            # (-1: NULL) and decodes only the groups it returns
             cols, mappings = {}, {}
             if not self.keys:
                 # any present block carries the part's row count (an
@@ -320,29 +330,28 @@ class _AggPart:
                 cols["__g"] = pa.array(np.zeros(n_rows, dtype=np.int64))
             for i, key in enumerate(self.keys):
                 genc = enc_of[key]
-                if genc.codec == "dict" and \
-                        not genc.buffers.get("validity", b""):
-                    garr = pa.array(_dict_codes(genc).astype(
-                        np.int64, copy=False))
-                    mappings[f"__g{i}"] = ipc_deserialize_array(
-                        genc.buffers["aux"])
-                    if sel is not None:
-                        garr = garr.take(sel)
-                else:
-                    garr = _decode_at(genc, sel)
-                cols[f"__g{i}"] = garr
                 dt = genc.params.get("dtype")
                 if dt is not None:
                     out_types[key] = str_to_type(dt)
+                cd = _code_domain(genc)
+                if cd is None:
+                    cols[f"__g{i}"] = _decode_at(genc, sel)
+                    continue
+                codes, mappings[i] = cd
+                cols[f"__g{i}"] = pa.array(
+                    codes if sel is None else codes[sel])
             gcols = list(cols)
             for c in sorted(val_cols):
                 cols[c] = _decode_at(enc_of[c], sel)
                 out_types[c] = cols[c].type
             part = pa.table(cols).group_by(gcols).aggregate(specs)
-            for name, mapping in mappings.items():
+            for i, mapping in mappings.items():
+                name, key = f"__g{i}", self.keys[i]
+                codes = part.column(name).to_numpy()
+                vals = mapping.take(pa.array(codes, mask=codes < 0))
                 part = part.set_column(
                     part.schema.get_field_index(name), name,
-                    mapping.take(part.column(name)))
+                    vals.cast(out_types.get(key, vals.type)))
             outs.append(self._rename(part, src))
         if not outs:
             return self.empty(src, out_types)
@@ -383,13 +392,20 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
     semantics (sum/min/max/avg ignore them).  Integer sums stay int64
     — overflow is the caller's concern, as in pyarrow.
 
-    The scan prunes parts via zone maps + bloom sidecars when
+    Two shapes answer from the manifests alone, with no part read
+    (``_agg_from_manifests``): an unfiltered, ungrouped COUNT(*) / MIN
+    / MAX (row counts and zone maps), and COUNT(*) / COUNT(C) grouped
+    by nothing or by C under eq / IN / isnull / notnull predicates on
+    that same C, when every kept part records C's value counts (dict /
+    rle string columns of at most 64 values per part).  Everything else
+    scans: the scan prunes parts via zone maps + bloom sidecars when
     ``filter`` is given, evaluates the predicate on packed codes,
-    groups dict-codec columns on their integer codes (decoding only
-    the distinct group values), and skips value decodes entirely for
-    count-only aggregates.  The O(parts x groups) partial rows merge on
-    the driver with one ``pa.Table.group_by`` on either executor path
-    (``plan.execute``); a null key forms a group, as in SQL.
+    groups dict / rle columns on their row codes (decoding only the
+    group values), and skips value decodes entirely for count-only
+    aggregates.  The O(parts x groups) partial rows merge on the driver
+    with one ``pa.Table.group_by`` on either executor path
+    (``plan.execute``); a null key forms a group, as in SQL, and a
+    global COUNT over no matching row is 0.
 
     Returns a :class:`~packcol.sources.plan.LocalDataset` (the merged
     table, on either executor path) with columns ``[group_by, *aggs]``
@@ -415,10 +431,6 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
             aggs[c_name] = ("count", col)
 
     preds, mode = parse_filter(filter, filter_any)
-    if group_by is None and not preds:
-        fast = _agg_from_manifests(store_dir, aggs)
-        if fast is not None:
-            return LocalDataset(fast)
 
     def _finish_avg(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -448,11 +460,15 @@ _MERGE = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
 
 def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
                 preds: list[tuple], mode: str) -> pa.Table:
-    """``aggs`` grouped by ``keys`` ([] for a global aggregate): one
-    ``_AggPart`` scan, its partials merged on the driver by one
-    ``pa.Table.group_by`` (a null key forms a group, as in SQL).
+    """``aggs`` grouped by ``keys`` ([] for a global aggregate): the
+    manifests' answer when they prove it (``_agg_from_manifests``),
+    else one ``_AggPart`` scan, its partials merged on the driver by
+    one ``pa.Table.group_by`` (a null key forms a group, as in SQL).
     Columns ``[*keys, *aggs]``."""
     p = plan(store_dir, preds, mode)
+    fast = _agg_from_manifests(store_dir, aggs, keys, p)
+    if fast is not None:
+        return fast
     task = _AggPart(keys, aggs, preds, mode,
                     probes=p.task_probes)
     parts = execute(p, task)
@@ -462,10 +478,12 @@ def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
             parts = task.empty(task._partial_specs()[1], {})
     res = parts.group_by(keys, use_threads=False).aggregate(
         [(f"__p__{out}", _MERGE[spec[0]]) for out, spec in aggs.items()])
-    return pa.table(
-        {**{key: res.column(key) for key in keys},
-         **{out: res.column(f"__p__{out}_{_MERGE[spec[0]]}")
-            for out, spec in aggs.items()}})
+    out = {key: res.column(key) for key in keys}
+    for name, spec in aggs.items():
+        col = res.column(f"__p__{name}_{_MERGE[spec[0]]}")
+        # a global COUNT over no matching row is 0, not NULL (SQL)
+        out[name] = col.fill_null(0) if spec[0] == "count" else col
+    return pa.table(out)
 
 
 class _DistinctPairsPart:
@@ -658,19 +676,32 @@ def _int64_zone_value(v: int, target: pa.DataType) -> pa.Array:
         return arr.cast(pa.int32()).cast(target)
 
 
-def _agg_from_manifests(store_dir: str, aggs: dict):
-    """Unfiltered, ungrouped COUNT(*)/MIN/MAX answered purely from the
-    per-partition lineage manifests — zero part-file reads of any kind
-    (the zone maps are EXACT per-part min/max, not sketches).  Returns
-    a one-row ``pa.Table`` typed like the scan path, or None when the
-    metadata cannot prove the answer (a part without a manifest, a
-    column some part did not zone-map — e.g. long strings, uint64,
-    all-null parts — or a SUM / non-null COUNT, which manifests don't
-    record): the caller falls back to the encoded-domain scan."""
+def _agg_from_manifests(store_dir: str, aggs: dict, keys=(), p=None):
+    """The one metadata answer: ``aggs`` grouped by ``keys`` under the
+    predicates of the plan ``p`` (None: unfiltered), from the
+    per-partition lineage manifests alone — zero part-file reads of any
+    kind.  Two shapes answer; for anything else it returns None and the
+    caller takes the encoded-domain scan:
+
+    * unfiltered, ungrouped COUNT(*) / MIN / MAX: the sum of the
+      manifests' row counts and the extremes of their zone maps (EXACT
+      per-part min/max, not sketches).  None when a part has no
+      manifest, when some part did not zone-map a MIN/MAX column (long
+      strings, uint64, all-null parts) or for a SUM.
+    * COUNT(*) / COUNT(C), grouped by nothing or by C, under
+      predicates that are all eq / IN / isnull / notnull on that same
+      column C: ``_value_count_answer``.
+
+    Returns a ``pa.Table`` typed like the scan path's answer."""
     from ..state.manifest import Manifest
 
+    if keys or (p is not None and p.preds) or any(
+            s[0] == "count" and len(s) > 1 for s in aggs.values()):
+        return _value_count_answer(aggs, list(keys),
+                                   p if p is not None else
+                                   plan(store_dir, []))
     for spec in aggs.values():
-        if spec[0] == "sum" or (spec[0] == "count" and len(spec) > 1):
+        if spec[0] == "sum":
             return None
     man = Manifest(store_dir)
     done = man.done_parts()
@@ -727,6 +758,66 @@ def _agg_from_manifests(store_dir: str, aggs: dict):
         else:  # "f64" / "str": zone stores the logical value directly
             cols[out] = pa.array([v], type=target)
     return pa.table(cols)
+
+
+def _value_count_answer(aggs: dict, keys: list[str], p):
+    """COUNT(*) / COUNT(C), grouped by nothing or by C, under the plan
+    ``p``'s predicates when they are all eq / IN / isnull / notnull on
+    that same column C (AND intersects their value sets, OR unions
+    them): the sum, over the parts the plan keeps, of the exact
+    per-part value counts that ``encode_pipeline.write_part`` records
+    (manifest key ``"values"``; the NULL count is ``"nulls"``).
+
+    None, so the scan answers, when a kept part's manifest lacks
+    ``values[C]`` (a part written before the key existed, or a column
+    that is not a dict / rle string column of at most
+    ``state/manifest.py::_VALUES_MAX`` values), when the shape names a
+    second column (marginal counts cannot answer a cross-column AND),
+    when an eq / IN value is not a ``str``, or when the plan keeps no
+    part.  A manifest can be out of date with its part file between a
+    partial rewrite and its re-record (``delete_where``), so a
+    concurrent count may see the old counts there, as the manifest-row
+    COUNT(*) always could."""
+    cols = {c for c, *_ in p.preds} | set(keys) | \
+        {s[1] for s in aggs.values() if len(s) > 1}
+    if len(cols) != 1 or not p.parts or \
+            any(s[0] != "count" for s in aggs.values()) or \
+            any(op not in ("eq", "in", "isnull", "notnull")
+                for _, op, *_ in p.preds):
+        return None
+    (col,) = cols
+    wanted = []  # per predicate: its value set, or "notnull"
+    for _, op, lo, _ in p.preds:
+        vals = [lo] if op == "eq" else list(lo) if op == "in" else []
+        if not all(isinstance(v, str) for v in vals):
+            return None  # the scan gives this value's answer or error
+        wanted.append({None} if op == "isnull" else
+                      op if op == "notnull" else set(vals))
+    total: dict = {}  # value (None: NULL) -> matching rows
+    for path in p.parts:
+        m = p.manifests.get(path) or {}
+        counts = (m.get("values") or {}).get(col)
+        if counts is None or "nulls" not in m:
+            return None
+        counts = {**counts, None: m["nulls"].get(col, 0)}
+        sets = [set(counts) - {None} if w == "notnull" else w
+                for w in wanted]
+        hit = set(counts) if not sets else \
+            set.intersection(*sets) if p.mode == "and" else set.union(*sets)
+        for v in counts:  # the manifest's (sorted) order, NULL last
+            if v in hit and counts[v]:
+                total[v] = total.get(v, 0) + counts[v]
+
+    def n(spec, groups):  # COUNT(C) does not count the NULL group
+        return sum(total[g] for g in groups
+                   if len(spec) == 1 or g is not None)
+    if not keys:
+        return pa.table({out: pa.array([n(spec, total)], pa.int64())
+                         for out, spec in aggs.items()})
+    return pa.table({col: pa.array(list(total), pa.string()),
+                     **{out: pa.array([n(spec, [g]) for g in total],
+                                      pa.int64())
+                        for out, spec in aggs.items()}})
 
 
 class _DistinctPart:

@@ -96,6 +96,40 @@ def null_counts_of(t) -> dict:
             for name in t.column_names if t.column(name).null_count}
 
 
+# a dict / rle string column with at most this many distinct values in
+# a part gets exact per-part value counts (manifest key "values")
+_VALUES_MAX = 64
+
+
+def value_counts(arr) -> dict:
+    """{value: count} of the non-null values of one column."""
+    import pyarrow.compute as pc
+    vc = pc.value_counts(arr)
+    return {v: int(c) for v, c in zip(vc.field("values").to_pylist(),
+                                      vc.field("counts").to_pylist())
+            if v is not None}
+
+
+def value_counts_of(t, codecs: dict) -> dict:
+    """{column: value_counts} for the ``string`` columns of one
+    partition that ``codecs`` (the part's {column: codec}) stores as
+    dict or rle with at most ``_VALUES_MAX`` distinct values.  Stored
+    under the manifest key "values"; NULL is never a key (its count is
+    the "nulls" entry).  The counts are exact, so COUNT and GROUP BY
+    COUNT over such a column answer from manifests alone
+    (sources/encoded.py::_agg_from_manifests)."""
+    import pyarrow as pa
+    out = {}
+    for name, codec in codecs.items():
+        if codec not in ("dict", "rle") or name not in t.column_names \
+                or not pa.types.is_string(t.column(name).type):
+            continue
+        got = value_counts(t.column(name))
+        if len(got) <= _VALUES_MAX:
+            out[name] = got
+    return out
+
+
 def compute_zones(t) -> dict:
     """Per-column min/max zone map of one partition, JSON-safe.
 

@@ -1234,6 +1234,7 @@ def test_executor_paths_agree(store, monkeypatch):
         StreamingExecutor
 
     from packcol.pipelines import encode_pipeline as ep
+    from packcol.sources import encoded as enc_mod
     from packcol.sources import plan as plan_mod
     wt, out = store
     truth = pq.read_table(wt).to_pandas()
@@ -1258,6 +1259,13 @@ def test_executor_paths_agree(store, monkeypatch):
     def no_ray(*a, **kw):
         raise AssertionError("in-process answer started Ray Data")
 
+    def scan_only():
+        # count and agg answer from manifest value counts before any
+        # executor runs (tests/test_value_counts.py); here they scan
+        monkeypatch.setattr(enc_mod, "_agg_from_manifests",
+                            lambda *a, **kw: None)
+
+    scan_only()
     monkeypatch.setattr(ep, "_part_scan_seed", no_ray)
     monkeypatch.setattr(rd, "from_arrow", no_ray)
     monkeypatch.setattr(StreamingExecutor, "execute", no_ray)
@@ -1281,6 +1289,7 @@ def test_executor_paths_agree(store, monkeypatch):
         seeded.append(len(files))
         return seed(files)
 
+    scan_only()
     monkeypatch.setattr(ep, "_part_scan_seed", counted)
     monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
     for op, (call, answer) in _routed_ops(out).items():

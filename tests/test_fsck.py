@@ -77,6 +77,25 @@ def test_detects_corrupt_zone(store):
     assert any("escape zone" in m for _, m in r["issues"])
 
 
+def test_detects_wrong_value_counts(store):
+    """A hand-edited value count would make a metadata COUNT wrong: the
+    deep check decodes the column and reports it."""
+    from packcol.state.manifest import Manifest
+    man = Manifest(store)
+    assert check_store(store, deep=True)["issues"] == []
+    pid = man.load_all()[0]["part_id"]
+    m = man.load(pid)
+    assert set(m["values"]["lang"]) <= {"en", "de", "fr"}
+    m["values"]["lang"]["en"] = m["values"]["lang"].get("en", 0) + 1
+    man.record(pid, m)
+    assert check_store(store)["ok"]  # structural layers can't see it
+    r = check_store(store, deep=True)
+    assert not r["ok"]
+    assert [list(i) for i in r["issues"]] == [[pid, (
+        "lang: manifest value counts differ from the decoded column at "
+        "['en'] — a metadata COUNT would be wrong")]]
+
+
 def test_detects_row_count_mismatch(store):
     from packcol.state.manifest import Manifest
     man = Manifest(store)

@@ -7,7 +7,8 @@ equality / IN evaluated on FSST's compressed bytes.
   on the decoded block, including probes that hold a byte only a later
   round uses as a code;
 * the numpy expansion table equals a dict-built one;
-* a point or IN read of a webtext store never decodes an fsst block.
+* a point or IN read of a webtext store never decodes an fsst block,
+  and unpacks each fsst block's row offsets once.
 """
 
 import numpy as np
@@ -263,3 +264,29 @@ def test_point_and_in_reads_never_decode_fsst(webtext_store, monkeypatch):
                           filter=flt).to_pandas()
         got = sorted(zip(df["url"], df["lang"]))
         assert got == want_rows(keys)
+
+
+def test_point_read_unpacks_fsst_rows_once(tmp_path, ray_session,
+                                           monkeypatch):
+    """The mask (``match_values``) and the output rows (``take``) of a
+    filtered read share one ``_stored_rows`` unpack per fsst block."""
+    import pyarrow.parquet as pq
+
+    from packcol.pipelines.encode_pipeline import encode_files
+    from packcol.sources.encoded import read_encoded
+    from packcol.sources.plan import part_files, read_blocks
+    wt, out = str(tmp_path / "src"), str(tmp_path / "store")
+    encode_files(write_webtext(wt, n_rows=1000, n_parts=1, seed=3), out,
+                 target_bytes=1 << 30)
+    (path,) = part_files(out)
+    n_fsst = sum(enc.codec == "fsst" for enc in
+                 read_blocks(path, ["url", "lang"]).values())
+    assert n_fsst
+    url = pq.read_table(wt).column("url")[7].as_py()
+    calls, orig = [], fsst._stored_rows
+    monkeypatch.setattr(fsst, "_stored_rows",
+                        lambda enc: calls.append(enc) or orig(enc))
+    got = read_encoded(out, columns=["url", "lang"],
+                       filter=("url", "==", url)).to_pandas()
+    assert list(got["url"]) == [url]
+    assert len(calls) == n_fsst

@@ -20,7 +20,7 @@ from packcol.sources.webtext import LANGS, write_webtext
 
 # what every part's manifest holds, whichever writer made it
 FULL_KEYS = {"rows", "orig_bytes", "enc_bytes", "zones", "nulls",
-             "blooms", "codecs", "params_hash", "wall_s",
+             "blooms", "codecs", "values", "params_hash", "wall_s",
              "payload_digest"}
 
 
