@@ -804,7 +804,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["filter_encoded_conj"] = filter_encoded_conj
 
     def filter_encoded_in(sf):
-        # IN-list pushdown: bloom sidecars prune parts for point sets
+        # IN-list pushdown: manifest blooms prune parts for point sets
         # (zone maps can't on unclustered keys); surviving parts mask
         # packed codes directly — int bitpack AND string dict columns
         from packcol.sources.encoded import read_encoded

@@ -8,12 +8,13 @@ rewrites ONLY that part's metadata plus the new column's encoded block
 the corpus with a quality score / token count / language tag" shape:
 the work is O(input columns + new column) per part, not O(row bytes),
 and the new column immediately joins the full query layer (zone maps,
-null counts, optional bloom, codec stats, pushdown).
+null counts, value counts, optional bloom, codec stats, pushdown).
+Every per-column entry of the part's manifest (``_COLUMN_KEYS``,
+blooms included) is replaced, dropped and renamed as one.
 
 ``drop_column_encoded(store, name)`` is the inverse: the block row
-disappears from each part, n_cols and manifests adjust, the bloom
-sidecar entry (if any) is stripped.  Payloads of surviving columns are
-again copied verbatim.
+disappears from each part, n_cols and manifests adjust.  Payloads of
+surviving columns are again copied verbatim.
 
 Both are idempotent: re-running an add with the same ``fn`` rewrites
 the same block under the same part id (``overwrite=True`` recomputes;
@@ -37,10 +38,10 @@ from ..sources.plan import (collect, execute, part_id as part_id_of, plan,
 from ..stages.encode import encoded_blocks
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash, value_counts_of
-from .encode_pipeline import write_part_file
+from .encode_pipeline import build_part_blooms, write_part_file
 
 # the manifest entries keyed by column name (state/manifest.py)
-_COLUMN_KEYS = ("zones", "nulls", "codecs", "values")
+_COLUMN_KEYS = ("zones", "nulls", "codecs", "values", "blooms")
 
 
 def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
@@ -51,19 +52,22 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
     manifests (older stores) stay absent — pruning simply won't apply.
 
     ``replace`` names the column whose metadata the ``add`` dict is
-    authoritative for: its old zones/nulls/codecs/values entries are popped
-    BEFORE the add is applied, so absent-in-new means absent-in-
-    manifest.  Without it, an overwrite whose recomputed column is no
-    longer zonable (compute_zones omits all-null / long-string
-    columns) or whose null count dropped to 0 (null_counts_of omits
-    zero-null columns) would keep the STALE entry and let zone /
-    notnull pushdown wrongly prune parts, and a stale "values" entry
-    would give a wrong metadata COUNT."""
+    authoritative for: its old entries under every ``_COLUMN_KEYS`` key
+    are popped BEFORE the add is applied, so absent-in-new means
+    absent-in-manifest.  Without it, an overwrite whose recomputed
+    column is no longer zonable (compute_zones omits all-null /
+    long-string columns), whose null count dropped to 0 (null_counts_of
+    omits zero-null columns) or that was written without a bloom would
+    keep the STALE entry and let zone / notnull / bloom pushdown
+    wrongly prune parts, and a stale "values" entry would give a wrong
+    metadata COUNT."""
     man = Manifest(store_dir)
     try:
         m = man.load(part_id)
     except FileNotFoundError:
         return
+    if not isinstance(m.get("blooms"), dict):
+        m["blooms"] = {}  # a pre-embedded-bloom list holds no bloom
     for key in _COLUMN_KEYS:
         d = m.get(key)
         if d is None:
@@ -77,8 +81,6 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
     m["enc_bytes"] = sum(enc.column("enc_bytes").to_pylist())
     m["orig_bytes"] = sum(enc.column("orig_bytes").to_pylist())
     m["params_hash"] = params_hash(enc)
-    if drop is not None and drop in (m.get("blooms") or []):
-        m["blooms"] = [c for c in m["blooms"] if c != drop]
     man.record(part_id, m)
 
 
@@ -147,16 +149,9 @@ class _AddColPart:
                               new_enc.column("codec").to_pylist()))
             add = {"zones": zones, "nulls": null_counts_of(new_t),
                    "codecs": codecs,
-                   "values": value_counts_of(new_t, codecs)}
-            if self.bloom:
-                from ..state.bloom import (_hash_kind, build_bloom,
-                                           load_blooms, save_blooms)
-                kind = _hash_kind(arr.type)
-                b = build_bloom(arr, kind) if kind is not None else None
-                if b is not None:
-                    existing = load_blooms(self.store_dir, part_id)
-                    existing[self.name] = b
-                    save_blooms(self.store_dir, part_id, existing)
+                   "values": value_counts_of(new_t, codecs),
+                   "blooms": build_part_blooms(
+                       new_t, {}, [self.name] if self.bloom else None)}
             _update_manifest(self.store_dir, part_id, merged, add=add,
                              replace=self.name)
             out["part_id"].append(part_id)
@@ -192,14 +187,6 @@ class _DropColPart:
                                         self.name)),
                 len(set(names)) - 1)
             write_part_file(p, kept)
-            from ..state.bloom import load_blooms, save_blooms, _path
-            blooms = load_blooms(self.store_dir, part_id)
-            if self.name in blooms:
-                del blooms[self.name]
-                if blooms:
-                    save_blooms(self.store_dir, part_id, blooms)
-                else:
-                    os.remove(_path(self.store_dir, part_id))
             _update_manifest(self.store_dir, part_id, kept,
                              drop=self.name)
             out["part_id"].append(part_id)
@@ -274,7 +261,7 @@ class _RenameColPart:
                 [self.new if n == self.old else n for n in names],
                 type=pa.string()))
             write_part_file(p, enc)
-            # manifest + bloom keys follow the rename
+            # the manifest's per-column entries follow the rename
             man = Manifest(self.store_dir)
             try:
                 m = man.load(part_id)
@@ -283,17 +270,9 @@ class _RenameColPart:
             if m is not None:
                 for key in _COLUMN_KEYS:
                     d = m.get(key)
-                    if d is not None and self.old in d:
+                    if isinstance(d, dict) and self.old in d:
                         d[self.new] = d.pop(self.old)
-                if self.old in (m.get("blooms") or []):
-                    m["blooms"] = [self.new if c == self.old else c
-                                   for c in m["blooms"]]
                 man.record(part_id, m)
-            from ..state.bloom import load_blooms, save_blooms
-            blooms = load_blooms(self.store_dir, part_id)
-            if self.old in blooms:
-                blooms[self.new] = blooms.pop(self.old)
-                save_blooms(self.store_dir, part_id, blooms)
             out["part_id"].append(part_id)
             out["action"].append("renamed")
         return pa.table(out) if out["part_id"] else \
@@ -303,7 +282,7 @@ class _RenameColPart:
 
 def rename_column_encoded(store_dir: str, old: str, new: str) -> dict:
     """Rename column ``old`` → ``new`` in every part: a metadata-only
-    rewrite (the block's ``column`` field plus manifest/bloom keys) —
+    rewrite (the block's ``column`` field plus manifest keys) —
     payload bytes copy verbatim, no decode anywhere.  Returns
     {parts_total, parts_renamed, parts_skipped}."""
     from ..sources.encoded import encoded_schema

@@ -3,14 +3,13 @@
 ``delete_where(store, filter)`` removes every row matching the
 predicate while touching ONLY the parts that can possibly match: the
 same zone-map + bloom pruning the read path uses selects the affected
-parts driver-side (tiny JSON / ~KB sidecars), each affected part
+parts driver-side (from the parts' manifests alone), each affected part
 evaluates the predicate on packed codes — in-process below the
 crossover (``sources/plan.py::execute``), else in Ray tasks — and then
 
 * zero matching rows  → the part is left byte-identical (never
   rewritten, never decoded);
-* every row matches   → the part file, its manifest and its bloom
-  sidecar are removed;
+* every row matches   → the part file and its manifest are removed;
 * a strict subset     → the surviving rows are decoded once,
   re-encoded with the codecs the part's manifest records (no codec
   selection: the survivors are a subset of rows those codecs already
@@ -46,21 +45,18 @@ class _DeletePartTask:
     """One affected part per loop turn: predicate on packed codes →
     untouched / removed / rewritten-in-place."""
 
-    def __init__(self, store_dir: str, preds: list[tuple],
-                 probes: list | None = None):
+    def __init__(self, store_dir: str, preds: list[tuple]):
         self.store_dir = store_dir
         self.preds = preds
-        self.probes = probes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.encode import decode_rows
-        from ..state.bloom import _path as bloom_path
         out = {"part_id": [], "action": [], "rows_deleted": []}
         man = Manifest(self.store_dir)
         for p in batch.column("path").to_pylist():
             pid = part_id(p) or os.path.basename(p)
             # mask True = row matches the predicate = DELETE
-            hit = part_mask(p, self.preds, "and", probes=self.probes)
+            hit = part_mask(p, self.preds, "and")
             mask = hit[1] if hit is not None else None
             n_del = int(mask.sum()) if mask is not None else 0
             if n_del == 0:
@@ -70,10 +66,8 @@ class _DeletePartTask:
                 continue
             if n_del == len(mask):
                 os.remove(p)
-                for side in (man._path(pid),
-                             bloom_path(self.store_dir, pid)):
-                    if os.path.exists(side):
-                        os.remove(side)
+                if os.path.exists(man._path(pid)):
+                    os.remove(man._path(pid))
                 out["part_id"].append(pid)
                 out["action"].append("removed")
                 out["rows_deleted"].append(n_del)
@@ -119,8 +113,7 @@ def delete_where(store_dir: str, filter,
     p = plan(store_dir, preds, "and")
     p = p.restrict([f for f in p.parts
                     if part_id(f) not in (exclude_parts or ())])
-    res = collect(execute(p, _DeletePartTask(store_dir, preds,
-                                             p.task_probes)))
+    res = collect(execute(p, _DeletePartTask(store_dir, preds)))
     res = res.to_pydict() if res is not None else \
         {"action": [], "rows_deleted": []}
     acts = res["action"]

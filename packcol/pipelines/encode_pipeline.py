@@ -171,11 +171,11 @@ def write_part(store_dir: str, part_id: str, table: pa.Table, *,
                bloom_columns: list[str] | str | None = "auto",
                meta: dict | None = None) -> dict:
     """Write decoded ``table`` as part ``part_id`` of the store: encode,
-    atomic part-file write (``write_part_file``), zone map, bloom
-    sidecar (``build_part_blooms``) and one manifest record that holds
-    the full metadata key set (``values``: the exact value counts of
-    low-cardinality string columns, ``value_counts_of``) plus the
-    caller's ``meta`` extras
+    atomic part-file write (``write_part_file``) and one manifest
+    record, the part's one metadata file, that holds the full metadata
+    key set (zone map; ``values``: the exact value counts of
+    low-cardinality string columns, ``value_counts_of``; ``blooms``:
+    ``build_part_blooms``) plus the caller's ``meta`` extras
     (lineage such as ``input`` / ``inputs`` / ``clustered_on``).  The
     one writer of every store mutation that creates or rewrites a
     part.  Returns the part's stats row {part_id, rows, orig_bytes,
@@ -187,34 +187,34 @@ def write_part(store_dir: str, part_id: str, table: pa.Table, *,
     write_part_file(os.path.join(store_dir, f"part-{part_id}.parquet"),
                     enc)
     zones = compute_zones(table)
-    blooms = build_part_blooms(table, zones, store_dir, part_id,
-                               bloom_columns)
     row = {"part_id": part_id, "rows": table.num_rows,
            "orig_bytes": sum(enc.column("orig_bytes").to_pylist()),
            "enc_bytes": sum(enc.column("enc_bytes").to_pylist())}
     codecs = dict(zip(enc.column("column").to_pylist(),
                       enc.column("codec").to_pylist()))
+    values = value_counts_of(table, codecs)
     Manifest(store_dir).record(part_id, {
         **(meta or {}), **row,
-        "zones": zones, "nulls": null_counts_of(table), "blooms": blooms,
-        "codecs": codecs, "values": value_counts_of(table, codecs),
+        "zones": zones, "nulls": null_counts_of(table),
+        "blooms": build_part_blooms(table, values, bloom_columns),
+        "codecs": codecs, "values": values,
         "params_hash": params_hash(enc),
         "wall_s": round(time.perf_counter() - t0, 4)})
     return {**row, "wall_s": time.perf_counter() - t0}
 
 
-def build_part_blooms(t: pa.Table, zones: dict, out_dir: str,
-                      part_id: str,
-                      bloom_columns: list[str] | str | None) -> list[str]:
-    """Point-lookup bloom sidecar for one part (state/bloom.py):
-    "auto" = unzoned key-shaped string columns (url-ish); an explicit
-    list covers any hashable column.  Returns the covered column names
-    (recorded in the manifest for store_stats)."""
+def build_part_blooms(t: pa.Table, values: dict,
+                      bloom_columns: list[str] | str | None) -> dict:
+    """The point-lookup blooms of one part (state/bloom.py), as the
+    manifest's ``blooms`` entry {column: record}: "auto" = hashable
+    columns short of document payloads that have no exact value counts
+    (``values``, which prune eq / IN exactly); an explicit list covers
+    any hashable column."""
     from ..state.bloom import (auto_bloom_columns, build_bloom,
-                               _hash_kind, save_blooms)
+                               _hash_kind, to_record)
     if bloom_columns is None:
-        return []
-    cols = auto_bloom_columns(t, zones) \
+        return {}
+    cols = auto_bloom_columns(t, values) \
         if bloom_columns == "auto" else [
             c for c in bloom_columns if c in t.column_names]
     blooms = {}
@@ -224,9 +224,8 @@ def build_part_blooms(t: pa.Table, zones: dict, out_dir: str,
             continue
         b = build_bloom(t.column(c), kind)
         if b is not None:
-            blooms[c] = b
-    save_blooms(out_dir, part_id, blooms)
-    return sorted(blooms)
+            blooms[c] = to_record(b)
+    return blooms
 
 
 def _selection_path(out_dir: str) -> str:
@@ -485,8 +484,8 @@ def write_encoded(ds: "rd.Dataset | pa.Table", out_dir: str, *,
                   bloom_columns: list[str] | str | None = "auto",
                   rows_per_part: int | None = None) -> dict:
     """Sink: stream ANY ``ray.data.Dataset`` into an encoded store
-    directory — parts + lineage manifests + zone maps + bloom sidecars,
-    fully readable by ``read_encoded`` / ``agg_encoded`` /
+    directory — parts + lineage manifests (zone maps, value counts,
+    blooms), fully readable by ``read_encoded`` / ``agg_encoded`` /
     ``count_encoded`` / ``cluster_store``.  This closes the loop:
     pipeline output (a curated corpus, a join result) lands in the
     same store format the file-based ``encode_files`` writes.
@@ -626,27 +625,23 @@ class EncodedFilterPart:
     where the codec has one (sources/plan.py::part_mask,
     codecs/access.py).  ``out_columns`` decode through ``take_any`` at
     the matching rows: an fsst block expands only those rows, other
-    codecs decode the block and take them.  ``probes``: the
-    bloom probes of a plan that left the parts' sidecars unprobed
-    (``Plan.task_probes``).  ``schema`` types the empty block of a task
+    codecs decode the block and take them.  ``schema`` types the empty
+    block of a task
     that matched nothing, so schemas unify across tasks."""
 
     def __init__(self, preds: list[tuple], out_columns: list[str],
-                 mode: str = "and", probes: list | None = None,
-                 schema: pa.Schema | None = None):
+                 mode: str = "and", schema: pa.Schema | None = None):
         assert mode in ("and", "or"), mode
         self.preds = preds
         self.out_columns = out_columns
         self.mode = mode
-        self.probes = probes
         self.schema = schema
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..codecs import take_any
         outs = []
         for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode, self.out_columns,
-                            probes=self.probes)
+            hit = part_mask(p, self.preds, self.mode, self.out_columns)
             if hit is None:
                 continue
             enc_of, mask = hit

@@ -1,7 +1,7 @@
 """Store consistency check + repair (fsck for the encoded store).
 
-``check_store`` audits the three layers that make the store a table
-format — part files, lineage manifests, bloom sidecars — plus the
+``check_store`` audits the two layers that make the store a table
+format — part files and their lineage manifests — plus the
 transient artifacts the mutation pipelines stage (``*.tmp-*`` writer
 files, ``_upsert-*`` staging dirs).  Driver-side work is O(parts)
 metadata only; the per-part structural checks run through
@@ -9,12 +9,13 @@ metadata only; the per-part structural checks run through
 for a small store, on Ray above it).  ``deep=True``
 additionally decodes every column and proves the manifest's pruning
 metadata against the actual values (zone bounds contain min/max, null
-counts and value counts match) — the invariant the entire pushdown
-layer and the metadata COUNT rest on, so a violation here means reads
-could silently skip matching rows or counts come out wrong.
+counts and value counts match, every bloom holds every distinct
+value) — the invariant the entire pushdown layer and the metadata
+COUNT rest on, so a violation here means reads could silently skip
+matching rows or counts come out wrong.
 
-``repair_store`` removes what is provably garbage (orphan manifests /
-blooms whose part is gone, stale tmp files, stale staging dirs) and
+``repair_store`` removes what is provably garbage (orphan manifests
+whose part is gone, stale tmp files, stale staging dirs) and
 nothing else — structural damage inside a part is reported, never
 auto-"fixed".
 """
@@ -29,7 +30,6 @@ import pyarrow as pa
 
 from ..sources.plan import (collect, execute, part_files, part_id, plan,
                             read_part)
-from ..state.bloom import BLOOM_DIR
 from ..state.manifest import Manifest, value_counts
 
 _STALE_S = 3600  # tmp/staging younger than this may be a live writer
@@ -48,8 +48,10 @@ class _CheckPart:
         self.deep = deep
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
         from ..codecs import decode_any
         from ..stages.encode import encoded_blocks
+        from ..state.bloom import from_record, probe_bloom
         out = {"part_id": [], "issue": []}
 
         def add(pid, msg):
@@ -133,6 +135,17 @@ class _CheckPart:
                         add(pid, f"{name}: manifest value counts differ "
                                  f"from the decoded column at {bad[:3]} — "
                                  "a metadata COUNT would be wrong")
+                blooms = m.get("blooms")
+                b = from_record(blooms.get(name)) \
+                    if isinstance(blooms, dict) else None
+                if b is not None and arr.null_count < len(arr):
+                    distinct = pc.unique(arr.drop_null())
+                    missed = len(distinct) - int(probe_bloom(
+                        b, distinct).sum())
+                    if missed:
+                        add(pid, f"{name}: manifest bloom misses {missed} "
+                                 "distinct value(s) of the decoded column "
+                                 "— pushdown would skip matching rows")
         if not out["part_id"]:
             return pa.table({"part_id": pa.array([], pa.string()),
                              "issue": pa.array([], pa.string())})
@@ -150,12 +163,6 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
             manifests[m["part_id"]] = m
     for pid in sorted(set(manifests) - parts):
         issues.append((pid, "orphan manifest (part file missing)"))
-    bdir = os.path.join(store_dir, BLOOM_DIR)
-    if os.path.isdir(bdir):
-        for f in sorted(os.listdir(bdir)):
-            if f.endswith(".npz") and f[:-len(".npz")] not in parts:
-                issues.append((f[:-len(".npz")],
-                               "orphan bloom sidecar (part missing)"))
     now = time.time()
     for f in sorted(os.listdir(store_dir)):
         fp = os.path.join(store_dir, f)
@@ -180,7 +187,7 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
 
 def repair_store(store_dir: str) -> dict:
     """Remove provably-garbage artifacts found by the metadata layer of
-    ``check_store``: orphan manifests/blooms, stale tmp files, stale
+    ``check_store``: orphan manifests, stale tmp files, stale
     staging dirs.  Structural issues inside parts are NOT touched.
     Returns {removed: [paths]}."""
     import shutil
@@ -192,12 +199,6 @@ def repair_store(store_dir: str) -> dict:
             if f.endswith(".json") and f[:-len(".json")] not in parts:
                 os.remove(os.path.join(man.dir, f))
                 removed.append(os.path.join("_manifest", f))
-    bdir = os.path.join(store_dir, BLOOM_DIR)
-    if os.path.isdir(bdir):
-        for f in sorted(os.listdir(bdir)):
-            if f.endswith(".npz") and f[:-len(".npz")] not in parts:
-                os.remove(os.path.join(bdir, f))
-                removed.append(os.path.join(BLOOM_DIR, f))
     now = time.time()
     for f in sorted(os.listdir(store_dir)):
         fp = os.path.join(store_dir, f)

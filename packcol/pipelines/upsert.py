@@ -6,7 +6,8 @@ appears in ``ds`` is deleted (the same zone-map + bloom pruning as
 reads selects only the affected parts) and every row of ``ds`` is
 appended as new content-addressed parts — so a point update rewrites
 O(1) parts at 100 TB, and the new rows immediately carry the full
-query-layer metadata (manifests, zone maps, bloom sidecars).
+query-layer metadata (one manifest per part: zone maps, value counts,
+blooms).
 
 Ordering is chosen for crash-safety, not elegance:
 
@@ -19,8 +20,8 @@ Ordering is chosen for crash-safety, not elegance:
    most ``_LOCAL_PLAN_BYTES`` (``sources/plan.py::driver_table``) is
    staged in-process as one part; any other Dataset streams through a
    Ray Data ``map_batches``;
-2. **publish** — each staged part's manifest, bloom sidecar and part
-   file rename into the store (same filesystem, atomic per file);
+2. **publish** — each staged part's manifest and part file rename
+   into the store (same filesystem, atomic per file);
 3. **retire** — a key scan (``_KeyColDistinct``) over the published
    parts yields the replaced keys, and ``delete_where`` deletes them in
    bounded driver chunks (``_KEY_CHUNK`` distinct values per pass, each
@@ -56,7 +57,6 @@ import pyarrow as pa
 
 from ..sources.plan import (blocks, driver_table, execute, part_id, plan,
                             read_blocks)
-from ..state.bloom import _path as bloom_path
 from ..state.manifest import Manifest
 
 # Distinct key values per retire pass (bounds driver memory only).
@@ -101,19 +101,14 @@ class _KeyColDistinct:
 def _transfer_part(src_dir: str, dst_dir: str, f: str,
                    transfer=os.replace) -> None:
     """Move part file ``f`` (``transfer``: ``os.replace``, or a copy)
-    from store ``src_dir`` to ``dst_dir``: manifest, then bloom
-    sidecar, then the part file last, so a part is never visible
+    from store ``src_dir`` to ``dst_dir``: the manifest (the part's one
+    metadata file), then the part file last, so a part is never visible
     without its pruning metadata (a missing manifest only degrades to
     "cannot prune" anyway).  Overwrites what ``dst_dir`` holds."""
     pid = part_id(f) or f
     man_src, man_dst = Manifest(src_dir), Manifest(dst_dir)
     if os.path.exists(man_src._path(pid)):
         transfer(man_src._path(pid), man_dst._path(pid))
-    b = bloom_path(src_dir, pid)
-    if os.path.exists(b):
-        dst_b = bloom_path(dst_dir, pid)
-        os.makedirs(os.path.dirname(dst_b), exist_ok=True)
-        transfer(b, dst_b)
     transfer(os.path.join(src_dir, f), os.path.join(dst_dir, f))
 
 
@@ -188,8 +183,7 @@ def attach_store(src_dir: str, dst_dir: str, *,
                  move: bool = True) -> dict:
     """Merge every part of ``src_dir`` into ``dst_dir`` — the publish
     half of an upsert, standalone: per-part atomic renames (or copies
-    with ``move=False``), manifest and bloom sidecars first, payload
-    file last.  The shard-combining shape at 100 TB: attaching a
+    with ``move=False``), manifest first, payload file last.  The shard-combining shape at 100 TB: attaching a
     1000-part shard to a million-part corpus is O(shard parts)
     metadata, zero decode, zero shuffle.
 
@@ -224,7 +218,7 @@ def attach_store(src_dir: str, dst_dir: str, *,
                     "differ byte-wise — shards built from same-named "
                     "inputs with different content cannot attach")
             deduped += 1
-            continue  # byte-identical: keep dst's copy + sidecars
+            continue  # byte-identical: keep dst's copy + manifest
         attached += 1
         if os.path.exists(man_src._path(pid)):
             rows += int(man_src.load(pid).get("rows") or 0)

@@ -43,9 +43,9 @@ domain can evaluate without decoding):
                          ("user_id", "between", 3, 9)])   # conjunction
 
 Point predicates (eq / in) additionally prune via the per-part bloom
-sidecars (state/bloom.py) — the path that makes a ``url == x`` lookup
-on an arrival-ordered store O(matching parts), since url zones don't
-exist (long-string columns are not zone-mapped).
+filters the manifests hold (state/bloom.py) — the path that makes a
+``url == x`` lookup on an arrival-ordered store O(matching parts),
+since url zones don't exist (long-string columns are not zone-mapped).
 """
 
 from __future__ import annotations
@@ -139,8 +139,7 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     out_schema = pa.schema([schema.field(c) for c in out_columns])
     p = plan(store_dir, preds, mode)
     ds = as_dataset(execute(p, EncodedFilterPart(
-        preds, out_columns, mode, probes=p.task_probes,
-        schema=out_schema)))
+        preds, out_columns, mode, schema=out_schema)))
     return ds.limit(limit) if limit is not None else ds
 
 
@@ -167,7 +166,8 @@ def store_stats(store_dir: str) -> dict:
         for col, codec in m.get("codecs", {}).items():
             codec_hist.setdefault(col, {})
             codec_hist[col][codec] = codec_hist[col].get(codec, 0) + 1
-        for col in m.get("blooms") or ():
+        blooms = m.get("blooms")
+        for col in blooms if isinstance(blooms, dict) else ():
             bloom_parts[col] = bloom_parts.get(col, 0) + 1
         for col, z in (m.get("zones") or {}).items():
             cur = zones.get(col)
@@ -190,16 +190,14 @@ class _CountPart:
     values.  Selective counts at open scale read only the filter
     columns' blocks of the plan's parts."""
 
-    def __init__(self, preds: list[tuple], mode: str = "and",
-                 probes: list | None = None):
+    def __init__(self, preds: list[tuple], mode: str = "and"):
         self.preds = preds  # normalized, combined by mode
         self.mode = mode    # "and" conjunction / "or" disjunction
-        self.probes = probes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         n = 0
         for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode, probes=self.probes)
+            hit = part_mask(p, self.preds, self.mode)
             if hit is not None:
                 n += int(hit[1].sum())
         return pa.table({"n": pa.array([n], pa.int64())})
@@ -212,8 +210,8 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     Without a filter this is pure metadata (sum of manifest row
     counts; parts missing a manifest fall back to one n_values
     metadata read — the payload parquet column is never touched).
-    With ``filter`` (AND) / ``filter_any`` (OR), manifest zone maps +
-    bloom sidecars prune parts driver-side (``plan``).  When every
+    With ``filter`` (AND) / ``filter_any`` (OR), the manifests' zone
+    maps, value counts and blooms prune parts driver-side (``plan``).  When every
     predicate is an eq / IN / isnull / notnull on one and the same
     column whose per-part value counts every kept part's manifest
     records (``"values"``), the count is their sum and no part is
@@ -237,8 +235,7 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     fast = _agg_from_manifests(store_dir, {"n": ("count",)}, p=p)
     if fast is not None:
         return int(fast.column("n")[0].as_py())
-    n = collect(execute(p, _CountPart(preds, mode,
-                                      probes=p.task_probes)))
+    n = collect(execute(p, _CountPart(preds, mode)))
     return 0 if n is None else int(pc.sum(n.column("n")).as_py())
 
 
@@ -267,13 +264,11 @@ class _AggPart:
     ``_agg_merged`` merges them on the driver."""
 
     def __init__(self, keys: list[str], aggs: dict,
-                 preds: list[tuple], mode: str = "and",
-                 probes: list | None = None):
+                 preds: list[tuple], mode: str = "and"):
         self.keys = list(keys)
         self.aggs = aggs          # {out: ("count",) | (fn, col)}
         self.preds = preds        # normalized, possibly []
         self.mode = mode          # "and" conjunction / "or" disjunction
-        self.probes = probes
 
     def _partial_specs(self):
         """pyarrow group_by aggregation specs (deduped) + the result
@@ -312,8 +307,7 @@ class _AggPart:
                             pa.int64())
                          for out in self.aggs}))
                 continue
-            hit = part_mask(p, self.preds, self.mode, sorted(hard),
-                            probes=self.probes)
+            hit = part_mask(p, self.preds, self.mode, sorted(hard))
             if hit is None:
                 continue
             enc_of, mask = hit
@@ -398,7 +392,7 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
     by nothing or by C under eq / IN / isnull / notnull predicates on
     that same C, when every kept part records C's value counts (dict /
     rle string columns of at most 64 values per part).  Everything else
-    scans: the scan prunes parts via zone maps + bloom sidecars when
+    scans: the scan prunes parts via the manifests' zones and blooms when
     ``filter`` is given, evaluates the predicate on packed codes,
     groups dict / rle columns on their row codes (decoding only the
     group values), and skips value decodes entirely for count-only
@@ -469,8 +463,7 @@ def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
     fast = _agg_from_manifests(store_dir, aggs, keys, p)
     if fast is not None:
         return fast
-    task = _AggPart(keys, aggs, preds, mode,
-                    probes=p.task_probes)
+    task = _AggPart(keys, aggs, preds, mode)
     parts = execute(p, task)
     if not isinstance(parts, pa.Table):
         parts = collect(parts)
@@ -500,13 +493,11 @@ class _DistinctPairsPart:
     the only data that ever shuffles."""
 
     def __init__(self, group_by: str | None, column: str,
-                 preds: list[tuple], mode: str = "and",
-                 probes: list | None = None):
+                 preds: list[tuple], mode: str = "and"):
         self.group_by = group_by
         self.column = column
         self.preds = preds
         self.mode = mode
-        self.probes = probes
 
     def empty(self, out_types: dict) -> pa.Table:
         """A pairs block with no rows, typed like a non-empty one."""
@@ -529,8 +520,7 @@ class _DistinctPairsPart:
             ({self.group_by} if self.group_by else set())
         outs, out_types = [], {}
         for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode, sorted(hard),
-                            probes=self.probes)
+            hit = part_mask(p, self.preds, self.mode, sorted(hard))
             if hit is None:
                 continue
             enc_of, mask = hit
@@ -632,8 +622,7 @@ def count_distinct_encoded(store_dir: str, column: str, *,
     from ray.data.aggregate import Count
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
-    pairs = execute(p, _DistinctPairsPart(group_by, column, preds, mode,
-                                          probes=p.task_probes))
+    pairs = execute(p, _DistinctPairsPart(group_by, column, preds, mode))
     # group keys travel null-safe as (__gf filled value, __gv validity)
     # — Ray's sort shuffle can't order null keys; restored below
     gkeys = ["__gf", "__gv"] if group_by is not None else []
@@ -1183,12 +1172,11 @@ class _KMVPart:
     hash-unique them.  Emits ≤ k uint64 rows per part."""
 
     def __init__(self, column: str, k: int, preds: list[tuple],
-                 mode: str = "and", probes: list | None = None):
+                 mode: str = "and"):
         self.column = column
         self.k = k
         self.preds = preds
         self.mode = mode
-        self.probes = probes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import numpy as np
@@ -1197,8 +1185,7 @@ class _KMVPart:
 
         outs = []
         for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode, [self.column],
-                            probes=self.probes)
+            hit = part_mask(p, self.preds, self.mode, [self.column])
             if hit is None:
                 continue
             enc_of, mask = hit
@@ -1251,8 +1238,7 @@ def approx_distinct_encoded(store_dir: str, column: str, *,
                       .view(np.uint64))[:k]
         return pa.table({"h": pa.array(v.view(np.int64))})
 
-    rows = execute(p, _KMVPart(column, k, preds, mode,
-                               probes=p.task_probes))
+    rows = execute(p, _KMVPart(column, k, preds, mode))
     if not isinstance(rows, pa.Table):
         rows = rows.repartition(fanin).map_batches(
             merge_block, batch_size=None, batch_format="pyarrow")
@@ -1321,9 +1307,10 @@ def query(store_dir: str, *, columns: list[str] | None = None,
 def explain_scan(store_dir: str, *, filter=None, filter_any=None,
                  columns: list[str] | None = None) -> dict:
     """Planner transparency: the plan a filtered scan executes, from
-    metadata alone (zero payload bytes).  Per predicate: the zone-map
-    survivor count; then the survivors of the combined zone tests, the
-    bloom-sidecar prune on them, and the row upper bound of the parts
+    metadata alone (zero payload bytes).  Per predicate: the count of
+    parts its zone map, null counts and value counts keep; then the
+    survivors of the combined tests, the bloom prune on them, and the
+    row upper bound of the parts
     left, from their manifest row counts; the planned bytes and the
     executor they choose ("local": in-process, or "ray").  The numbers
     a user needs to see whether their layout (cluster_store /

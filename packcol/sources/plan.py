@@ -1,20 +1,20 @@
 """Read-side planning of every encoded-domain scan.
 
 One function decides which parts of a store a scan opens.
-:func:`plan` lists the part files once, reads each part's lineage
-manifest once, tests every predicate against the part's zone map and
-null counts, combines the tests by AND or OR, and probes the bloom
-sidecars (state/bloom.py) of the zone survivors on the driver while
-there are at most ``_BLOOM_DRIVER_CAP`` of them.  The :class:`Plan` it
-returns is both what the scan executes and what ``explain_scan``
-reports.
+:func:`plan` lists the part files once, takes each part's manifest
+(its one metadata file) from the per-process manifest cache
+(``Manifest.cached``: one ``os.stat`` per part once warm), tests every
+predicate against the part's zone map, null counts and exact value
+counts, combines the tests by AND or OR, and probes the blooms the
+zone survivors' manifests hold (state/bloom.py).  All of it runs on
+the driver, before any task.  The :class:`Plan` it returns is both
+what the scan executes and what ``explain_scan`` reports.
 
 :func:`part_mask` is the per-part half, run inside the scan tasks: the
-bloom skip the driver did not do, the block read (:func:`read_part`
-reads only the row groups of the wanted columns' blocks, so the other
-columns' payload pages stay on disk), the absent-column rule of
-heterogeneous stores and the predicate mask on packed codes
-(codecs/access.py).
+block read (:func:`read_part` reads only the row groups of the wanted
+columns' blocks, so the other columns' payload pages stay on disk),
+the absent-column rule of heterogeneous stores and the predicate mask
+on packed codes (codecs/access.py).
 
 :func:`execute` runs a plan's per-part task: every per-part scan of
 an encoded store goes through it (filtered and unfiltered reads, the
@@ -34,8 +34,8 @@ Ray Data.  The write side takes the same bound the other way:
 in-process.  The ingest (``encode_files``) seeds the same Ray path
 (``_part_scan_seed``) at every size.
 
-Pruning is never lossy: a part without a manifest, zone, null count or
-bloom sidecar is kept.
+Pruning is never lossy: a part without a manifest, zone, null count,
+value count or bloom is kept.
 
 Predicate shapes (``filter=`` is a conjunction, ``filter_any=`` a
 disjunction; each takes one tuple or a list of them):
@@ -65,17 +65,10 @@ from ..state.manifest import Manifest, zone_may_match
 # IN-lists longer than this are zone-tested on their [min, max]
 # envelope instead of value by value
 _IN_ZONE_CAP = 1024
-# the driver probes the blooms of at most this many zone survivors;
-# above it every scan task probes its own parts (part_mask), so the
-# driver never reads O(parts) sidecars at open scale.  Sequential on
-# purpose: a cache miss costs ~0.5-1 ms per sidecar of GIL-bound
-# zipfile parsing (a 16-thread pool measured 5x slower); a hit in the
-# per-process bloom cache (state/bloom.py) costs one os.stat
-_BLOOM_DRIVER_CAP = 4096
 # IN-lists longer than this are never bloom-probed: at ~1% false
 # positives per value, P(any of N values hits) saturates toward 1 long
 # before that, so the probe disproves nothing (measured: a 19k-key
-# upsert retire probed 512 sidecars for zero prunes)
+# upsert retire probed 512 parts' blooms for zero prunes)
 _BLOOM_PROBE_VALUE_CAP = 4096
 # jobs of at most this many input bytes (part file bytes) run
 # in-process (execute_rows).  Measured on one CPU over webtext stores of
@@ -97,7 +90,7 @@ def part_files(store_dir: str) -> list[str]:
 
 def part_id(path: str) -> str | None:
     """The id of a ``part-<id>.parquet`` file; None for any other name
-    (such a file has no manifest or sidecar and is never pruned)."""
+    (such a file has no manifest and is never pruned)."""
     base = os.path.basename(path)
     if not base.startswith("part-"):
         return None
@@ -218,9 +211,11 @@ def _zone_ok(pred: tuple, m: dict | None) -> bool:
     """May the part whose manifest is ``m`` hold a row matching
     ``pred``?  IN-lists test each value (a scattered set such as IVF
     probe lists {3, 47} prunes the parts between its values), or their
-    [min, max] envelope beyond _IN_ZONE_CAP values; prefixes test the
-    [prefix, successor(prefix)] interval; null tests read the manifest
-    null counts.  Anything unprovable → True."""
+    [min, max] envelope beyond _IN_ZONE_CAP values; eq / IN of ``str``
+    values on a column with exact value counts (manifest ``values``)
+    test membership instead; prefixes test the [prefix,
+    successor(prefix)] interval; null tests read the manifest null
+    counts.  Anything unprovable → True."""
     if m is None:
         return True
     col, op, lo, hi = pred
@@ -231,6 +226,11 @@ def _zone_ok(pred: tuple, m: dict | None) -> bool:
         if op == "isnull":
             return nn != 0
         return not (nn >= m.get("rows", -1) >= 0)
+    counts = (m.get("values") or {}).get(col)
+    if counts is not None and op in ("eq", "in"):
+        vals = (lo,) if op == "eq" else lo
+        if all(isinstance(v, str) for v in vals):
+            return any(v in counts for v in vals)
     zone = (m.get("zones") or {}).get(col)
     if zone is None:
         return True
@@ -253,7 +253,7 @@ def _zone_ok(pred: tuple, m: dict | None) -> bool:
 # ---------------------------------------------------------------------------
 
 def _probe_values(pred: tuple) -> pa.Array | None:
-    """The values an eq / IN predicate probes a bloom sidecar with;
+    """The values an eq / IN predicate probes a bloom with;
     None when it cannot be probed (another operator, an IN-list beyond
     _BLOOM_PROBE_VALUE_CAP values, an unhashable value type)."""
     _, op, lo, _ = pred
@@ -275,27 +275,24 @@ def bloom_probes(preds: list[tuple]) -> list[tuple]:
     return [(_probe_values(pred), {}) for pred in preds]
 
 
-def _bloom_ok(path: str, column: str, probe: tuple) -> bool:
-    """False when the part's sidecar proves no value of the probe is in
-    ``column`` (one cached sidecar; the part's parquet is never
-    opened)."""
+def _bloom_ok(m: dict | None, column: str, probe: tuple) -> bool:
+    """False when the bloom of ``column`` in the part's cached manifest
+    ``m`` proves no value of the probe is there; a column without a
+    bloom is not probed."""
     vals, memo = probe
-    pid = part_id(path)
-    if vals is None or pid is None:
+    if vals is None or column not in (m or {}).get("blooms", ()):
         return True
-    return bloom.bloom_may_contain(os.path.dirname(path), pid, column,
-                                   vals, memo)
+    return bloom.bloom_may_contain(m, column, vals, memo)
 
 
-def _bloom_keeps(path: str, preds: list[tuple], probes: list,
-                 mode: str, zone_ok: list[bool] | None = None) -> bool:
+def _bloom_keeps(m: dict | None, preds: list[tuple], probes: list,
+                 mode: str, zone_ok: list[bool]) -> bool:
     """AND: no predicate is disproven.  OR: some predicate passes its
-    zone test (``zone_ok``, all True when None) and is not disproven.
-    ``probes`` is ``bloom_probes(preds)``."""
+    zone test (``zone_ok``) and is not disproven.  ``probes`` is
+    ``bloom_probes(preds)``."""
     if mode == "and":
-        return all(_bloom_ok(path, p[0], v) for p, v in zip(preds, probes))
-    zone_ok = zone_ok or [True] * len(preds)
-    return any(z and _bloom_ok(path, p[0], v)
+        return all(_bloom_ok(m, p[0], v) for p, v in zip(preds, probes))
+    return any(z and _bloom_ok(m, p[0], v)
                for z, p, v in zip(zone_ok, preds, probes))
 
 
@@ -304,23 +301,22 @@ def _bloom_keeps(path: str, preds: list[tuple], probes: list,
 # ---------------------------------------------------------------------------
 
 def _load_manifests(store_dir: str, paths: list[str]) -> dict[str, dict]:
-    """{path: manifest} for the listed parts that have one; one
-    ``Manifest.load`` per part."""
+    """{path: manifest} for the listed parts that have a readable one,
+    through the per-process cache (``Manifest.cached``: shared,
+    read-only entries with decoded blooms)."""
     if not os.path.isdir(os.path.join(store_dir, "_manifest")):
         return {}
     man = Manifest(store_dir)
-    done = man.done_parts()
-    return {p: man.load(part_id(p)) for p in paths if part_id(p) in done}
+    got = {p: man.cached(pid) for p in paths
+           if (pid := part_id(p)) is not None}
+    return {p: m for p, m in got.items() if m is not None}
 
 
 @dataclasses.dataclass
 class Plan:
     """One scan's pruning decision.  ``parts`` are the part paths the
     scan opens, in name order; ``listed`` every part of the store.
-    ``blooms_probed`` is False only when the zone survivors were too
-    many for the driver to probe, and the scan tasks must probe their
-    own parts.  Manifests load lazily for unfiltered plans, which
-    prune nothing."""
+    Manifests load lazily for unfiltered plans, which prune nothing."""
 
     store_dir: str
     preds: list[tuple]
@@ -329,7 +325,6 @@ class Plan:
     parts: list[str]
     zone_counts: list[int]  # per predicate: parts its zone test keeps
     zone_survivors: int     # parts the combined zone tests keep
-    blooms_probed: bool
 
     @functools.cached_property
     def manifests(self) -> dict[str, dict]:
@@ -339,13 +334,6 @@ class Plan:
     def planned_bytes(self) -> int:
         """Bytes of the part files to scan (one stat per part)."""
         return sum(os.path.getsize(p) for p in self.parts)
-
-    @property
-    def task_probes(self) -> list | None:
-        """The bloom probes each scan task runs (``part_mask``'s
-        ``probes``): ``bloom_probes(preds)``, None when the driver
-        probed."""
-        return None if self.blooms_probed else bloom_probes(self.preds)
 
     @property
     def executor(self) -> str:
@@ -392,22 +380,18 @@ def plan(store_dir: str, preds: list[tuple], mode: str = "and") -> Plan:
     assert mode in ("and", "or"), mode
     listed = part_files(store_dir)
     if not preds:
-        return Plan(store_dir, [], mode, listed, listed, [], len(listed),
-                    True)
+        return Plan(store_dir, [], mode, listed, listed, [], len(listed))
     mans = _load_manifests(store_dir, listed)
     ok = {p: [_zone_ok(pred, mans.get(p)) for pred in preds]
           for p in listed}
     combine = all if mode == "and" else any
     zoned = [p for p in listed if combine(ok[p])]
-    probed = len(zoned) <= _BLOOM_DRIVER_CAP
-    parts = zoned
-    if probed:
-        probes = bloom_probes(preds)
-        parts = [p for p in zoned
-                 if _bloom_keeps(p, preds, probes, mode, ok[p])]
+    probes = bloom_probes(preds)
+    parts = [p for p in zoned
+             if _bloom_keeps(mans.get(p), preds, probes, mode, ok[p])]
     out = Plan(store_dir, list(preds), mode, listed, parts,
                [sum(ok[p][i] for p in listed) for i in range(len(preds))],
-               len(zoned), probed)
+               len(zoned))
     out.manifests = mans
     return out
 
@@ -672,27 +656,19 @@ def read_blocks(path: str, columns=None) -> dict:
                                os.path.dirname(path)))
 
 
-def part_mask(path: str, preds: list[tuple], mode: str,
-              columns=(), probes: list | None = None):
+def part_mask(path: str, preds: list[tuple], mode: str, columns=()):
     """The per-part step of every encoded-domain scan task.
 
     Reads the blocks of the predicate columns and ``columns`` and
     evaluates ``preds`` (combined by ``mode``) on packed codes.
     Returns ``(enc_of, mask)`` — the blocks by column name and the row
     mask, None without predicates — or None when the part holds no
-    matching row: a bloom sidecar disproves it (only with ``probes``,
-    a plan's ``task_probes`` when it left its blooms unprobed), the
-    mask is empty, or the part lacks a column of ``columns`` or, under
-    AND, any predicate column (a part of another table in a
-    heterogeneous store).  Under OR a predicate on an absent column is
+    matching row: the mask is empty, or the part lacks a column of
+    ``columns`` or, under AND, any predicate column (a part of another
+    table in a heterogeneous store).  Under OR a predicate on an absent column is
     all-false, so the part is skipped only when every predicate column
     is absent."""
     from ..codecs.access import eval_pred
-    if probes:
-        # OR: skippable only when EVERY disjunct is probed and disproven
-        if (mode == "and" or all(v is not None for v, _ in probes)) and \
-                not _bloom_keeps(path, preds, probes, mode):
-            return None
     pred_cols = {c for c, *_ in preds}
     enc_of = read_blocks(path, pred_cols | set(columns))
     if any(c not in enc_of for c in columns):

@@ -1,24 +1,17 @@
-"""Per-part bloom-filter sidecars → point-lookup part pruning.
+"""Per-part bloom filters → point-lookup part pruning.
 
 Zone maps (state/manifest.py) prune parts only for CLUSTERED or
 low-cardinality columns: a ``url == x`` probe on arrival-ordered
 webtext matches every part's [min, max] and scans the whole store.
-The bloom sidecar closes that gap — one compact bit array per
+A bloom filter closes that gap — one compact bit array per
 (part, column), built in the encode task from the same pass that
-computes zones, and probed BEFORE any payload read:
-
-* **driver-side** (``plan`` in sources/plan.py): when the
-  zone-surviving part set is small enough (≤ a cap), the driver loads
-  only those parts' sidecars and drops disproven parts before
-  scheduling any task — a point lookup on a 10^6-part store that
-  zone-pruned to dozens of candidates reads a few KB of sidecar and
-  schedules O(1) tasks;
-* **task-side** (``part_mask`` in sources/plan.py, inside every
-  encoded-domain scan task): above the cap the probe moves into the
-  scan task, which reads the ~KB sidecar first and exits before
-  touching the part's parquet — at open scale the probe is
-  distributed, never a driver bottleneck.  Below the cap the tasks
-  do not probe again.
+computes zones and stored in the part's manifest under ``blooms``
+(``{column: to_record(bloom)}``).  ``plan`` (sources/plan.py) loads
+every listed manifest on the driver anyway, so it probes the blooms
+of the zone survivors there and drops disproven parts before any
+part file is opened.  A low-cardinality column whose manifest records
+exact value counts (``values``) prunes on those instead and gets no
+bloom by default (``auto_bloom_columns``).
 
 False positives only cost a wasted scan; the filter NEVER produces
 false negatives (same contract as zone maps: best-effort, lossy-never).
@@ -30,24 +23,15 @@ positions derive from that ONE fingerprint by double hashing — the
 probe side hashes the predicate scalar identically, so build and probe
 agree by construction.
 
-Sidecar format: ``<store>/_bloom/<part_id>.npz`` — per column a uint8
-bit array ``<col>`` plus an int64 meta triple ``<col>/meta`` =
-[k, n_keys, hash_kind] (0 = bytes, 1 = int64).  Written atomically
-(tmp + rename) beside the part's manifest; a missing / stale sidecar
-simply never prunes (compaction and cluster rewrites drop them).
+Record format (JSON-safe): ``{"bits": base64 of the little-endian
+packed bit array, "k", "n" (distinct keys), "hash" (kind), "dt"
+(the column's type)}``.  A manifest whose ``blooms`` is not a mapping
+(written when blooms lived in ``_bloom/`` sidecar files) carries no
+bloom and never prunes.
 
-Probe cost: each process keeps the blooms it has read in a cache of
-``(sidecar path, column)`` entries bounded by ``_CACHE_BYTES`` (least
-recently used out first).  An entry is valid while the sidecar's
-``(st_ino, st_mtime_ns, st_size)`` is unchanged, so a hit costs one
-``os.stat`` and a miss one column's ``load_blooms``, what an uncached
-probe costs; the part id alone is not a key, because annotate
-rewrites a part's sidecar under the same id.  Two rewrites within one
-timestamp tick could keep all three (the second reusing the inode the
-first freed), so on a filesystem with whole-second timestamps a
-sidecar is cached only once it is older than ``_RACY_NS``; finer
-timestamps are taken to be finer than two rewrites.  A corrupt
-sidecar is cached as no bloom and never prunes.  The probe values of
+Probe cost: the plan's manifests come from the per-process manifest
+cache (``Manifest.cached``), which decodes a manifest's bloom bits once
+per cache entry, so a probe is the bit test alone.  The probe values of
 one predicate are fingerprinted once per op: ``probe_bloom`` and
 ``bloom_may_contain`` take a ``memo`` dict shared across the parts,
 keyed on what the bit positions depend on, ``(hash kind, dt, m_bits)``.
@@ -55,11 +39,7 @@ keyed on what the bit positions depend on, ``(hash kind, dt, m_bits)``.
 
 from __future__ import annotations
 
-import collections
-import os
-import threading
-import time
-import zipfile
+import base64
 
 import numpy as np
 import pyarrow as pa
@@ -70,28 +50,14 @@ HASH_I64 = 1    # int-like: splitmix64 of the physical int64
 # — O(64 B) scratch per row regardless of row length, vs the rolling
 # hash's ~24 B of scratch per INPUT byte.  Middle-only differences
 # collide, which for a bloom is just a false positive (wasted scan,
-# never a false negative).  New sidecars build with this; the probe
-# side dispatches on the kind RECORDED in each sidecar, so stores
-# written before the change keep pruning correctly.
+# never a false negative).  New blooms build with this; the probe
+# side dispatches on the kind RECORDED with each bloom, so blooms
+# built before the change keep pruning correctly.
 HASH_BYTES_SAMPLED = 2
 
-BLOOM_DIR = "_bloom"
 _BITS_PER_KEY = 10        # with k=7 → ~0.8% false-positive rate
 _K = 7
 _MAX_BITS = 1 << 23       # 1 MB cap per (part, column)
-# per-process bloom cache bound: bytes of bit arrays held, plus
-# _ENTRY_BYTES of bookkeeping per entry (an entry for a column with no
-# bloom holds no bits)
-_CACHE_BYTES = 64 << 20
-_ENTRY_BYTES = 256
-# a sidecar with a whole-second mtime (a filesystem with 1-2 s
-# timestamps) modified less than this before the probe is read but not
-# cached: two rewrites inside one such tick can leave the same
-# (st_ino, st_mtime_ns, st_size), the rename having freed the old inode
-# for reuse.  Finer timestamps (Linux: one jiffy, <= 10 ms) are taken
-# to be finer than two rewrites of one sidecar, each of which also
-# writes the part file and its manifest
-_RACY_NS = 2_000_000_000
 # auto-eligibility: unzoned string/binary key columns (url-ish), not
 # document payloads — hashing a 100 KB html body per row would double
 # encode cost for a column nobody point-probes
@@ -175,9 +141,9 @@ def _positions(fp: np.ndarray, m_bits: int) -> np.ndarray:
 
 def build_bloom(arr: pa.Array, kind: int) -> dict | None:
     """Bloom filter of one column's non-null values.
-    Returns {"bits": uint8 ndarray, "k", "n", "hash"} or None for an
-    empty / all-null column (nothing to probe → no sidecar entry,
-    which conservatively never prunes eq-on-null probes)."""
+    Returns {"bits": uint8 ndarray, "k", "n", "hash", "dt"} or None for
+    an empty / all-null column (nothing to probe → no bloom, which
+    conservatively never prunes eq-on-null probes)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     fp = _fingerprint(arr, kind)
@@ -228,12 +194,14 @@ def probe_bloom(bloom: dict, values: pa.Array,
     return hit.all(axis=0).astype(bool)
 
 
-def auto_bloom_columns(t: pa.Table, zones: dict) -> list[str]:
+def auto_bloom_columns(t: pa.Table, skip=()) -> list[str]:
     """Columns worth a bloom by default: every hashable column except
     long-string payloads (html/text, excluded by the mean-length cap —
     hashing a 100 KB body per row would double encode cost for a column
-    nobody point-probes).  Zone presence is NOT an exclusion: min/max
-    zones on arrival-ordered high-cardinality keys (url, user_id) span
+    nobody point-probes) and the ``skip`` columns, those whose manifest
+    records exact value counts (``values``), which prune eq / IN
+    exactly.  Zone presence is NOT an exclusion: min/max zones on
+    arrival-ordered high-cardinality keys (url, user_id) span
     everything and never prune — exactly the probes blooms exist for.
     Distinct-sized filters make low-cardinality columns cost ~bytes."""
     import pyarrow.compute as pc
@@ -241,7 +209,8 @@ def auto_bloom_columns(t: pa.Table, zones: dict) -> list[str]:
     for name in t.column_names:
         col = t.column(name)
         kind = _hash_kind(col.type)
-        if kind is None or len(col) == 0 or col.null_count == len(col):
+        if name in skip or kind is None or len(col) == 0 or \
+                col.null_count == len(col):
             continue
         if kind in (HASH_BYTES, HASH_BYTES_SAMPLED):
             mean = pc.mean(pc.binary_length(col)).as_py()
@@ -251,104 +220,34 @@ def auto_bloom_columns(t: pa.Table, zones: dict) -> list[str]:
     return out
 
 
-def _path(store_dir: str, part_id: str) -> str:
-    return os.path.join(store_dir, BLOOM_DIR, f"{part_id}.npz")
+def to_record(b: dict) -> dict:
+    """A ``build_bloom`` result as its JSON-safe manifest record."""
+    return {"bits": base64.b64encode(b["bits"].tobytes()).decode("ascii"),
+            "k": b["k"], "n": b["n"], "hash": b["hash"], "dt": b["dt"]}
 
 
-def save_blooms(store_dir: str, part_id: str,
-                blooms: dict[str, dict]) -> None:
-    """Atomic write of one part's bloom sidecar (skipped when empty)."""
-    if not blooms:
-        return
-    os.makedirs(os.path.join(store_dir, BLOOM_DIR), exist_ok=True)
-    arrays: dict[str, np.ndarray] = {}
-    for col, b in blooms.items():
-        arrays[col] = b["bits"]
-        arrays[f"{col}/meta"] = np.array(
-            [b["k"], b["n"], b["hash"]], dtype=np.int64)
-        arrays[f"{col}/dt"] = np.array(b.get("dt", ""))
-    p = _path(store_dir, part_id)
-    tmp = f"{p}.tmp{os.getpid()}"
-    with open(tmp, "wb") as f:
-        np.savez(f, **arrays)
-    os.replace(tmp, p)
-
-
-def load_blooms(store_dir: str, part_id: str,
-                columns: list[str] | None = None) -> dict[str, dict]:
-    """Load a part's bloom sidecar ({} when absent — never prunes).
-    With ``columns``, only those bit arrays are decompressed."""
-    p = _path(store_dir, part_id)
-    if not os.path.exists(p):
-        return {}
-    out: dict[str, dict] = {}
+def from_record(rec) -> dict | None:
+    """A manifest bloom record as a probe-ready bloom; None when it is
+    not one (never prunes)."""
     try:
-        with np.load(p) as z:
-            names = [n for n in z.files
-                     if not (n.endswith("/meta") or n.endswith("/dt"))]
-            for col in names:
-                if columns is not None and col not in columns:
-                    continue
-                meta = z[f"{col}/meta"]
-                dt = str(z[f"{col}/dt"]) if f"{col}/dt" in z.files else ""
-                out[col] = {"bits": z[col], "k": int(meta[0]),
-                            "n": int(meta[1]), "hash": int(meta[2]),
-                            "dt": dt or None}
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return {}  # corrupt sidecar: fall back to scanning (never lossy)
-    return out
-
-
-# (sidecar path, column) -> (stat signature, bloom or None, bytes
-# charged), least recently used first
-_cache: collections.OrderedDict = collections.OrderedDict()
-_cache_bytes = 0
-_cache_lock = threading.Lock()
-
-
-def _cached_bloom(store_dir: str, part_id: str, column: str) -> dict | None:
-    """The bloom of ``column`` in a part's sidecar through the
-    per-process cache; None when there is none (absent, corrupt, or no
-    entry for the column).  A miss costs what a probe without the cache
-    costs: one column's ``load_blooms``."""
-    global _cache_bytes
-    p = _path(store_dir, part_id)
-    now = time.time_ns()
-    try:
-        st = os.stat(p)
-    except OSError:
+        bits = np.frombuffer(base64.b64decode(rec["bits"], validate=True),
+                             dtype=np.uint8)
+        b = {"bits": bits, "k": int(rec["k"]), "n": int(rec["n"]),
+             "hash": int(rec["hash"]), "dt": rec.get("dt") or None}
+    except (TypeError, KeyError, ValueError, AttributeError):
         return None
-    sig = (st.st_ino, st.st_mtime_ns, st.st_size)
-    key = (p, column)
-    settled = st.st_mtime_ns % 10**9 or st.st_mtime_ns <= now - _RACY_NS
-    # a miss loads under the lock too: probes run one after another by
-    # design (plan.py::_BLOOM_DRIVER_CAP), and np.load parses the .npy
-    # headers with ast, whose constructor in CPython 3.11 raised
-    # SystemError when two threads ran it at once
-    with _cache_lock:
-        hit = _cache.get(key)
-        if hit is not None and hit[0] == sig:
-            _cache.move_to_end(key)
-            return hit[1]
-        b = load_blooms(store_dir, part_id, [column]).get(column)
-        size = _ENTRY_BYTES + (0 if b is None else b["bits"].nbytes)
-        if hit is not None:
-            del _cache[key]
-            _cache_bytes -= hit[2]
-        if settled and size <= _CACHE_BYTES:
-            _cache[key] = (sig, b, size)
-            _cache_bytes += size
-            while _cache_bytes > _CACHE_BYTES:
-                _cache_bytes -= _cache.popitem(last=False)[1][2]
-    return b
+    # m_bits must be a power of two (``_positions`` masks with m - 1)
+    n_bits = len(bits) << 3
+    return b if n_bits and not n_bits & (n_bits - 1) else None
 
 
-def bloom_may_contain(store_dir: str, part_id: str, column: str,
-                      values: pa.Array, memo: dict | None = None) -> bool:
-    """Could ANY of ``values`` be in this part's column?  Conservative:
-    no sidecar / no entry / unhashable predicate type → True.  ``memo``
-    as for ``probe_bloom``."""
-    b = _cached_bloom(store_dir, part_id, column)
+def bloom_may_contain(m: dict | None, column: str, values: pa.Array,
+                      memo: dict | None = None) -> bool:
+    """Could ANY of ``values`` be in ``column`` of the part whose
+    cached manifest entry (``Manifest.cached``) is ``m``?  Conservative:
+    no manifest / no bloom for the column / unhashable predicate type
+    → True.  ``memo`` as for ``probe_bloom``."""
+    b = (m or {}).get("blooms", {}).get(column)
     if b is None:
         return True
     try:

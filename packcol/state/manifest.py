@@ -13,13 +13,54 @@ changes between engine versions, resuming an old store re-encodes
 everything under the new ids BESIDE the old parts — duplicated rows.
 Don't resume a store written by a different scheme version; start a
 fresh output dir (or wipe) on upgrade.
+
+A manifest is the part's one metadata file: rows, byte counts, codecs,
+zone map (``zones``), null counts (``nulls``), value counts
+(``values``) and bloom filters (``blooms``, state/bloom.py), the last
+four keyed by column.
+
+Read cost: ``Manifest.cached`` keeps the manifests a process has read
+in a cache keyed by path and bounded by ``_CACHE_BYTES`` (least
+recently used out first; an entry is charged its file's bytes plus its
+decoded bloom bits).  An entry is valid while the file's
+``(st_ino, st_mtime_ns, st_size)`` is unchanged, so a hit costs one
+``os.stat`` and a miss one ``Manifest.load`` plus one decode of its
+bloom bits; the part id alone is not a key, because annotate and
+delete rewrite a manifest under the same id.  Two rewrites within one
+timestamp tick could keep all three (the second reusing the inode the
+first freed), so on a filesystem with whole-second timestamps a
+manifest is cached only once it is older than ``_RACY_NS``; finer
+timestamps are taken to be finer than two rewrites.  A corrupt
+manifest is cached as none: its part is never pruned.  Entries are
+shared between callers and read-only; a writer that edits a manifest
+``load``s its own copy.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import os
+import threading
+import time
+
+# per-process manifest cache bound: bytes of manifest files held plus
+# their decoded bloom bits
+_CACHE_BYTES = 64 << 20
+# a manifest with a whole-second mtime (a filesystem with 1-2 s
+# timestamps) modified less than this before the read is read but not
+# cached: two rewrites inside one such tick can leave the same
+# (st_ino, st_mtime_ns, st_size), the rename having freed the old inode
+# for reuse.  Finer timestamps (Linux: one jiffy, <= 10 ms) are taken
+# to be finer than two rewrites of one manifest, each of which also
+# writes the part file
+_RACY_NS = 2_000_000_000
+# manifest path -> (stat signature, entry or None, bytes charged),
+# least recently used first
+_cache: collections.OrderedDict = collections.OrderedDict()
+_cache_bytes = 0
+_cache_lock = threading.Lock()
 
 
 def file_digest64(path: str) -> str:
@@ -76,8 +117,57 @@ class Manifest:
         os.replace(tmp, p)
 
     def load(self, part_id: str) -> dict:
+        """The part's manifest as written, read from the file (a
+        private copy the caller may edit and ``record``)."""
         with open(self._path(part_id)) as f:
             return json.load(f)
+
+    def cached(self, part_id: str) -> dict | None:
+        """The part's manifest through the per-process cache (module
+        docstring), its ``blooms`` decoded (``bloom.from_record``; a
+        pre-embedded-bloom list decodes to none); None when the part has
+        no readable manifest.  The entry is shared: do not edit it."""
+        global _cache_bytes
+        p = self._path(part_id)
+        now = time.time_ns()
+        try:
+            st = os.stat(p)
+        except OSError:
+            return None
+        sig = (st.st_ino, st.st_mtime_ns, st.st_size)
+        with _cache_lock:
+            hit = _cache.get(p)
+            if hit is not None and hit[0] == sig:
+                _cache.move_to_end(p)
+                return hit[1]
+        # the file read is at least as new as ``sig``, so an entry is
+        # never older than the signature it is filed under
+        try:
+            m = self.load(part_id)
+        except (OSError, ValueError):
+            m = None
+        size = st.st_size
+        if isinstance(m, dict):
+            from .bloom import from_record
+            recs = m.get("blooms")
+            blooms = {c: b for c, b in ((c, from_record(r)) for c, r in
+                                        recs.items()) if b is not None} \
+                if isinstance(recs, dict) else {}
+            m = {**m, "blooms": blooms}
+            size += sum(b["bits"].nbytes for b in blooms.values())
+        else:
+            m = None
+        settled = st.st_mtime_ns % 10**9 or st.st_mtime_ns <= now - _RACY_NS
+        with _cache_lock:
+            old = _cache.pop(p, None)
+            if old is not None:
+                _cache_bytes -= old[2]
+            if settled and size <= _CACHE_BYTES:
+                _cache[p] = (sig, m, size)
+                _cache_bytes += size
+                while _cache_bytes > _CACHE_BYTES:
+                    _cache_bytes -= _cache.popitem(last=False)[1][2]
+        return m
 
     def load_all(self) -> list[dict]:
         return [self.load(p) for p in sorted(self.done_parts())]

@@ -134,9 +134,11 @@ def main() -> None:
                         "(stages/toksep_actor.py) instead of per-part "
                         "dictionaries")
     e.add_argument("--bloom", default="auto", metavar="auto|none|COLS",
-                   help="per-part bloom sidecars for point-lookup part "
-                        "pruning (state/bloom.py): auto = hashable "
-                        "key-shaped columns, none, or a comma list")
+                   help="per-part bloom filters, kept in the part "
+                        "manifests, for point-lookup part pruning "
+                        "(state/bloom.py): auto = hashable key-shaped "
+                        "columns without value counts, none, or a "
+                        "comma list")
 
     v = sub.add_parser("verify", help="decode-verify an encoded dir")
     v.add_argument("--encoded", required=True)

@@ -108,10 +108,51 @@ def test_add_with_bloom_sidecar(store):
         [f"t{v}" for v in pa.compute.utf8_length(
             t.column("text").combine_chunks()).to_pylist()]),
         ["text"], bloom=True)
-    from packcol.state.bloom import load_blooms
+    from packcol.state.manifest import Manifest
     part = sorted(f for f in os.listdir(out) if f.endswith(".parquet"))[0]
     pid = part[len("part-"):-len(".parquet")]
-    assert "tag" in load_blooms(out, pid)
+    assert "tag" in Manifest(out).load(pid)["blooms"]
+    assert not os.path.exists(os.path.join(out, "_bloom"))
+
+
+def test_overwrite_replaces_stale_bloom(store):
+    """An overwrite replaces the column's bloom with the new column's,
+    or with none: a bloom of the old values would prune the parts that
+    hold the new ones, and a point read would return nothing."""
+    from packcol.pipelines.fsck import check_store
+    from packcol.sources.encoded import explain_scan
+    from packcol.state.manifest import Manifest
+    out, df = store
+
+    def tagged(prefix):
+        return lambda t: pa.array(
+            [f"{prefix}{v}" for v in t.column("id").to_pylist()])
+
+    def blooms():
+        return [m["blooms"] for m in Manifest(out).load_all()]
+
+    add_column_encoded(out, "x", tagged("old"), ["id"], bloom=True)
+    assert count_encoded(out, ("x", "==", "old5")) == 1
+    # overwritten without bloom=True: the old bloom goes with it
+    add_column_encoded(out, "x", tagged("new"), ["id"], overwrite=True)
+    got = read_encoded(out, columns=["id", "x"],
+                       filter=("x", "==", "new5")).to_pandas()
+    assert list(got["id"]) == [5] and list(got["x"]) == ["new5"]
+    assert explain_scan(out, filter=("x", "==", "new5"))["bloom_pruned"] == 0
+    assert all("x" not in b for b in blooms())
+    # overwritten with bloom=True: the new values' bloom
+    add_column_encoded(out, "x", tagged("new"), ["id"], overwrite=True,
+                       bloom=True)
+    assert all("x" in b for b in blooms())
+    assert count_encoded(out, ("x", "==", "new5")) == 1
+    assert count_encoded(out, ("x", "in", ["new7", "old7"])) == 1
+    # overwritten with an all-null column: no bloom to build
+    add_column_encoded(out, "x", lambda t: pa.nulls(t.num_rows, pa.string()),
+                       ["id"], overwrite=True, bloom=True)
+    assert all("x" not in b for b in blooms())
+    assert count_encoded(out, ("x", "isnull")) == len(df)
+    assert count_encoded(out, ("x", "==", "new5")) == 0
+    assert check_store(out, deep=True)["ok"]
 
 
 def test_errors(store):

@@ -1,7 +1,9 @@
-"""Per-part bloom sidecars (state/bloom.py) + IN-list pushdown:
-point-lookup part pruning for columns zone maps can't help with
-(arrival-ordered high-cardinality keys), and the (col, "in", [...])
-predicate on packed codes (codecs/access.py::filter_in)."""
+"""Per-part bloom filters in the manifests (state/bloom.py) + IN-list
+pushdown: point-lookup part pruning for columns zone maps can't help
+with (arrival-ordered high-cardinality keys), the per-process manifest
+cache the probes read (state/manifest.py::Manifest.cached), and the
+(col, "in", [...]) predicate on packed codes
+(codecs/access.py::filter_in)."""
 
 import os
 import time
@@ -13,8 +15,22 @@ import pytest
 
 from packcol.sources.webtext import write_webtext
 from packcol.state.bloom import (HASH_BYTES, HASH_I64, bloom_may_contain,
-                                 build_bloom, load_blooms, probe_bloom,
-                                 save_blooms)
+                                 build_bloom, from_record, probe_bloom,
+                                 to_record)
+from packcol.state.manifest import Manifest
+
+
+def _write(store_dir, pid, blooms):
+    """Record part ``pid``'s manifest holding ``blooms`` ({column:
+    build_bloom result})."""
+    Manifest(store_dir).record(pid, {"blooms": {
+        c: to_record(b) for c, b in blooms.items()}})
+
+
+def _may(store_dir, pid, column, values):
+    """bloom_may_contain on the part's cached manifest entry."""
+    return bloom_may_contain(Manifest(store_dir).cached(pid), column,
+                             values)
 
 
 # ---------------------------------------------------------------- unit
@@ -59,21 +75,34 @@ def test_bloom_nulls_and_binary():
                        HASH_BYTES) is None
 
 
-def test_bloom_sidecar_roundtrip(tmp_path):
+def test_bloom_sidecar_roundtrip(tmp_path, fresh_cache):
+    """A bloom survives the manifest record (JSON, base64 bits) and the
+    cached manifest entry probes like the built bloom."""
     d = str(tmp_path)
     b = build_bloom(pa.array(["k1", "k2"]), HASH_BYTES)
-    save_blooms(d, "p0", {"url": b})
-    lb = load_blooms(d, "p0")
-    assert sorted(lb) == ["url"]
-    assert np.array_equal(lb["url"]["bits"], b["bits"])
-    assert bloom_may_contain(d, "p0", "url", pa.array(["k1"]))
-    assert not bloom_may_contain(d, "p0", "url", pa.array(["nope"]))
-    # conservative fallbacks: missing part / column / corrupt file
-    assert bloom_may_contain(d, "zz", "url", pa.array(["nope"]))
-    assert bloom_may_contain(d, "p0", "other", pa.array(["nope"]))
-    with open(os.path.join(d, "_bloom", "p0.npz"), "wb") as f:
-        f.write(b"garbage")
-    assert bloom_may_contain(d, "p0", "url", pa.array(["nope"]))
+    _write(d, "p0", {"url": b})
+    rec = Manifest(d).load("p0")["blooms"]["url"]
+    assert isinstance(rec["bits"], str)
+    for got in (from_record(rec), Manifest(d).cached("p0")["blooms"]["url"]):
+        assert np.array_equal(got["bits"], b["bits"])
+        assert {k: got[k] for k in ("k", "n", "hash", "dt")} == \
+            {k: b[k] for k in ("k", "n", "hash", "dt")}
+    assert _may(d, "p0", "url", pa.array(["k1"]))
+    assert not _may(d, "p0", "url", pa.array(["nope"]))
+    # conservative fallbacks: missing part / column / bad record /
+    # corrupt file / a list of columns (blooms kept outside the manifest)
+    assert _may(d, "zz", "url", pa.array(["nope"]))
+    assert _may(d, "p0", "other", pa.array(["nope"]))
+    for bad in ({"bits": "%%", "k": 7, "n": 2, "hash": 0},
+                {**rec, "bits": rec["bits"][:8]}, {"k": 7}, "url"):
+        assert from_record(bad) is None
+    Manifest(d).record("p1", {"blooms": ["url"]})
+    assert Manifest(d).cached("p1")["blooms"] == {}
+    assert _may(d, "p1", "url", pa.array(["nope"]))
+    with open(Manifest(d)._path("p0"), "w") as f:
+        f.write("garbage")
+    assert Manifest(d).cached("p0") is None
+    assert _may(d, "p0", "url", pa.array(["nope"]))
 
 
 # --------------------------------------------------------- access layer
@@ -119,15 +148,19 @@ def bstore(tmp_path_factory, ray_session):
 
 
 def test_encode_writes_bloom_sidecars(bstore):
+    """Blooms live in the manifests; no ``_bloom/`` directory."""
     from packcol.sources.encoded import store_stats
     _, out, _ = bstore
     parts = len([f for f in os.listdir(out) if f.endswith(".parquet")])
-    assert len(os.listdir(os.path.join(out, "_bloom"))) == parts
+    assert not os.path.exists(os.path.join(out, "_bloom"))
     st = store_stats(out)
-    # url (key), lang (low-card) and warc_ts (int-like) covered;
-    # html/text payloads excluded by the mean-length cap
+    # url (key) and warc_ts (int-like) covered; lang (low-card) has
+    # exact value counts instead, which prune eq / IN; html/text
+    # payloads excluded by the mean-length cap
     assert st["blooms"].get("url") == parts
-    assert st["blooms"].get("lang") == parts
+    assert st["blooms"].get("warc_ts") == parts
+    assert "lang" not in st["blooms"]
+    assert all("lang" in m["values"] for m in Manifest(out).load_all())
     assert "html" not in st["blooms"] and "text" not in st["blooms"]
 
 
@@ -193,12 +226,12 @@ def test_bloom_columns_opt_out_and_explicit(tmp_path_factory, ray_session):
     paths = write_webtext(wt, n_rows=600, n_parts=2, seed=3)
     out_none = str(tmp_path_factory.mktemp("store_noboom"))
     encode_files(paths, out_none, target_bytes=1 << 19, bloom_columns=None)
-    assert not os.path.isdir(os.path.join(out_none, "_bloom"))
+    assert store_stats(out_none)["blooms"] == {}
     out_url = str(tmp_path_factory.mktemp("store_urlboom"))
     encode_files(paths, out_url, target_bytes=1 << 19,
                  bloom_columns=["url"])
     assert list(store_stats(out_url)["blooms"]) == ["url"]
-    # a store without sidecars still answers correctly (never lossy)
+    # a store without blooms still answers correctly (never lossy)
     url = pq.read_table(paths[0], columns=["url"]).column("url")[0].as_py()
     got = read_encoded(out_none, columns=["url"],
                        filter=("url", "==", url)).to_pandas()
@@ -206,9 +239,9 @@ def test_bloom_columns_opt_out_and_explicit(tmp_path_factory, ray_session):
 
 
 def test_sampled_hash_build_and_legacy_probe_compat():
-    """New sidecars build with HASH_BYTES_SAMPLED; a sidecar recorded
-    with the legacy rolling-hash kind still probes correctly (the
-    probe dispatches on the kind stored IN the sidecar)."""
+    """New blooms build with HASH_BYTES_SAMPLED; a bloom recorded with
+    the legacy rolling-hash kind still probes correctly (the probe
+    dispatches on the kind stored WITH the bloom)."""
     from packcol.state.bloom import (HASH_BYTES_SAMPLED, _hash_kind,
                                      build_bloom, probe_bloom)
     vals = pa.array([f"https://h{i}.example.com/p/{i*7}" for i in
@@ -277,31 +310,38 @@ def test_empty_string_filter_not_pruned_end_to_end(tmp_path, ray_session):
     assert list(got["url"]) == [""] and list(got["text"]) == ["bb"]
 
 
-# ------------------------------------------------ sidecar cache and memo
+# ----------------------------------------------- manifest cache and memo
 
 @pytest.fixture()
 def fresh_cache(monkeypatch):
-    """An empty per-process bloom cache for one test."""
+    """An empty per-process manifest cache for one test."""
     import collections
-    from packcol.state import bloom
-    monkeypatch.setattr(bloom, "_cache", collections.OrderedDict())
-    monkeypatch.setattr(bloom, "_cache_bytes", 0)
-    return bloom
+    from packcol.state import manifest
+    monkeypatch.setattr(manifest, "_cache", collections.OrderedDict())
+    monkeypatch.setattr(manifest, "_cache_bytes", 0)
+    return manifest
 
 
 def _age(store_dir, *pids):
-    """Set the sidecars' mtime a minute back: on a filesystem with
-    whole-second timestamps the cache keeps only a sidecar older than
+    """Set the manifests' mtime a minute back: on a filesystem with
+    whole-second timestamps the cache keeps only a manifest older than
     _RACY_NS."""
-    from packcol.state.bloom import _path
     then = time.time_ns() - 60 * 10**9
     for pid in pids:
-        os.utime(_path(store_dir, pid), ns=(then, then))
+        os.utime(Manifest(store_dir)._path(pid), ns=(then, then))
+
+
+def _entry_bytes(store_dir, pid):
+    """What the cache charges for part ``pid``'s manifest: the file's
+    bytes plus its decoded bloom bits."""
+    m = Manifest(store_dir)
+    return os.path.getsize(m._path(pid)) + sum(
+        from_record(r)["bits"].nbytes for r in m.load(pid)["blooms"].values())
 
 
 def test_cache_sees_annotate_rewrite(tmp_path, ray_session, fresh_cache):
-    """add_column_encoded(bloom=True) rewrites a cached sidecar under the
-    same part id; the very next probe in the same process sees it."""
+    """add_column_encoded(bloom=True) rewrites a cached manifest under
+    the same part id; the very next probe in the same process sees it."""
     from packcol.pipelines.annotate import add_column_encoded
     from packcol.pipelines.encode_pipeline import encode_files
     from packcol.sources.plan import part_files, part_id
@@ -318,57 +358,54 @@ def test_cache_sees_annotate_rewrite(tmp_path, ray_session, fresh_cache):
     _age(out, *pids)
     nope = pa.array(["nope"])
     for pid in pids:
-        assert not bloom_may_contain(out, pid, "key", nope)
+        assert not _may(out, pid, "key", nope)
         # no "tag" entry yet: cannot prune
-        assert bloom_may_contain(out, pid, "tag", nope)
-    assert len(fresh_cache._cache) == 2 * len(pids)
+        assert _may(out, pid, "tag", nope)
+    assert len(fresh_cache._cache) == len(pids)
     add_column_encoded(out, "tag", lambda t: pa.array(
         [f"t{v}" for v in t.column("id").to_pylist()]), ["id"],
         bloom=True)
     for pid in pids:
-        assert not bloom_may_contain(out, pid, "tag", nope)
-        assert "tag" in load_blooms(out, pid)
-    first = load_blooms(out, pids[0])["tag"]
+        assert not _may(out, pid, "tag", nope)
+        assert "tag" in Manifest(out).load(pid)["blooms"]
+    first = Manifest(out).cached(pids[0])["blooms"]["tag"]
     tags = [f"t{i}" for i in range(n)]
     assert probe_bloom(first, pa.array(tags)).any()
 
 
 def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
-    """A sidecar overwritten with garbage after a good probe of the same
-    path was cached never prunes."""
+    """A manifest overwritten with garbage after a good probe of the
+    same path was cached never prunes."""
     d = str(tmp_path)
-    save_blooms(d, "p0", {"url": build_bloom(pa.array(["k1", "k2"]),
-                                             HASH_BYTES)})
+    _write(d, "p0", {"url": build_bloom(pa.array(["k1", "k2"]),
+                                        HASH_BYTES)})
     _age(d, "p0")
     nope = pa.array(["nope"])
-    assert not bloom_may_contain(d, "p0", "url", nope)
+    assert not _may(d, "p0", "url", nope)
     assert len(fresh_cache._cache) == 1
-    with open(os.path.join(d, "_bloom", "p0.npz"), "wb") as f:
-        f.write(b"garbage")
-    assert bloom_may_contain(d, "p0", "url", nope)
-    _age(d, "p0")  # cached as no bloom: still never prunes
-    assert bloom_may_contain(d, "p0", "url", nope)
-    assert bloom_may_contain(d, "p0", "url", nope)
-    assert load_blooms(d, "p0") == {}
+    with open(Manifest(d)._path("p0"), "w") as f:
+        f.write("garbage")
+    assert _may(d, "p0", "url", nope)
+    _age(d, "p0")  # cached as no manifest: still never prunes
+    assert _may(d, "p0", "url", nope)
+    assert _may(d, "p0", "url", nope)
+    assert list(fresh_cache._cache.values())[0][1] is None
     # and a good rewrite after the garbage prunes again
-    save_blooms(d, "p0", {"url": build_bloom(pa.array(["k3"]),
-                                             HASH_BYTES)})
-    assert not bloom_may_contain(d, "p0", "url", nope)
-    assert bloom_may_contain(d, "p0", "url", pa.array(["k3"]))
+    _write(d, "p0", {"url": build_bloom(pa.array(["k3"]), HASH_BYTES)})
+    assert not _may(d, "p0", "url", nope)
+    assert _may(d, "p0", "url", pa.array(["k3"]))
 
 
 def test_cache_skips_racily_new_sidecar(tmp_path, fresh_cache):
-    """On whole-second timestamps a sidecar modified within _RACY_NS of
-    the probe is not cached: rewritten in place with the same size and
-    mtime (so the same inode, mtime and size) the next probe still sees
-    the new blooms.  Older, it is cached."""
-    from packcol.state.bloom import _path
+    """On whole-second timestamps a manifest modified within _RACY_NS
+    of the probe is not cached: rewritten in place with the same size
+    and mtime (so the same inode, mtime and size) the next probe still
+    sees the new blooms.  Older, it is cached."""
     d = str(tmp_path)
-    p = _path(d, "p0")
+    p = Manifest(d)._path("p0")
 
     def write(key):
-        save_blooms(d, "p0", {"url": build_bloom(pa.array([key]),
-                                                 HASH_BYTES)})
+        _write(d, "p0", {"url": build_bloom(pa.array([key]), HASH_BYTES)})
         with open(p, "rb") as f:
             return f.read()
 
@@ -377,17 +414,17 @@ def test_cache_skips_racily_new_sidecar(tmp_path, fresh_cache):
     whole = (time.time_ns() // 10**9 - 1) * 10**9  # 1-2 s back
     os.utime(p, ns=(whole, whole))
     ino = os.stat(p).st_ino
-    assert not bloom_may_contain(d, "p0", "url", pa.array(["k2"]))
+    assert not _may(d, "p0", "url", pa.array(["k2"]))
     assert not fresh_cache._cache
     with open(p, "r+b") as f:
         f.write(b2)
     os.utime(p, ns=(whole, whole))
     assert os.stat(p).st_ino == ino
-    assert bloom_may_contain(d, "p0", "url", pa.array(["k2"]))
+    assert _may(d, "p0", "url", pa.array(["k2"]))
     assert not fresh_cache._cache
     os.utime(p, ns=(whole - 2 * 10**9, whole - 2 * 10**9))
-    assert not bloom_may_contain(d, "p0", "url", pa.array(["k1"]))
-    assert list(fresh_cache._cache) == [(p, "url")]
+    assert not _may(d, "p0", "url", pa.array(["k1"]))
+    assert list(fresh_cache._cache) == [p]
 
 
 def test_memoized_probe_equals_unmemoized():
@@ -434,31 +471,29 @@ def test_memoized_probe_equals_unmemoized():
 
 
 def test_cache_byte_bound_evicts(tmp_path, monkeypatch, fresh_cache):
-    """The cache holds at most _CACHE_BYTES (bit arrays plus
-    _ENTRY_BYTES per entry) and evicts the least recently used entry
-    first; evicted blooms still probe."""
+    """The cache holds at most _CACHE_BYTES (manifest files plus their
+    decoded bloom bits) and evicts the least recently used entry first;
+    evicted manifests still probe."""
     d = str(tmp_path)
     for i in range(3):
-        save_blooms(d, f"p{i}", {"url": build_bloom(
+        _write(d, f"p{i}", {"url": build_bloom(
             pa.array([f"k{i}-{j}" for j in range(800)]), HASH_BYTES)})
     _age(d, "p0", "p1", "p2")
-    size = len(load_blooms(d, "p0")["url"]["bits"]) + \
-        fresh_cache._ENTRY_BYTES
+    size = max(_entry_bytes(d, f"p{i}") for i in range(3))
     monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)
-    path = fresh_cache._path
+    path = Manifest(d)._path
     nope = pa.array(["nope"])
     for pid in ("p0", "p1", "p2"):
-        assert not bloom_may_contain(d, pid, "url", nope)
+        assert not _may(d, pid, "url", nope)
         assert fresh_cache._cache_bytes <= 2 * size
-    assert list(fresh_cache._cache) == [(path(d, "p1"), "url"),
-                                        (path(d, "p2"), "url")]
-    assert bloom_may_contain(d, "p0", "url", pa.array(["k0-5"]))  # reload
-    assert list(fresh_cache._cache) == [(path(d, "p2"), "url"),
-                                        (path(d, "p0"), "url")]
-    # a bloom larger than the whole bound is read but not cached
-    monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", size - 1)
-    assert not bloom_may_contain(d, "p1", "url", nope)
-    assert (path(d, "p1"), "url") not in fresh_cache._cache
+    assert list(fresh_cache._cache) == [path("p1"), path("p2")]
+    assert _may(d, "p0", "url", pa.array(["k0-5"]))  # reload
+    assert list(fresh_cache._cache) == [path("p2"), path("p0")]
+    # a manifest larger than the whole bound is read but not cached
+    monkeypatch.setattr(fresh_cache, "_CACHE_BYTES",
+                        _entry_bytes(d, "p1") - 1)
+    assert not _may(d, "p1", "url", nope)
+    assert path("p1") not in fresh_cache._cache
 
 
 def test_cache_bytes_consistent_under_threads(tmp_path, monkeypatch,
@@ -469,11 +504,10 @@ def test_cache_bytes_consistent_under_threads(tmp_path, monkeypatch,
     import threading
     d = str(tmp_path)
     for i in range(6):
-        save_blooms(d, f"p{i}", {"url": build_bloom(
+        _write(d, f"p{i}", {"url": build_bloom(
             pa.array([f"k{i}-{j}" for j in range(200)]), HASH_BYTES)})
     _age(d, *(f"p{i}" for i in range(6)))
-    size = len(load_blooms(d, "p0")["url"]["bits"]) + \
-        fresh_cache._ENTRY_BYTES
+    size = max(_entry_bytes(d, f"p{i}") for i in range(6))
     monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)
     errors = []
 
@@ -481,8 +515,7 @@ def test_cache_bytes_consistent_under_threads(tmp_path, monkeypatch,
         try:
             for j in range(400):
                 pid = f"p{(seed + j) % 6}"
-                assert bloom_may_contain(d, pid, "url",
-                                         pa.array([f"k{pid[1:]}-3"]))
+                assert _may(d, pid, "url", pa.array([f"k{pid[1:]}-3"]))
         except Exception as e:  # surfaced by the assert below
             errors.append(e)
 

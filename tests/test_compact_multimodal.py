@@ -138,10 +138,12 @@ def test_recompact_keeps_query_layer(ray_session, tmp_path):
     from packcol.sources.encoded import _agg_from_manifests
     assert _agg_from_manifests(dest, {"m": ("max", "warc_ts")}) \
         is not None
-    # bloom sidecars present for the merged parts
-    bl = os.path.join(dest, "_bloom")
+    # blooms present in the merged parts' manifests
+    from packcol.state.manifest import Manifest
+    mans = Manifest(dest).load_all()
     parts = [f for f in os.listdir(dest) if f.endswith(".parquet")]
-    assert os.path.isdir(bl) and len(os.listdir(bl)) == len(parts)
+    assert len(mans) == len(parts) and all("url" in m["blooms"]
+                                           for m in mans)
     # point lookup still correct through the pruned path
     url = exp["url"].iloc[5]
     got = read_encoded(dest, columns=["url", "text"],

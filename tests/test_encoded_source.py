@@ -667,9 +667,9 @@ def test_predicate_algebra_randomized(tmp_path, ray_session, monkeypatch):
     and OR results of every encoded-domain scan (read, count, agg,
     exact and approximate distinct) match pandas truth (rows AND
     membership, not just counts), and no part the plan drops holds a
-    matching row.  Trial 12 leaves every bloom probe to the scan
-    tasks; trial 13 sets the in-process crossover to 0, so every scan
-    of a non-empty plan runs through Ray Data instead of the driver."""
+    matching row.  Trial 12 sets the in-process crossover to 0, so
+    every scan of a non-empty plan runs through Ray Data instead of the
+    driver."""
     import numpy as np
     import pandas as pd
     import pyarrow.parquet as pq
@@ -750,27 +750,13 @@ def test_predicate_algebra_randomized(tmp_path, ray_session, monkeypatch):
         v = got[col].iloc[0] if len(got) else None
         return 0 if v is None or pd.isna(v) else int(v)
 
-    bloom_cap = plan_mod._BLOOM_DRIVER_CAP
-    for trial in range(14):
+    for trial in range(13):
         if trial < 12:
             preds = [rand_pred() for _ in range(int(rng.integers(1, 4)))]
         if trial == 12:
-            # driver cap 0: the plan probes no bloom and every probe
-            # runs in the scan tasks.  One row's ts lies inside nearly
-            # every part's zone but in few parts, so under AND the
-            # tasks disprove most parts; "a" is in every part, so
-            # under OR they disprove none
-            r = int(np.flatnonzero(df["k_str"] == "a")[0])
-            preds = [("ts", "==", df["ts"][r].to_pydatetime()),
-                     ("k_str", "in", ["a", "g"])]
-            monkeypatch.setattr(plan_mod, "_BLOOM_DRIVER_CAP", 0)
-            p = plan_mod.plan(out, *plan_mod.parse_filter(preds, None))
-            assert not p.blooms_probed and len(p.parts) > 1
-        if trial == 13:
             # crossover 0: every non-empty plan runs through Ray Data
             preds = [("k_str", "in", ["a", "b"]), ("name", "prefix", "u1"),
                      ("k_int", "between", 2, 9)]
-            monkeypatch.setattr(plan_mod, "_BLOOM_DRIVER_CAP", bloom_cap)
             monkeypatch.setattr(plan_mod, "_LOCAL_PLAN_BYTES", 0)
             for f, fa in ((preds, None), (None, preds)):
                 p = plan_mod.plan(out, *plan_mod.parse_filter(f, fa))
@@ -1609,10 +1595,16 @@ def test_plan_records_planned_bytes_and_executor(store, monkeypatch):
 
 def test_restrict_keeps_manifests_lazy(store, monkeypatch):
     """Narrowing an unfiltered plan and sizing it reads no manifest; a
-    filtered plan's loaded manifests carry over to its restriction."""
+    filtered plan's loaded manifests carry over to its restriction.
+    Manifests load through the per-process cache: one file read per
+    part on a cold cache, none on a warm one."""
+    import collections
     from packcol.sources import plan as plan_mod
+    from packcol.state import manifest
     from packcol.state.manifest import Manifest
     _, out = store
+    monkeypatch.setattr(manifest, "_cache", collections.OrderedDict())
+    monkeypatch.setattr(manifest, "_cache_bytes", 0)
     load, loads = Manifest.load, []
 
     def counted(self, pid):
@@ -1630,6 +1622,8 @@ def test_restrict_keeps_manifests_lazy(store, monkeypatch):
     assert n == len(listed)
     assert full.restrict(full.parts[:1]).manifests is full.manifests
     assert len(loads) == n
+    again = plan_mod.plan(out, [("lang", "==", "en", "en")])
+    assert len(loads) == n and again.parts == full.parts
 
 
 def test_rollup_cube_null_keys_match_duckdb(tmp_path, ray_session,

@@ -36,7 +36,7 @@ def test_clean_store_ok(store):
 
 
 def test_detects_orphans_and_stale(store):
-    # orphan manifest + bloom: remove a part file but keep sidecars
+    # orphan manifest: remove a part file but keep its manifest
     part = sorted(f for f in os.listdir(store)
                   if f.endswith(".parquet"))[0]
     os.remove(os.path.join(store, part))
@@ -94,6 +94,30 @@ def test_detects_wrong_value_counts(store):
     assert [list(i) for i in r["issues"]] == [[pid, (
         "lang: manifest value counts differ from the decoded column at "
         "['en'] — a metadata COUNT would be wrong")]]
+
+
+def test_detects_bloom_missing_values(store):
+    """A manifest bloom that lacks a value of its column would make a
+    point read skip the part holding it: the deep check probes every
+    distinct value.  A ``blooms`` list (blooms kept outside the
+    manifest) holds no bloom and is no finding."""
+    from packcol.state.bloom import build_bloom, to_record
+    from packcol.state.manifest import Manifest
+    man = Manifest(store)
+    pid = man.load_all()[0]["part_id"]
+    m = man.load(pid)
+    assert "id" in m["blooms"]
+    m["blooms"]["id"] = to_record(build_bloom(
+        pa.array([-5, -6], pa.int64()), m["blooms"]["id"]["hash"]))
+    man.record(pid, m)
+    assert check_store(store)["ok"]  # structural layers can't see it
+    r = check_store(store, deep=True)
+    assert len(r["issues"]) == 1 and r["issues"][0][0] == pid
+    assert r["issues"][0][1].startswith("id: manifest bloom misses ")
+    assert r["issues"][0][1].endswith("pushdown would skip matching rows")
+    m["blooms"] = ["id"]
+    man.record(pid, m)
+    assert check_store(store, deep=True)["ok"]
 
 
 def test_detects_row_count_mismatch(store):

@@ -129,14 +129,38 @@ def test_every_writer_leaves_the_same_metadata(ray_session, webtext,
     assert r["ok"], r["issues"]
 
 
+_TRACED_READ = """
+import os, sys
+from perfbench import trace
+tracer = trace.Tracer(sys.argv[1], main=True)
+trace.install(tracer)
+import pyarrow as pa
+from packcol.pipelines.encode_pipeline import write_part
+from packcol.sources.encoded import read_encoded
+store = os.path.join(sys.argv[1], "store")
+os.makedirs(store)
+for i in range(2):
+    write_part(store, f"p{i}", pa.table({
+        "url": [f"https://h{i}.example/{j}" for j in range(200)],
+        "n": pa.array(range(200), pa.int64())}))
+with tracer.op("t0", "point"):
+    got = read_encoded(store, columns=["n"],
+                       filter=("url", "==", "https://h1.example/7"))
+    assert got.to_pandas()["n"].tolist() == [7]
+print(sorted({sp[2] for sp in tracer.spans}))
+"""
+
+
 def test_trace_installs(tmp_path):
     """perfbench/trace.py resolves the engine names it wraps with
-    getattr; a refactor that drops one fails here, not only in a traced
-    benchmark run."""
+    getattr, and a ``url ==`` read over a two-part store goes through
+    the wrapped bloom probe and manifest read: a refactor that drops a
+    name, or an op path that stops calling it, fails here, not only in
+    a traced benchmark run."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = ("import sys; from perfbench import trace; "
-            "trace.install(trace.Tracer(sys.argv[1], main=True))")
-    r = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+    r = subprocess.run([sys.executable, "-c", _TRACED_READ, str(tmp_path)],
                        cwd=root, capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
+    names = json.loads(r.stdout.strip().splitlines()[-1].replace("'", '"'))
+    assert {"state.bloom_probe", "state.manifest_read"} <= set(names), names

@@ -57,6 +57,29 @@ def test_upsert_update_and_insert(tmp_path, ray_session, base_df):
         [f for f in os.listdir(out) if f.endswith(".parquet")])
 
 
+def test_metadata_is_one_manifest_per_part(tmp_path, ray_session, base_df):
+    """A built, upserted and annotated store keeps each part's metadata
+    (blooms included) in one ``_manifest/<id>.json``: no ``_bloom/``."""
+    from packcol.pipelines.annotate import add_column_encoded
+    from packcol.sources.plan import part_files, part_id
+    from packcol.state.manifest import Manifest
+    out = _mkstore(tmp_path, base_df)
+    ins = pd.DataFrame({"id": np.arange(9000, 9020, dtype=np.int64),
+                        "v": np.int64(7), "s": "new"})
+    upsert_encoded(out, pa.Table.from_pandas(ins, preserve_index=False),
+                   "id")
+    add_column_encoded(out, "tag", lambda t: pa.compute.cast(
+        t.column("id"), pa.string()), ["id"], bloom=True)
+    assert sorted(f for f in os.listdir(out)
+                  if not f.endswith(".parquet")) == ["_manifest",
+                                                     "_selection"]
+    pids = {part_id(p) for p in part_files(out)}
+    assert Manifest(out).done_parts() == pids
+    for m in Manifest(out).load_all():
+        assert {"id", "tag"} <= set(m["blooms"])
+        assert all(isinstance(r["bits"], str) for r in m["blooms"].values())
+
+
 def test_upsert_idempotent_rerun(tmp_path, ray_session, base_df):
     import ray.data as rd
     out = _mkstore(tmp_path, base_df)
@@ -173,10 +196,11 @@ def _write_ops(store, base_df):
 
 
 def _store_state(store):
-    """Part files and bloom sidecars by path ({path: bytes}), and the
-    manifests without their wall time ({path: dict})."""
+    """Part files by path ({path: bytes}), and the manifests (blooms
+    included) without their wall time ({path: dict})."""
+    assert not os.path.exists(os.path.join(store, "_bloom"))
     blobs, mans = {}, {}
-    for sub in ("", "_bloom", "_manifest"):
+    for sub in ("", "_manifest"):
         d = os.path.join(store, sub)
         for f in sorted(os.listdir(d)):
             if not os.path.isfile(os.path.join(d, f)):

@@ -345,3 +345,33 @@ def test_agg_groups_dict_and_rle_keys_on_codes(tmp_path, monkeypatch, seed):
         g, w = _rows(got)[1], _rows(want)[1]
         assert [r[:2] + r[3:] for r in g] == [r[:2] + r[3:] for r in w]
         assert np.allclose([r[2] for r in g], [r[2] for r in w])
+
+
+def test_value_counts_prune_eq_and_in(tmp_path):
+    """eq / IN of ``str`` values prune a part whose value counts lack
+    every value, inside its zone too; a non-``str`` value or a part
+    without the map keeps the part."""
+    store = str(tmp_path / "s")
+    truth = _random_store(store, 6)
+    listed = plan_mod.part_files(store)
+    mans = {p: Manifest(store).load(plan_mod.part_id(p)) for p in listed}
+    has = {p: set(m["values"]["k"]) for p, m in mans.items()}
+    for pred, want in (
+            (("k", "eq", "v1", "v1"), [p for p in listed if "v1" in has[p]]),
+            (("k", "eq", "v11", "v11"), []),    # inside the zones
+            (("k", "in", ("v11", "v2"), None),
+             [p for p in listed if "v2" in has[p]]),
+            (("k", "eq", 1, 1), listed)):       # not a str: kept
+        p = plan_mod.plan(store, [pred])
+        assert p.parts == want, pred
+        assert p.zone_counts == [len(want)]
+    assert "v11" not in truth.column("k").to_pylist()
+    # the all-NULL part (null_frac 1.0) records an empty map
+    assert any(not h for h in has.values())
+    # a manifest without the map keeps its part
+    pid = plan_mod.part_id(listed[0])
+    m = mans[listed[0]]
+    del m["values"]
+    Manifest(store).record(pid, m)
+    assert plan_mod.plan(store, [("k", "eq", "v11", "v11")]).parts == \
+        [listed[0]]
