@@ -7,6 +7,17 @@ self-describing — everything needed to decode (codec name, params,
 auxiliary buffers such as dictionaries / symbol tables, validity bitmap)
 travels inside it, mirroring ``SeqVector``'s self-contained serde form
 (/root/reference/src/naive_impl/seq_vector.rs:18-22).
+
+Besides ``encode`` / ``decode`` a codec answers three questions about a
+block, each with a default that decodes it:
+
+* ``take(enc, rows)`` — some rows, equal to ``decode(enc).take(rows)``;
+* ``subset(enc, keep)`` — the block cut to the rows of a boolean mask,
+  a block whose decode equals ``decode(enc).filter(keep)`` (a rewrite
+  after a delete; the reference's ``SeqVector`` slices its packed
+  buffer without decoding, ``src/naive_impl/seq_vector.rs:141-161``);
+* ``nbytes(enc)`` — ``decode(enc).nbytes``, the logical size a
+  manifest records as ``orig_bytes``.
 """
 
 from __future__ import annotations
@@ -80,7 +91,8 @@ class EncodedColumn:
     # sidecar refs (params["shared_ref"]) written next to encoded parts
     base_dir: str | None = None
     # runtime-only: what a codec derived from the buffers once and reads
-    # again within one scan (fsst's unpacked row offsets)
+    # again within one scan (fsst's unpacked row offsets; the decoded
+    # bytes of a cut toksep block, which its ``nbytes`` reads)
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -135,6 +147,23 @@ def validity_from_bytes(b: bytes, n: int) -> np.ndarray | None:
     return bits[:n].astype(bool)
 
 
+def subset_validity(enc: "EncodedColumn", keep: np.ndarray) -> bytes:
+    """The validity buffer of the rows ``keep`` (a boolean mask) of a
+    block that stores one, as ``validity_to_bytes`` would write it."""
+    valid = validity_from_bytes(enc.buffers.get("validity", b""),
+                                enc.n_values)
+    if valid is None or valid[keep].all():
+        return b""
+    return np.packbits(valid[keep].astype(np.uint8),
+                       bitorder="little").tobytes()
+
+
+def validity_nbytes(enc: "EncodedColumn") -> int:
+    """Bytes of the null bitmap of ``decode(enc)`` (part of its
+    ``nbytes``): one bit per row when the block has nulls."""
+    return -(-enc.n_values // 8) if enc.buffers.get("validity") else 0
+
+
 def apply_validity(arr: pa.Array, valid: np.ndarray | None) -> pa.Array:
     """Re-attach a null bitmap to a fully-valid decoded array."""
     if valid is None:
@@ -172,6 +201,38 @@ class Codec:
         default; a codec with random access decodes only those rows."""
         return self.decode(enc).take(rows)
 
+    def subset(self, enc: EncodedColumn, keep: np.ndarray) -> EncodedColumn:
+        """The block cut to the rows where the boolean mask ``keep`` is
+        True: its decode equals ``decode(enc).filter(keep)``.  The
+        default re-encodes those rows with this codec through
+        ``encode_with_guard`` (which re-selects when the codec cannot
+        hold them) and keeps the block's recorded logical type; a codec
+        whose packed form can be cut directly does so."""
+        from ..stages.select import encode_with_guard
+        out = encode_with_guard(self.decode(enc).filter(pa.array(keep)),
+                                codec_name=self.name)
+        if "dtype" not in out.params and "dtype_ipc" not in out.params:
+            out.params.update({k: enc.params[k] for k in
+                               ("dtype", "dtype_ipc") if k in enc.params})
+        return out
+
+    def nbytes(self, enc: EncodedColumn) -> int:
+        """``decode(enc).nbytes``, the default; a codec that knows its
+        rows' lengths sums them instead."""
+        return self.decode(enc).nbytes
+
+    def _guarded(self, enc: EncodedColumn, keep: np.ndarray,
+                 cut: EncodedColumn) -> EncodedColumn:
+        """``cut``, this codec's ``subset`` of ``enc`` made in the packed
+        form, unless it fails ``encode_with_guard``'s size guard (a cut
+        keeps tables sized for every row of the block, so a block cut
+        to a few rows can outgrow them raw): then the default's
+        re-encode of those rows."""
+        from ..stages.select import not_smaller_than_raw
+        if not_smaller_than_raw(cut, self.nbytes(cut)):
+            return Codec.subset(self, enc, keep)
+        return cut
+
 
 _REGISTRY: dict[str, Codec] = {}
 
@@ -197,3 +258,9 @@ def take_any(enc: EncodedColumn, rows) -> pa.Array:
     """Rows ``rows`` of a block (``Codec.take``): the decode of a read
     that returns only some of a block's rows."""
     return get_codec(enc.codec).take(enc, rows)
+
+
+def subset_any(enc: EncodedColumn, keep: np.ndarray) -> EncodedColumn:
+    """The block cut to the rows of the boolean mask ``keep``
+    (``Codec.subset``): the rewrite of a part that lost rows."""
+    return get_codec(enc.codec).subset(enc, keep)

@@ -27,6 +27,10 @@ String offsets are themselves delta+bit-packed via :mod:`.bitpack`.
 Reads work on the compressed rows (FSST's random-access design point):
 
 * ``FsstCodec.take`` expands only the selected rows' byte ranges;
+* ``FsstCodec.subset`` keeps the selected rows' compressed bytes and
+  the block's rounds (its symbol tables): a rewrite after a delete
+  compresses nothing again, unless the tables outweigh the few rows
+  kept (``Codec._guarded``);
 * ``match_values`` answers equality and IN on the compressed bytes.
   This is exact because compression is a function of each string
   alone: matches never cross string boundaries (``_fsst_compress_chunk``
@@ -46,8 +50,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .base import (Codec, EncodedColumn, register, str_to_type, type_to_str,
-                   validity_from_bytes, validity_to_bytes)
+from .base import (Codec, EncodedColumn, register, str_to_type,
+                   subset_validity, type_to_str, validity_from_bytes,
+                   validity_nbytes, validity_to_bytes)
 from .bitpack import bits_needed, pack, unpack
 from .gather import take_concat
 
@@ -164,6 +169,25 @@ class FsstCodec(Codec):
             raise IndexError(f"row index out of range [0, {enc.n_values})")
         sub, sub_offs = take_concat(_row_view(*_rows_of(enc)), idx)
         return _expand_rows(enc, sub, sub_offs, idx)
+
+    def subset(self, enc: EncodedColumn, keep: np.ndarray) -> EncodedColumn:
+        sub, sub_offs = take_concat(_row_view(*_rows_of(enc)),
+                                    np.flatnonzero(keep))
+        lens = np.diff(sub_offs)
+        lw = bits_needed(int(lens.max()) if len(lens) else 0)
+        return self._guarded(enc, keep, EncodedColumn(
+            codec=self.name, n_values=len(lens),
+            params={**enc.params, "len_width": lw},
+            buffers={"payload": sub.tobytes(),
+                     "lens": pack(lens.view(np.uint64), lw).tobytes(),
+                     "validity": subset_validity(enc, keep)}))
+
+    def nbytes(self, enc: EncodedColumn) -> int:
+        e = np.frombuffer(enc.buffers["payload"], dtype=np.uint8)
+        rounds = _rounds(enc.params)
+        data = int(build_expansion_table(rounds)[1].take(e).sum()) \
+            if rounds else len(e)
+        return _offsets_nbytes(enc) + data + validity_nbytes(enc)
 
 
 def _rounds(p: dict) -> list:
@@ -407,6 +431,14 @@ def fsst_expand_fused(e: np.ndarray, enc_offs: np.ndarray,
     full[1:ne] = starts[1:]
     full[ne] = total
     return out, full[enc_offs]
+
+
+def _offsets_nbytes(enc: EncodedColumn) -> int:
+    """Offset bytes that ``nbytes`` counts for the block's decoded
+    string column: one offset per row, int64 for the large types."""
+    dtype = str_to_type(enc.params["dtype"])
+    large = pa.types.is_large_string(dtype) or pa.types.is_large_binary(dtype)
+    return enc.n_values * (8 if large else 4)
 
 
 def _array_from_parts(data: np.ndarray, offsets: np.ndarray, n: int,

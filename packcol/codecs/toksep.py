@@ -18,8 +18,15 @@ Tokens never cross row boundaries, mirroring the reference's
 SeqVecKmerIterator contract (windows never cross record bounds,
 /root/reference/src/naive_impl/seq_vector.rs:183-205).
 
+Tokens never crossing rows also means a block can be cut without
+touching bytes: ``subset`` keeps the survivors' token ranges of the code
+stream, drops the dictionary entries no survivor uses and re-ranks the
+rest, which gives exactly the block a fresh encode of the survivors
+gives; ``take`` expands only the selected rows' ranges.
+
 Layout:
-  aux      Arrow IPC token dictionary (sorted → deterministic codes)
+  aux      Arrow IPC token dictionary (frequency-ranked, ties in byte
+           order → deterministic codes)
   payload  bit-packed token codes, all rows concatenated
   lens     bit-packed tokens-per-row
   validity null bitmap
@@ -31,11 +38,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .base import (Codec, EncodedColumn, register, str_to_type, type_to_str,
-                   validity_from_bytes, validity_to_bytes)
+from .base import (Codec, EncodedColumn, register, str_to_type,
+                   subset_validity, type_to_str, validity_from_bytes,
+                   validity_nbytes, validity_to_bytes)
 from .bitpack import bits_needed, pack, unpack
 from .dictionary import ipc_deserialize_array, ipc_serialize_array
-from .fsst import _is_stringy, buffer_view
+from .codestream import decode_code_stream, encode_code_stream
+from .fsst import _is_stringy, _offsets_nbytes, buffer_view
+from .gather import take_concat
 
 
 def word_class(d: np.ndarray) -> np.ndarray:
@@ -68,6 +78,81 @@ def tokenize_offsets(d: np.ndarray, offs: np.ndarray) -> np.ndarray:
     return merged[keep]
 
 
+def _token_positions(counts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in the code stream of the tokens of ``rows`` (row
+    indices in any order, repeats allowed), row after row: each row's
+    tokens are the range of the prefix sum of ``counts``."""
+    starts = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    c = counts[rows]
+    out_starts = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(c, out=out_starts[1:])
+    pos = np.arange(out_starts[-1], dtype=np.int64)
+    pos += np.repeat(starts[rows] - out_starts[:-1], c)
+    return pos
+
+
+def _ranked(idx: np.ndarray, dictionary: pa.Array, freq: np.ndarray,
+            by_bytes: np.ndarray):
+    """(codes, dictionary) over the entries ``by_bytes`` (the codes
+    ``idx`` uses, in the byte order ``dict_encode_indices`` sorts a
+    dictionary by), ranked by descending token count ``freq``, ties in
+    that byte order: hot tokens get the small codes the escape-byte
+    scheme rewards, mirroring the reference's "frequent symbols get
+    short codes" permutation choice (``src/encoding/naive.rs:49-74``)."""
+    order = by_bytes[np.argsort(-freq[by_bytes], kind="stable")]
+    rank = np.empty(len(dictionary), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank[idx], dictionary.take(pa.array(order, pa.int64()))
+
+
+def _packed(n: int, idx: np.ndarray, counts: np.ndarray,
+            dictionary: pa.Array, dtype: pa.DataType,
+            validity: bytes) -> EncodedColumn:
+    """The toksep block of ``n`` rows with ``counts`` tokens each,
+    coded ``idx`` over ``dictionary``."""
+    nd = len(dictionary)
+    lw = bits_needed(int(counts.max()) if n else 0)
+    cs_params, buffers = encode_code_stream(idx, nd)
+    params = {"len_width": lw, "n_tokens": len(idx), "n_dict": nd,
+              "dtype": type_to_str(dtype), **cs_params}
+    buffers.update(lens=pack(counts.view(np.uint64), lw).tobytes(),
+                   aux=ipc_serialize_array(dictionary),
+                   validity=validity)
+    return EncodedColumn(codec=TokSepCodec.name, n_values=n,
+                         params=params, buffers=buffers)
+
+
+def _dictionary(enc: EncodedColumn) -> pa.Array:
+    """The block's token dictionary; a shared-vocab block
+    (stages/toksep_actor.py) resolves its sidecar vocabulary through
+    ``enc.base_dir`` and appends its per-block OOV patch."""
+    dictionary = ipc_deserialize_array(enc.buffers["aux"])
+    p = enc.params
+    if "shared_ref" not in p:
+        return dictionary
+    if enc.base_dir is None:
+        raise ValueError(
+            "shared-vocab toksep block: decode needs base_dir "
+            "(the encoded part's directory) to resolve "
+            f"{p['shared_ref']!r}")
+    from ..stages.toksep_actor import load_shared_vocab
+    shared = load_shared_vocab(enc.base_dir, p["shared_ref"])
+    return pa.concat_arrays(
+        [shared.cast(pa.large_binary()),
+         dictionary.cast(pa.large_binary())]) \
+        if len(dictionary) else shared
+
+
+def _codes(enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
+    """(token codes, tokens per row) of the block."""
+    p = enc.params
+    idx = decode_code_stream(p, enc.buffers, p["n_tokens"])
+    counts = unpack(np.frombuffer(enc.buffers["lens"], dtype=np.uint64),
+                    p["len_width"], enc.n_values).view(np.int64)
+    return idx, counts
+
+
 class TokSepCodec(Codec):
     name = "toksep"
 
@@ -98,57 +183,61 @@ class TokSepCodec(Codec):
              pa.py_buffer(np.ascontiguousarray(d))])
         from .dictionary import dict_encode_indices
         idx, dictionary = dict_encode_indices(toks)
-        nd = len(dictionary)
-        # reorder codes by descending frequency (stable → deterministic):
-        # hot tokens get the small codes the escape-byte scheme rewards,
-        # mirroring the reference's "frequent symbols get short codes"
-        # permutation choice (/root/reference/src/encoding/naive.rs:49-74)
-        if nd > 1 and ntok:
-            freq = np.bincount(idx, minlength=nd)
-            order = np.argsort(-freq, kind="stable")
-            rank = np.empty(nd, dtype=np.int64)
-            rank[order] = np.arange(nd, dtype=np.int64)
-            idx = rank[idx]
-            dictionary = dictionary.take(pa.array(order))
-        lw = bits_needed(int(counts.max()) if n else 0)
-        from .codestream import encode_code_stream
-        cs_params, buffers = encode_code_stream(idx, nd)
-        params = {"len_width": lw, "n_tokens": ntok, "n_dict": nd,
-                  "dtype": type_to_str(dtype), **cs_params}
-        buffers.update(lens=pack(counts.view(np.uint64), lw).tobytes(),
-                       aux=ipc_serialize_array(dictionary),
-                       validity=validity)
-        return EncodedColumn(codec=self.name, n_values=n,
-                             params=params, buffers=buffers)
+        if len(dictionary) > 1 and ntok:
+            idx, dictionary = _ranked(
+                idx, dictionary, np.bincount(idx, minlength=len(dictionary)),
+                np.arange(len(dictionary)))
+        return _packed(n, idx, counts, dictionary, dtype, validity)
 
     def decode(self, enc: EncodedColumn) -> pa.Array:
-        n, p = enc.n_values, enc.params
-        dtype = str_to_type(p["dtype"])
-        nt = p["n_tokens"]
-        from .codestream import decode_code_stream
-        idx = decode_code_stream(p, enc.buffers, nt)
-        counts = unpack(np.frombuffer(enc.buffers["lens"], dtype=np.uint64),
-                        p["len_width"], n).view(np.int64)
+        return self._gather(enc, None)
+
+    def take(self, enc: EncodedColumn, rows) -> pa.Array:
+        idx = np.asarray(rows, dtype=np.int64)
+        if len(idx) and (idx.min() < 0 or idx.max() >= enc.n_values):
+            raise IndexError(f"row index out of range [0, {enc.n_values})")
+        return self._gather(enc, idx)
+
+    def subset(self, enc: EncodedColumn, keep: np.ndarray) -> EncodedColumn:
+        if "shared_ref" in enc.params:  # re-encodes self-describing
+            return super().subset(enc, keep)
+        idx, counts = _codes(enc)
+        idx = idx[np.repeat(keep, counts)]
         dictionary = ipc_deserialize_array(enc.buffers["aux"])
-        if "shared_ref" in p:
-            # shared-vocab block (stages/toksep_actor.py): dictionary =
-            # sidecar vocabulary ⊕ per-block OOV patch
-            if enc.base_dir is None:
-                raise ValueError(
-                    "shared-vocab toksep block: decode needs base_dir "
-                    "(the encoded part's directory) to resolve "
-                    f"{p['shared_ref']!r}")
-            from ..stages.toksep_actor import load_shared_vocab
-            shared = load_shared_vocab(enc.base_dir, p["shared_ref"])
-            dictionary = pa.concat_arrays(
-                [shared.cast(pa.large_binary()),
-                 dictionary.cast(pa.large_binary())]) \
-                if len(dictionary) else shared
+        freq = np.bincount(idx, minlength=len(dictionary))
+        used = np.flatnonzero(freq)
+        by_bytes = used[pc.array_sort_indices(dictionary.take(
+            pa.array(used))).to_numpy()]
+        data = int(freq @ _token_lengths(dictionary))
+        idx, dictionary = _ranked(idx, dictionary, freq, by_bytes)
+        if dictionary.type == pa.large_binary() and data < (1 << 31):
+            dictionary = dictionary.cast(pa.binary())  # as encode types it
+        out = _packed(int(keep.sum()), idx, counts[keep], dictionary,
+                      str_to_type(enc.params["dtype"]),
+                      subset_validity(enc, keep))
+        out.memo["toksep_data_bytes"] = data
+        return self._guarded(enc, keep, out)
+
+    def nbytes(self, enc: EncodedColumn) -> int:
+        data = enc.memo.get("toksep_data_bytes")
+        if data is None:
+            dictionary = _dictionary(enc)
+            data = int(np.bincount(_codes(enc)[0], minlength=len(
+                dictionary)) @ _token_lengths(dictionary))
+        return _offsets_nbytes(enc) + data + validity_nbytes(enc)
+
+    def _gather(self, enc: EncodedColumn, rows) -> pa.Array:
+        """Rows ``rows`` of the block (all when None), decoded."""
+        n = enc.n_values if rows is None else len(rows)
+        dtype = str_to_type(enc.params["dtype"])
+        idx, counts = _codes(enc)
+        if rows is not None:
+            idx = idx[_token_positions(counts, rows)]
+            counts = counts[rows]
         # gather token bytes via Arrow take: the take result's data
         # buffer IS the concatenation and its offsets the cumulative
         # lengths, all in C++ (codecs/gather.py::take_concat)
-        from .gather import take_concat
-        out, cs = take_concat(dictionary, idx)
+        out, cs = take_concat(_dictionary(enc), idx)
         # row offsets: token-level cumsum sliced at row boundaries
         tok_row_offs = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=tok_row_offs[1:])
@@ -160,10 +249,23 @@ class TokSepCodec(Codec):
             dtype, n,
             [None, pa.py_buffer(np.ascontiguousarray(off_arr)),
              pa.py_buffer(np.ascontiguousarray(out))])
-        valid = validity_from_bytes(enc.buffers.get("validity", b""), n)
+        valid = validity_from_bytes(enc.buffers.get("validity", b""),
+                                    enc.n_values)
         if valid is not None:
+            if rows is not None:
+                valid = valid[rows]
             arr = pc.if_else(pa.array(valid), arr, pa.nulls(n, type=dtype))
         return arr
+
+
+def _token_lengths(dictionary: pa.Array) -> np.ndarray:
+    """Byte length of each token of ``dictionary``."""
+    large = dictionary.type in (pa.large_binary(), pa.large_string())
+    offs = np.frombuffer(dictionary.buffers()[1], dtype=np.int64 if large
+                         else np.int32)[dictionary.offset:
+                                        dictionary.offset
+                                        + len(dictionary) + 1]
+    return np.diff(offs.astype(np.int64))
 
 
 register(TokSepCodec())

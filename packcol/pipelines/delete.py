@@ -10,12 +10,19 @@ crossover (``sources/plan.py::execute``), else in Ray tasks — and then
 * zero matching rows  → the part is left byte-identical (never
   rewritten, never decoded);
 * every row matches   → the part file and its manifest are removed;
-* a strict subset     → the surviving rows are decoded once,
-  re-encoded with the codecs the part's manifest records (no codec
-  selection: the survivors are a subset of rows those codecs already
-  held; ``encode_with_guard`` still re-selects a codec it does not
-  know or that cannot encode them) and swapped in atomically under
-  the SAME part id, with zones / blooms / null counts rebuilt.
+* a strict subset     → every block is cut to the surviving rows in
+  the encoded domain (``codecs/base.py::subset_any``: toksep keeps the
+  survivors' token ranges and gives the bytes a fresh encode of them
+  would, fsst keeps their compressed bytes and its symbol tables, and
+  the other codecs re-encode the survivors with the block's own codec)
+  and swapped in atomically under the SAME part id through
+  ``encode_pipeline.record_part``.  Each block is read once.  Only the
+  columns whose old manifest holds a zone, value counts or a bloom
+  (and blocks that keep no validity bitmap) are decoded, to rebuild
+  exactly those entries: a column never gains one by losing rows.
+  The other columns take their null counts from the cut blocks'
+  validity bitmaps and their ``orig_bytes`` from their rows' lengths
+  (``Codec.nbytes``).
 
 At 100 TB this is the retention / right-to-be-forgotten shape: a
 point-key delete rewrites O(1) parts, not the store.  Idempotent — a
@@ -32,10 +39,11 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 
-from ..sources.plan import (collect, execute, parse_filter, part_id,
-                            part_mask, plan, read_part)
+from ..sources.plan import (collect, execute, parse_filter, part_columns,
+                            part_id, part_mask, plan, read_blocks)
 from ..state.manifest import Manifest
 # not used here: perfbench/trace.py patches delete.compute_zones
 from ..state.manifest import compute_zones  # noqa: F401
@@ -50,7 +58,6 @@ class _DeletePartTask:
         self.preds = preds
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.encode import decode_rows
         out = {"part_id": [], "action": [], "rows_deleted": []}
         man = Manifest(self.store_dir)
         for p in batch.column("path").to_pylist():
@@ -60,39 +67,64 @@ class _DeletePartTask:
             mask = hit[1] if hit is not None else None
             n_del = int(mask.sum()) if mask is not None else 0
             if n_del == 0:
-                out["part_id"].append(pid)
-                out["action"].append("untouched")
-                out["rows_deleted"].append(0)
-                continue
-            if n_del == len(mask):
+                action = "untouched"
+            elif n_del == len(mask):
                 os.remove(p)
                 if os.path.exists(man._path(pid)):
                     os.remove(man._path(pid))
-                out["part_id"].append(pid)
-                out["action"].append("removed")
-                out["rows_deleted"].append(n_del)
-                continue
-            # partial: decode survivors once, re-encode under the same
-            # id with the part's recorded codecs, swap atomically
-            from .encode_pipeline import write_part
-            old = {}
-            try:
-                old = man.load(pid)
-            except FileNotFoundError:
-                pass
-            keep = decode_rows(read_part(p),
-                               base_dir=os.path.dirname(p)) \
-                .filter(pa.array(~mask))
-            write_part(self.store_dir, pid, keep,
-                       codec_overrides=old.get("codecs"), meta={
-                "rows_deleted_cum":
-                    int(old.get("rows_deleted_cum", 0)) + n_del})
-            if part_id(p) is None:  # survivors now live in part-<pid>
-                os.remove(p)
+                action = "removed"
+            else:
+                old = {}
+                try:
+                    old = man.load(pid)
+                except FileNotFoundError:
+                    pass
+                _rewrite(self.store_dir, p, pid, hit[0], ~mask, old, {
+                    "rows_deleted_cum":
+                        int(old.get("rows_deleted_cum", 0)) + n_del})
+                if part_id(p) is None:  # survivors now live in part-<pid>
+                    os.remove(p)
+                action = "rewritten"
             out["part_id"].append(pid)
-            out["action"].append("rewritten")
+            out["action"].append(action)
             out["rows_deleted"].append(n_del)
         return pa.table(out)
+
+
+def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
+             keep: np.ndarray, old: dict, meta: dict) -> None:
+    """Rewrite part ``path`` as part ``pid`` holding the rows ``keep``,
+    in the encoded domain (module docstring).  ``enc_of`` holds the
+    blocks the predicate read, ``old`` is the part's manifest and
+    ``meta`` the new manifest's extras."""
+    from ..codecs import decode_any, get_codec, subset_any
+    from ..codecs.base import validity_from_bytes
+    from ..stages.encode import block_rows
+    from .encode_pipeline import record_part
+    names = part_columns(path)
+    enc_of = {**read_blocks(path, [c for c in names if c not in enc_of]),
+              **enc_of}
+    blooms = [c for c in old.get("blooms") or () if isinstance(c, str)]
+    only = {k: set(old.get(k) or ()) for k in ("zones", "values")}
+    derived = only["zones"] | only["values"] | set(blooms)
+    blocks, cols, nulls, kept = [], {}, {}, pa.array(keep)
+    for name in names:
+        sub = subset_any(enc_of[name], keep)
+        if name in derived or "validity" not in sub.buffers:
+            arr = decode_any(enc_of[name]).filter(kept)
+            if name in derived:
+                cols[name] = arr
+            n_null, nbytes = arr.null_count, arr.nbytes
+        else:
+            valid = validity_from_bytes(sub.buffers["validity"],
+                                        sub.n_values)
+            n_null = 0 if valid is None else int((~valid).sum())
+            nbytes = get_codec(sub.codec).nbytes(sub)
+        if n_null:
+            nulls[name] = n_null
+        blocks.append((name, sub, nbytes))
+    record_part(store_dir, pid, block_rows(pid, blocks), pa.table(cols),
+                nulls, bloom_columns=blooms, only=only, meta=meta)
 
 
 def delete_where(store_dir: str, filter,

@@ -170,33 +170,55 @@ def write_part(store_dir: str, part_id: str, table: pa.Table, *,
                column_encoders: dict | None = None,
                bloom_columns: list[str] | str | None = "auto",
                meta: dict | None = None) -> dict:
-    """Write decoded ``table`` as part ``part_id`` of the store: encode,
-    atomic part-file write (``write_part_file``) and one manifest
-    record, the part's one metadata file, that holds the full metadata
-    key set (zone map; ``values``: the exact value counts of
-    low-cardinality string columns, ``value_counts_of``; ``blooms``:
-    ``build_part_blooms``) plus the caller's ``meta`` extras
-    (lineage such as ``input`` / ``inputs`` / ``clustered_on``).  The
-    one writer of every store mutation that creates or rewrites a
-    part.  Returns the part's stats row {part_id, rows, orig_bytes,
-    enc_bytes, wall_s}."""
+    """Write decoded ``table`` as part ``part_id`` of the store: encode
+    (``encode_table``), then ``record_part``.  Returns the part's stats
+    row {part_id, rows, orig_bytes, enc_bytes, wall_s}."""
     t0 = time.perf_counter()
     enc = encode_table(table, part_id=part_id,
                        codec_overrides=codec_overrides,
                        column_encoders=column_encoders)
+    return record_part(store_dir, part_id, enc, table,
+                       null_counts_of(table), bloom_columns=bloom_columns,
+                       meta=meta, t0=t0)
+
+
+def record_part(store_dir: str, part_id: str, enc: pa.Table,
+                cols: pa.Table, nulls: dict, *,
+                bloom_columns: list[str] | str | None = "auto",
+                meta: dict | None = None, t0: float | None = None,
+                only: dict | None = None) -> dict:
+    """Write the encoded-block rows ``enc`` as part ``part_id``
+    (``write_part_file``) and record its manifest, the part's one
+    metadata file: the full metadata key set plus the caller's ``meta``
+    extras (lineage such as ``input`` / ``inputs`` / ``clustered_on``).
+    The zone map, the ``values`` (exact value counts of low-cardinality
+    string columns, ``value_counts_of``) and the ``blooms``
+    (``build_part_blooms``) derive from ``cols``, the decoded columns
+    that carry them: every column for ``write_part``, only those whose
+    entries a rewrite rebuilds for ``pipelines/delete.py``, which also
+    passes ``only`` ({"zones" / "values": columns}) so that no column
+    gains an entry it did not have.  ``nulls`` is the part's
+    {column: null count}.  With ``write_part``, the one writer of every
+    store mutation that creates or rewrites a part."""
+    t0 = time.perf_counter() if t0 is None else t0
     write_part_file(os.path.join(store_dir, f"part-{part_id}.parquet"),
                     enc)
-    zones = compute_zones(table)
-    row = {"part_id": part_id, "rows": table.num_rows,
-           "orig_bytes": sum(enc.column("orig_bytes").to_pylist()),
-           "enc_bytes": sum(enc.column("enc_bytes").to_pylist())}
+    zones = compute_zones(cols)
     codecs = dict(zip(enc.column("column").to_pylist(),
                       enc.column("codec").to_pylist()))
-    values = value_counts_of(table, codecs)
+    values = value_counts_of(cols, codecs)
+    if only is not None:
+        zones = {c: z for c, z in zones.items() if c in only["zones"]}
+        values = {c: v for c, v in values.items() if c in only["values"]}
+    row = {"part_id": part_id,
+           "rows": enc.column("n_values")[0].as_py() if enc.num_rows
+           else cols.num_rows,
+           "orig_bytes": sum(enc.column("orig_bytes").to_pylist()),
+           "enc_bytes": sum(enc.column("enc_bytes").to_pylist())}
     Manifest(store_dir).record(part_id, {
         **(meta or {}), **row,
-        "zones": zones, "nulls": null_counts_of(table),
-        "blooms": build_part_blooms(table, values, bloom_columns),
+        "zones": zones, "nulls": nulls,
+        "blooms": build_part_blooms(cols, values, bloom_columns),
         "codecs": codecs, "values": values,
         "params_hash": params_hash(enc),
         "wall_s": round(time.perf_counter() - t0, 4)})

@@ -17,7 +17,10 @@ matching rows or counts come out wrong.
 ``repair_store`` removes what is provably garbage (orphan manifests
 whose part is gone, stale tmp files, stale staging dirs) and
 nothing else — structural damage inside a part is reported, never
-auto-"fixed".
+auto-"fixed".  A ``_bloom/`` directory of per-part bloom sidecars
+(the layout before blooms moved into the manifests) is reported, not
+removed: the store has lost bloom pruning until it is re-encoded, and
+the sidecars are what a migration would read.
 """
 
 from __future__ import annotations
@@ -171,6 +174,9 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
         if f.startswith("_upsert-") and os.path.isdir(fp) \
                 and now - os.path.getmtime(fp) > _STALE_S:
             issues.append((f, "stale upsert staging dir"))
+        if f == "_bloom" and os.path.isdir(fp):
+            issues.append((f, "legacy bloom sidecars: bloom pruning lost "
+                              "until the store is re-encoded"))
     res = collect(execute(plan(store_dir, []),
                           _CheckPart(store_dir, manifests, deep)))
     if res is not None:

@@ -31,8 +31,10 @@ Ordering is chosen for crash-safety, not elegance:
    their plan is at most ``_LOCAL_PLAN_BYTES``, else as Ray Data
    ``map_batches`` (the key scan's result batches then stream, so the
    driver never holds more than ``_KEY_CHUNK`` keys).  The retire's
-   partial rewrites keep each part's recorded codecs.  A small upsert
-   thus starts no Ray Data execution at all;
+   partial rewrites cut each part's blocks in the encoded domain
+   (``delete.py``: each block keeps its codec, toksep and fsst blocks
+   are never decoded), so the staging write is the upsert's one
+   encode.  A small upsert thus starts no Ray Data execution at all;
 4. the staging dir is removed.
 
 A crash anywhere leaves the store readable; re-running the SAME upsert

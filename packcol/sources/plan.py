@@ -607,25 +607,48 @@ def collect(res) -> pa.Table | None:
         if tabs else None
 
 
-def _block_row_groups(md: pq.FileMetaData, columns) -> list[int] | None:
-    """The row groups of a part that hold the blocks of ``columns``,
+def _block_columns(md: pq.FileMetaData) -> list | None:
+    """The column of each row group of a part (None for an empty one),
     from the footer's ``column`` statistics; None unless every non-empty
-    row group is exactly one block's (min == max), as ``write_part_file``
-    writes them."""
+    row group is exactly one block's (min == max), as
+    ``write_part_file`` writes them."""
     names = md.schema.names
     if "column" not in names:
         return None
-    j, idx = names.index("column"), []
+    j, out = names.index("column"), []
     for i in range(md.num_row_groups):
         rg = md.row_group(i)
         if not rg.num_rows:
+            out.append(None)
             continue
         st = rg.column(j).statistics
         if st is None or not st.has_min_max or st.min != st.max:
             return None
-        if st.min in columns:
-            idx.append(i)
-    return idx
+        out.append(st.min)
+    return out
+
+
+def _block_row_groups(md: pq.FileMetaData, columns) -> list[int] | None:
+    """The row groups of a part that hold the blocks of ``columns``;
+    None when the row groups are not one block each
+    (``_block_columns``)."""
+    names = _block_columns(md)
+    if names is None:
+        return None
+    return [i for i, c in enumerate(names) if c is not None
+            and c in columns]
+
+
+def part_columns(path: str) -> list[str]:
+    """The columns of one part file in block order, from its footer (a
+    part whose row groups are not one block each reads the ``column``
+    field)."""
+    with pq.ParquetFile(path) as pf:
+        names = _block_columns(pf.metadata)
+    if names is None:
+        names = read_part(path, fields=["column"]).column("column") \
+            .to_pylist()
+    return [c for c in names if c is not None]
 
 
 def read_part(path: str, columns=None, fields=None) -> pa.Table:

@@ -15,7 +15,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..codecs import EncodedColumn, decode_any
-from ..stages.select import encode_with_guard
+from ..stages.select import encode_with_guard, not_smaller_than_raw
 from ..stages.stats import column_stats
 
 ENC_SCHEMA = pa.schema([
@@ -86,14 +86,14 @@ def encode_table(batch: pa.Table, part_id: str | None = None,
     EncodedColumn`` for stateful encoders (e.g. the shared-vocab toksep
     actor); other columns go through auto-selection."""
     part_id = part_id or content_part_id(batch)
-    rows = {name: [] for name in ENC_SCHEMA.names}
+    blocks = []
     for name in batch.column_names:
         col = batch.column(name)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         if column_encoders and name in column_encoders:
             enc = column_encoders[name](col, name)
-            if enc.enc_bytes >= col.nbytes + 96:  # same guard as auto
+            if not_smaller_than_raw(enc, col.nbytes):  # same guard as auto
                 from ..codecs import get_codec
                 store = get_codec("store").encode(col)
                 if store.enc_bytes < enc.enc_bytes:
@@ -119,6 +119,17 @@ def encode_table(batch: pa.Table, part_id: str | None = None,
             except ValueError:
                 enc.params["dtype_ipc"] = pa.schema(
                     [(name, col.type)]).serialize().to_pybytes().hex()
+        blocks.append((name, enc, col.nbytes))
+    return block_rows(part_id, blocks)
+
+
+def block_rows(part_id: str,
+               blocks: list[tuple[str, EncodedColumn, int]]) -> pa.Table:
+    """The encoded-block rows of one part from its ``(column, block,
+    orig_bytes)`` triples, in column order; ``orig_bytes`` is the
+    block's decoded ``nbytes``."""
+    rows = {name: [] for name in ENC_SCHEMA.names}
+    for name, enc, orig_bytes in blocks:
         r = enc.to_row()
         rows["part_id"].append(part_id)
         rows["column"].append(name)
@@ -126,9 +137,9 @@ def encode_table(batch: pa.Table, part_id: str | None = None,
         rows["n_values"].append(r["n_values"])
         rows["params"].append(r["params"])
         rows["payload"].append(r["payload"])
-        rows["orig_bytes"].append(col.nbytes)
+        rows["orig_bytes"].append(orig_bytes)
         rows["enc_bytes"].append(enc.enc_bytes)
-    rows["n_cols"] = [len(batch.column_names)] * len(rows["part_id"])
+    rows["n_cols"] = [len(blocks)] * len(blocks)
     return pa.table(rows, schema=ENC_SCHEMA)
 
 

@@ -104,6 +104,13 @@ def choose_codec(dtype: pa.DataType, s: dict,
     return min(sorted(applicable), key=lambda k: applicable[k])
 
 
+def not_smaller_than_raw(enc: EncodedColumn, raw_nbytes: int) -> bool:
+    """The size guard: a block of ``raw_nbytes`` of rows that encodes to
+    no fewer bytes (plus the store codec's framing) is a candidate for
+    the store codec."""
+    return enc.enc_bytes >= raw_nbytes + 96
+
+
 def encode_with_guard(arr: pa.Array, codec_name: str | None = None,
                       stats: dict | None = None) -> EncodedColumn:
     """Encode with the chosen (or auto-chosen) codec; fall back to
@@ -134,7 +141,7 @@ def encode_with_guard(arr: pa.Array, codec_name: str | None = None,
             failed.add(codec_name)
             stats = dict(stats or column_stats(arr))
             codec_name = choose_codec(arr.type, stats, exclude=failed)
-    if codec_name != "store" and enc.enc_bytes >= arr.nbytes + 96:
+    if codec_name != "store" and not_smaller_than_raw(enc, arr.nbytes):
         store = get_codec("store").encode(arr)
         if store.enc_bytes < enc.enc_bytes:
             return store

@@ -60,6 +60,25 @@ def test_detects_orphans_and_stale(store):
     assert r2["ok"], r2["issues"]
 
 
+def test_reports_legacy_bloom_sidecars(store):
+    """A store written before blooms moved into the manifests keeps a
+    ``_bloom/`` directory of sidecars that no reader uses: check_store
+    reports the lost pruning and repair_store keeps the sidecars (a
+    migration reads them); a fresh store has no such issue."""
+    assert not any("legacy bloom" in m
+                   for _, m in check_store(store)["issues"])
+    os.makedirs(os.path.join(store, "_bloom"))
+    side = os.path.join(store, "_bloom", "x.npz")
+    np.savez(side, bits=np.zeros(8, np.uint8))
+    r = check_store(store)
+    assert not r["ok"]
+    assert [m for _, m in r["issues"]] == [
+        "legacy bloom sidecars: bloom pruning lost until the store is "
+        "re-encoded"]
+    repair_store(store)
+    assert os.path.exists(side)
+
+
 def test_detects_corrupt_zone(store):
     """A lying zone map (claims max smaller than the data) is exactly
     the corruption that silently breaks pushdown — deep check flags."""

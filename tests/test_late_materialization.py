@@ -1,8 +1,10 @@
 """Late materialization: row-selective decode (``take_any``) and
 equality / IN evaluated on FSST's compressed bytes.
 
-* ``take_any(enc, idx)`` equals ``decode_any(enc).take(idx)`` for every
-  registered codec;
+* ``take_any(enc, idx)`` equals ``decode_any(enc).take(idx)`` and
+  ``subset_any(enc, keep)`` decodes to ``decode_any(enc).filter(keep)``
+  for every registered codec; a cut toksep block is byte for byte a
+  fresh encode of its rows;
 * fsst ``filter_eq`` / ``filter_in`` equal ``pc.equal`` / ``pc.is_in``
   on the decoded block, including probes that hold a byte only a later
   round uses as a code;
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packcol.codecs import all_codecs, decode_any, get_codec, take_any
+from packcol.codecs import (all_codecs, decode_any, get_codec, subset_any,
+                            take_any)
 from packcol.codecs import fsst
 from packcol.codecs.access import filter_eq, filter_in
 from packcol.sources.webtext import write_webtext
@@ -103,10 +106,98 @@ def test_take_any_equals_decode_take(blocks, data):
 
 
 def test_take_any_rejects_out_of_range():
-    enc = get_codec("fsst").encode(pa.array(_URLS[:10]))
-    for bad in ([10], [-1]):
-        with pytest.raises(IndexError):
-            take_any(enc, bad)
+    for name in ("fsst", "toksep"):
+        enc = get_codec(name).encode(pa.array(_URLS[:10]))
+        for bad in ([10], [-1]):
+            with pytest.raises(IndexError):
+                take_any(enc, bad)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_subset_any_equals_decode_filter(blocks, data):
+    """Property: every codec's ``subset`` decodes to decode-then-filter
+    for random, empty, full and single-row keeps, keeps the block's
+    logical type record, and ``nbytes`` equals the decoded ``nbytes``
+    of the block and of its cut."""
+    assert {b.codec for _, b in blocks} == set(all_codecs())
+    for label, enc in blocks:
+        n = enc.n_values
+        assert get_codec(enc.codec).nbytes(enc) == \
+            decode_any(enc).nbytes, label
+        rnd = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                          max_size=n), label=label))
+        single = np.zeros(n, dtype=bool)
+        single[data.draw(st.integers(0, n - 1), label=label)] = True
+        for keep in (rnd, np.zeros(n, bool), np.ones(n, bool), single):
+            want = decode_any(enc).filter(pa.array(keep))
+            sub = subset_any(enc, keep)
+            got = decode_any(sub)
+            assert sub.n_values == int(keep.sum()), label
+            assert got.type == want.type, label
+            assert got.equals(want), (label, np.flatnonzero(keep))
+            assert get_codec(sub.codec).nbytes(sub) == got.nbytes, label
+            if "dtype" in enc.params:
+                assert sub.params["dtype"] == enc.params["dtype"], label
+
+
+def test_toksep_subset_is_a_fresh_encode(webtext_store):
+    """Tokens never cross rows, so cutting a toksep block to some rows
+    gives byte for byte (params and buffers) the block a fresh encode
+    of those rows gives: the same code ranges, the dictionary without
+    the entries no survivor uses, ranked by survivor count.  Under the
+    size guard, too, the part stores what a re-encode stored."""
+    from packcol.sources.plan import part_files, read_blocks
+    from packcol.stages.encode import BLOCK_FIELDS, block_rows, encode_table
+    _, out = webtext_store
+    arrs = [pa.array(["the cat sat", None, "a cat", "", "the the cat"]
+                     * 12)]
+    for path in part_files(out):
+        for enc in read_blocks(path, ["html", "text"]).values():
+            assert enc.codec == "toksep"
+            arrs.append(decode_any(enc))
+    codec = get_codec("toksep")
+    rng = np.random.default_rng(5)
+    for arr in arrs:
+        n = len(arr)
+        enc = codec.encode(arr)
+        single = np.zeros(n, dtype=bool)
+        single[n // 2] = True
+        for keep in (rng.random(n) < 0.7, rng.random(n) < 0.05, single,
+                     np.zeros(n, dtype=bool)):
+            sub = subset_any(enc, keep)
+            rows = arr.filter(pa.array(keep))
+            assert block_rows("p", [("c", sub, 0)]).select(
+                BLOCK_FIELDS).equals(encode_table(
+                    pa.table({"c": rows}), part_id="p",
+                    codec_overrides={"c": "toksep"}).select(BLOCK_FIELDS))
+            assert sub.codec == "toksep" or keep.sum() < 10
+            if sub.codec == "toksep":
+                fresh = codec.encode(rows)
+                assert list(sub.params.items()) == \
+                    list(fresh.params.items())
+                assert sub.buffers == fresh.buffers
+
+
+def test_cut_to_few_rows_keeps_the_size_guard():
+    """A cut keeps tables sized for every row of its block; cut to a few
+    rows it takes the guarded re-encode instead, so the rows are stored
+    as a re-encode would store them."""
+    from packcol.stages.encode import BLOCK_FIELDS, block_rows, encode_table
+    arr = pa.array(_URLS)
+    for name in ("fsst", "toksep"):
+        enc = get_codec(name).encode(arr)
+        for k in (1, 3):
+            keep = np.zeros(len(arr), dtype=bool)
+            keep[::len(arr) // k] = True
+            rows = arr.filter(pa.array(keep))
+            sub = subset_any(enc, keep)
+            assert decode_any(sub).equals(rows)
+            assert block_rows("p", [("c", sub, 0)]).select(
+                BLOCK_FIELDS).equals(encode_table(
+                    pa.table({"c": rows}), part_id="p",
+                    codec_overrides={"c": name}).select(BLOCK_FIELDS)), \
+                (name, k)
 
 
 # ------------------------------------------------------------ fsst equality

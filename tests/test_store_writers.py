@@ -130,11 +130,12 @@ def test_every_writer_leaves_the_same_metadata(ray_session, webtext,
 
 
 _TRACED_READ = """
-import os, sys
+import json, os, sys
 from perfbench import trace
 tracer = trace.Tracer(sys.argv[1], main=True)
 trace.install(tracer)
 import pyarrow as pa
+from packcol.pipelines.delete import delete_where
 from packcol.pipelines.encode_pipeline import write_part
 from packcol.sources.encoded import read_encoded
 store = os.path.join(sys.argv[1], "store")
@@ -147,7 +148,15 @@ with tracer.op("t0", "point"):
     got = read_encoded(store, columns=["n"],
                        filter=("url", "==", "https://h1.example/7"))
     assert got.to_pandas()["n"].tolist() == [7]
-print(sorted({sp[2] for sp in tracer.spans}))
+with tracer.op("t1", "delete"):
+    r = delete_where(store, ("url", "in", [f"https://h1.example/{j}"
+                                           for j in range(10)]))
+    assert r["parts_rewritten"] == 1 and r["rows_deleted"] == 10, r
+got = read_encoded(store, columns=["n"],
+                   filter=("url", "==", "https://h1.example/12"))
+assert got.to_pandas()["n"].tolist() == [12]
+print(json.dumps({lb: sorted({sp[2] for sp in tracer.spans
+                              if sp[6] == lb}) for lb in ("t0", "t1")}))
 """
 
 
@@ -156,11 +165,18 @@ def test_trace_installs(tmp_path):
     getattr, and a ``url ==`` read over a two-part store goes through
     the wrapped bloom probe and manifest read: a refactor that drops a
     name, or an op path that stops calling it, fails here, not only in
-    a traced benchmark run."""
+    a traced benchmark run.  A partial ``delete_where`` rebuilds its
+    part's zones (``state.zones``) and writes the part
+    (``pipelines.write``) without encoding a table: its blocks are cut
+    in the encoded domain."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     r = subprocess.run([sys.executable, "-c", _TRACED_READ, str(tmp_path)],
                        cwd=root, capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
-    names = json.loads(r.stdout.strip().splitlines()[-1].replace("'", '"'))
-    assert {"state.bloom_probe", "state.manifest_read"} <= set(names), names
+    names = json.loads(r.stdout.strip().splitlines()[-1])
+    assert {"state.bloom_probe", "state.manifest_read"} <= \
+        set(names["t0"]), names
+    assert {"pipelines.task", "state.zones", "pipelines.write"} <= \
+        set(names["t1"]), names
+    assert "stages.encode_table" not in names["t1"], names
