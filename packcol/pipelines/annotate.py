@@ -29,9 +29,11 @@ vectorized; it runs once per part inside the scan task.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..sources.plan import (collect, execute, part_id as part_id_of, plan,
                             read_part)
@@ -90,118 +92,123 @@ def _set_n_cols(enc: pa.Table, n: int) -> pa.Table:
                           pa.array([n] * enc.num_rows, type=pa.int64()))
 
 
-class _AddColPart:
-    def __init__(self, store_dir: str, name: str, fn,
-                 input_columns: list[str], overwrite: bool,
-                 bloom: bool):
-        self.store_dir = store_dir
-        self.name = name
-        self.fn = fn
-        self.input_columns = input_columns
-        self.overwrite = overwrite
-        self.bloom = bloom
+def _add_column(name: str, fn, input_columns: list[str],
+                overwrite: bool, bloom: bool, part_id: str, path: str,
+                enc: pa.Table, names: list[str]) -> str:
+    """Edit: add ``name`` = ``fn(decoded input_columns)`` to one
+    part."""
+    from ..codecs import decode_any
+    from ..stages.encode import encode_table
+    if name in names and not overwrite:
+        return "skipped"
+    missing = [c for c in input_columns if c not in names]
+    if missing:
+        raise ValueError(
+            f"part {part_id} lacks input column(s) {missing} "
+            f"(has {sorted(names)}) — annotate needs a homogeneous store")
+    blocks = dict(encoded_blocks(
+        enc.filter(pc.is_in(enc.column("column"),
+                                    pa.array(input_columns))),
+        os.path.dirname(path)))
+    t_in = pa.table({c: decode_any(blocks[c]) for c in input_columns})
+    arr = fn(t_in)
+    if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
+        arr = pa.array(arr)
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if len(arr) != t_in.num_rows:
+        raise ValueError(f"fn returned {len(arr)} values for "
+                         f"{t_in.num_rows} rows in part {part_id}")
+    new_t = pa.table({name: arr})
+    new_enc = encode_table(new_t, part_id=part_id)
+    kept = enc.filter(pc.not_equal(enc.column("column"), name)) \
+        if name in names else enc
+    merged = _set_n_cols(
+        pa.concat_tables([kept, new_enc.select(kept.column_names)]),
+        len(set(names) - {name}) + 1)
+    write_part_file(path, merged)
+    codecs = dict(zip(new_enc.column("column").to_pylist(),
+                      new_enc.column("codec").to_pylist()))
+    add = {"zones": compute_zones(new_t), "nulls": null_counts_of(new_t),
+           "codecs": codecs, "values": value_counts_of(new_t, codecs),
+           "blooms": build_part_blooms(new_t, {},
+                                       [name] if bloom else None)}
+    _update_manifest(os.path.dirname(path), part_id, merged, add=add,
+                     replace=name)
+    return "annotated"
+
+
+def _drop_column(name: str, part_id: str, path: str, enc: pa.Table,
+                 names: list[str]) -> str:
+    """Edit: remove ``name`` from one part."""
+    if name not in names:
+        return "skipped"
+    if len(set(names)) <= 1:
+        raise ValueError(
+            f"part {part_id} holds only {name!r} — dropping the last "
+            "column would empty the part; use delete_where to remove "
+            "rows instead")
+    kept = _set_n_cols(
+        enc.filter(pc.not_equal(enc.column("column"), name)),
+        len(set(names)) - 1)
+    write_part_file(path, kept)
+    _update_manifest(os.path.dirname(path), part_id, kept, drop=name)
+    return "dropped"
+
+
+def _rename_column(old: str, new: str, part_id: str, path: str,
+                   enc: pa.Table, names: list[str]) -> str:
+    """Edit: rename ``old`` to ``new`` in one part: the block's
+    ``column`` field and the manifest's per-column entries."""
+    if old not in names:
+        return "skipped"
+    if new in names:
+        raise ValueError(f"part {part_id} already has a column {new!r} "
+                         "— rename would collide")
+    enc = enc.set_column(
+        enc.schema.get_field_index("column"), "column",
+        pa.array([new if n == old else n for n in names], pa.string()))
+    write_part_file(path, enc)
+    man = Manifest(os.path.dirname(path))
+    try:
+        m = man.load(part_id)
+    except FileNotFoundError:
+        return "renamed"
+    for key in _COLUMN_KEYS:
+        d = m.get(key)
+        if isinstance(d, dict) and old in d:
+            d[new] = d.pop(old)
+    man.record(part_id, m)
+    return "renamed"
+
+
+class _EditPart:
+    """Task: one column edit of each part.  ``edit(part_id, path, enc,
+    names) -> action`` rewrites the part file from its block rows
+    ``enc`` (block columns ``names``) and its manifest, or returns
+    "skipped".  The edits work on raw block rows, not ``part_mask``'s
+    blocks, because they rewrite the file."""
+
+    def __init__(self, edit):
+        self.edit = edit
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..codecs import decode_any
-        from ..stages.encode import encode_table
-        out = {"part_id": [], "action": []}
+        pids, acts = [], []
         for p in batch.column("path").to_pylist():
-            part_id = part_id_of(p) or os.path.basename(p)
+            pids.append(part_id_of(p) or os.path.basename(p))
             enc = read_part(p)
-            names = enc.column("column").to_pylist()
-            if self.name in names and not self.overwrite:
-                out["part_id"].append(part_id)
-                out["action"].append("skipped")
-                continue
-            missing = [c for c in self.input_columns if c not in names]
-            if missing:
-                raise ValueError(
-                    f"part {part_id} lacks input column(s) {missing} "
-                    f"(has {sorted(names)}) — annotate needs a "
-                    "homogeneous store")
-            blocks = dict(encoded_blocks(
-                enc.filter(pa.compute.is_in(
-                    enc.column("column"), pa.array(self.input_columns))),
-                os.path.dirname(p)))
-            t_in = pa.table({c: decode_any(blocks[c])
-                             for c in self.input_columns})
-            arr = self.fn(t_in)
-            if not isinstance(arr, (pa.Array, pa.ChunkedArray)):
-                arr = pa.array(arr)
-            if isinstance(arr, pa.ChunkedArray):
-                arr = arr.combine_chunks()
-            if len(arr) != t_in.num_rows:
-                raise ValueError(
-                    f"fn returned {len(arr)} values for "
-                    f"{t_in.num_rows} rows in part {part_id}")
-            new_t = pa.table({self.name: arr})
-            new_enc = encode_table(new_t, part_id=part_id)
-            kept = enc.filter(pa.compute.not_equal(
-                enc.column("column"), self.name)) \
-                if self.name in names else enc
-            merged = _set_n_cols(
-                pa.concat_tables([kept, new_enc
-                                  .select(kept.column_names)]),
-                len(set(names) - {self.name}) + 1)
-            write_part_file(p, merged)
-            zones = compute_zones(new_t)
-            codecs = dict(zip(new_enc.column("column").to_pylist(),
-                              new_enc.column("codec").to_pylist()))
-            add = {"zones": zones, "nulls": null_counts_of(new_t),
-                   "codecs": codecs,
-                   "values": value_counts_of(new_t, codecs),
-                   "blooms": build_part_blooms(
-                       new_t, {}, [self.name] if self.bloom else None)}
-            _update_manifest(self.store_dir, part_id, merged, add=add,
-                             replace=self.name)
-            out["part_id"].append(part_id)
-            out["action"].append("annotated")
-        return pa.table(out) if out["part_id"] else \
-            pa.table({"part_id": pa.array([], pa.string()),
-                      "action": pa.array([], pa.string())})
+            acts.append(self.edit(pids[-1], p, enc,
+                                  enc.column("column").to_pylist()))
+        return pa.table({"part_id": pa.array(pids, pa.string()),
+                         "action": pa.array(acts, pa.string())})
 
 
-class _DropColPart:
-    def __init__(self, store_dir: str, name: str):
-        self.store_dir = store_dir
-        self.name = name
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-        out = {"part_id": [], "action": []}
-        for p in batch.column("path").to_pylist():
-            part_id = part_id_of(p) or os.path.basename(p)
-            enc = read_part(p)
-            names = enc.column("column").to_pylist()
-            if self.name not in names:
-                out["part_id"].append(part_id)
-                out["action"].append("skipped")
-                continue
-            if len(set(names)) <= 1:
-                raise ValueError(
-                    f"part {part_id} holds only {self.name!r} — "
-                    "dropping the last column would empty the part; "
-                    "use delete_where to remove rows instead")
-            kept = _set_n_cols(
-                enc.filter(pc.not_equal(enc.column("column"),
-                                        self.name)),
-                len(set(names)) - 1)
-            write_part_file(p, kept)
-            _update_manifest(self.store_dir, part_id, kept,
-                             drop=self.name)
-            out["part_id"].append(part_id)
-            out["action"].append("dropped")
-        return pa.table(out) if out["part_id"] else \
-            pa.table({"part_id": pa.array([], pa.string()),
-                      "action": pa.array([], pa.string())})
-
-
-def _run(store_dir: str, task) -> dict:
-    """Run the per-part ``task`` over every part (``plan.execute``);
-    {parts_total, parts_<action>: count}."""
+def _run(store_dir: str, edit) -> dict:
+    """Run the column ``edit`` over every part (``_EditPart``,
+    ``plan.execute``); {parts_total, parts_<action>: count}."""
     import collections
     p = plan(store_dir, [])
-    res = collect(execute(p, task))
+    res = collect(execute(p, _EditPart(edit)))
     acts = collections.Counter(
         res.column("action").to_pylist() if res is not None else ())
     return {"parts_total": len(p.parts),
@@ -221,9 +228,8 @@ def add_column_encoded(store_dir: str, name: str, fn,
     if missing:
         raise ValueError(f"unknown input column(s) {missing}; "
                          f"store has {sorted(schema.names)}")
-    return _run(store_dir,
-                _AddColPart(store_dir, name, fn, list(input_columns),
-                            overwrite, bloom))
+    return _run(store_dir, functools.partial(
+        _add_column, name, fn, list(input_columns), overwrite, bloom))
 
 
 def drop_column_encoded(store_dir: str, name: str) -> dict:
@@ -233,51 +239,7 @@ def drop_column_encoded(store_dir: str, name: str) -> dict:
     if name not in encoded_schema(store_dir).names:
         raise ValueError(f"unknown column {name!r}; store has "
                          f"{sorted(encoded_schema(store_dir).names)}")
-    return _run(store_dir, _DropColPart(store_dir, name))
-
-
-class _RenameColPart:
-    def __init__(self, store_dir: str, old: str, new: str):
-        self.store_dir = store_dir
-        self.old = old
-        self.new = new
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"part_id": [], "action": []}
-        for p in batch.column("path").to_pylist():
-            part_id = part_id_of(p) or os.path.basename(p)
-            enc = read_part(p)
-            names = enc.column("column").to_pylist()
-            if self.old not in names:
-                out["part_id"].append(part_id)
-                out["action"].append("skipped")
-                continue
-            if self.new in names:
-                raise ValueError(
-                    f"part {part_id} already has a column "
-                    f"{self.new!r} — rename would collide")
-            i = enc.schema.get_field_index("column")
-            enc = enc.set_column(i, "column", pa.array(
-                [self.new if n == self.old else n for n in names],
-                type=pa.string()))
-            write_part_file(p, enc)
-            # the manifest's per-column entries follow the rename
-            man = Manifest(self.store_dir)
-            try:
-                m = man.load(part_id)
-            except FileNotFoundError:
-                m = None
-            if m is not None:
-                for key in _COLUMN_KEYS:
-                    d = m.get(key)
-                    if isinstance(d, dict) and self.old in d:
-                        d[self.new] = d.pop(self.old)
-                man.record(part_id, m)
-            out["part_id"].append(part_id)
-            out["action"].append("renamed")
-        return pa.table(out) if out["part_id"] else \
-            pa.table({"part_id": pa.array([], pa.string()),
-                      "action": pa.array([], pa.string())})
+    return _run(store_dir, functools.partial(_drop_column, name))
 
 
 def rename_column_encoded(store_dir: str, old: str, new: str) -> dict:
@@ -294,4 +256,4 @@ def rename_column_encoded(store_dir: str, old: str, new: str) -> dict:
         raise ValueError(f"column {new!r} already exists")
     if old == new or not new:
         raise ValueError(f"bad rename {old!r} -> {new!r}")
-    return _run(store_dir, _RenameColPart(store_dir, old, new))
+    return _run(store_dir, functools.partial(_rename_column, old, new))

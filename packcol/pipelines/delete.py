@@ -42,53 +42,45 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..sources.plan import (collect, execute, parse_filter, part_columns,
-                            part_id, part_mask, plan, read_blocks)
+from ..sources.plan import (ScanPart, collect, execute, parse_filter,
+                            part_columns, part_id, plan, read_blocks)
 from ..state.manifest import Manifest
 # not used here: perfbench/trace.py patches delete.compute_zones
 from ..state.manifest import compute_zones  # noqa: F401
 
 
-class _DeletePartTask:
-    """One affected part per loop turn: predicate on packed codes →
-    untouched / removed / rewritten-in-place."""
+class _DeletePartTask(ScanPart):
+    """Each affected part: predicate on packed codes → untouched (no
+    matching row: no partial) / removed / rewritten-in-place."""
 
-    def __init__(self, store_dir: str, preds: list[tuple]):
-        self.store_dir = store_dir
-        self.preds = preds
+    def reduce(self, enc_of, mask, path):
+        # mask True = row matches the predicate = DELETE
+        store_dir = os.path.dirname(path)
+        man = Manifest(store_dir)
+        pid = part_id(path) or os.path.basename(path)
+        n_del = int(mask.sum())
+        if n_del == len(mask):
+            os.remove(path)
+            if os.path.exists(man._path(pid)):
+                os.remove(man._path(pid))
+            action = "removed"
+        else:
+            old = {}
+            try:
+                old = man.load(pid)
+            except FileNotFoundError:
+                pass
+            _rewrite(store_dir, path, pid, enc_of, ~mask, old, {
+                "rows_deleted_cum":
+                    int(old.get("rows_deleted_cum", 0)) + n_del})
+            if part_id(path) is None:  # survivors now live in part-<pid>
+                os.remove(path)
+            action = "rewritten"
+        return pa.table({"action": [action], "rows_deleted": [n_del]})
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"part_id": [], "action": [], "rows_deleted": []}
-        man = Manifest(self.store_dir)
-        for p in batch.column("path").to_pylist():
-            pid = part_id(p) or os.path.basename(p)
-            # mask True = row matches the predicate = DELETE
-            hit = part_mask(p, self.preds, "and")
-            mask = hit[1] if hit is not None else None
-            n_del = int(mask.sum()) if mask is not None else 0
-            if n_del == 0:
-                action = "untouched"
-            elif n_del == len(mask):
-                os.remove(p)
-                if os.path.exists(man._path(pid)):
-                    os.remove(man._path(pid))
-                action = "removed"
-            else:
-                old = {}
-                try:
-                    old = man.load(pid)
-                except FileNotFoundError:
-                    pass
-                _rewrite(self.store_dir, p, pid, hit[0], ~mask, old, {
-                    "rows_deleted_cum":
-                        int(old.get("rows_deleted_cum", 0)) + n_del})
-                if part_id(p) is None:  # survivors now live in part-<pid>
-                    os.remove(p)
-                action = "rewritten"
-            out["part_id"].append(pid)
-            out["action"].append(action)
-            out["rows_deleted"].append(n_del)
-        return pa.table(out)
+    def empty(self):
+        return pa.table({"action": pa.array([], pa.string()),
+                         "rows_deleted": pa.array([], pa.int64())})
 
 
 def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
@@ -145,12 +137,12 @@ def delete_where(store_dir: str, filter,
     p = plan(store_dir, preds, "and")
     p = p.restrict([f for f in p.parts
                     if part_id(f) not in (exclude_parts or ())])
-    res = collect(execute(p, _DeletePartTask(store_dir, preds)))
+    res = collect(execute(p, _DeletePartTask(preds)))
     res = res.to_pydict() if res is not None else \
         {"action": [], "rows_deleted": []}
     acts = res["action"]
-    return {"parts_total": len(p.listed), "parts_scanned": len(acts),
-            "parts_untouched": acts.count("untouched"),
+    return {"parts_total": len(p.listed), "parts_scanned": len(p.parts),
+            "parts_untouched": len(p.parts) - len(acts),
             "parts_rewritten": acts.count("rewritten"),
             "parts_removed": acts.count("removed"),
             "rows_deleted": sum(res["rows_deleted"])}

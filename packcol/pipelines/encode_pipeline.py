@@ -36,9 +36,8 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..sources.plan import (as_dataset, collect, driver_blocks,
-                            empty_block, execute, part_id, part_mask, plan,
-                            read_blocks, read_part)
+from ..sources.plan import (ScanPart, as_dataset, collect, driver_blocks,
+                            empty_block, execute, part_id, plan, read_part)
 from ..stages.encode import (DecodeBatch, EncodeBatch, RoundtripVerify,
                              decode_rows, encode_table)
 from ..state.manifest import (Manifest, compute_zones,
@@ -641,89 +640,82 @@ def verify_files(out_dir: str) -> dict:
     return {"rows": n, "mismatches": bad}
 
 
-class EncodedFilterPart:
+class EncodedFilterPart(ScanPart):
     """Task: a filtered scan of encoded parts.  ``preds`` (normalized,
     combined by ``mode``) evaluate on the filter columns' packed form
     where the codec has one (sources/plan.py::part_mask,
     codecs/access.py).  ``out_columns`` decode through ``take_any`` at
     the matching rows: an fsst block expands only those rows, other
     codecs decode the block and take them.  ``schema`` types the empty
-    block of a task
-    that matched nothing, so schemas unify across tasks."""
+    block of a task that matched nothing, so schemas unify across
+    tasks."""
 
     def __init__(self, preds: list[tuple], out_columns: list[str],
                  mode: str = "and", schema: pa.Schema | None = None):
-        assert mode in ("and", "or"), mode
-        self.preds = preds
-        self.out_columns = out_columns
-        self.mode = mode
+        super().__init__(preds, mode, out_columns)
         self.schema = schema
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         from ..codecs import take_any
-        outs = []
-        for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode, self.out_columns)
-            if hit is None:
-                continue
-            enc_of, mask = hit
-            sel = np.flatnonzero(mask)
-            outs.append(pa.table({name: take_any(enc_of[name], sel)
-                                  for name in self.out_columns}))
-        if outs:
-            return pa.concat_tables(outs)
-        return empty_block(self.out_columns, self.schema)
+        sel = np.flatnonzero(mask)
+        return pa.table({name: take_any(enc_of[name], sel)
+                         for name in self.columns})
+
+    def empty(self):
+        return empty_block(self.columns, self.schema)
 
 
-class SpotCheckPart:
+class SpotCheckPart(ScanPart):
     """Task: sample k rows of one encoded part, read them with one
     ``take_any`` per column and compare against the original cells
     re-read from the manifested input slice (SeqVector::get-style
     sampling: an fsst block expands only the sampled rows).
-    ``manifests`` is the plan's {path: manifest} (``Plan.manifests``)."""
+    ``manifests`` is the plan's {path: manifest} (``Plan.manifests``);
+    every part scanned has input lineage (``spot_check_files``)."""
 
     def __init__(self, manifests: dict[str, dict], k: int = 8):
+        super().__init__(columns=None)
         self.manifests = manifests
         self.k = k
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
+        import hashlib
         from ..codecs import take_any
+        meta = self.manifests[path]
+        orig = pq.ParquetFile(meta["input"]).read_row_groups(
+            list(range(meta["rg_start"], meta["rg_end"] + 1)))
+        if orig.num_rows == 0:
+            return None  # nothing to sample in an empty partition
+        # stable digest seed: hash(str) is salted per process
+        # (PYTHONHASHSEED), which would sample different rows on
+        # every worker/run — not reproducible verification
+        seed = int.from_bytes(
+            hashlib.sha1(part_id(path).encode()).digest()[:4], "little")
+        rows = np.random.default_rng(seed).integers(
+            0, orig.num_rows, size=min(self.k, orig.num_rows))
         n_checked = n_bad = 0
-        for path in batch.column("path").to_pylist():
-            meta = self.manifests.get(path) or {}
-            if not meta.get("input"):
-                # no input lineage to compare against: parts written by
-                # the Dataset sink / cluster writers, or rewritten by
-                # delete_where (rows diverged from the source slice)
-                continue
-            pf = pq.ParquetFile(meta["input"])
-            orig = pf.read_row_groups(
-                list(range(meta["rg_start"], meta["rg_end"] + 1)))
-            enc_of = read_blocks(path)
-            if orig.num_rows == 0:
-                continue  # nothing to sample in an empty partition
-            # stable digest seed: hash(str) is salted per process
-            # (PYTHONHASHSEED), which would sample different rows on
-            # every worker/run — not reproducible verification
-            import hashlib as _hl
-            seed = int.from_bytes(
-                _hl.sha1(part_id(path).encode()).digest()[:4], "little")
-            rng = np.random.default_rng(seed)
-            rows = rng.integers(0, orig.num_rows,
-                                size=min(self.k, orig.num_rows))
-            for name, enc in enc_of.items():
-                got = take_any(enc, rows).to_pylist()
-                want = orig.column(name).take(rows).to_pylist()
-                n_checked += len(rows)
-                n_bad += sum(g != w for g, w in zip(got, want))
+        for name, enc in enc_of.items():
+            got = take_any(enc, rows).to_pylist()
+            want = orig.column(name).take(rows).to_pylist()
+            n_checked += len(rows)
+            n_bad += sum(g != w for g, w in zip(got, want))
         return pa.table({"n": [n_checked], "n_bad": [n_bad]})
+
+    def empty(self):
+        return pa.table({"n": pa.array([], pa.int64()),
+                         "n_bad": pa.array([], pa.int64())})
 
 
 def spot_check_files(out_dir: str, k: int = 8) -> dict:
-    """Sampled point-access verification across the store's part files
-    (``plan.execute``); a manifest whose part file is gone is fsck's
+    """Sampled point-access verification of the store's part files
+    that have input lineage (``plan.execute``).  Parts without it are
+    not checked: the Dataset sink and cluster writers record none, and
+    ``delete_where`` drops it (their rows diverged from the source
+    slice).  A manifest whose part file is gone is fsck's
     (``check_store``), not checked here."""
     p = plan(out_dir, [])
+    p = p.restrict([f for f in p.parts
+                    if (p.manifests.get(f) or {}).get("input")])
     n, bad = _sum_counts(execute(p, SpotCheckPart(p.manifests, k)))
     return {"checked": n, "mismatches": bad}
 

@@ -57,8 +57,8 @@ import uuid
 
 import pyarrow as pa
 
-from ..sources.plan import (blocks, driver_table, execute, part_id, plan,
-                            read_blocks)
+from ..sources.plan import (ScanPart, blocks, driver_table, execute, part_id,
+                            plan)
 from ..state.manifest import Manifest
 
 # Distinct key values per retire pass (bounds driver memory only).
@@ -74,30 +74,26 @@ from ..state.manifest import Manifest
 _KEY_CHUNK = 1_000_000
 
 
-class _KeyColDistinct:
+class _KeyColDistinct(ScanPart):
     """Task: per-part distinct non-null values of ONE column, decoded
     from the encoded blocks — the retire pass's key source.  Emits
     O(distinct per part) rows; on the Ray path the driver holds
     ≤ _KEY_CHUNK at once."""
 
     def __init__(self, col: str):
+        super().__init__(columns=[col])
         self.col = col
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         import pyarrow.compute as pc
         from ..codecs import decode_any
-        outs = []
-        for p in batch.column("path").to_pylist():
-            enc = read_blocks(p, [self.col]).get(self.col)
-            if enc is None:
-                continue
-            vals = decode_any(enc)
-            if isinstance(vals, pa.ChunkedArray):
-                vals = vals.combine_chunks()
-            outs.append(pa.table({self.col: pc.unique(vals).drop_null()}))
-        if not outs:
-            return pa.table({self.col: pa.array([], type=pa.string())})
-        return pa.concat_tables(outs, promote_options="permissive")
+        vals = decode_any(enc_of[self.col])
+        if isinstance(vals, pa.ChunkedArray):
+            vals = vals.combine_chunks()
+        return pa.table({self.col: pc.unique(vals).drop_null()})
+
+    def empty(self):
+        return pa.table({self.col: pa.array([], type=pa.string())})
 
 
 def _transfer_part(src_dir: str, dst_dir: str, f: str,

@@ -57,9 +57,9 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from .plan import (LocalDataset, as_dataset, collect, empty_block, execute,
-                   parse_filter, part_files, part_id, part_mask, plan,
-                   read_blocks, read_part)
+from .plan import (LocalDataset, ScanPart, as_dataset, collect, empty_block,
+                   execute, parse_filter, part_files, part_id, plan,
+                   read_part)
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
@@ -91,6 +91,24 @@ def encoded_schema(store_dir: str) -> pa.Schema:
     return pa.schema(sorted(fields.items()))
 
 
+def _projection(schema: pa.Schema, columns, *also) -> list[str]:
+    """The columns a read returns: ``columns``, or every column of
+    ``schema`` when None.  Raises ValueError when it or ``also`` (sort
+    keys, a DISTINCT column) names a column the store lacks — the
+    per-part scans would otherwise drop it or match no part — and on
+    an empty ``columns``, which would return rows without columns."""
+    out = list(schema.names) if columns is None else list(columns)
+    unknown = [c for c in dict.fromkeys([*also, *out])
+               if c not in schema.names]
+    if unknown:
+        raise ValueError(f"unknown column(s) {unknown}; "
+                         f"store has {sorted(schema.names)}")
+    if columns is not None and not out:
+        raise ValueError("empty projection: name at least one column, "
+                         "or pass columns=None for every column")
+    return out
+
+
 def read_encoded(store_dir: str, *, columns: list[str] | None = None,
                  filter: tuple | None = None,
                  filter_any: list | None = None,
@@ -119,21 +137,13 @@ def read_encoded(store_dir: str, *, columns: list[str] | None = None,
     preds, mode = parse_filter(filter, filter_any)
     schema = encoded_schema(store_dir) \
         if columns is not None or preds else None
-    if columns is not None:
-        # Fail loud on unknown projections: the per-part decode paths
-        # would otherwise silently drop them (unfiltered) or emit zero
-        # rows (filtered) — both observed via the CLI before this check.
-        missing = [c for c in columns if c not in schema.names]
-        if missing:
-            raise ValueError(
-                f"unknown column(s) {missing} in projection; "
-                f"store has {sorted(schema.names)}")
+    out_columns = columns if schema is None else \
+        _projection(schema, columns)
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     if not preds:
-        ds = decode_files(store_dir, columns=columns, limit=limit)
+        ds = decode_files(store_dir, columns=out_columns, limit=limit)
         return ds.limit(limit) if limit is not None else ds
-    out_columns = list(columns) if columns is not None else schema.names
     if not out_columns:
         raise ValueError(f"no encoded parts found in {store_dir}")
     out_schema = pa.schema([schema.field(c) for c in out_columns])
@@ -184,32 +194,43 @@ def store_stats(store_dir: str) -> dict:
             "blooms": bloom_parts}
 
 
-class _CountPart:
+class _CountPart(ScanPart):
     """Task: matching-row COUNT of encoded parts — evaluates the
     predicates on packed codes (``part_mask``) and never decodes any
     values.  Selective counts at open scale read only the filter
     columns' blocks of the plan's parts."""
 
-    def __init__(self, preds: list[tuple], mode: str = "and"):
-        self.preds = preds  # normalized, combined by mode
-        self.mode = mode    # "and" conjunction / "or" disjunction
+    def reduce(self, enc_of, mask, path):
+        return pa.table({"n": pa.array([int(mask.sum())], pa.int64())})
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        n = 0
-        for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode)
-            if hit is not None:
-                n += int(hit[1].sum())
-        return pa.table({"n": pa.array([n], pa.int64())})
+    def empty(self):
+        return pa.table({"n": pa.array([], pa.int64())})
+
+
+def _part_rows(p) -> int:
+    """The rows of the plan ``p``'s parts: each part's manifest row
+    count, or for a part without one any block's ``n_values`` (one
+    metadata read: the payload pages stay on disk)."""
+    total = 0
+    for path in p.parts:
+        m = p.manifests.get(path) or {}
+        if "rows" in m:
+            total += m["rows"]
+            continue
+        t = read_part(path, fields=["n_values"])
+        if t.num_rows:
+            total += int(t.column("n_values")[0].as_py())
+    return total
 
 
 def count_encoded(store_dir: str, filter: tuple | None = None,
                   filter_any: list | None = None) -> int:
     """COUNT over the encoded store.
 
-    Without a filter this is pure metadata (sum of manifest row
-    counts; parts missing a manifest fall back to one n_values
-    metadata read — the payload parquet column is never touched).
+    Without a filter this is pure metadata (``_part_rows``: the sum of
+    manifest row counts; parts missing a manifest fall back to one
+    n_values metadata read — the payload parquet column is never
+    touched).
     With ``filter`` (AND) / ``filter_any`` (OR), the manifests' zone
     maps, value counts and blooms prune parts driver-side (``plan``).  When every
     predicate is an eq / IN / isnull / notnull on one and the same
@@ -222,16 +243,7 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
     if not preds:
-        total = 0
-        for path in p.parts:
-            m = p.manifests.get(path)
-            if m is not None and "rows" in m:
-                total += m["rows"]
-                continue
-            t = read_part(path, fields=["column", "n_values"])
-            if t.num_rows:  # rows of the part = n_values of any block
-                total += int(t.column("n_values")[0].as_py())
-        return total
+        return _part_rows(p)
     fast = _agg_from_manifests(store_dir, {"n": ("count",)}, p=p)
     if fast is not None:
         return int(fast.column("n")[0].as_py())
@@ -246,7 +258,7 @@ def _decode_at(enc, sel):
     return decode_any(enc) if sel is None else take_any(enc, sel)
 
 
-class _AggPart:
+class _AggPart(ScanPart):
     """Task: grouped partial aggregates of one encoded part.
 
     The encoded-domain wins, in priority order:
@@ -267,109 +279,71 @@ class _AggPart:
                  preds: list[tuple], mode: str = "and"):
         self.keys = list(keys)
         self.aggs = aggs          # {out: ("count",) | (fn, col)}
-        self.preds = preds        # normalized, possibly []
-        self.mode = mode          # "and" conjunction / "or" disjunction
-
-    def _partial_specs(self):
-        """pyarrow group_by aggregation specs (deduped) + the result
-        column each output draws from."""
-        specs, src = [], {}
-        for out, spec in self.aggs.items():
+        self.val_cols = sorted({s[1] for s in aggs.values() if len(s) > 1})
+        # pyarrow group_by aggregation specs (deduped) + the result
+        # column each output draws from
+        self.specs, self.src = [], {}
+        for out, spec in aggs.items():
             if spec[0] == "count" and len(spec) == 1:
                 s, name = ([], "count_all"), "count_all"
             else:
-                fn, col = spec[0], spec[1]
-                s, name = (col, fn), f"{col}_{fn}"
-            if s not in specs:
-                specs.append(s)
-            src[out] = name
-        return specs, src
+                s, name = (spec[1], spec[0]), f"{spec[1]}_{spec[0]}"
+            if s not in self.specs:
+                self.specs.append(s)
+            self.src[out] = name
+        super().__init__(preds, mode,
+                         sorted(set(self.val_cols) | set(self.keys)))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         import numpy as np
         from ..codecs.access import _code_domain
         from ..codecs.base import str_to_type
-
-        val_cols = {s[1] for s in self.aggs.values() if len(s) > 1}
-        hard = val_cols | set(self.keys)
-        specs, src = self._partial_specs()
-        outs, out_types = [], {}
-        for p in batch.column("path").to_pylist():
-            if not hard and not self.preds:
-                # global COUNT(*) with no filter: the part's row count
-                # is any block's n_values — metadata columns only, the
-                # payload pages are never read
-                meta = read_part(p, fields=["n_values"])
-                if meta.num_rows:
-                    outs.append(pa.table(
-                        {f"__p__{out}": pa.array(
-                            [int(meta.column("n_values")[0].as_py())],
-                            pa.int64())
-                         for out in self.aggs}))
+        sel = np.flatnonzero(mask) if mask is not None else None
+        # group keys: a dict / rle key groups on its row codes
+        # (-1: NULL) and decodes only the groups it returns
+        cols, mappings, out_types = {}, {}, {}
+        if not self.keys:
+            # any present block carries the part's row count (an
+            # OR-mode pred column may be absent from this part)
+            n = next(iter(enc_of.values())).n_values
+            cols["__g"] = pa.array(np.zeros(
+                n if sel is None else len(sel), dtype=np.int64))
+        for i, key in enumerate(self.keys):
+            genc = enc_of[key]
+            dt = genc.params.get("dtype")
+            if dt is not None:
+                out_types[key] = str_to_type(dt)
+            cd = _code_domain(genc)
+            if cd is None:
+                cols[f"__g{i}"] = _decode_at(genc, sel)
                 continue
-            hit = part_mask(p, self.preds, self.mode, sorted(hard))
-            if hit is None:
-                continue
-            enc_of, mask = hit
-            sel = np.flatnonzero(mask) if mask is not None else None
+            codes, mappings[i] = cd
+            cols[f"__g{i}"] = pa.array(codes if sel is None else codes[sel])
+        gcols = list(cols)
+        for c in self.val_cols:
+            cols[c] = _decode_at(enc_of[c], sel)
+        part = pa.table(cols).group_by(gcols).aggregate(self.specs)
+        for i, mapping in mappings.items():
+            name, key = f"__g{i}", self.keys[i]
+            codes = part.column(name).to_numpy()
+            vals = mapping.take(pa.array(codes, mask=codes < 0))
+            part = part.set_column(
+                part.schema.get_field_index(name), name,
+                vals.cast(out_types.get(key, vals.type)))
+        return pa.table({
+            **{key: part.column(f"__g{i}")
+               for i, key in enumerate(self.keys)},
+            **{f"__p__{out}": part.column(name)
+               for out, name in self.src.items()}})
 
-            # group keys: a dict / rle key groups on its row codes
-            # (-1: NULL) and decodes only the groups it returns
-            cols, mappings = {}, {}
-            if not self.keys:
-                # any present block carries the part's row count (an
-                # OR-mode pred column may be absent from this part)
-                n = next(iter(enc_of.values())).n_values if enc_of else 0
-                n_rows = int(mask.sum()) if mask is not None else n
-                cols["__g"] = pa.array(np.zeros(n_rows, dtype=np.int64))
-            for i, key in enumerate(self.keys):
-                genc = enc_of[key]
-                dt = genc.params.get("dtype")
-                if dt is not None:
-                    out_types[key] = str_to_type(dt)
-                cd = _code_domain(genc)
-                if cd is None:
-                    cols[f"__g{i}"] = _decode_at(genc, sel)
-                    continue
-                codes, mappings[i] = cd
-                cols[f"__g{i}"] = pa.array(
-                    codes if sel is None else codes[sel])
-            gcols = list(cols)
-            for c in sorted(val_cols):
-                cols[c] = _decode_at(enc_of[c], sel)
-                out_types[c] = cols[c].type
-            part = pa.table(cols).group_by(gcols).aggregate(specs)
-            for i, mapping in mappings.items():
-                name, key = f"__g{i}", self.keys[i]
-                codes = part.column(name).to_numpy()
-                vals = mapping.take(pa.array(codes, mask=codes < 0))
-                part = part.set_column(
-                    part.schema.get_field_index(name), name,
-                    vals.cast(out_types.get(key, vals.type)))
-            outs.append(self._rename(part, src))
-        if not outs:
-            return self.empty(src, out_types)
-        return pa.concat_tables(outs, promote_options="permissive")
-
-    def _rename(self, part: pa.Table, src: dict) -> pa.Table:
-        cols = {key: part.column(f"__g{i}")
-                for i, key in enumerate(self.keys)}
-        for out, name in src.items():
-            cols[f"__p__{out}"] = part.column(name)
-        return pa.table(cols)
-
-    def empty(self, src: dict, out_types: dict) -> pa.Table:
-        """A partials block with no rows, typed like a non-empty one."""
-        fields = {key: out_types.get(key, pa.string())
-                  for key in self.keys}
-        for out, spec in self.aggs.items():
-            if spec[0] == "count":
-                fields[f"__p__{out}"] = pa.int64()
-            else:
-                fields[f"__p__{out}"] = out_types.get(spec[1],
-                                                      pa.float64())
-        return pa.table({n: pa.array([], type=t)
-                         for n, t in fields.items()})
+    def empty(self):
+        """A partials block with no rows: string keys, int64 counts
+        and float64 value aggregates."""
+        return pa.table({
+            **{key: pa.array([], pa.string()) for key in self.keys},
+            **{f"__p__{out}": pa.array(
+                [], pa.int64() if spec[0] == "count" else pa.float64())
+               for out, spec in self.aggs.items()}})
 
 
 def agg_encoded(store_dir: str, *, group_by: str | None = None,
@@ -463,12 +437,18 @@ def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
     fast = _agg_from_manifests(store_dir, aggs, keys, p)
     if fast is not None:
         return fast
+    if not keys and not preds and \
+            all(s[0] == "count" and len(s) == 1 for s in aggs.values()):
+        # COUNT(*) alone: the row count of a store with a part the
+        # manifests do not cover
+        n = _part_rows(p)
+        return pa.table({out: pa.array([n], pa.int64()) for out in aggs})
     task = _AggPart(keys, aggs, preds, mode)
     parts = execute(p, task)
     if not isinstance(parts, pa.Table):
         parts = collect(parts)
         if parts is None:
-            parts = task.empty(task._partial_specs()[1], {})
+            parts = task.empty()
     res = parts.group_by(keys, use_threads=False).aggregate(
         [(f"__p__{out}", _MERGE[spec[0]]) for out, spec in aggs.items()])
     out = {key: res.column(key) for key in keys}
@@ -479,7 +459,7 @@ def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
     return pa.table(out)
 
 
-class _DistinctPairsPart:
+class _DistinctPairsPart(ScanPart):
     """Task: per-part DISTINCT (group, value) pairs from the encoded
     domain — the map-side pre-reduce of COUNT(DISTINCT col).
 
@@ -496,88 +476,65 @@ class _DistinctPairsPart:
                  preds: list[tuple], mode: str = "and"):
         self.group_by = group_by
         self.column = column
-        self.preds = preds
-        self.mode = mode
+        super().__init__(preds, mode, sorted(
+            {column} | ({group_by} if group_by else set())))
 
-    def empty(self, out_types: dict) -> pa.Table:
-        """A pairs block with no rows, typed like a non-empty one."""
+    def empty(self) -> pa.Table:
+        """A pairs block with no rows (string group and value)."""
         cols = {}
         if self.group_by is not None:
-            cols["__gf"] = pa.array(
-                [], out_types.get(self.group_by, pa.string()))
+            cols["__gf"] = pa.array([], pa.string())
             cols["__gv"] = pa.array([], pa.bool_())
-        cols[self.column] = pa.array(
-            [], out_types.get(self.column, pa.string()))
+        cols[self.column] = pa.array([], pa.string())
         return pa.table(cols)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         import numpy as np
+        import pyarrow.compute as pc
         from ..codecs.access import _dict_codes
-        from ..codecs.base import str_to_type
         from ..codecs.dictionary import ipc_deserialize_array
+        sel = np.flatnonzero(mask) if mask is not None else None
 
-        hard = {self.column} | \
-            ({self.group_by} if self.group_by else set())
-        outs, out_types = [], {}
-        for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode, sorted(hard))
-            if hit is None:
-                continue
-            enc_of, mask = hit
-            sel = np.flatnonzero(mask) if mask is not None else None
+        def _col(name):
+            """(array-or-codes, mapping): dict codecs without a
+            validity bitmap stay as int codes + their vocab."""
+            enc = enc_of[name]
+            if enc.codec == "dict" and \
+                    not enc.buffers.get("validity", b""):
+                codes = _dict_codes(enc).astype(np.int64, copy=False)
+                arr = pa.array(codes)
+                mapping = ipc_deserialize_array(enc.buffers["aux"])
+                return (arr.take(sel) if sel is not None else arr,
+                        mapping)
+            return _decode_at(enc, sel), None
 
-            def _col(name):
-                """(array-or-codes, mapping): dict codecs without a
-                validity bitmap stay as int codes + their vocab."""
-                enc = enc_of[name]
-                dt = enc.params.get("dtype")
-                if dt is not None:
-                    out_types[name] = str_to_type(dt)
-                if enc.codec == "dict" and \
-                        not enc.buffers.get("validity", b""):
-                    codes = _dict_codes(enc).astype(np.int64, copy=False)
-                    arr = pa.array(codes)
-                    mapping = ipc_deserialize_array(enc.buffers["aux"])
-                    return (arr.take(sel) if sel is not None else arr,
-                            mapping)
-                return _decode_at(enc, sel), None
-
-            varr, vmap = _col(self.column)
-            cols, keys = {}, []
-            if self.group_by is not None:
-                garr, gmap = _col(self.group_by)
-                cols["__g"], keys = garr, ["__g"]
-            cols["__v"] = varr
-            keys.append("__v")
-            tbl = pa.table(cols)
-            if varr.null_count:
-                # SQL: COUNT(DISTINCT) ignores null values
-                import pyarrow.compute as pc
-                tbl = tbl.filter(pc.is_valid(tbl.column("__v")))
-            if tbl.num_rows == 0:
-                continue
-            ded = tbl.group_by(keys).aggregate([])
-            out_cols = {}
-            if self.group_by is not None:
-                import pyarrow.compute as pc
-                g = ded.column("__g")
-                if gmap is not None:
-                    g = gmap.take(g)
-                # Ray's sort-based shuffle can't order null keys: ship
-                # the group as (filled value, validity bit) and let the
-                # caller restore nulls after the merge — SQL GROUP BY
-                # keeps the null group
-                valid = pc.is_valid(g)
-                out_cols["__gf"] = pc.fill_null(
-                    g, _null_fill_scalar(g.type))
-                out_cols["__gv"] = valid
-            v = ded.column("__v")
-            out_cols[self.column] = vmap.take(v) if vmap is not None \
-                else v
-            outs.append(pa.table(out_cols))
-        if not outs:
-            return self.empty(out_types)
-        return pa.concat_tables(outs, promote_options="permissive")
+        varr, vmap = _col(self.column)
+        cols, keys = {}, []
+        if self.group_by is not None:
+            garr, gmap = _col(self.group_by)
+            cols["__g"], keys = garr, ["__g"]
+        cols["__v"] = varr
+        keys.append("__v")
+        tbl = pa.table(cols)
+        if varr.null_count:
+            # SQL: COUNT(DISTINCT) ignores null values
+            tbl = tbl.filter(pc.is_valid(tbl.column("__v")))
+        ded = tbl.group_by(keys).aggregate([])
+        out_cols = {}
+        if self.group_by is not None:
+            g = ded.column("__g")
+            if gmap is not None:
+                g = gmap.take(g)
+            # Ray's sort-based shuffle can't order null keys: ship
+            # the group as (filled value, validity bit) and let the
+            # caller restore nulls after the merge — SQL GROUP BY
+            # keeps the null group
+            valid = pc.is_valid(g)
+            out_cols["__gf"] = pc.fill_null(g, _null_fill_scalar(g.type))
+            out_cols["__gv"] = valid
+        v = ded.column("__v")
+        out_cols[self.column] = vmap.take(v) if vmap is not None else v
+        return pa.table(out_cols)
 
 
 def _null_fill_scalar(typ: pa.DataType):
@@ -809,7 +766,7 @@ def _value_count_answer(aggs: dict, keys: list[str], p):
                         for out, spec in aggs.items()}})
 
 
-class _DistinctPart:
+class _DistinctPart(ScanPart):
     """Task: distinct values of one column within one encoded part.
 
     dict-codec blocks answer from their dictionary alone — the vocab
@@ -823,35 +780,32 @@ class _DistinctPart:
     def __init__(self, column: str, dtype: pa.DataType):
         self.column = column
         self.dtype = dtype
+        super().__init__(columns=[column])
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         import pyarrow.compute as pc
-
         from ..codecs import decode_any
         from ..codecs.base import str_to_type
         from ..codecs.dictionary import ipc_deserialize_array
-        outs = []
-        for p in batch.column("path").to_pylist():
-            for enc in read_blocks(p, [self.column]).values():
-                if enc.codec == "dict":
-                    vals = ipc_deserialize_array(enc.buffers["aux"])
-                    dt = enc.params.get("dtype")
-                    if dt is not None:
-                        vals = vals.cast(str_to_type(dt))
-                    if isinstance(vals, pa.ChunkedArray):
-                        vals = vals.combine_chunks()
-                    if enc.buffers.get("validity", b""):
-                        vals = pa.concat_arrays(
-                            [vals, pa.nulls(1, vals.type)])
-                else:
-                    arr = decode_any(enc)
-                    if isinstance(arr, pa.ChunkedArray):
-                        arr = arr.combine_chunks()
-                    vals = pc.unique(arr)
-                outs.append(pa.table({self.column: vals}))
-        if not outs:
-            return pa.table({self.column: pa.array([], self.dtype)})
-        return pa.concat_tables(outs, promote_options="permissive")
+        enc = enc_of[self.column]
+        if enc.codec == "dict":
+            vals = ipc_deserialize_array(enc.buffers["aux"])
+            dt = enc.params.get("dtype")
+            if dt is not None:
+                vals = vals.cast(str_to_type(dt))
+            if isinstance(vals, pa.ChunkedArray):
+                vals = vals.combine_chunks()
+            if enc.buffers.get("validity", b""):
+                vals = pa.concat_arrays([vals, pa.nulls(1, vals.type)])
+        else:
+            arr = decode_any(enc)
+            if isinstance(arr, pa.ChunkedArray):
+                arr = arr.combine_chunks()
+            vals = pc.unique(arr)
+        return pa.table({self.column: vals})
+
+    def empty(self):
+        return pa.table({self.column: pa.array([], self.dtype)})
 
 
 def distinct_encoded(store_dir: str, column: str) -> "rd.Dataset":
@@ -866,9 +820,7 @@ def distinct_encoded(store_dir: str, column: str) -> "rd.Dataset":
     Either way one column, sorted by value."""
     from ray.data.aggregate import Count
     schema = encoded_schema(store_dir)
-    if column not in schema.names:
-        raise ValueError(f"unknown column {column!r}; store has "
-                         f"{schema.names}")
+    _projection(schema, [column])
     res = execute(plan(store_dir, []),
                   _DistinctPart(column, schema.field(column).type))
     if isinstance(res, pa.Table):
@@ -882,7 +834,7 @@ def distinct_encoded(store_dir: str, column: str) -> "rd.Dataset":
 # ORDER BY ... LIMIT k pushdown
 # ---------------------------------------------------------------------------
 
-class _TopKPart:
+class _TopKPart(ScanPart):
     """Per-part local top-k: decode only the sort keys, drop rows with a
     null sort key (``ORDER BY ... LIMIT`` semantics — nulls sort last
     and never enter a top-k smaller than the non-null count), keep the
@@ -897,49 +849,42 @@ class _TopKPart:
         self.keys = keys
         self.k = k
         self.order = "descending" if descending else "ascending"
-        self.need = sorted(set(keys) | set(out_columns))
         # col -> dtype string from encoded_schema: a part whose block
         # stamps a DIFFERENT logical type holds another table under
         # the same column name — skip it (its rows aren't comparable
         # or concatenatable with the declared schema's)
         self.expect_dtypes = expect_dtypes or {}
+        super().__init__(columns=sorted(set(keys) | set(out_columns)))
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         import numpy as np
         import pyarrow.compute as pc
         from ..codecs import decode_any, take_any
-        outs = []
-        for p in batch.column("path").to_pylist():
-            hit = part_mask(p, [], "and", self.need)
-            if hit is None:
-                continue  # heterogeneous store: part holds another table
-            enc_of = hit[0]
-            if any(enc_of[c].params.get("dtype") not in
-                   (None, self.expect_dtypes.get(c))
-                   for c in self.need if c in self.expect_dtypes):
-                continue  # same name, different logical type
-            kt = pa.table({kc: decode_any(enc_of[kc])
-                           for kc in dict.fromkeys(self.keys)})
-            mask = None
-            for kc in self.keys:
-                m = pc.is_valid(kt.column(kc))
-                mask = m if mask is None else pc.and_(mask, m)
-            live = np.flatnonzero(mask.to_numpy(zero_copy_only=False))
-            if not len(live):
-                continue
-            idx = pc.sort_indices(
-                kt.take(live),
-                sort_keys=[(kc, self.order) for kc in self.keys])
-            rows = live[idx.slice(0, self.k).to_numpy()]
-            outs.append(pa.table({
-                n: kt.column(n).take(rows) if n in kt.column_names
-                else take_any(enc_of[n], rows) for n in self.need}))
-        if not outs:
-            # empty blocks yield no batches downstream; types here are
-            # placeholders that never meet a non-empty block's schema
-            return pa.table({n: pa.array([], type=pa.string())
-                             for n in self.need})
-        return pa.concat_tables(outs)
+        if any(enc_of[c].params.get("dtype") not in
+               (None, self.expect_dtypes.get(c))
+               for c in self.columns if c in self.expect_dtypes):
+            return None  # same name, different logical type
+        kt = pa.table({kc: decode_any(enc_of[kc])
+                       for kc in dict.fromkeys(self.keys)})
+        valid = None
+        for kc in self.keys:
+            m = pc.is_valid(kt.column(kc))
+            valid = m if valid is None else pc.and_(valid, m)
+        live = np.flatnonzero(valid.to_numpy(zero_copy_only=False))
+        if not len(live):
+            return None
+        idx = pc.sort_indices(
+            kt.take(live), sort_keys=[(kc, self.order) for kc in self.keys])
+        rows = live[idx.slice(0, self.k).to_numpy()]
+        return pa.table({
+            n: kt.column(n).take(rows) if n in kt.column_names
+            else take_any(enc_of[n], rows) for n in self.columns})
+
+    def empty(self):
+        # empty blocks yield no batches downstream; types here are
+        # placeholders that never meet a non-empty block's schema
+        return pa.table({n: pa.array([], type=pa.string())
+                         for n in self.columns})
 
 
 def topk_encoded(store_dir: str, keys, k: int, *,
@@ -970,12 +915,7 @@ def topk_encoded(store_dir: str, keys, k: int, *,
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     schema = encoded_schema(store_dir)
-    out_columns = list(columns) if columns is not None else \
-        list(schema.names)
-    unknown = [c for c in {*keys, *out_columns} if c not in schema.names]
-    if unknown:
-        raise ValueError(f"unknown column(s) {sorted(unknown)}; "
-                         f"store has {sorted(schema.names)}")
+    out_columns = _projection(schema, columns, *keys)
     key0 = keys[0]
     p_all = plan(store_dir, [], "and")
     parts = []
@@ -1078,7 +1018,7 @@ def topk_encoded(store_dir: str, keys, k: int, *,
 # deterministic Bernoulli sample
 # ---------------------------------------------------------------------------
 
-class _SamplePart:
+class _SamplePart(ScanPart):
     """Per-part deterministic Bernoulli sample: keep row i of part p iff
     splitmix64(seed ⊕ hash(p) ⊕ i) < fraction·2⁶⁴.  Pure function of
     (seed, part id, row index) — no coordination, no RNG state, the
@@ -1089,48 +1029,39 @@ class _SamplePart:
                  out_schema: pa.Schema | None = None):
         self.fraction = fraction
         self.seed = seed
-        self.out_columns = out_columns
         # logical types for the zero-match fallback block: an untyped
         # (string) empty block mixed with real-typed blocks breaks
         # schema unification downstream — sample_encoded hands the
         # Dataset straight to callers, so the fallback must carry the
         # store's real field types
         self.out_schema = out_schema
+        super().__init__(columns=out_columns)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         import numpy as np
         from ..codecs import take_any
         from ..functions.text import _splitmix64
+        pid = part_id(path) or os.path.basename(path)
+        n = next(iter(enc_of.values())).n_values
         # clamp: fraction*2^64 at 1.0 overflows uint64, and a <-compare
         # against 2^64-1 would still drop the one-in-2^64 max hash —
         # treat fraction >= 1 as keep-everything exactly
-        keep_all = self.fraction >= 1.0
-        thresh = np.uint64(0) if keep_all else \
-            np.uint64(min(int(self.fraction * 2.0**64), 2**64 - 1))
-        outs = []
-        for p in batch.column("path").to_pylist():
-            pid = part_id(p) or os.path.basename(p)
-            hit = part_mask(p, [], "and", self.out_columns)
-            if hit is None:
-                continue  # heterogeneous store: part holds another table
-            enc_of = hit[0]
-            n = next(iter(enc_of.values())).n_values
-            pid_h = np.uint64(
-                int.from_bytes(pid.encode()[-8:].rjust(8, b"\0"),
-                               "big"))
-            idx = np.arange(n, dtype=np.uint64)
-            if keep_all:
-                keep = idx.astype(np.int64)
-            else:
-                h = _splitmix64(idx ^ np.uint64(self.seed) ^ pid_h)
-                keep = np.flatnonzero(h < thresh)
-            if not len(keep):
-                continue
-            outs.append(pa.table({c: take_any(enc_of[c], keep)
-                                  for c in self.out_columns}))
-        if not outs:
-            return empty_block(self.out_columns, self.out_schema)
-        return pa.concat_tables(outs)
+        if self.fraction >= 1.0:
+            keep = np.arange(n, dtype=np.int64)
+        else:
+            pid_h = np.uint64(int.from_bytes(
+                pid.encode()[-8:].rjust(8, b"\0"), "big"))
+            h = _splitmix64(np.arange(n, dtype=np.uint64)
+                            ^ np.uint64(self.seed) ^ pid_h)
+            keep = np.flatnonzero(h < np.uint64(
+                min(int(self.fraction * 2.0**64), 2**64 - 1)))
+        if not len(keep):
+            return None
+        return pa.table({c: take_any(enc_of[c], keep)
+                         for c in self.columns})
+
+    def empty(self):
+        return empty_block(self.columns, self.out_schema)
 
 
 def sample_encoded(store_dir: str, fraction: float, *,
@@ -1148,12 +1079,7 @@ def sample_encoded(store_dir: str, fraction: float, *,
     if not (0.0 <= fraction <= 1.0):
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     schema = encoded_schema(store_dir)
-    out_columns = list(columns) if columns is not None else \
-        list(schema.names)
-    unknown = [c for c in out_columns if c not in schema.names]
-    if unknown:
-        raise ValueError(f"unknown column(s) {unknown}; "
-                         f"store has {sorted(schema.names)}")
+    out_columns = _projection(schema, columns)
     p = plan(store_dir, [])
     if fraction == 0.0:
         p = p.restrict([])
@@ -1162,7 +1088,7 @@ def sample_encoded(store_dir: str, fraction: float, *,
         p, _SamplePart(fraction, seed, out_columns, out_schema)))
 
 
-class _KMVPart:
+class _KMVPart(ScanPart):
     """Task: per-part bottom-k DISTINCT value hashes — the map side of
     the KMV (k-minimum-values) distinct-count sketch.
 
@@ -1175,34 +1101,26 @@ class _KMVPart:
                  mode: str = "and"):
         self.column = column
         self.k = k
-        self.preds = preds
-        self.mode = mode
+        super().__init__(preds, mode, [column])
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def reduce(self, enc_of, mask, path):
         import numpy as np
         from ..codecs.dictionary import ipc_deserialize_array
         from ..stages.profile import value_hashes
+        venc = enc_of[self.column]
+        if mask is None and venc.codec == "dict":
+            vals = ipc_deserialize_array(venc.buffers["aux"])
+            hs = value_hashes(vals)  # vocab only — no row decode
+        else:
+            hs = value_hashes(_decode_at(
+                venc, None if mask is None else np.flatnonzero(mask)))
+        if len(hs) == 0:
+            return None
+        hs = np.unique(hs)[:self.k]
+        return pa.table({"h": pa.array(hs.view(np.int64))})
 
-        outs = []
-        for p in batch.column("path").to_pylist():
-            hit = part_mask(p, self.preds, self.mode, [self.column])
-            if hit is None:
-                continue
-            enc_of, mask = hit
-            venc = enc_of[self.column]
-            if mask is None and venc.codec == "dict":
-                vals = ipc_deserialize_array(venc.buffers["aux"])
-                hs = value_hashes(vals)  # vocab only — no row decode
-            else:
-                hs = value_hashes(_decode_at(
-                    venc, None if mask is None else np.flatnonzero(mask)))
-            if len(hs) == 0:
-                continue
-            hs = np.unique(hs)[:self.k]
-            outs.append(pa.table({"h": pa.array(hs.view(np.int64))}))
-        if not outs:
-            return pa.table({"h": pa.array([], pa.int64())})
-        return pa.concat_tables(outs)
+    def empty(self):
+        return pa.table({"h": pa.array([], pa.int64())})
 
 
 def approx_distinct_encoded(store_dir: str, column: str, *,

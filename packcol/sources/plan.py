@@ -10,17 +10,21 @@ zone survivors' manifests hold (state/bloom.py).  All of it runs on
 the driver, before any task.  The :class:`Plan` it returns is both
 what the scan executes and what ``explain_scan`` reports.
 
-:func:`part_mask` is the per-part half, run inside the scan tasks: the
+:class:`ScanPart` is the per-part half, run inside the scan tasks: the
+one loop over a task's parts.  Its step is :func:`part_mask`: the
 block read (:func:`read_part` reads only the row groups of the wanted
 columns' blocks, so the other columns' payload pages stay on disk),
 the absent-column rule of heterogeneous stores and the predicate mask
-on packed codes (codecs/access.py).
+on packed codes (codecs/access.py).  Each encoded-domain op (count,
+the aggregates, distinct, top-k, sample, filtered reads, spot-check,
+the upsert's key scan and the delete) subclasses it with only its
+reducer, the partial of one part, and its typed empty block.
 
 :func:`execute` runs a plan's per-part task: every per-part scan of
-an encoded store goes through it (filtered and unfiltered reads, the
-aggregates, verify, spot-check, fsck, annotate, diff, sample, and the
-upsert's key scan and retire); a caller that picks the parts narrows
-the plan with :meth:`Plan.restrict`.  :func:`execute_rows` is its
+an encoded store goes through it (those ops, plus unfiltered reads,
+verify, fsck, annotate and diff, whose tasks decode or rewrite raw
+block rows); a caller that picks the parts narrows the plan with
+:meth:`Plan.restrict`.  :func:`execute_rows` is its
 general form, for the per-item jobs whose items are not one part of
 one store (recompaction groups, a column-major column file, the merge
 join's left part with its right parts).  A job of at most
@@ -680,21 +684,24 @@ def read_blocks(path: str, columns=None) -> dict:
 
 
 def part_mask(path: str, preds: list[tuple], mode: str, columns=()):
-    """The per-part step of every encoded-domain scan task.
+    """The per-part step of every encoded-domain scan task
+    (:class:`ScanPart`).
 
-    Reads the blocks of the predicate columns and ``columns`` and
-    evaluates ``preds`` (combined by ``mode``) on packed codes.
+    Reads the blocks of the predicate columns and ``columns`` (None:
+    every block) and evaluates ``preds`` (combined by ``mode``) on
+    packed codes.
     Returns ``(enc_of, mask)`` — the blocks by column name and the row
     mask, None without predicates — or None when the part holds no
     matching row: the mask is empty, or the part lacks a column of
     ``columns`` or, under AND, any predicate column (a part of another
-    table in a heterogeneous store).  Under OR a predicate on an absent column is
-    all-false, so the part is skipped only when every predicate column
-    is absent."""
+    table in a heterogeneous store).  Under OR a predicate on an
+    absent column is all-false, so the part is skipped only when every
+    predicate column is absent."""
     from ..codecs.access import eval_pred
     pred_cols = {c for c, *_ in preds}
-    enc_of = read_blocks(path, pred_cols | set(columns))
-    if any(c not in enc_of for c in columns):
+    enc_of = read_blocks(path, None if columns is None
+                         else pred_cols | set(columns))
+    if any(c not in enc_of for c in columns or ()):
         return None
     missing = pred_cols.difference(enc_of)
     if missing and (mode == "and" or missing == pred_cols):
@@ -713,3 +720,33 @@ def part_mask(path: str, preds: list[tuple], mode: str, columns=()):
     if mask is not None and not mask.any():
         return None
     return enc_of, mask
+
+
+class ScanPart:
+    """The per-part task of every encoded-domain scan, and its one loop
+    over a batch of part paths: each part's ``part_mask`` (``preds``
+    combined by ``mode``; the blocks of the predicate columns and
+    ``columns``, None: every block), a part without a matching row
+    skipped, and on a hit ``reduce(enc_of, mask, path)``: the part's
+    partial, or None when it adds none.  The batch's partials are
+    concatenated; a batch without one gives ``empty()``, the op's typed
+    block of no rows.  An op subclasses it with its own fields,
+    ``reduce`` and ``empty``; ``execute`` runs it in-process or under
+    ``map_batches``."""
+
+    def __init__(self, preds=(), mode: str = "and", columns=()):
+        assert mode in ("and", "or"), mode
+        self.preds = preds    # normalized (``parse_filter``)
+        self.mode = mode
+        self.columns = columns
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        outs = []
+        for path in batch.column("path").to_pylist():
+            hit = part_mask(path, self.preds, self.mode, self.columns)
+            if hit is not None and \
+                    (out := self.reduce(*hit, path)) is not None:
+                outs.append(out)
+        if not outs:
+            return self.empty()
+        return pa.concat_tables(outs, promote_options="permissive")

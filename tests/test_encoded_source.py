@@ -513,6 +513,77 @@ def test_agg_from_manifests_fallback_paths(store, ray_session):
     assert got["m"].iloc[0] == exp["url"].min()
 
 
+def test_unfiltered_count_without_a_manifest(store, tmp_path,
+                                            monkeypatch):
+    """The unfiltered COUNT(*) of ``count_encoded`` and ``agg_encoded``
+    comes from the manifests alone while every part has one (no part
+    file is read), and from a part's ``n_values`` where its manifest
+    is missing."""
+    import shutil
+
+    import ray.data as rd
+    from packcol.sources import encoded
+    from packcol.sources import plan as plan_mod
+    wt, out = store
+    n = rd.read_parquet(wt).count()
+    s = str(tmp_path / "one_manifest_gone")
+    shutil.copytree(out, s)
+
+    def count_all():
+        return encoded.agg_encoded(s, aggs={"n": ("count",)}) \
+            .to_pandas()["n"].iloc[0]
+
+    def boom(*a, **k):
+        raise AssertionError("a manifest-covered count read a part file")
+
+    with monkeypatch.context() as m:
+        m.setattr(plan_mod, "read_part", boom)
+        m.setattr(encoded, "read_part", boom)
+        assert encoded.count_encoded(s) == count_all() == n
+    man = os.path.join(s, "_manifest")
+    os.remove(os.path.join(man, sorted(
+        f for f in os.listdir(man) if f.endswith(".json"))[0]))
+    assert encoded.count_encoded(s) == count_all() == n
+
+
+def test_empty_projection_raises(store, ray_session):
+    """``columns=[]`` names no column, and every read that takes a
+    projection refuses it: a sample raised StopIteration, an unfiltered
+    read returned no rows and a top-k k rows of no columns."""
+    from packcol.sources.encoded import (read_encoded, sample_encoded,
+                                         topk_encoded)
+    _, out = store
+    for call in (lambda: read_encoded(out, columns=[]),
+                 lambda: read_encoded(out, columns=[],
+                                      filter=("lang", "==", "de")),
+                 lambda: topk_encoded(out, "warc_ts", 3, columns=[]),
+                 lambda: sample_encoded(out, 0.5, columns=[])):
+        with pytest.raises(ValueError, match="empty projection"):
+            call()
+
+
+def test_scan_tasks_keep_only_their_reducers():
+    """Every encoded-domain per-part task is a ``plan.ScanPart`` with no
+    loop of its own (``__call__``), and annotate's column edits share
+    one loop."""
+    import inspect
+
+    from packcol.pipelines import annotate, delete, upsert
+    from packcol.pipelines import encode_pipeline as ep
+    from packcol.sources import encoded
+    from packcol.sources import plan as plan_mod
+    for cls in (encoded._CountPart, encoded._AggPart,
+                encoded._DistinctPairsPart, encoded._DistinctPart,
+                encoded._TopKPart, encoded._SamplePart, encoded._KMVPart,
+                ep.EncodedFilterPart, ep.SpotCheckPart,
+                delete._DeletePartTask, upsert._KeyColDistinct):
+        assert issubclass(cls, plan_mod.ScanPart), cls
+        assert "__call__" not in vars(cls), cls
+    loops = [c for _, c in inspect.getmembers(annotate, inspect.isclass)
+             if c.__module__ == annotate.__name__ and "__call__" in vars(c)]
+    assert len(loops) == 1, loops
+
+
 def test_distinct_encoded_dict_and_decode_paths(store, ray_session):
     """DISTINCT over a dict-codec column comes from the per-part
     dictionaries (no row decodes); over a non-dict column it decodes

@@ -155,8 +155,12 @@ with tracer.op("t1", "delete"):
 got = read_encoded(store, columns=["n"],
                    filter=("url", "==", "https://h1.example/12"))
 assert got.to_pandas()["n"].tolist() == [12]
-print(json.dumps({lb: sorted({sp[2] for sp in tracer.spans
-                              if sp[6] == lb}) for lb in ("t0", "t1")}))
+mine = {lb: [sp for sp in tracer.spans if sp[6] == lb] for lb in ("t0", "t1")}
+print(json.dumps({
+    "names": {lb: sorted({sp[2] for sp in sps}) for lb, sps in mine.items()},
+    "cls": {lb: sorted({sp[7]["cls"] for sp in sps
+                        if sp[2] == "pipelines.task"})
+            for lb, sps in mine.items()}}))
 """
 
 
@@ -168,13 +172,18 @@ def test_trace_installs(tmp_path):
     a traced benchmark run.  A partial ``delete_where`` rebuilds its
     part's zones (``state.zones``) and writes the part
     (``pipelines.write``) without encoding a table: its blocks are cut
-    in the encoded domain."""
+    in the encoded domain.  The ``pipelines.task`` spans carry the
+    class of the task they time, so the per-class attribution survives
+    tasks that share their loop (``plan.ScanPart``)."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     r = subprocess.run([sys.executable, "-c", _TRACED_READ, str(tmp_path)],
                        cwd=root, capture_output=True, text=True,
                        timeout=300)
     assert r.returncode == 0, r.stderr
-    names = json.loads(r.stdout.strip().splitlines()[-1])
+    out = json.loads(r.stdout.strip().splitlines()[-1])
+    names, cls = out["names"], out["cls"]
+    assert "EncodedFilterPart" in cls["t0"], cls
+    assert "_DeletePartTask" in cls["t1"], cls
     assert {"state.bloom_probe", "state.manifest_read"} <= \
         set(names["t0"]), names
     assert {"pipelines.task", "state.zones", "pipelines.write"} <= \
