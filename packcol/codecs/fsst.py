@@ -184,18 +184,10 @@ class FsstCodec(Codec):
 
     def nbytes(self, enc: EncodedColumn) -> int:
         e = np.frombuffer(enc.buffers["payload"], dtype=np.uint8)
-        rounds = _rounds(enc.params)
+        rounds = enc.params["rounds"]
         data = int(build_expansion_table(rounds)[1].take(e).sum()) \
             if rounds else len(e)
         return _offsets_nbytes(enc) + data + validity_nbytes(enc)
-
-
-def _rounds(p: dict) -> list:
-    """The block's ``[codes, digrams]`` rounds in encode order; a legacy
-    single-round block (``codes``/``digrams`` params) is one round."""
-    if "rounds" in p:
-        return p["rounds"]
-    return [[p["codes"], p["digrams"]]] if p.get("codes") else []
 
 
 def _stored_rows(enc: EncodedColumn) -> tuple[np.ndarray, np.ndarray]:
@@ -230,7 +222,7 @@ def _expand_rows(enc: EncodedColumn, e: np.ndarray, enc_offs: np.ndarray,
     """The block's rows ``idx`` (all when None), whose compressed bytes
     are (e, enc_offs), decoded to the column's type with its nulls."""
     n = len(enc_offs) - 1
-    out, out_offs = fsst_expand_fused(e, enc_offs, _rounds(enc.params))
+    out, out_offs = fsst_expand_fused(e, enc_offs, enc.params["rounds"])
     dtype = str_to_type(enc.params["dtype"])
     arr = _array_from_parts(out, out_offs, n, dtype)
     valid = validity_from_bytes(enc.buffers.get("validity", b""),
@@ -261,7 +253,7 @@ def match_values(enc: EncodedColumn, values) -> np.ndarray | None:
     np.cumsum([len(v) for v in probes], out=offs[1:])
     d = np.frombuffer(b"".join(probes), dtype=np.uint8)
     ok = np.ones(len(probes), dtype=bool)
-    for codes, digrams in _rounds(enc.params):
+    for codes, digrams in enc.params["rounds"]:
         code_bytes = np.asarray(codes, dtype=np.uint8)
         is_code = np.zeros(256, dtype=bool)
         is_code[code_bytes] = True

@@ -50,8 +50,8 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
                      add: dict | None = None,
                      drop: str | None = None,
                      replace: str | None = None) -> None:
-    """Merge one column in/out of the part's manifest entry; absent
-    manifests (older stores) stay absent — pruning simply won't apply.
+    """Merge one column in/out of the part's manifest entry; a part
+    without a manifest stays without one — pruning simply won't apply.
 
     ``replace`` names the column whose metadata the ``add`` dict is
     authoritative for: its old entries under every ``_COLUMN_KEYS`` key
@@ -68,12 +68,8 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
         m = man.load(part_id)
     except FileNotFoundError:
         return
-    if not isinstance(m.get("blooms"), dict):
-        m["blooms"] = {}  # a pre-embedded-bloom list holds no bloom
     for key in _COLUMN_KEYS:
-        d = m.get(key)
-        if d is None:
-            continue
+        d = m[key]
         if drop is not None:
             d.pop(drop, None)
         if replace is not None:
@@ -175,9 +171,8 @@ def _rename_column(old: str, new: str, part_id: str, path: str,
     except FileNotFoundError:
         return "renamed"
     for key in _COLUMN_KEYS:
-        d = m.get(key)
-        if isinstance(d, dict) and old in d:
-            d[new] = d.pop(old)
+        if old in m[key]:
+            m[key][new] = m[key].pop(old)
     man.record(part_id, m)
     return "renamed"
 
@@ -208,6 +203,7 @@ def _run(store_dir: str, edit) -> dict:
     ``plan.execute``); {parts_total, parts_<action>: count}."""
     import collections
     p = plan(store_dir, [])
+    p.manifests  # a store of an older format raises before any rewrite
     res = collect(execute(p, _EditPart(edit)))
     acts = collections.Counter(
         res.column("action").to_pylist() if res is not None else ())

@@ -66,7 +66,7 @@ def key_zone_overlap(store_dir: str, key: str) -> dict:
     probe can only ever survive in one part (plus exact-boundary
     ties)."""
     zones = [m["zones"][key] for m in Manifest(store_dir).load_all()
-             if m.get("zones", {}).get(key)]
+             if key in m["zones"]]
     zones.sort(key=lambda z: (z["min"], z["max"]))
     overlaps, hi = 0, None
     for z in zones:
@@ -186,7 +186,7 @@ def zorder_store(store_dir: str, dest_dir: str, keys: list[str],
     spans = []
     for k in keys:
         z = src["zones"].get(k)
-        if z is None or z.get("kind") not in ("i64", "f64"):
+        if z is None or z["kind"] not in ("i64", "f64"):
             raise ValueError(
                 f"key {k!r} has no numeric zone span in the source "
                 "manifests (strings/all-null columns can't z-order)")

@@ -87,8 +87,8 @@ def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
              keep: np.ndarray, old: dict, meta: dict) -> None:
     """Rewrite part ``path`` as part ``pid`` holding the rows ``keep``,
     in the encoded domain (module docstring).  ``enc_of`` holds the
-    blocks the predicate read, ``old`` is the part's manifest and
-    ``meta`` the new manifest's extras."""
+    blocks the predicate read, ``old`` is the part's manifest ({} for a
+    part without one) and ``meta`` the new manifest's extras."""
     from ..codecs import decode_any, get_codec, subset_any
     from ..codecs.base import validity_from_bytes
     from ..stages.encode import block_rows
@@ -96,8 +96,8 @@ def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
     names = part_columns(path)
     enc_of = {**read_blocks(path, [c for c in names if c not in enc_of]),
               **enc_of}
-    blooms = [c for c in old.get("blooms") or () if isinstance(c, str)]
-    only = {k: set(old.get(k) or ()) for k in ("zones", "values")}
+    blooms = list(old.get("blooms", ()))
+    only = {k: set(old.get(k, ())) for k in ("zones", "values")}
     derived = only["zones"] | only["values"] | set(blooms)
     blocks, cols, nulls, kept = [], {}, {}, pa.array(keep)
     for name in names:

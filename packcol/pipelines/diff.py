@@ -40,19 +40,13 @@ from ..state.manifest import Manifest
 _FP_DRIVER_CAP = 16_000_000  # 8 B/fp → ~128 MB driver-side per side
 
 
-def _part_identity(m: dict) -> tuple | None:
-    """Content identity of one part, or None when unprovable.
-
-    The payload digest (state/manifest.py::file_digest64, stamped by
-    every writer at record time) is REQUIRED: rows/enc_bytes/
-    params_hash alone can't see a value shift that keeps the same bit
-    width.  Manifests from stores older than the digest return None —
-    such parts are never treated as shared (the row-level diff then
-    proves equality the slow, lossless way)."""
-    d = m.get("payload_digest")
-    if d is None:
-        return None
-    return (m.get("rows"), m.get("enc_bytes"), m.get("params_hash"), d)
+def _part_identity(m: dict) -> tuple:
+    """Content identity of one part.  The payload digest
+    (state/manifest.py::file_digest64, stamped by every writer at
+    record time) is part of it: rows/enc_bytes/params_hash alone can't
+    see a value shift that keeps the same bit width."""
+    return (m["rows"], m["enc_bytes"], m["params_hash"],
+            m["payload_digest"])
 
 
 def _manifests(store: str) -> dict[str, dict]:
@@ -63,16 +57,13 @@ def diff_store_parts(a_dir: str, b_dir: str) -> dict:
     """Part-level diff from manifests alone — zero payload reads.
 
     A part id present in both stores counts as shared only when its
-    manifest identity (rows, enc_bytes, params_hash) matches too; an
+    manifest identity (``_part_identity``) matches too; an
     id collision with different content lands in BOTH asymmetric sets
     (never-lossy, same stance as attach_store's collision refusal)."""
     ma, mb = _manifests(a_dir), _manifests(b_dir)
 
     def _same(x: dict, y: dict | None) -> bool:
-        if y is None:
-            return False
-        ix, iy = _part_identity(x), _part_identity(y)
-        return ix is not None and ix == iy
+        return y is not None and _part_identity(x) == _part_identity(y)
 
     shared, only_a, only_b = [], [], []
     for pid, m in ma.items():
@@ -86,9 +77,8 @@ def diff_store_parts(a_dir: str, b_dir: str) -> dict:
 
     def _sums(store, pids, mans):
         return {"parts": len(pids),
-                "rows": sum(mans[p].get("rows", 0) for p in pids),
-                "enc_bytes": sum(mans[p].get("enc_bytes", 0)
-                                 for p in pids)}
+                "rows": sum(mans[p]["rows"] for p in pids),
+                "enc_bytes": sum(mans[p]["enc_bytes"] for p in pids)}
 
     return {"shared": _sums(a_dir, shared, ma),
             "only_a": _sums(a_dir, sorted(only_a), ma),

@@ -326,6 +326,11 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
     Returns aggregate metrics {parts, rows, orig_bytes, enc_bytes, ratio,
     skipped_parts}."""
     os.makedirs(out_dir, exist_ok=True)
+    # every recorded manifest loads first, so a store of an older format
+    # raises here, before anything is written beside its parts
+    man = Manifest(out_dir)
+    recorded = {pid: man.load(pid) for pid in man.done_parts()}
+    done = recorded if resume else {}
     if shared_vocab_columns:
         # build + write the shared vocabulary sidecars ONCE; on resume an
         # existing sidecar is REUSED, never rebuilt — already-encoded
@@ -344,8 +349,6 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
     if sel:
         codec_overrides = {**sel, **(codec_overrides or {})}
     parts = plan_partitions(paths, target_bytes)
-    man = Manifest(out_dir)
-    done = man.done_parts() if resume else set()
 
     def _unchanged(p: dict) -> bool:
         """Skip only when the recorded input still matches the file on
@@ -353,15 +356,13 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
         layout) must re-encode, not silently serve stale parts.  Two
         guards: whole-file size AND this partition's row-group byte
         sum (a same-size rewrite still perturbs compressed row-group
-        sizes); both None-tolerant for pre-guard manifests."""
-        if p["part_id"] not in done:
+        sizes).  A part that a delete rewrote has no ``input``
+        lineage (pipelines/delete.py) and is kept as it is."""
+        m = done.get(p["part_id"])
+        if m is None:
             return False
-        m = man.load(p["part_id"])
-        rec = m.get("input_bytes")
-        if rec is not None and rec != p["input_bytes"]:
-            return False
-        rgb = m.get("part_input_bytes")
-        return rgb is None or rgb == p["bytes"]
+        return "input" not in m or (m["input_bytes"], m["part_input_bytes"]) \
+            == (p["input_bytes"], p["bytes"])
 
     todo = [p for p in parts if not _unchanged(p)]
     skipped = len(parts) - len(todo)
@@ -375,7 +376,7 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
     else:
         import pandas as pd
         mt = pd.DataFrame({"rows": [], "orig_bytes": [], "enc_bytes": []})
-    entries = Manifest(out_dir).load_all()
+    entries = man.load_all()
     orig = sum(m["orig_bytes"] for m in entries)
     enc = sum(m["enc_bytes"] for m in entries)
     return {"parts": len(entries),
@@ -457,7 +458,8 @@ def decode_files(out_dir: str, columns: list[str] | None = None,
         prefix, got = [], 0
         for path in p.parts:
             prefix.append(path)
-            got += (p.manifests.get(path) or {}).get("rows") or 0
+            m = p.manifests.get(path)
+            got += m["rows"] if m else 0
             if got >= limit:
                 break
         p = p.restrict(prefix)

@@ -14,13 +14,15 @@ value) — the invariant the entire pushdown layer and the metadata
 COUNT rest on, so a violation here means reads could silently skip
 matching rows or counts come out wrong.
 
+A manifest that ``Manifest.load`` rejects (a store written by an older
+engine, state/manifest.py) is a "store format" issue: no reader
+accepts the store until it is re-encoded into a fresh directory.  A
+manifest that is not JSON is an "unreadable manifest" issue.
+
 ``repair_store`` removes what is provably garbage (orphan manifests
 whose part is gone, stale tmp files, stale staging dirs) and
 nothing else — structural damage inside a part is reported, never
-auto-"fixed".  A ``_bloom/`` directory of per-part bloom sidecars
-(the layout before blooms moved into the manifests) is reported, not
-removed: the store has lost bloom pruning until it is re-encoded, and
-the sidecars are what a migration would read.
+auto-"fixed".
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import pyarrow as pa
 
 from ..sources.plan import (collect, execute, part_files, part_id, plan,
                             read_part)
-from ..state.manifest import Manifest, value_counts
+from ..state.manifest import Manifest, StoreFormatError, value_counts
 
 _STALE_S = 3600  # tmp/staging younger than this may be a live writer
 
@@ -80,10 +82,9 @@ class _CheckPart:
                 add(pid, f"blocks disagree on row count: {sorted(nvals)}")
             rows = next(iter(nvals)) if nvals else 0
             m = self.manifests.get(pid)
-            if m is not None and m.get("rows") not in (None, rows):
+            if m is not None and m["rows"] != rows:
                 add(pid, f"manifest rows {m['rows']} != block rows {rows}")
-            if self.deep and m is not None and \
-                    m.get("payload_digest") is not None:
+            if self.deep and m is not None:
                 from ..state.manifest import file_digest64
                 got = file_digest64(p)
                 if got != m["payload_digest"]:
@@ -112,11 +113,11 @@ class _CheckPart:
                              f"expected {rows}")
                 if m is None:
                     continue
-                nn = (m.get("nulls") or {}).get(name)
-                if nn is not None and arr.null_count != nn:
+                nn = m["nulls"].get(name, 0)
+                if arr.null_count != nn:
                     add(pid, f"{name}: manifest nulls {nn} != "
                              f"decoded {arr.null_count}")
-                zone = (m.get("zones") or {}).get(name)
+                zone = m["zones"].get(name)
                 if zone is not None and arr.null_count < len(arr):
                     from ..state.manifest import compute_zones
                     actual = compute_zones(pa.table({name: arr})) \
@@ -128,7 +129,7 @@ class _CheckPart:
                         add(pid, f"{name}: values escape zone "
                                  f"[{zone['min']}, {zone['max']}] — "
                                  "pushdown would skip matching rows")
-                counts = (m.get("values") or {}).get(name)
+                counts = m["values"].get(name)
                 if counts is not None:
                     actual = value_counts(arr)
                     if actual != counts:
@@ -138,9 +139,7 @@ class _CheckPart:
                         add(pid, f"{name}: manifest value counts differ "
                                  f"from the decoded column at {bad[:3]} — "
                                  "a metadata COUNT would be wrong")
-                blooms = m.get("blooms")
-                b = from_record(blooms.get(name)) \
-                    if isinstance(blooms, dict) else None
+                b = from_record(m["blooms"].get(name))
                 if b is not None and arr.null_count < len(arr):
                     distinct = pc.unique(arr.drop_null())
                     missed = len(distinct) - int(probe_bloom(
@@ -160,10 +159,14 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
     message)], counts: {...}, ok}.  Never mutates anything."""
     issues: list[tuple[str, str]] = []
     parts = _part_ids(store_dir)
-    manifests: dict = {}
-    if os.path.isdir(os.path.join(store_dir, "_manifest")):
-        for m in Manifest(store_dir).load_all():
-            manifests[m["part_id"]] = m
+    man, manifests = Manifest(store_dir), {}
+    for pid in sorted(man.done_parts()):
+        try:
+            manifests[pid] = man.load(pid)
+        except StoreFormatError as e:
+            issues.append((pid, f"store format: {e}"))
+        except (OSError, ValueError) as e:
+            issues.append((pid, f"unreadable manifest: {e}"))
     for pid in sorted(set(manifests) - parts):
         issues.append((pid, "orphan manifest (part file missing)"))
     now = time.time()
@@ -174,9 +177,6 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
         if f.startswith("_upsert-") and os.path.isdir(fp) \
                 and now - os.path.getmtime(fp) > _STALE_S:
             issues.append((f, "stale upsert staging dir"))
-        if f == "_bloom" and os.path.isdir(fp):
-            issues.append((f, "legacy bloom sidecars: bloom pruning lost "
-                              "until the store is re-encoded"))
     res = collect(execute(plan(store_dir, []),
                           _CheckPart(store_dir, manifests, deep)))
     if res is not None:
@@ -200,11 +200,9 @@ def repair_store(store_dir: str) -> dict:
     removed = []
     parts = _part_ids(store_dir)
     man = Manifest(store_dir)
-    if os.path.isdir(man.dir):
-        for f in sorted(os.listdir(man.dir)):
-            if f.endswith(".json") and f[:-len(".json")] not in parts:
-                os.remove(os.path.join(man.dir, f))
-                removed.append(os.path.join("_manifest", f))
+    for pid in sorted(man.done_parts() - parts):
+        os.remove(man._path(pid))
+        removed.append(os.path.relpath(man._path(pid), store_dir))
     now = time.time()
     for f in sorted(os.listdir(store_dir)):
         fp = os.path.join(store_dir, f)

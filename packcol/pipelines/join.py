@@ -313,8 +313,8 @@ def merge_join_plan(left_store: str, right_store: str, on: str,
     pairing — a right part containing key k has zone.min <= k <=
     zone.max, so it overlaps every left part whose zone contains k.
 
-    Parts without a key zone (all-null key, >256-char strings, older
-    stores) are handled conservatively, never lossily: an unzoned
+    Parts without a key zone (all-null key, >256-char strings, no
+    manifest) are handled conservatively, never lossily: an unzoned
     right part joins EVERY left item; an unzoned left part lists every
     right part.  Zone-kind mismatches (e.g. int vs str key) degrade
     the same way.
@@ -328,7 +328,7 @@ def merge_join_plan(left_store: str, right_store: str, on: str,
     from ..state.manifest import Manifest
 
     def _zoned(store, key):
-        zones = {m["part_id"]: m.get("zones", {}).get(key)
+        zones = {m["part_id"]: m["zones"].get(key)
                  for m in Manifest(store).load_all()}
         zoned, unzoned = [], []
         for path in part_files(store):
@@ -336,7 +336,7 @@ def merge_join_plan(left_store: str, right_store: str, on: str,
             if z is None:
                 unzoned.append(path)
             else:
-                zoned.append((z["min"], z["max"], z.get("kind"), path))
+                zoned.append((z["min"], z["max"], z["kind"], path))
         return zoned, unzoned
 
     right_on = right_on or on

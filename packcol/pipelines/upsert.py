@@ -106,6 +106,7 @@ def _transfer_part(src_dir: str, dst_dir: str, f: str,
     pid = part_id(f) or f
     man_src, man_dst = Manifest(src_dir), Manifest(dst_dir)
     if os.path.exists(man_src._path(pid)):
+        os.makedirs(man_dst.dir, exist_ok=True)
         transfer(man_src._path(pid), man_dst._path(pid))
     transfer(os.path.join(src_dir, f), os.path.join(dst_dir, f))
 
@@ -132,6 +133,9 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
     if key not in names:
         raise ValueError(f"key column {key!r} not in dataset schema "
                          f"{names}")
+    # a store of an older format raises here, before anything is
+    # published (the retire would raise after it)
+    plan(store_dir, []).manifests
     staging = os.path.join(store_dir, f"_upsert-{uuid.uuid4().hex[:12]}")
     try:
         w = write_encoded(
@@ -219,7 +223,7 @@ def attach_store(src_dir: str, dst_dir: str, *,
             continue  # byte-identical: keep dst's copy + manifest
         attached += 1
         if os.path.exists(man_src._path(pid)):
-            rows += int(man_src.load(pid).get("rows") or 0)
+            rows += man_src.load(pid)["rows"]
         _transfer_part(src_dir, dst_dir, f,
                        os.replace if move else shutil.copy2)
     return {"parts_attached": attached, "parts_deduped": deduped,

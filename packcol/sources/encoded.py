@@ -74,12 +74,8 @@ def encoded_schema(store_dir: str) -> pa.Schema:
                                 meta.column("params").to_pylist()):
             if name not in fields:
                 p = json.loads(params)
-                dt = p.get("dtype")
-                if dt is not None:
-                    try:
-                        fields[name] = str_to_type(dt)
-                    except ValueError:  # pre-r4 store-codec blocks
-                        pass
+                if p.get("dtype") is not None:
+                    fields[name] = str_to_type(p["dtype"])
                 elif p.get("dtype_ipc"):  # nested logical types
                     sch = pa.ipc.read_schema(pa.BufferReader(
                         bytes.fromhex(p["dtype_ipc"])))
@@ -170,20 +166,19 @@ def store_stats(store_dir: str) -> dict:
     bloom_parts: dict[str, int] = {}
     rows = orig = enc = 0
     for m in mans:
-        rows += m.get("rows", 0)
-        orig += m.get("orig_bytes", 0)
-        enc += m.get("enc_bytes", 0)
-        for col, codec in m.get("codecs", {}).items():
+        rows += m["rows"]
+        orig += m["orig_bytes"]
+        enc += m["enc_bytes"]
+        for col, codec in m["codecs"].items():
             codec_hist.setdefault(col, {})
             codec_hist[col][codec] = codec_hist[col].get(codec, 0) + 1
-        blooms = m.get("blooms")
-        for col in blooms if isinstance(blooms, dict) else ():
+        for col in m["blooms"]:
             bloom_parts[col] = bloom_parts.get(col, 0) + 1
-        for col, z in (m.get("zones") or {}).items():
+        for col, z in m["zones"].items():
             cur = zones.get(col)
             if cur is None:
                 zones[col] = dict(z)
-            elif cur.get("kind") == z.get("kind"):
+            elif cur["kind"] == z["kind"]:
                 cur["min"] = min(cur["min"], z["min"])
                 cur["max"] = max(cur["max"], z["max"])
     disk = sum(os.path.getsize(p) for p in part_files(store_dir))
@@ -213,8 +208,8 @@ def _part_rows(p) -> int:
     metadata read: the payload pages stay on disk)."""
     total = 0
     for path in p.parts:
-        m = p.manifests.get(path) or {}
-        if "rows" in m:
+        m = p.manifests.get(path)
+        if m is not None:
             total += m["rows"]
             continue
         t = read_part(path, fields=["n_values"])
@@ -630,49 +625,34 @@ def _agg_from_manifests(store_dir: str, aggs: dict, keys=(), p=None):
     caller takes the encoded-domain scan:
 
     * unfiltered, ungrouped COUNT(*) / MIN / MAX: the sum of the
-      manifests' row counts and the extremes of their zone maps (EXACT
-      per-part min/max, not sketches).  None when a part has no
-      manifest, when some part did not zone-map a MIN/MAX column (long
-      strings, uint64, all-null parts) or for a SUM.
+      listed parts' manifest row counts and the extremes of their zone
+      maps (EXACT per-part min/max, not sketches), from the plan's
+      cached manifests.  None when the store has no part or a part has
+      no manifest, when some part did not zone-map a MIN/MAX column
+      (long strings, uint64, all-null parts) or for a SUM.
     * COUNT(*) / COUNT(C), grouped by nothing or by C, under
       predicates that are all eq / IN / isnull / notnull on that same
       column C: ``_value_count_answer``.
 
     Returns a ``pa.Table`` typed like the scan path's answer."""
-    from ..state.manifest import Manifest
-
-    if keys or (p is not None and p.preds) or any(
+    p = plan(store_dir, []) if p is None else p
+    if keys or p.preds or any(
             s[0] == "count" and len(s) > 1 for s in aggs.values()):
-        return _value_count_answer(aggs, list(keys),
-                                   p if p is not None else
-                                   plan(store_dir, []))
-    for spec in aggs.values():
-        if spec[0] == "sum":
-            return None
-    man = Manifest(store_dir)
-    done = man.done_parts()
-    ids = []
-    for path in part_files(store_dir):
-        pid = part_id(path)
-        if pid not in done:
-            return None  # unmanifested part: metadata can't speak for it
-        ids.append(pid)
-    mans = [man.load(p) for p in sorted(ids)] if ids else \
-        [man.load(p) for p in sorted(done)]
-    if not mans:
+        return _value_count_answer(aggs, list(keys), p)
+    if any(spec[0] == "sum" for spec in aggs.values()):
         return None
+    mans = [p.manifests.get(f) for f in p.parts]
+    if not mans or None in mans:
+        return None  # unmanifested part: metadata can't speak for it
     need = {spec[1] for spec in aggs.values() if spec[0] in ("min", "max")}
     rows = 0
     zlo: dict[str, object] = {}
     zhi: dict[str, object] = {}
     kind: dict[str, dict] = {}
     for m in mans:
-        if "rows" not in m:
-            return None
-        rows += int(m["rows"])
-        zones = m.get("zones") or {}
+        rows += m["rows"]
         for col in need:
-            z = zones.get(col)
+            z = m["zones"].get(col)
             if z is None or (col in kind and
                              kind[col]["kind"] != z["kind"]):
                 return None  # un-mapped part could hold the true extreme
@@ -682,6 +662,8 @@ def _agg_from_manifests(store_dir: str, aggs: dict, keys=(), p=None):
             zhi[col] = z["max"] if col not in zhi else max(zhi[col],
                                                            z["max"])
     schema = encoded_schema(store_dir) if need else None
+    if need and not need <= set(schema.names):
+        return None  # the scan answers, or names the unknown column
     cols = {}
     for out, spec in aggs.items():
         if spec[0] == "count":
@@ -690,15 +672,7 @@ def _agg_from_manifests(store_dir: str, aggs: dict, keys=(), p=None):
         col = spec[1]
         v = zlo[col] if spec[0] == "min" else zhi[col]
         z = kind[col]
-        if col in schema.names:
-            target = schema.field(col).type
-        elif z["kind"] == "i64" and z.get("dt"):
-            # part files gone (metadata-only store): the zone itself
-            # recorded the logical type it was measured in
-            from ..codecs.base import str_to_type
-            target = str_to_type(z["dt"])
-        else:
-            target = pa.float64() if z["kind"] == "f64" else pa.string()
+        target = schema.field(col).type
         if z["kind"] == "i64":
             cols[out] = _int64_zone_value(int(v), target)
         else:  # "f64" / "str": zone stores the logical value directly
@@ -714,9 +688,9 @@ def _value_count_answer(aggs: dict, keys: list[str], p):
     per-part value counts that ``encode_pipeline.write_part`` records
     (manifest key ``"values"``; the NULL count is ``"nulls"``).
 
-    None, so the scan answers, when a kept part's manifest lacks
-    ``values[C]`` (a part written before the key existed, or a column
-    that is not a dict / rle string column of at most
+    None, so the scan answers, when a kept part has no manifest or its
+    manifest has no ``values[C]`` (a column that is not a dict / rle
+    string column of at most
     ``state/manifest.py::_VALUES_MAX`` values), when the shape names a
     second column (marginal counts cannot answer a cross-column AND),
     when an eq / IN value is not a ``str``, or when the plan keeps no
@@ -741,9 +715,9 @@ def _value_count_answer(aggs: dict, keys: list[str], p):
                       op if op == "notnull" else set(vals))
     total: dict = {}  # value (None: NULL) -> matching rows
     for path in p.parts:
-        m = p.manifests.get(path) or {}
-        counts = (m.get("values") or {}).get(col)
-        if counts is None or "nulls" not in m:
+        m = p.manifests.get(path)
+        counts = None if m is None else m["values"].get(col)
+        if counts is None:
             return None
         counts = {**counts, None: m["nulls"].get(col, 0)}
         sets = [set(counts) - {None} if w == "notnull" else w
@@ -920,12 +894,12 @@ def topk_encoded(store_dir: str, keys, k: int, *,
     p_all = plan(store_dir, [], "and")
     parts = []
     for f in p_all.parts:
-        m = p_all.manifests.get(f) or {}
-        parts.append({
-            "path": f,
-            "zone": (m.get("zones") or {}).get(key0),
-            "rows": m.get("rows"),
-            "nulls": m["nulls"].get(key0, 0) if "nulls" in m else None})
+        m = p_all.manifests.get(f)
+        # "sure": the part's rows with a non-null key; a part without a
+        # manifest has no zone and always scans
+        parts.append({"path": f, "zone": m and m["zones"].get(key0),
+                      "sure": m["rows"] - m["nulls"].get(key0, 0) if m
+                      else 0})
 
     def empty():
         return pa.table({n: pa.array([], type=schema.field(n).type)
@@ -956,23 +930,19 @@ def topk_encoded(store_dir: str, keys, k: int, *,
         return collect(execute(p_all.restrict([p["path"] for p in ps]),
                                task))
 
-    def guaranteed(p: dict) -> int:
-        if p["rows"] is None or p["nulls"] is None:
-            return 0  # pre-null-aware manifest: no non-null guarantee
-        return max(p["rows"] - p["nulls"], 0)
-
     # wave 1: zone-less parts (must scan) + minimal zone-ordered prefix
     wave = list(must)
-    need = k - sum(guaranteed(p) for p in must)
+    need = k - sum(p["sure"] for p in must)
     i = 0
     while i < len(known) and need > 0:
         wave.append(known[i])
-        need -= guaranteed(known[i])
+        need -= known[i]["sure"]
         i += 1
     cands = scan(wave)
     scanned = len(wave)
-    # correctness net for stores whose manifests lack row/null counts:
-    # keep extending in zone order until k candidates are in hand
+    # correctness net for a manifest out of date with its part (a
+    # concurrent rewrite): keep extending in zone order until k
+    # candidates are in hand
     while (cands is None or cands.num_rows < k) and i < len(known):
         nxt = known[i:i + max(len(wave), 8)]
         i += len(nxt)

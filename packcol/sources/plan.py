@@ -64,7 +64,7 @@ from ray.data.block import BlockAccessor
 from ray.data.dataset import MaterializedDataset
 
 from ..state import bloom
-from ..state.manifest import Manifest, zone_may_match
+from ..state.manifest import Manifest, StoreFormatError, zone_may_match
 
 # IN-lists longer than this are zone-tested on their [min, max]
 # envelope instead of value by value
@@ -171,12 +171,9 @@ def _zone_bounds(column: str, lo, hi, zone: dict):
         if isinstance(lo, (datetime.datetime, datetime.date)):
             # convert in the COLUMN's recorded logical type — guessing a
             # unit (us) against e.g. a timestamp[ns] zone would compare
-            # microseconds to nanoseconds and prune matching parts.
-            # Zones from older stores lack "dt": don't prune.
-            dt = zone.get("dt")
-            if dt is None:
-                return None
+            # microseconds to nanoseconds and prune matching parts
             from ..codecs.access import _predicate_int
+            dt = zone["dt"]
             try:
                 return (_predicate_int(lo, dt), _predicate_int(hi, dt))
             except (pa.ArrowInvalid, pa.ArrowNotImplementedError,
@@ -224,18 +221,14 @@ def _zone_ok(pred: tuple, m: dict | None) -> bool:
         return True
     col, op, lo, hi = pred
     if op in ("isnull", "notnull"):
-        if "nulls" not in m:  # pre-null-aware manifest
-            return True
         nn = m["nulls"].get(col, 0)
-        if op == "isnull":
-            return nn != 0
-        return not (nn >= m.get("rows", -1) >= 0)
-    counts = (m.get("values") or {}).get(col)
+        return nn != 0 if op == "isnull" else nn < m["rows"]
+    counts = m["values"].get(col)
     if counts is not None and op in ("eq", "in"):
         vals = (lo,) if op == "eq" else lo
         if all(isinstance(v, str) for v in vals):
             return any(v in counts for v in vals)
-    zone = (m.get("zones") or {}).get(col)
+    zone = m["zones"].get(col)
     if zone is None:
         return True
     if op == "in":
@@ -284,7 +277,7 @@ def _bloom_ok(m: dict | None, column: str, probe: tuple) -> bool:
     ``m`` proves no value of the probe is there; a column without a
     bloom is not probed."""
     vals, memo = probe
-    if vals is None or column not in (m or {}).get("blooms", ()):
+    if vals is None or m is None or column not in m["blooms"]:
         return True
     return bloom.bloom_may_contain(m, column, vals, memo)
 
@@ -307,9 +300,8 @@ def _bloom_keeps(m: dict | None, preds: list[tuple], probes: list,
 def _load_manifests(store_dir: str, paths: list[str]) -> dict[str, dict]:
     """{path: manifest} for the listed parts that have a readable one,
     through the per-process cache (``Manifest.cached``: shared,
-    read-only entries with decoded blooms)."""
-    if not os.path.isdir(os.path.join(store_dir, "_manifest")):
-        return {}
+    read-only entries with decoded blooms); ``StoreFormatError`` for a
+    store written by an older engine."""
     man = Manifest(store_dir)
     got = {p: man.cached(pid) for p in paths
            if (pid := part_id(p)) is not None}
@@ -356,7 +348,7 @@ class Plan:
     @property
     def record(self) -> dict:
         """What the scan reads, from metadata alone (``explain_scan``)."""
-        rows = {p: (self.manifests.get(p) or {}).get("rows", 0)
+        rows = {p: m["rows"] if (m := self.manifests.get(p)) else 0
                 for p in self.listed}
         return {
             "parts_total": len(self.listed),
@@ -611,14 +603,16 @@ def collect(res) -> pa.Table | None:
         if tabs else None
 
 
-def _block_columns(md: pq.FileMetaData) -> list | None:
-    """The column of each row group of a part (None for an empty one),
-    from the footer's ``column`` statistics; None unless every non-empty
-    row group is exactly one block's (min == max), as
-    ``write_part_file`` writes them."""
+def _block_columns(path: str, md: pq.FileMetaData) -> list:
+    """The column of each row group of the part at ``path`` (None for an
+    empty one), from the footer's ``column`` statistics.  Every
+    non-empty row group is exactly one block's (min == max), as
+    ``write_part_file`` writes them; a part that is not so raises
+    ``StoreFormatError``."""
     names = md.schema.names
     if "column" not in names:
-        return None
+        raise StoreFormatError(os.path.dirname(path),
+                               f"{path} is not a part file")
     j, out = names.index("column"), []
     for i in range(md.num_row_groups):
         rg = md.row_group(i)
@@ -627,32 +621,18 @@ def _block_columns(md: pq.FileMetaData) -> list | None:
             continue
         st = rg.column(j).statistics
         if st is None or not st.has_min_max or st.min != st.max:
-            return None
+            raise StoreFormatError(
+                os.path.dirname(path),
+                f"{path}: row group {i} is not one block")
         out.append(st.min)
     return out
 
 
-def _block_row_groups(md: pq.FileMetaData, columns) -> list[int] | None:
-    """The row groups of a part that hold the blocks of ``columns``;
-    None when the row groups are not one block each
-    (``_block_columns``)."""
-    names = _block_columns(md)
-    if names is None:
-        return None
-    return [i for i, c in enumerate(names) if c is not None
-            and c in columns]
-
-
 def part_columns(path: str) -> list[str]:
-    """The columns of one part file in block order, from its footer (a
-    part whose row groups are not one block each reads the ``column``
-    field)."""
+    """The columns of one part file in block order, from its footer."""
     with pq.ParquetFile(path) as pf:
-        names = _block_columns(pf.metadata)
-    if names is None:
-        names = read_part(path, fields=["column"]).column("column") \
-            .to_pylist()
-    return [c for c in names if c is not None]
+        return [c for c in _block_columns(path, pf.metadata)
+                if c is not None]
 
 
 def read_part(path: str, columns=None, fields=None) -> pa.Table:
@@ -660,18 +640,16 @@ def read_part(path: str, columns=None, fields=None) -> pa.Table:
     with ``columns`` only the blocks of those columns, with ``fields``
     only those fields of the block rows (``stages/encode.py::
     ENC_SCHEMA``).  The row groups are picked by index from the footer
-    (one per block), so the other blocks' payload pages stay on disk;
-    a part whose row groups are not one block each (an old
-    single-row-group part, or one without ``column`` statistics) takes
-    a parquet filter read instead."""
+    (one per block, ``_block_columns``), so the other blocks' payload
+    pages stay on disk.  Without ``columns`` every row group is read,
+    so any file of block rows reads (compact_columns' column files
+    too)."""
     with pq.ParquetFile(path) as pf:
         md = pf.metadata
-        idx = list(range(md.num_row_groups)) if columns is None else \
-            _block_row_groups(md, columns)
-        if idx is not None:
-            return pf.read_row_groups(idx, columns=fields)
-    return pq.read_table(path, columns=fields,
-                         filters=[("column", "in", sorted(columns))])
+        idx = range(md.num_row_groups) if columns is None else [
+            i for i, c in enumerate(_block_columns(path, md))
+            if c is not None and c in columns]
+        return pf.read_row_groups(list(idx), columns=fields)
 
 
 def read_blocks(path: str, columns=None) -> dict:

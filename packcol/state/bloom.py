@@ -17,17 +17,20 @@ False positives only cost a wasted scan; the filter NEVER produces
 false negatives (same contract as zone maps: best-effort, lossy-never).
 Hashing mirrors the reference's pack-then-hash design (hash the packed
 word, not the decoded string — /root/reference/src/naive_impl/hash.rs):
-values map to a 64-bit fingerprint (bytes: the rolling-hash
-``fingerprints``; ints: splitmix64 of the physical int64), and k bit
-positions derive from that ONE fingerprint by double hashing — the
-probe side hashes the predicate scalar identically, so build and probe
-agree by construction.
+values map to a 64-bit fingerprint (bytes: ``_sampled_fingerprint``;
+ints: splitmix64 of the physical int64), and k bit positions derive
+from that ONE fingerprint by double hashing — the probe side hashes the
+predicate scalar identically, so build and probe agree by construction.
 
-Record format (JSON-safe): ``{"bits": base64 of the little-endian
-packed bit array, "k", "n" (distinct keys), "hash" (kind), "dt"
-(the column's type)}``.  A manifest whose ``blooms`` is not a mapping
-(written when blooms lived in ``_bloom/`` sidecar files) carries no
-bloom and never prunes.
+Record format (JSON-safe), one per bloomed column of a manifest's
+``blooms`` map: ``{"bits": base64 of the little-endian packed bit
+array (a power-of-two number of bits), "k" (bit positions per key),
+"n" (distinct keys), "hash" (kind: ``HASH_I64`` or
+``HASH_BYTES_SAMPLED``), "dt" (the column's type)}``.  Every key is
+required; ``Manifest.load`` rejects a manifest whose ``blooms`` is not
+such a map (a store written when blooms lived in ``_bloom/`` sidecar
+files), and ``from_record`` turns a damaged record into no bloom,
+which never prunes.
 
 Probe cost: the plan's manifests come from the per-process manifest
 cache (``Manifest.cached``), which decodes a manifest's bloom bits once
@@ -44,15 +47,12 @@ import base64
 import numpy as np
 import pyarrow as pa
 
-HASH_BYTES = 0  # string / binary: rolling-hash fingerprint of the bytes
 HASH_I64 = 1    # int-like: splitmix64 of the physical int64
 # string / binary: splitmix64 chain over (length, first 16 B, last 16 B)
-# — O(64 B) scratch per row regardless of row length, vs the rolling
-# hash's ~24 B of scratch per INPUT byte.  Middle-only differences
-# collide, which for a bloom is just a false positive (wasted scan,
-# never a false negative).  New blooms build with this; the probe
-# side dispatches on the kind RECORDED with each bloom, so blooms
-# built before the change keep pruning correctly.
+# — O(64 B) scratch per row regardless of row length.  Middle-only
+# differences collide, which for a bloom is just a false positive
+# (wasted scan, never a false negative).  The probe side dispatches on
+# the kind recorded with each bloom.
 HASH_BYTES_SAMPLED = 2
 
 _BITS_PER_KEY = 10        # with k=7 → ~0.8% false-positive rate
@@ -113,15 +113,12 @@ def _sampled_fingerprint(arr: pa.Array) -> np.ndarray:
 def _fingerprint(arr: pa.Array, kind: int) -> np.ndarray:
     """uint64 fingerprint per value; nulls produce arbitrary values the
     caller must mask out (a null never equals a predicate scalar)."""
-    if kind in (HASH_BYTES, HASH_BYTES_SAMPLED):
+    if kind == HASH_BYTES_SAMPLED:
         if pa.types.is_binary(arr.type):  # same layout: zero-copy view
             arr = arr.view(pa.string())
         elif pa.types.is_large_binary(arr.type):
             arr = arr.view(pa.large_string())
-        if kind == HASH_BYTES_SAMPLED:
-            return _sampled_fingerprint(arr)
-        from ..functions.text import fingerprints
-        return fingerprints(arr)
+        return _sampled_fingerprint(arr)
     from ..codecs.forpack import to_int64_numpy
     from ..functions.text import _splitmix64
     v = to_int64_numpy(arr.combine_chunks()
@@ -180,10 +177,10 @@ def probe_bloom(bloom: dict, values: pa.Array,
     m_bits)``, shared by the probes of one value set (one op's parts)."""
     bits = bloom["bits"]
     m_bits = len(bits) << 3
-    key = (bloom["hash"], bloom.get("dt"), m_bits)
+    key = (bloom["hash"], bloom["dt"], m_bits)
     pos = None if memo is None else memo.get(key)
     if pos is None:
-        if bloom["hash"] == HASH_I64 and bloom.get("dt"):
+        if bloom["hash"] == HASH_I64:
             from ..codecs.base import str_to_type
             values = values.cast(str_to_type(bloom["dt"]))
         pos = _positions(_fingerprint(values, bloom["hash"]), m_bits)
@@ -212,7 +209,7 @@ def auto_bloom_columns(t: pa.Table, skip=()) -> list[str]:
         if name in skip or kind is None or len(col) == 0 or \
                 col.null_count == len(col):
             continue
-        if kind in (HASH_BYTES, HASH_BYTES_SAMPLED):
+        if kind == HASH_BYTES_SAMPLED:
             mean = pc.mean(pc.binary_length(col)).as_py()
             if mean is None or mean > _AUTO_MAX_MEAN_LEN:
                 continue
@@ -228,17 +225,19 @@ def to_record(b: dict) -> dict:
 
 def from_record(rec) -> dict | None:
     """A manifest bloom record as a probe-ready bloom; None when it is
-    not one (never prunes)."""
+    not one, or of a hash kind no probe knows (never prunes)."""
     try:
         bits = np.frombuffer(base64.b64decode(rec["bits"], validate=True),
                              dtype=np.uint8)
         b = {"bits": bits, "k": int(rec["k"]), "n": int(rec["n"]),
-             "hash": int(rec["hash"]), "dt": rec.get("dt") or None}
+             "hash": int(rec["hash"]), "dt": rec["dt"]}
     except (TypeError, KeyError, ValueError, AttributeError):
         return None
     # m_bits must be a power of two (``_positions`` masks with m - 1)
     n_bits = len(bits) << 3
-    return b if n_bits and not n_bits & (n_bits - 1) else None
+    ok = n_bits and not n_bits & (n_bits - 1) and \
+        b["hash"] in (HASH_I64, HASH_BYTES_SAMPLED)
+    return b if ok else None
 
 
 def bloom_may_contain(m: dict | None, column: str, values: pa.Array,
@@ -247,7 +246,7 @@ def bloom_may_contain(m: dict | None, column: str, values: pa.Array,
     cached manifest entry (``Manifest.cached``) is ``m``?  Conservative:
     no manifest / no bloom for the column / unhashable predicate type
     → True.  ``memo`` as for ``probe_bloom``."""
-    b = (m or {}).get("blooms", {}).get(column)
+    b = m["blooms"].get(column) if m is not None else None
     if b is None:
         return True
     try:

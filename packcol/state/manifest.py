@@ -8,16 +8,24 @@ partitions; the codec decision is a deterministic function of partition
 stats (stages/select.py), so re-encoding a partition reproduces
 byte-identical output (`params_hash` pins this).
 
-CAVEAT: resume identity is the part_id string.  If the id scheme
-changes between engine versions, resuming an old store re-encodes
-everything under the new ids BESIDE the old parts — duplicated rows.
-Don't resume a store written by a different scheme version; start a
-fresh output dir (or wipe) on upgrade.
+A manifest is the part's one metadata file.  Every writer records the
+key set ``_KEYS``: ``rows``, ``orig_bytes``, ``enc_bytes``, ``codecs``
+({column: codec}) and their ``params_hash``, the part file's
+``payload_digest`` (``file_digest64``), and four maps keyed by column:
+zones (an "i64" zone with its logical type ``dt``), ``nulls``, exact
+value counts (``values``) and ``blooms`` (state/bloom.py records, each
+with its ``dt``); lineage extras such as ``input`` ride along.
 
-A manifest is the part's one metadata file: rows, byte counts, codecs,
-zone map (``zones``), null counts (``nulls``), value counts
-(``values``) and bloom filters (``blooms``, state/bloom.py), the last
-four keyed by column.
+Store format: ``Manifest.load``, the one reader of manifest files, is
+the one place that knows it.  A manifest without the key set was
+written by an older engine (blooms in ``_bloom/`` sidecars, no
+``values``, zones without ``dt``): ``load`` raises
+:class:`StoreFormatError`, so every reader indexes the keys directly
+and no old store is resumed (resume identity is the part_id string;
+resuming under another id scheme would write duplicate rows BESIDE the
+old parts).  There is no migration: re-encode such a store into a
+fresh directory.  A part without a manifest is still read, and never
+pruned.
 
 Read cost: ``Manifest.cached`` keeps the manifests a process has read
 in a cache keyed by path and bounded by ``_CACHE_BYTES`` (least
@@ -30,10 +38,11 @@ delete rewrite a manifest under the same id.  Two rewrites within one
 timestamp tick could keep all three (the second reusing the inode the
 first freed), so on a filesystem with whole-second timestamps a
 manifest is cached only once it is older than ``_RACY_NS``; finer
-timestamps are taken to be finer than two rewrites.  A corrupt
-manifest is cached as none: its part is never pruned.  Entries are
+timestamps are taken to be finer than two rewrites.  A manifest that
+is not JSON is cached as none: its part is never pruned.  Entries are
 shared between callers and read-only; a writer that edits a manifest
-``load``s its own copy.
+``load``s its own copy.  Reading creates nothing: only ``record``
+makes the ``_manifest/`` directory.
 """
 
 from __future__ import annotations
@@ -61,6 +70,36 @@ _RACY_NS = 2_000_000_000
 _cache: collections.OrderedDict = collections.OrderedDict()
 _cache_bytes = 0
 _cache_lock = threading.Lock()
+# the keys every writer records (module docstring)
+_KEYS = ("rows", "orig_bytes", "enc_bytes", "zones", "nulls", "values",
+         "blooms", "codecs", "params_hash", "payload_digest")
+
+
+class StoreFormatError(Exception):
+    """A store written by an older engine (module docstring).  Not a
+    ``ValueError``, which readers take for a corrupt manifest."""
+
+    def __init__(self, store_dir: str, what: str):
+        super().__init__(
+            f"{store_dir}: {what}; the store was written by an older "
+            "packcol, whose format no reader accepts: re-encode it into "
+            "a fresh directory")
+
+
+def _format_gap(m: dict) -> str | None:
+    """What a parsed manifest lacks of the format every writer records,
+    or None when it has all of it."""
+    missing = [k for k in _KEYS if k not in m]
+    if missing:
+        return f"no {', '.join(missing)}"
+    recs = m["blooms"]
+    if not isinstance(recs, dict) or not all(
+            isinstance(r, dict) and "dt" in r for r in recs.values()):
+        return "blooms not a map of records with dt"
+    if not all("dt" in z for z in m["zones"].values()
+               if z.get("kind") == "i64"):
+        return "an i64 zone without dt"
+    return None
 
 
 def file_digest64(path: str) -> str:
@@ -90,13 +129,18 @@ def file_digest64(path: str) -> str:
 class Manifest:
     def __init__(self, out_dir: str):
         self.dir = os.path.join(out_dir, "_manifest")
-        os.makedirs(self.dir, exist_ok=True)
 
     def _path(self, part_id: str) -> str:
         return os.path.join(self.dir, f"{part_id}.json")
 
     def done_parts(self) -> set[str]:
-        return {f[:-5] for f in os.listdir(self.dir) if f.endswith(".json")}
+        """Ids of the parts that have a manifest (none without the
+        ``_manifest/`` directory)."""
+        try:
+            names = os.listdir(self.dir)
+        except FileNotFoundError:
+            return set()
+        return {f[:-5] for f in names if f.endswith(".json")}
 
     def record(self, part_id: str, meta: dict) -> None:
         # every writer records AFTER its part file lands, so this is
@@ -112,21 +156,33 @@ class Manifest:
             meta = {**meta, "payload_digest": file_digest64(part)}
         p = self._path(part_id)
         tmp = p + ".tmp"
+        os.makedirs(self.dir, exist_ok=True)
         with open(tmp, "w") as f:
             json.dump({"part_id": part_id, **meta}, f, sort_keys=True)
         os.replace(tmp, p)
 
     def load(self, part_id: str) -> dict:
         """The part's manifest as written, read from the file (a
-        private copy the caller may edit and ``record``)."""
+        private copy the caller may edit and ``record``).  Raises
+        ``StoreFormatError`` when it lacks the format every writer
+        records (module docstring), ``ValueError`` when it is not a
+        JSON object and ``OSError`` when it cannot be read."""
         with open(self._path(part_id)) as f:
-            return json.load(f)
+            m = json.load(f)
+        if not isinstance(m, dict):
+            raise ValueError(f"{self._path(part_id)}: not a JSON object")
+        gap = _format_gap(m)
+        if gap is not None:
+            raise StoreFormatError(os.path.dirname(self.dir),
+                                   f"manifest of part {part_id}: {gap}")
+        return m
 
     def cached(self, part_id: str) -> dict | None:
         """The part's manifest through the per-process cache (module
-        docstring), its ``blooms`` decoded (``bloom.from_record``; a
-        pre-embedded-bloom list decodes to none); None when the part has
-        no readable manifest.  The entry is shared: do not edit it."""
+        docstring), its ``blooms`` decoded (``bloom.from_record``);
+        None when the part has no manifest or one that is not JSON.
+        ``load``'s ``StoreFormatError`` propagates.  The entry is
+        shared: do not edit it."""
         global _cache_bytes
         p = self._path(part_id)
         now = time.time_ns()
@@ -147,16 +203,12 @@ class Manifest:
         except (OSError, ValueError):
             m = None
         size = st.st_size
-        if isinstance(m, dict):
+        if m is not None:
             from .bloom import from_record
-            recs = m.get("blooms")
             blooms = {c: b for c, b in ((c, from_record(r)) for c, r in
-                                        recs.items()) if b is not None} \
-                if isinstance(recs, dict) else {}
+                                        m["blooms"].items()) if b is not None}
             m = {**m, "blooms": blooms}
             size += sum(b["bits"].nbytes for b in blooms.values())
-        else:
-            m = None
         settled = st.st_mtime_ns % 10**9 or st.st_mtime_ns <= now - _RACY_NS
         with _cache_lock:
             old = _cache.pop(p, None)
@@ -180,8 +232,7 @@ def null_counts_of(t) -> dict:
     """{column: null_count} for the columns of one partition that have
     any nulls.  Stored under the manifest key "nulls"; an EMPTY dict
     still means "counted — zero nulls everywhere", which is what lets
-    IS [NOT] NULL pushdown prune parts, while a manifest missing the
-    key entirely (pre-null-aware store) prunes nothing."""
+    IS [NOT] NULL pushdown prune parts."""
     return {name: int(t.column(name).null_count)
             for name in t.column_names if t.column(name).null_count}
 

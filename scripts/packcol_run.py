@@ -432,7 +432,8 @@ def main() -> None:
     fs = sub.add_parser("fsck", help="store consistency audit: orphan "
                         "metadata, stale staging, block structure; "
                         "--deep proves zones/nulls against decoded "
-                        "values (pipelines/fsck.py)")
+                        "values (pipelines/fsck.py); exits 1 when the "
+                        "store is not ok")
     fs.add_argument("--encoded", required=True)
     fs.add_argument("--deep", action="store_true")
     fs.add_argument("--repair", action="store_true",
@@ -445,6 +446,7 @@ def main() -> None:
 
     args = p.parse_args()
     ray = _ray_init(args.num_cpus)
+    status = 0
 
     if args.cmd == "encode":
         from packcol.pipelines.encode_pipeline import encode_files
@@ -714,12 +716,14 @@ def main() -> None:
             out["repair"] = repair_store(args.encoded)
         out.update(check_store(args.encoded, deep=args.deep))
         print(json.dumps(out))
+        status = 0 if out["ok"] else 1
     elif args.cmd == "gen":
         from packcol.sources.webtext import write_webtext
         parts = args.parts or max(args.rows // 7500, 1)
         files = write_webtext(args.output, args.rows, parts, use_ray=True)
         print(json.dumps({"files": len(files), "rows": args.rows}))
     ray.shutdown()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -14,16 +14,21 @@ import pyarrow.parquet as pq
 import pytest
 
 from packcol.sources.webtext import write_webtext
-from packcol.state.bloom import (HASH_BYTES, HASH_I64, bloom_may_contain,
-                                 build_bloom, from_record, probe_bloom,
-                                 to_record)
-from packcol.state.manifest import Manifest
+from packcol.state.bloom import (HASH_BYTES_SAMPLED, HASH_I64,
+                                 bloom_may_contain, build_bloom, from_record,
+                                 probe_bloom, to_record)
+from packcol.state.manifest import Manifest, StoreFormatError
+
+# the rest of a manifest's key set, for manifests of no part file
+_NO_PART = {"rows": 0, "orig_bytes": 0, "enc_bytes": 0, "zones": {},
+            "nulls": {}, "values": {}, "codecs": {}, "params_hash": "",
+            "payload_digest": ""}
 
 
 def _write(store_dir, pid, blooms):
     """Record part ``pid``'s manifest holding ``blooms`` ({column:
     build_bloom result})."""
-    Manifest(store_dir).record(pid, {"blooms": {
+    Manifest(store_dir).record(pid, {**_NO_PART, "blooms": {
         c: to_record(b) for c, b in blooms.items()}})
 
 
@@ -37,7 +42,7 @@ def _may(store_dir, pid, column, values):
 
 def test_bloom_no_false_negatives_and_low_fpr():
     keys = pa.array([f"https://ex.com/p{i}" for i in range(5000)])
-    b = build_bloom(keys, HASH_BYTES)
+    b = build_bloom(keys, HASH_BYTES_SAMPLED)
     present = probe_bloom(b, keys)
     assert present.all()  # NEVER a false negative
     absent = probe_bloom(
@@ -48,7 +53,7 @@ def test_bloom_no_false_negatives_and_low_fpr():
 def test_bloom_distinct_sizing():
     # low-cardinality column → tiny filter (sized by DISTINCT keys)
     many_rows = pa.array(["de", "en", "fr"] * 10000)
-    b = build_bloom(many_rows, HASH_BYTES)
+    b = build_bloom(many_rows, HASH_BYTES_SAMPLED)
     assert b["n"] == 3
     assert len(b["bits"]) <= 64
 
@@ -66,20 +71,20 @@ def test_bloom_timestamp_unit_safety():
 
 def test_bloom_nulls_and_binary():
     arr = pa.array(["a", None, "b"])
-    b = build_bloom(arr, HASH_BYTES)
+    b = build_bloom(arr, HASH_BYTES_SAMPLED)
     assert b["n"] == 2
     bn = build_bloom(pa.array([b"\x00\xff", b"xy"], type=pa.binary()),
-                     HASH_BYTES)
+                     HASH_BYTES_SAMPLED)
     assert probe_bloom(bn, pa.array([b"\x00\xff"], type=pa.binary()))[0]
     assert build_bloom(pa.array([None, None], type=pa.string()),
-                       HASH_BYTES) is None
+                       HASH_BYTES_SAMPLED) is None
 
 
 def test_bloom_sidecar_roundtrip(tmp_path, fresh_cache):
     """A bloom survives the manifest record (JSON, base64 bits) and the
     cached manifest entry probes like the built bloom."""
     d = str(tmp_path)
-    b = build_bloom(pa.array(["k1", "k2"]), HASH_BYTES)
+    b = build_bloom(pa.array(["k1", "k2"]), HASH_BYTES_SAMPLED)
     _write(d, "p0", {"url": b})
     rec = Manifest(d).load("p0")["blooms"]["url"]
     assert isinstance(rec["bits"], str)
@@ -90,15 +95,19 @@ def test_bloom_sidecar_roundtrip(tmp_path, fresh_cache):
     assert _may(d, "p0", "url", pa.array(["k1"]))
     assert not _may(d, "p0", "url", pa.array(["nope"]))
     # conservative fallbacks: missing part / column / bad record /
-    # corrupt file / a list of columns (blooms kept outside the manifest)
+    # unknown hash kind / corrupt file
     assert _may(d, "zz", "url", pa.array(["nope"]))
     assert _may(d, "p0", "other", pa.array(["nope"]))
-    for bad in ({"bits": "%%", "k": 7, "n": 2, "hash": 0},
-                {**rec, "bits": rec["bits"][:8]}, {"k": 7}, "url"):
+    for bad in ({"bits": "%%", "k": 7, "n": 2, "hash": 2, "dt": "string"},
+                {**rec, "bits": rec["bits"][:8]}, {"k": 7}, "url",
+                {**rec, "hash": 0}, {k: v for k, v in rec.items()
+                                     if k != "dt"}):
         assert from_record(bad) is None
-    Manifest(d).record("p1", {"blooms": ["url"]})
-    assert Manifest(d).cached("p1")["blooms"] == {}
-    assert _may(d, "p1", "url", pa.array(["nope"]))
+    # a list of columns (blooms kept outside the manifest) is an older
+    # store format, which no read accepts
+    Manifest(d).record("p1", {**_NO_PART, "blooms": ["url"]})
+    with pytest.raises(StoreFormatError, match="re-encode"):
+        Manifest(d).cached("p1")
     with open(Manifest(d)._path("p0"), "w") as f:
         f.write("garbage")
     assert Manifest(d).cached("p0") is None
@@ -238,24 +247,20 @@ def test_bloom_columns_opt_out_and_explicit(tmp_path_factory, ray_session):
     assert list(got["url"]) == [url]
 
 
-def test_sampled_hash_build_and_legacy_probe_compat():
-    """New blooms build with HASH_BYTES_SAMPLED; a bloom recorded with
-    the legacy rolling-hash kind still probes correctly (the probe
-    dispatches on the kind stored WITH the bloom)."""
-    from packcol.state.bloom import (HASH_BYTES_SAMPLED, _hash_kind,
-                                     build_bloom, probe_bloom)
+def test_sampled_hash_build_and_probe():
+    """String blooms build with HASH_BYTES_SAMPLED and probe it with no
+    false negative and a low false-positive rate."""
+    from packcol.state.bloom import _hash_kind
     vals = pa.array([f"https://h{i}.example.com/p/{i*7}" for i in
                      range(500)] + ["", "x", "y" * 40])
-    assert _hash_kind(vals.type) == HASH_BYTES_SAMPLED
-    for kind in (HASH_BYTES, HASH_BYTES_SAMPLED):
-        b = build_bloom(vals, kind)
-        assert b["hash"] == kind
-        # zero false negatives on every inserted value, either kind
-        assert probe_bloom(b, vals).all()
-        misses = pa.array([f"https://miss{i}.other.org/{i}"
-                           for i in range(2000)])
-        fpr = probe_bloom(b, misses).mean()
-        assert fpr < 0.05, (kind, fpr)
+    kind = _hash_kind(vals.type)
+    assert kind == HASH_BYTES_SAMPLED
+    b = build_bloom(vals, kind)
+    assert b["hash"] == kind
+    assert probe_bloom(b, vals).all()
+    misses = pa.array([f"https://miss{i}.other.org/{i}"
+                       for i in range(2000)])
+    assert probe_bloom(b, misses).mean() < 0.05
 
 
 def test_sampled_hash_distinguishes_head_tail_len():
@@ -378,7 +383,7 @@ def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
     same path was cached never prunes."""
     d = str(tmp_path)
     _write(d, "p0", {"url": build_bloom(pa.array(["k1", "k2"]),
-                                        HASH_BYTES)})
+                                        HASH_BYTES_SAMPLED)})
     _age(d, "p0")
     nope = pa.array(["nope"])
     assert not _may(d, "p0", "url", nope)
@@ -391,7 +396,8 @@ def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
     assert _may(d, "p0", "url", nope)
     assert list(fresh_cache._cache.values())[0][1] is None
     # and a good rewrite after the garbage prunes again
-    _write(d, "p0", {"url": build_bloom(pa.array(["k3"]), HASH_BYTES)})
+    _write(d, "p0", {"url": build_bloom(pa.array(["k3"]),
+                                        HASH_BYTES_SAMPLED)})
     assert not _may(d, "p0", "url", nope)
     assert _may(d, "p0", "url", pa.array(["k3"]))
 
@@ -405,7 +411,8 @@ def test_cache_skips_racily_new_sidecar(tmp_path, fresh_cache):
     p = Manifest(d)._path("p0")
 
     def write(key):
-        _write(d, "p0", {"url": build_bloom(pa.array([key]), HASH_BYTES)})
+        _write(d, "p0", {"url": build_bloom(pa.array([key]),
+                                            HASH_BYTES_SAMPLED)})
         with open(p, "rb") as f:
             return f.read()
 
@@ -433,13 +440,10 @@ def test_memoized_probe_equals_unmemoized():
     different m_bits in one op, and timestamp[us] values against
     timestamp[ns] and timestamp[us] blooms (the dt cast)."""
     import datetime as dt
-    from packcol.state.bloom import HASH_BYTES_SAMPLED
     strs = [f"https://h{i}.example.com/{i}" for i in range(3000)]
     ts = [dt.datetime(2024, 1, 1) + dt.timedelta(minutes=i)
           for i in range(3000)]
     cases = [
-        (HASH_BYTES, [pa.array(strs[:40]), pa.array(strs)],
-         pa.array(strs[::97] + ["miss", ""])),
         (HASH_BYTES_SAMPLED, [pa.array(strs[:40]), pa.array(strs)],
          pa.array(strs[::97] + ["miss", ""])),
         (HASH_I64, [pa.array(np.arange(40, dtype=np.int64)),
@@ -477,7 +481,8 @@ def test_cache_byte_bound_evicts(tmp_path, monkeypatch, fresh_cache):
     d = str(tmp_path)
     for i in range(3):
         _write(d, f"p{i}", {"url": build_bloom(
-            pa.array([f"k{i}-{j}" for j in range(800)]), HASH_BYTES)})
+            pa.array([f"k{i}-{j}" for j in range(800)]),
+            HASH_BYTES_SAMPLED)})
     _age(d, "p0", "p1", "p2")
     size = max(_entry_bytes(d, f"p{i}") for i in range(3))
     monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)
@@ -505,7 +510,8 @@ def test_cache_bytes_consistent_under_threads(tmp_path, monkeypatch,
     d = str(tmp_path)
     for i in range(6):
         _write(d, f"p{i}", {"url": build_bloom(
-            pa.array([f"k{i}-{j}" for j in range(200)]), HASH_BYTES)})
+            pa.array([f"k{i}-{j}" for j in range(200)]),
+            HASH_BYTES_SAMPLED)})
     _age(d, *(f"p{i}" for i in range(6)))
     size = max(_entry_bytes(d, f"p{i}") for i in range(6))
     monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)

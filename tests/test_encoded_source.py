@@ -247,27 +247,33 @@ def test_per_block_row_groups_prune_projection(store, ray_session):
 
 def test_read_part_matches_filter_read(store, tmp_path):
     """read_part picks a part's row groups by index from the footer and
-    returns the table of the parquet filter read it replaces: on a
-    current-layout part, on a single-row-group part and on a part
-    without ``column`` statistics (both take the filter read)."""
-    from packcol.sources.plan import _block_row_groups, read_part
+    returns the table of the parquet filter read it replaces.  A part
+    whose row groups are not one block each (a single row group, or no
+    ``column`` statistics: an older layout) raises StoreFormatError on
+    a column read; a read of every row group takes any file of block
+    rows."""
+    from packcol.sources.plan import part_columns, read_part
+    from packcol.state.manifest import StoreFormatError
     _, out = store
     part = next(os.path.join(out, f) for f in sorted(os.listdir(out))
                 if f.endswith(".parquet"))
     enc = pq.read_table(part)
+    assert part_columns(part) == enc.column("column").to_pylist()
+    for cols in (["lang"], ["url", "warc_ts"], ["html", "nope"]):
+        want = pq.read_table(part, filters=[("column", "in", cols)])
+        assert read_part(part, cols).equals(want), cols
+        assert read_part(part, set(cols), ["column", "n_values"]) \
+            .equals(want.select(["column", "n_values"])), cols
     one_group = str(tmp_path / "part-one.parquet")
     pq.write_table(enc, one_group, row_group_size=None)
     no_stats = str(tmp_path / "part-nostats.parquet")
     pq.write_table(enc, no_stats, row_group_size=1, write_statistics=False)
-    for path, by_index in ((part, True), (one_group, False),
-                           (no_stats, False)):
-        md = pq.ParquetFile(path).metadata
-        assert (_block_row_groups(md, ["url"]) is not None) == by_index
-        for cols in (["lang"], ["url", "warc_ts"], ["html", "nope"]):
-            want = pq.read_table(path, filters=[("column", "in", cols)])
-            assert read_part(path, cols).equals(want), (path, cols)
-            assert read_part(path, set(cols), ["column", "n_values"]) \
-                .equals(want.select(["column", "n_values"])), (path, cols)
+    for path in (part, one_group, no_stats):
+        if path != part:
+            with pytest.raises(StoreFormatError, match="not one block"):
+                read_part(path, ["lang"])
+            with pytest.raises(StoreFormatError, match="re-encode"):
+                part_columns(path)
         assert read_part(path).equals(enc)
         assert read_part(path, fields=["column", "params"]).equals(
             enc.select(["column", "params"]))
@@ -466,31 +472,41 @@ def test_agg_encoded_avg(tmp_path, ray_session):
         df[df.user_id <= 9]["value"].mean())
 
 
-def test_agg_from_manifests_metadata_only(store, tmp_path, ray_session):
+def test_agg_from_manifests_metadata_only(store, tmp_path, monkeypatch,
+                                          ray_session):
     """Unfiltered ungrouped COUNT/MIN/MAX answer from manifests alone:
-    with every part FILE deleted (manifests kept), the answers still
-    come out — proof no part bytes are read on the fast path."""
+    no block payload is read (the one part read is the schema's
+    ``column`` / ``params`` fields), and a manifest whose part file is
+    gone (an orphan) is not counted, as no scan would count it."""
     import shutil
 
     import ray.data as rd
-    from packcol.sources.encoded import agg_encoded
+    from packcol.sources import encoded
+    from packcol.sources import plan as plan_mod
     wt, out = store
     exp = rd.read_parquet(wt).to_pandas()
-    ghost = str(tmp_path / "ghost_store")
-    shutil.copytree(out, ghost)
-    removed = 0
-    for f in os.listdir(ghost):
-        if f.endswith(".parquet"):
-            os.remove(os.path.join(ghost, f))
-            removed += 1
-    assert removed > 1
-    got = agg_encoded(ghost, aggs={"n": ("count",),
-                                   "first_ts": ("min", "warc_ts"),
-                                   "last_ts": ("max", "warc_ts")}) \
-        .to_pandas()
+    real, seen = plan_mod.read_part, []
+
+    def meta_only(path, columns=None, fields=None):
+        seen.append(fields)
+        return real(path, columns, fields)
+
+    aggs = {"n": ("count",), "first_ts": ("min", "warc_ts"),
+            "last_ts": ("max", "warc_ts")}
+    with monkeypatch.context() as m:
+        m.setattr(plan_mod, "read_part", meta_only)
+        m.setattr(encoded, "read_part", meta_only)
+        got = encoded.agg_encoded(out, aggs=aggs).to_pandas()
+    assert seen and all(f == ["column", "params"] for f in seen)
     assert got["n"].iloc[0] == len(exp)
     assert got["first_ts"].iloc[0] == exp["warc_ts"].min()
     assert got["last_ts"].iloc[0] == exp["warc_ts"].max()
+    ghost = str(tmp_path / "ghost_store")
+    shutil.copytree(out, ghost)
+    for f in plan_mod.part_files(ghost):
+        os.remove(f)
+    got = encoded.agg_encoded(ghost, aggs={"n": ("count",)}).to_pandas()
+    assert got["n"].iloc[0] == 0
 
 
 def test_agg_from_manifests_fallback_paths(store, ray_session):

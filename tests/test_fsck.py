@@ -60,23 +60,68 @@ def test_detects_orphans_and_stale(store):
     assert r2["ok"], r2["issues"]
 
 
-def test_reports_legacy_bloom_sidecars(store):
-    """A store written before blooms moved into the manifests keeps a
-    ``_bloom/`` directory of sidecars that no reader uses: check_store
-    reports the lost pruning and repair_store keeps the sidecars (a
-    migration reads them); a fresh store has no such issue."""
-    assert not any("legacy bloom" in m
-                   for _, m in check_store(store)["issues"])
-    os.makedirs(os.path.join(store, "_bloom"))
-    side = os.path.join(store, "_bloom", "x.npz")
-    np.savez(side, bits=np.zeros(8, np.uint8))
-    r = check_store(store)
-    assert not r["ok"]
-    assert [m for _, m in r["issues"]] == [
-        "legacy bloom sidecars: bloom pruning lost until the store is "
-        "re-encoded"]
+def test_reports_store_format(store):
+    """A manifest that ``Manifest.load`` rejects (an older store format:
+    here one without ``values``) is a "store format" issue that names
+    the fix, and one that is not JSON an "unreadable manifest" issue;
+    check_store never raises on either, and repair_store leaves both
+    (re-encoding is the fix, not a deletion)."""
+    from packcol.state.manifest import Manifest
+    man = Manifest(store)
+    old, bad = sorted(man.done_parts())[:2]
+    m = man.load(old)
+    del m["values"]
+    man.record(old, m)
+    with open(man._path(bad), "w") as f:
+        f.write("garbage")
+    for deep in (False, True):
+        r = check_store(store, deep=deep)
+        assert not r["ok"]
+        assert r["counts"] == {"store format": 1, "unreadable manifest": 1}
+        got = dict(r["issues"])
+        assert got[old].startswith(f"store format: {store}: manifest of "
+                                   f"part {old}: no values")
+        assert got[old].endswith("re-encode it into a fresh directory")
     repair_store(store)
-    assert os.path.exists(side)
+    assert os.path.exists(man._path(old)) and os.path.exists(man._path(bad))
+
+
+def _cli_main(monkeypatch, capsys, *args):
+    """(exit code, printed JSON) of ``scripts/packcol_run.py`` with
+    ``args``, run in this process on the session's Ray."""
+    import importlib.util
+    import sys
+
+    import ray
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "packcol_run.py")
+    spec = importlib.util.spec_from_file_location("packcol_run", path)
+    cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli)
+    monkeypatch.setattr(ray, "shutdown", lambda: None)
+    monkeypatch.setattr(sys, "argv", ["packcol_run.py", *args])
+    with pytest.raises(SystemExit) as e:
+        cli.main()
+    return e.value.code, json.loads(capsys.readouterr().out)
+
+
+def test_cli_fsck_exit_status(store, monkeypatch, capsys):
+    """``packcol_run.py fsck`` prints its report and exits 1 when the
+    store is not ok (an orphan manifest here), 0 when it is."""
+    code, out = _cli_main(monkeypatch, capsys, "fsck", "--encoded", store)
+    assert (code, out["ok"]) == (0, True)
+    part = sorted(f for f in os.listdir(store)
+                  if f.endswith(".parquet"))[0]
+    os.remove(os.path.join(store, part))
+    code, out = _cli_main(monkeypatch, capsys, "fsck", "--encoded", store)
+    assert (code, out["ok"]) == (1, False)
+    assert out["counts"] == {"orphan manifest": 1}
+    code, out = _cli_main(monkeypatch, capsys, "fsck", "--encoded", store,
+                          "--repair")
+    assert (code, out["ok"]) == (0, True)
+    assert out["repair"]["removed"] == [
+        os.path.join("_manifest", part[len("part-"):-len(".parquet")]
+                     + ".json")]
 
 
 def test_detects_corrupt_zone(store):
@@ -119,7 +164,7 @@ def test_detects_bloom_missing_values(store):
     """A manifest bloom that lacks a value of its column would make a
     point read skip the part holding it: the deep check probes every
     distinct value.  A ``blooms`` list (blooms kept outside the
-    manifest) holds no bloom and is no finding."""
+    manifest, an older store format) is a store format issue."""
     from packcol.state.bloom import build_bloom, to_record
     from packcol.state.manifest import Manifest
     man = Manifest(store)
@@ -136,7 +181,7 @@ def test_detects_bloom_missing_values(store):
     assert r["issues"][0][1].endswith("pushdown would skip matching rows")
     m["blooms"] = ["id"]
     man.record(pid, m)
-    assert check_store(store, deep=True)["ok"]
+    assert check_store(store, deep=True)["counts"] == {"store format": 1}
 
 
 def test_detects_row_count_mismatch(store):

@@ -32,14 +32,12 @@ _URLS = [f"https://d{i % 7}.example.com/p/{i}?q={i * 37 % 101}"
          for i in range(400)]
 
 
-def _legacy_fsst(arr: pa.Array, mp):
-    """An fsst block in the legacy single-round layout (``codes`` /
-    ``digrams`` params instead of ``rounds``)."""
+def _one_round_fsst(arr: pa.Array, mp):
+    """An fsst block of a single symbol-table round."""
     with mp.context() as m:
         m.setattr(fsst, "_MAX_ROUNDS", 1)
         enc = get_codec("fsst").encode(arr)
-    [[codes, digrams]] = enc.params.pop("rounds")
-    enc.params.update(codes=codes, digrams=digrams)
+    assert len(enc.params["rounds"]) == 1
     return enc
 
 
@@ -80,8 +78,8 @@ def blocks(tmp_path_factory) -> list:
         assert enc.codec == name
         out.append((name, enc))
     with pytest.MonkeyPatch.context() as m:
-        out.append(("fsst-legacy",
-                    _legacy_fsst(pa.array(_URLS[:120] + [None]), m)))
+        out.append(("fsst-1round",
+                    _one_round_fsst(pa.array(_URLS[:120] + [None]), m)))
     out.append(("toksep-shared",
                 _shared_toksep(words, str(tmp_path_factory.mktemp("sv")))))
     return out
@@ -205,7 +203,7 @@ def test_cut_to_few_rows_keeps_the_size_guard():
 def _later_round_bytes(enc) -> set:
     """Byte values used as a code by some round r ≥ 2 but not by
     round 1: the bytes a union-of-codes rejection gets wrong."""
-    rounds = fsst._rounds(enc.params)
+    rounds = enc.params["rounds"]
     first = set(rounds[0][0]) if rounds else set()
     return {c for codes, _ in rounds[1:] for c in codes} - first
 
@@ -280,10 +278,9 @@ def test_fsst_compressed_equality_binary_and_nulls():
     assert filter_eq(enc, b"").sum() == 2
 
 
-def test_fsst_compressed_equality_legacy_block(monkeypatch):
+def test_fsst_compressed_equality_one_round_block(monkeypatch):
     arr = pa.array(_URLS[:200] + [None, ""])
-    enc = _legacy_fsst(arr, monkeypatch)
-    assert "rounds" not in enc.params
+    enc = _one_round_fsst(arr, monkeypatch)
     for v in (_URLS[17], "", "nope"):
         np.testing.assert_array_equal(
             filter_eq(enc, v),
@@ -322,7 +319,7 @@ def test_expansion_table_matches_dict_build(webtext_store):
         if enc.codec != "fsst":
             continue
         n_blocks += 1
-        rounds = fsst._rounds(enc.params)
+        rounds = enc.params["rounds"]
         table, lens = fsst.build_expansion_table(rounds)
         for b, v in _dict_expansion_table(rounds).items():
             assert lens[b] == len(v)
