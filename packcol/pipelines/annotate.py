@@ -50,8 +50,7 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
                      add: dict | None = None,
                      drop: str | None = None,
                      replace: str | None = None) -> None:
-    """Merge one column in/out of the part's manifest entry; a part
-    without a manifest stays without one — pruning simply won't apply.
+    """Merge one column in/out of the part's manifest entry.
 
     ``replace`` names the column whose metadata the ``add`` dict is
     authoritative for: its old entries under every ``_COLUMN_KEYS`` key
@@ -64,10 +63,7 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
     wrongly prune parts, and a stale "values" entry would give a wrong
     metadata COUNT."""
     man = Manifest(store_dir)
-    try:
-        m = man.load(part_id)
-    except FileNotFoundError:
-        return
+    m = man.load(part_id)
     for key in _COLUMN_KEYS:
         d = m[key]
         if drop is not None:
@@ -166,10 +162,7 @@ def _rename_column(old: str, new: str, part_id: str, path: str,
         pa.array([new if n == old else n for n in names], pa.string()))
     write_part_file(path, enc)
     man = Manifest(os.path.dirname(path))
-    try:
-        m = man.load(part_id)
-    except FileNotFoundError:
-        return "renamed"
+    m = man.load(part_id)
     for key in _COLUMN_KEYS:
         if old in m[key]:
             m[key][new] = m[key].pop(old)
@@ -190,7 +183,7 @@ class _EditPart:
     def __call__(self, batch: pa.Table) -> pa.Table:
         pids, acts = [], []
         for p in batch.column("path").to_pylist():
-            pids.append(part_id_of(p) or os.path.basename(p))
+            pids.append(part_id_of(p))
             enc = read_part(p)
             acts.append(self.edit(pids[-1], p, enc,
                                   enc.column("column").to_pylist()))

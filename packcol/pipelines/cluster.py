@@ -42,7 +42,7 @@ import os
 
 import pyarrow as pa
 
-from ..state.manifest import Manifest
+from ..sources.plan import plan
 from .encode_pipeline import DatasetPartWriter
 
 
@@ -65,7 +65,7 @@ def key_zone_overlap(store_dir: str, key: str) -> dict:
     zones and count adjacent overlaps.  0 overlapping pairs == an eq
     probe can only ever survive in one part (plus exact-boundary
     ties)."""
-    zones = [m["zones"][key] for m in Manifest(store_dir).load_all()
+    zones = [m["zones"][key] for m in plan(store_dir, []).manifests.values()
              if key in m["zones"]]
     zones.sort(key=lambda z: (z["min"], z["max"]))
     overlaps, hi = 0, None

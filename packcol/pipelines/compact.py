@@ -25,8 +25,8 @@ import pyarrow.parquet as pq
 
 import ray.data as rd
 
-from ..sources.plan import (_executor, as_dataset, blocks, collect,
-                            execute_rows, read_part)
+from ..sources.plan import (as_dataset, blocks, collect, execute_rows, plan,
+                            read_part)
 from ..stages.encode import decode_rows, encoded_blocks
 
 
@@ -48,8 +48,8 @@ def compact_columns(enc_dir: str, dest_dir: str) -> dict:
     if os.path.isdir(shared_src):
         shutil.copytree(shared_src, os.path.join(dest_dir, "_shared"),
                         dirs_exist_ok=True)
-    files = [os.path.join(enc_dir, f) for f in sorted(os.listdir(enc_dir))
-             if f.endswith(".parquet")]
+    src = plan(enc_dir, [])
+    files = src.listed
 
     def write_group(group: pa.Table) -> pa.Table:
         col = group.column("column")[0].as_py()
@@ -61,7 +61,7 @@ def compact_columns(enc_dir: str, dest_dir: str) -> dict:
         return pa.table({"column": [col], "n_blocks": [group.num_rows],
                          "bytes": [os.path.getsize(dest)]})
 
-    if _executor(sum(map(os.path.getsize, files))) == "local":
+    if src.executor == "local":
         parts = [read_part(f) for f in files]
         t = pa.concat_tables(parts, promote_options="permissive") \
             if parts else None
@@ -144,14 +144,13 @@ def read_column(dest_dir: str, column: str):
 def recompact(enc_dir: str, dest_dir: str, merge_factor: int = 4) -> dict:
     """Merge every `merge_factor` adjacent parts into one larger part."""
     os.makedirs(dest_dir, exist_ok=True)
-    files = [os.path.join(enc_dir, f) for f in sorted(os.listdir(enc_dir))
-             if f.endswith(".parquet")]
-    groups = [files[i:i + merge_factor]
-              for i in range(0, len(files), merge_factor)]
+    src = plan(enc_dir, [])
+    groups = [src.listed[i:i + merge_factor]
+              for i in range(0, len(src.listed), merge_factor)]
     items = pa.table({
         "paths": pa.array(groups, pa.list_(pa.string())),
         "new_part_id": [f"c{i:05d}x{len(g)}" for i, g in enumerate(groups)]})
-    res = collect(execute_rows(items, sum(map(os.path.getsize, files)),
+    res = collect(execute_rows(items, src.planned_bytes,
                                RecompactGroup(dest_dir)))
     parts = res.to_pylist() if res is not None else []
     orig = sum(p["orig_bytes"] for p in parts)

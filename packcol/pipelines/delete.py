@@ -57,24 +57,17 @@ class _DeletePartTask(ScanPart):
         # mask True = row matches the predicate = DELETE
         store_dir = os.path.dirname(path)
         man = Manifest(store_dir)
-        pid = part_id(path) or os.path.basename(path)
+        pid = part_id(path)
         n_del = int(mask.sum())
         if n_del == len(mask):
             os.remove(path)
-            if os.path.exists(man._path(pid)):
-                os.remove(man._path(pid))
+            os.remove(man._path(pid))
             action = "removed"
         else:
-            old = {}
-            try:
-                old = man.load(pid)
-            except FileNotFoundError:
-                pass
+            old = man.load(pid)
             _rewrite(store_dir, path, pid, enc_of, ~mask, old, {
                 "rows_deleted_cum":
                     int(old.get("rows_deleted_cum", 0)) + n_del})
-            if part_id(path) is None:  # survivors now live in part-<pid>
-                os.remove(path)
             action = "rewritten"
         return pa.table({"action": [action], "rows_deleted": [n_del]})
 
@@ -85,10 +78,10 @@ class _DeletePartTask(ScanPart):
 
 def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
              keep: np.ndarray, old: dict, meta: dict) -> None:
-    """Rewrite part ``path`` as part ``pid`` holding the rows ``keep``,
+    """Rewrite part ``pid`` (its file ``path``) to hold the rows ``keep``,
     in the encoded domain (module docstring).  ``enc_of`` holds the
-    blocks the predicate read, ``old`` is the part's manifest ({} for a
-    part without one) and ``meta`` the new manifest's extras."""
+    blocks the predicate read, ``old`` is the part's manifest and
+    ``meta`` the new manifest's extras."""
     from ..codecs import decode_any, get_codec, subset_any
     from ..codecs.base import validity_from_bytes
     from ..stages.encode import block_rows
@@ -96,8 +89,8 @@ def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
     names = part_columns(path)
     enc_of = {**read_blocks(path, [c for c in names if c not in enc_of]),
               **enc_of}
-    blooms = list(old.get("blooms", ()))
-    only = {k: set(old.get(k, ())) for k in ("zones", "values")}
+    blooms = list(old["blooms"])
+    only = {k: set(old[k]) for k in ("zones", "values")}
     derived = only["zones"] | only["values"] | set(blooms)
     blocks, cols, nulls, kept = [], {}, {}, pa.array(keep)
     for name in names:

@@ -35,7 +35,6 @@ import pyarrow as pa
 
 from ..sources.plan import (LocalDataset, as_dataset, blocks, execute,
                             part_id, plan)
-from ..state.manifest import Manifest
 
 _FP_DRIVER_CAP = 16_000_000  # 8 B/fp → ~128 MB driver-side per side
 
@@ -50,7 +49,7 @@ def _part_identity(m: dict) -> tuple:
 
 
 def _manifests(store: str) -> dict[str, dict]:
-    return {m["part_id"]: m for m in Manifest(store).load_all()}
+    return {m["part_id"]: m for m in plan(store, []).manifests.values()}
 
 
 def diff_store_parts(a_dir: str, b_dir: str) -> dict:

@@ -376,7 +376,7 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
     else:
         import pandas as pd
         mt = pd.DataFrame({"rows": [], "orig_bytes": [], "enc_bytes": []})
-    entries = man.load_all()
+    entries = plan(out_dir, []).manifests.values()
     orig = sum(m["orig_bytes"] for m in entries)
     enc = sum(m["enc_bytes"] for m in entries)
     return {"parts": len(entries),
@@ -395,9 +395,11 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
 class DecodePartFile:
     """Task: one encoded part file path → decoded original table.
     With `columns`, only those encoded-block rows are read and decoded —
-    column pruning without touching other payloads.  A batch of no
-    parts (an empty plan) gives the typed empty block of ``columns``
-    (no columns without a projection)."""
+    column pruning without touching other payloads; a part that lacks
+    one of them (a part of another table in a heterogeneous store) adds
+    no row, as in ``part_mask``.  A batch of no such parts gives the
+    typed empty block of ``columns`` (no columns without a
+    projection)."""
 
     def __init__(self, columns: list[str] | None = None):
         self.columns = columns
@@ -406,9 +408,12 @@ class DecodePartFile:
         tables = []
         for p in batch.column("path").to_pylist():
             # unrequested blocks' payload pages are never read
+            enc = read_part(p, self.columns)
+            if self.columns is not None and not set(self.columns) <= \
+                    set(enc.column("column").to_pylist()):
+                continue
             tables.append(decode_rows(
-                read_part(p, self.columns),
-                expect_complete=self.columns is None,
+                enc, expect_complete=self.columns is None,
                 base_dir=os.path.dirname(p)))
         if not tables:
             return empty_block(self.columns or [], None)
@@ -445,10 +450,10 @@ def decode_files(out_dir: str, columns: list[str] | None = None,
     (one ``DecodePartFile`` call per part; no shuffle).  Pass `columns`
     to decode a projection only (pruning at the encoded-block level).
     With ``limit``, only the minimal prefix of parts whose manifest
-    row counts guarantee ≥limit rows is even planned (parts without a
-    recorded count are kept conservatively) — the caller still applies
-    ``Dataset.limit`` for the exact cut; this prunes the plan so a
-    head-style read of a 10^6-part store schedules O(1) tasks.
+    row counts guarantee ≥limit rows is even planned — the caller
+    still applies ``Dataset.limit`` for the exact cut; this prunes the
+    plan so a head-style read of a 10^6-part store schedules O(1)
+    tasks.
 
     Returns a :class:`~packcol.sources.plan.LocalDataset` when the
     plan ran in-process (``plan.execute``), else a lazy streaming
@@ -458,8 +463,7 @@ def decode_files(out_dir: str, columns: list[str] | None = None,
         prefix, got = [], 0
         for path in p.parts:
             prefix.append(path)
-            m = p.manifests.get(path)
-            got += m["rows"] if m else 0
+            got += p.manifests[path]["rows"]
             if got >= limit:
                 break
         p = p.restrict(prefix)
@@ -717,7 +721,7 @@ def spot_check_files(out_dir: str, k: int = 8) -> dict:
     (``check_store``), not checked here."""
     p = plan(out_dir, [])
     p = p.restrict([f for f in p.parts
-                    if (p.manifests.get(f) or {}).get("input")])
+                    if p.manifests[f].get("input")])
     n, bad = _sum_counts(execute(p, SpotCheckPart(p.manifests, k)))
     return {"checked": n, "mismatches": bad}
 

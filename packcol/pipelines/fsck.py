@@ -17,12 +17,16 @@ matching rows or counts come out wrong.
 A manifest that ``Manifest.load`` rejects (a store written by an older
 engine, state/manifest.py) is a "store format" issue: no reader
 accepts the store until it is re-encoded into a fresh directory.  A
-manifest that is not JSON is an "unreadable manifest" issue.
+manifest that is not JSON is an "unreadable manifest" issue.  A
+``*.parquet`` file that is not a committed part (no manifest, or a
+name other than ``part-<id>.parquet``; state/manifest.py) is reported
+too: no reader sees its rows.  Only the committed parts are audited.
 
 ``repair_store`` removes what is provably garbage (orphan manifests
 whose part is gone, stale tmp files, stale staging dirs) and
 nothing else — structural damage inside a part is reported, never
-auto-"fixed".
+auto-"fixed", and an uncommitted part file is left alone: it may hold
+the only copy of its rows.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ class _CheckPart:
             out["issue"].append(msg)
 
         for p in batch.column("path").to_pylist():
-            pid = part_id(p) or os.path.basename(p)
+            pid = part_id(p)
             try:
                 enc = read_part(p)
             except Exception as e:  # unreadable part is the finding
@@ -81,10 +85,10 @@ class _CheckPart:
             if len(nvals) > 1:
                 add(pid, f"blocks disagree on row count: {sorted(nvals)}")
             rows = next(iter(nvals)) if nvals else 0
-            m = self.manifests.get(pid)
-            if m is not None and m["rows"] != rows:
+            m = self.manifests[pid]
+            if m["rows"] != rows:
                 add(pid, f"manifest rows {m['rows']} != block rows {rows}")
-            if self.deep and m is not None:
+            if self.deep:
                 from ..state.manifest import file_digest64
                 got = file_digest64(p)
                 if got != m["payload_digest"]:
@@ -111,8 +115,6 @@ class _CheckPart:
                 if len(arr) != rows:
                     add(pid, f"{name}: decoded {len(arr)} rows, "
                              f"expected {rows}")
-                if m is None:
-                    continue
                 nn = m["nulls"].get(name, 0)
                 if arr.null_count != nn:
                     add(pid, f"{name}: manifest nulls {nn} != "
@@ -158,7 +160,8 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
     """Audit the store; returns {parts_total, issues: [(part_id|path,
     message)], counts: {...}, ok}.  Never mutates anything."""
     issues: list[tuple[str, str]] = []
-    parts = _part_ids(store_dir)
+    files = part_files(store_dir)
+    p = plan(store_dir, [])
     man, manifests = Manifest(store_dir), {}
     for pid in sorted(man.done_parts()):
         try:
@@ -167,8 +170,11 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
             issues.append((pid, f"store format: {e}"))
         except (OSError, ValueError) as e:
             issues.append((pid, f"unreadable manifest: {e}"))
-    for pid in sorted(set(manifests) - parts):
+    for pid in sorted(set(manifests) - set(map(part_id, files))):
         issues.append((pid, "orphan manifest (part file missing)"))
+    for f in sorted(set(files) - set(p.listed)):
+        issues.append((os.path.basename(f),
+                       "not a committed part: no reader sees it"))
     now = time.time()
     for f in sorted(os.listdir(store_dir)):
         fp = os.path.join(store_dir, f)
@@ -177,8 +183,10 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
         if f.startswith("_upsert-") and os.path.isdir(fp) \
                 and now - os.path.getmtime(fp) > _STALE_S:
             issues.append((f, "stale upsert staging dir"))
-    res = collect(execute(plan(store_dir, []),
-                          _CheckPart(store_dir, manifests, deep)))
+    # a part whose manifest does not load is reported above
+    res = collect(execute(
+        p.restrict([f for f in p.listed if part_id(f) in manifests]),
+        _CheckPart(store_dir, manifests, deep)))
     if res is not None:
         issues += list(zip(res.column("part_id").to_pylist(),
                            res.column("issue").to_pylist()))
@@ -186,7 +194,7 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
     for _, msg in issues:
         k = msg.split(":")[0].split("(")[0].strip()
         kinds[k] = kinds.get(k, 0) + 1
-    return {"parts_total": len(parts), "deep": deep,
+    return {"parts_total": len(p.listed), "deep": deep,
             "issues": [list(i) for i in issues], "counts": kinds,
             "ok": not issues}
 
@@ -194,8 +202,8 @@ def check_store(store_dir: str, *, deep: bool = False) -> dict:
 def repair_store(store_dir: str) -> dict:
     """Remove provably-garbage artifacts found by the metadata layer of
     ``check_store``: orphan manifests, stale tmp files, stale
-    staging dirs.  Structural issues inside parts are NOT touched.
-    Returns {removed: [paths]}."""
+    staging dirs.  Structural issues inside parts and uncommitted
+    part files are NOT touched.  Returns {removed: [paths]}."""
     import shutil
     removed = []
     parts = _part_ids(store_dir)

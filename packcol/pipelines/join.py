@@ -313,26 +313,22 @@ def merge_join_plan(left_store: str, right_store: str, on: str,
     pairing — a right part containing key k has zone.min <= k <=
     zone.max, so it overlaps every left part whose zone contains k.
 
-    Parts without a key zone (all-null key, >256-char strings, no
-    manifest) are handled conservatively, never lossily: an unzoned
-    right part joins EVERY left item; an unzoned left part lists every
-    right part.  Zone-kind mismatches (e.g. int vs str key) degrade
-    the same way.
+    Parts without a key zone (all-null key, >256-char strings) are
+    handled conservatively, never lossily: an unzoned right part joins
+    EVERY left item; an unzoned left part lists every right part.
+    Zone-kind mismatches (e.g. int vs str key) degrade the same way.
 
     Returns {"items": [{"lpath", "rpaths"}], "pairs", "max_fanout",
     "left_parts", "right_parts", "unzoned_left", "unzoned_right"}.
     On two well-clustered stores max_fanout is O(1) regardless of
     store size — the all-to-all shuffle a hash join would need never
     happens; at 10^6 parts per side the plan is one manifest sweep."""
-    from ..sources.plan import part_files, part_id
-    from ..state.manifest import Manifest
+    from ..sources.plan import plan
 
     def _zoned(store, key):
-        zones = {m["part_id"]: m["zones"].get(key)
-                 for m in Manifest(store).load_all()}
         zoned, unzoned = [], []
-        for path in part_files(store):
-            z = zones.get(part_id(path))
+        for path, m in plan(store, []).manifests.items():
+            z = m["zones"].get(key)
             if z is None:
                 unzoned.append(path)
             else:

@@ -13,15 +13,18 @@ Ordering is chosen for crash-safety, not elegance:
 
 1. **stage** — ``ds`` goes once through ``write_encoded`` into a
    private ``<store>/_upsert-<token>/`` staging store (invisible to
-   readers: they list only top-level ``*.parquet``), with the store's
-   codec choice (``_selection/codecs.json``) as codec overrides, so no
-   codec selection runs unless a column drifted out of its codec.  A
+   readers: they list the store's own committed parts), with the
+   store's codec choice (``_selection/codecs.json``) as codec
+   overrides, so no codec selection runs unless a column drifted out
+   of its codec.  A
    ``pa.Table``, a ``LocalDataset`` or a materialized Dataset of at
    most ``_LOCAL_PLAN_BYTES`` (``sources/plan.py::driver_table``) is
    staged in-process as one part; any other Dataset streams through a
    Ray Data ``map_batches``;
-2. **publish** — each staged part's manifest and part file rename
-   into the store (same filesystem, atomic per file);
+2. **publish** — each staged part moves into the store
+   (``_transfer_part``: a copy of its manifest, then the part file's
+   rename, which commits the part, then the staged manifest's
+   removal; same filesystem, atomic per file);
 3. **retire** — a key scan (``_KeyColDistinct``) over the published
    parts yields the replaced keys, and ``delete_where`` deletes them in
    bounded driver chunks (``_KEY_CHUNK`` distinct values per pass, each
@@ -96,19 +99,34 @@ class _KeyColDistinct(ScanPart):
         return pa.table({self.col: pa.array([], type=pa.string())})
 
 
-def _transfer_part(src_dir: str, dst_dir: str, f: str,
-                   transfer=os.replace) -> None:
-    """Move part file ``f`` (``transfer``: ``os.replace``, or a copy)
-    from store ``src_dir`` to ``dst_dir``: the manifest (the part's one
-    metadata file), then the part file last, so a part is never visible
-    without its pruning metadata (a missing manifest only degrades to
-    "cannot prune" anyway).  Overwrites what ``dst_dir`` holds."""
-    pid = part_id(f) or f
-    man_src, man_dst = Manifest(src_dir), Manifest(dst_dir)
-    if os.path.exists(man_src._path(pid)):
-        os.makedirs(man_dst.dir, exist_ok=True)
-        transfer(man_src._path(pid), man_dst._path(pid))
-    transfer(os.path.join(src_dir, f), os.path.join(dst_dir, f))
+def _transfer_part(src_dir: str, dst_dir: str, pid: str,
+                   move: bool = True) -> None:
+    """Move (``move=False``: copy) the committed part ``pid`` from store
+    ``src_dir`` to ``dst_dir``, overwriting what ``dst_dir`` holds: a
+    copy of the manifest lands first, then the part file, whose arrival
+    commits the part in ``dst_dir``; a move removes the source manifest
+    last.  Each file lands by an atomic rename, so a crash at any point
+    leaves the part committed in at least one of the two stores, and a
+    re-run of the move finishes it."""
+    man_src = Manifest(src_dir)._path(pid)
+    man_dst = Manifest(dst_dir)._path(pid)
+    os.makedirs(os.path.dirname(man_dst), exist_ok=True)
+    _copy_file(man_src, man_dst)
+    f = f"part-{pid}.parquet"
+    src, dst = os.path.join(src_dir, f), os.path.join(dst_dir, f)
+    if move:
+        os.replace(src, dst)
+        os.remove(man_src)
+    else:
+        _copy_file(src, dst)
+
+
+def _copy_file(src: str, dst: str) -> None:
+    """Copy ``src`` to ``dst`` through a writer-unique tmp and a rename,
+    so no reader sees ``dst`` half written."""
+    tmp = f"{dst}.tmp-{uuid.uuid4().hex[:8]}"
+    shutil.copyfile(src, tmp)
+    os.replace(tmp, dst)
 
 
 def upsert_encoded(store_dir: str, ds, key: str, *,
@@ -143,11 +161,9 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
             codec_overrides={**load_store_selection(store_dir),
                              **(codec_overrides or {})},
             bloom_columns=bloom_columns, rows_per_part=rows_per_part)
-        new_ids = []
-        for f in sorted(os.listdir(staging)):
-            if f.endswith(".parquet"):
-                new_ids.append(part_id(f) or f)
-                _transfer_part(staging, store_dir, f)
+        new_ids = [part_id(f) for f in plan(staging, []).listed]
+        for pid in new_ids:
+            _transfer_part(staging, store_dir, pid)
         # retire: replaced keys come from the just-published parts'
         # decoded key column (ds itself ran exactly once, above);
         # chunked so the driver never holds more than _KEY_CHUNK values
@@ -184,12 +200,13 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
 def attach_store(src_dir: str, dst_dir: str, *,
                  move: bool = True) -> dict:
     """Merge every part of ``src_dir`` into ``dst_dir`` — the publish
-    half of an upsert, standalone: per-part atomic renames (or copies
-    with ``move=False``), manifest first, payload file last.  The shard-combining shape at 100 TB: attaching a
+    half of an upsert, standalone: per part ``_transfer_part`` (a move,
+    or a copy with ``move=False``), so a crashed attach re-runs to
+    completion.  The shard-combining shape at 100 TB: attaching a
     1000-part shard to a million-part corpus is O(shard parts)
     metadata, zero decode, zero shuffle.
 
-    A part id present in BOTH stores coalesces when the files are
+    A part id committed in BOTH stores coalesces when the files are
     byte-identical (counted in ``parts_deduped``; the source copy is
     left in place) and raises otherwise — ids from ``encode_files``
     derive from input NAME + slice, so two different shards built from
@@ -205,16 +222,17 @@ def attach_store(src_dir: str, dst_dir: str, *,
             f"{src_dir} uses a shared-vocab sidecar; recompact it to "
             "self-describing parts before attaching")
     os.makedirs(dst_dir, exist_ok=True)
-    man_src = Manifest(src_dir)
+    src = plan(src_dir, [])
+    mans = src.manifests  # every one loads before the first move
+    # a part file dst holds without its manifest is not in dst: the
+    # transfer overwrites it, as a re-run of its writer would
+    committed = set(plan(dst_dir, []).listed)
     attached = deduped = rows = 0
-    for f in sorted(os.listdir(src_dir)):
-        if not f.endswith(".parquet"):
-            continue
-        pid = part_id(f) or f
+    for path in src.listed:
+        f = os.path.basename(path)
         dest = os.path.join(dst_dir, f)
-        if os.path.exists(dest):
-            if not filecmp.cmp(os.path.join(src_dir, f), dest,
-                               shallow=False):
+        if dest in committed:
+            if not filecmp.cmp(path, dest, shallow=False):
                 raise ValueError(
                     f"part id collision on {f}: source and destination "
                     "differ byte-wise — shards built from same-named "
@@ -222,9 +240,7 @@ def attach_store(src_dir: str, dst_dir: str, *,
             deduped += 1
             continue  # byte-identical: keep dst's copy + manifest
         attached += 1
-        if os.path.exists(man_src._path(pid)):
-            rows += man_src.load(pid)["rows"]
-        _transfer_part(src_dir, dst_dir, f,
-                       os.replace if move else shutil.copy2)
+        rows += mans[path]["rows"]
+        _transfer_part(src_dir, dst_dir, part_id(path), move)
     return {"parts_attached": attached, "parts_deduped": deduped,
             "rows_attached": rows}

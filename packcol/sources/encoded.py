@@ -58,32 +58,34 @@ import pyarrow as pa
 import ray.data as rd
 
 from .plan import (LocalDataset, ScanPart, as_dataset, collect, empty_block,
-                   execute, parse_filter, part_files, part_id, plan,
-                   read_part)
+                   execute, parse_filter, part_id, plan, read_part)
 
 
 def encoded_schema(store_dir: str) -> pa.Schema:
     """Logical schema of the decoded table, read from the stored
-    per-block params (metadata-only columns of one or more part files;
-    payloads are never touched)."""
+    per-block params (metadata-only columns of the committed parts;
+    payloads are never touched): part by part, until the fields cover
+    every column the manifests' ``codecs`` name, so a homogeneous store
+    reads one part and a heterogeneous one as many as its tables
+    need."""
     from ..codecs.base import str_to_type
+    p = plan(store_dir, [])
+    want = {c for m in p.manifests.values() for c in m["codecs"]}
     fields: dict[str, pa.DataType] = {}
-    for path in part_files(store_dir):
+    for path in p.listed:
+        if want <= fields.keys():
+            break
         meta = read_part(path, fields=["column", "params"])
         for name, params in zip(meta.column("column").to_pylist(),
                                 meta.column("params").to_pylist()):
             if name not in fields:
-                p = json.loads(params)
-                if p.get("dtype") is not None:
-                    fields[name] = str_to_type(p["dtype"])
-                elif p.get("dtype_ipc"):  # nested logical types
+                prm = json.loads(params)
+                if prm.get("dtype") is not None:
+                    fields[name] = str_to_type(prm["dtype"])
+                elif prm.get("dtype_ipc"):  # nested logical types
                     sch = pa.ipc.read_schema(pa.BufferReader(
-                        bytes.fromhex(p["dtype_ipc"])))
+                        bytes.fromhex(prm["dtype_ipc"])))
                     fields[name] = sch.field(0).type
-        # a complete part names every column; heterogeneous stores
-        # (mixed tables) keep scanning until no new names appear
-        if meta.num_rows and len(fields) >= meta.num_rows:
-            break
     return pa.schema(sorted(fields.items()))
 
 
@@ -159,8 +161,8 @@ def store_stats(store_dir: str) -> dict:
     manifests; only ``disk_bytes`` stats the part files.  The
     manifests' per-part value counts (``"values"``) are not summarized
     here: ``count_encoded`` / ``agg_encoded`` answer from them."""
-    from ..state.manifest import Manifest
-    mans = Manifest(store_dir).load_all()
+    p = plan(store_dir, [])
+    mans = [p.manifests[f] for f in p.listed]
     codec_hist: dict[str, dict[str, int]] = {}
     zones: dict[str, dict] = {}
     bloom_parts: dict[str, int] = {}
@@ -181,7 +183,7 @@ def store_stats(store_dir: str) -> dict:
             elif cur["kind"] == z["kind"]:
                 cur["min"] = min(cur["min"], z["min"])
                 cur["max"] = max(cur["max"], z["max"])
-    disk = sum(os.path.getsize(p) for p in part_files(store_dir))
+    disk = sum(os.path.getsize(f) for f in p.listed)
     return {"parts": len(mans), "rows": rows, "orig_bytes": orig,
             "enc_bytes": enc, "disk_bytes": disk,
             "ratio": round(orig / enc, 4) if enc else None,
@@ -202,30 +204,12 @@ class _CountPart(ScanPart):
         return pa.table({"n": pa.array([], pa.int64())})
 
 
-def _part_rows(p) -> int:
-    """The rows of the plan ``p``'s parts: each part's manifest row
-    count, or for a part without one any block's ``n_values`` (one
-    metadata read: the payload pages stay on disk)."""
-    total = 0
-    for path in p.parts:
-        m = p.manifests.get(path)
-        if m is not None:
-            total += m["rows"]
-            continue
-        t = read_part(path, fields=["n_values"])
-        if t.num_rows:
-            total += int(t.column("n_values")[0].as_py())
-    return total
-
-
 def count_encoded(store_dir: str, filter: tuple | None = None,
                   filter_any: list | None = None) -> int:
     """COUNT over the encoded store.
 
-    Without a filter this is pure metadata (``_part_rows``: the sum of
-    manifest row counts; parts missing a manifest fall back to one
-    n_values metadata read — the payload parquet column is never
-    touched).
+    Without a filter this is pure metadata: the sum of the manifest
+    row counts.
     With ``filter`` (AND) / ``filter_any`` (OR), the manifests' zone
     maps, value counts and blooms prune parts driver-side (``plan``).  When every
     predicate is an eq / IN / isnull / notnull on one and the same
@@ -238,7 +222,7 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     preds, mode = parse_filter(filter, filter_any)
     p = plan(store_dir, preds, mode)
     if not preds:
-        return _part_rows(p)
+        return sum(p.manifests[f]["rows"] for f in p.parts)
     fast = _agg_from_manifests(store_dir, {"n": ("count",)}, p=p)
     if fast is not None:
         return int(fast.column("n")[0].as_py())
@@ -299,7 +283,8 @@ class _AggPart(ScanPart):
         cols, mappings, out_types = {}, {}, {}
         if not self.keys:
             # any present block carries the part's row count (an
-            # OR-mode pred column may be absent from this part)
+            # OR-mode pred column may be absent from this part; a bare
+            # COUNT(*) is the manifests' answer and never scans)
             n = next(iter(enc_of.values())).n_values
             cols["__g"] = pa.array(np.zeros(
                 n if sel is None else len(sel), dtype=np.int64))
@@ -432,12 +417,6 @@ def _agg_merged(store_dir: str, keys: list[str], aggs: dict,
     fast = _agg_from_manifests(store_dir, aggs, keys, p)
     if fast is not None:
         return fast
-    if not keys and not preds and \
-            all(s[0] == "count" and len(s) == 1 for s in aggs.values()):
-        # COUNT(*) alone: the row count of a store with a part the
-        # manifests do not cover
-        n = _part_rows(p)
-        return pa.table({out: pa.array([n], pa.int64()) for out in aggs})
     task = _AggPart(keys, aggs, preds, mode)
     parts = execute(p, task)
     if not isinstance(parts, pa.Table):
@@ -627,9 +606,9 @@ def _agg_from_manifests(store_dir: str, aggs: dict, keys=(), p=None):
     * unfiltered, ungrouped COUNT(*) / MIN / MAX: the sum of the
       listed parts' manifest row counts and the extremes of their zone
       maps (EXACT per-part min/max, not sketches), from the plan's
-      cached manifests.  None when the store has no part or a part has
-      no manifest, when some part did not zone-map a MIN/MAX column
-      (long strings, uint64, all-null parts) or for a SUM.
+      cached manifests.  None when the store has no part, when some
+      part did not zone-map a MIN/MAX column (long strings, uint64,
+      all-null parts) or for a SUM.
     * COUNT(*) / COUNT(C), grouped by nothing or by C, under
       predicates that are all eq / IN / isnull / notnull on that same
       column C: ``_value_count_answer``.
@@ -641,9 +620,9 @@ def _agg_from_manifests(store_dir: str, aggs: dict, keys=(), p=None):
         return _value_count_answer(aggs, list(keys), p)
     if any(spec[0] == "sum" for spec in aggs.values()):
         return None
-    mans = [p.manifests.get(f) for f in p.parts]
-    if not mans or None in mans:
-        return None  # unmanifested part: metadata can't speak for it
+    mans = [p.manifests[f] for f in p.parts]
+    if not mans:
+        return None
     need = {spec[1] for spec in aggs.values() if spec[0] in ("min", "max")}
     rows = 0
     zlo: dict[str, object] = {}
@@ -688,16 +667,15 @@ def _value_count_answer(aggs: dict, keys: list[str], p):
     per-part value counts that ``encode_pipeline.write_part`` records
     (manifest key ``"values"``; the NULL count is ``"nulls"``).
 
-    None, so the scan answers, when a kept part has no manifest or its
-    manifest has no ``values[C]`` (a column that is not a dict / rle
-    string column of at most
-    ``state/manifest.py::_VALUES_MAX`` values), when the shape names a
-    second column (marginal counts cannot answer a cross-column AND),
-    when an eq / IN value is not a ``str``, or when the plan keeps no
-    part.  A manifest can be out of date with its part file between a
-    partial rewrite and its re-record (``delete_where``), so a
-    concurrent count may see the old counts there, as the manifest-row
-    COUNT(*) always could."""
+    None, so the scan answers, when a kept part's manifest has no
+    ``values[C]`` (a column that is not a dict / rle string column of
+    at most ``state/manifest.py::_VALUES_MAX`` values), when the shape
+    names a second column (marginal counts cannot answer a
+    cross-column AND), when an eq / IN value is not a ``str``, or when
+    the plan keeps no part.  A manifest can be out of date with its
+    part file between a partial rewrite and its re-record
+    (``delete_where``), so a concurrent count may see the old counts
+    there, as the manifest-row COUNT(*) always could."""
     cols = {c for c, *_ in p.preds} | set(keys) | \
         {s[1] for s in aggs.values() if len(s) > 1}
     if len(cols) != 1 or not p.parts or \
@@ -715,8 +693,8 @@ def _value_count_answer(aggs: dict, keys: list[str], p):
                       op if op == "notnull" else set(vals))
     total: dict = {}  # value (None: NULL) -> matching rows
     for path in p.parts:
-        m = p.manifests.get(path)
-        counts = None if m is None else m["values"].get(col)
+        m = p.manifests[path]
+        counts = m["values"].get(col)
         if counts is None:
             return None
         counts = {**counts, None: m["nulls"].get(col, 0)}
@@ -894,12 +872,10 @@ def topk_encoded(store_dir: str, keys, k: int, *,
     p_all = plan(store_dir, [], "and")
     parts = []
     for f in p_all.parts:
-        m = p_all.manifests.get(f)
-        # "sure": the part's rows with a non-null key; a part without a
-        # manifest has no zone and always scans
-        parts.append({"path": f, "zone": m and m["zones"].get(key0),
-                      "sure": m["rows"] - m["nulls"].get(key0, 0) if m
-                      else 0})
+        m = p_all.manifests[f]
+        # "sure": the part's rows with a non-null key
+        parts.append({"path": f, "zone": m["zones"].get(key0),
+                      "sure": m["rows"] - m["nulls"].get(key0, 0)})
 
     def empty():
         return pa.table({n: pa.array([], type=schema.field(n).type)
@@ -1011,7 +987,7 @@ class _SamplePart(ScanPart):
         import numpy as np
         from ..codecs import take_any
         from ..functions.text import _splitmix64
-        pid = part_id(path) or os.path.basename(path)
+        pid = part_id(path)
         n = next(iter(enc_of.values())).n_values
         # clamp: fraction*2^64 at 1.0 overflows uint64, and a <-compare
         # against 2^64-1 would still drop the one-in-2^64 max hash —

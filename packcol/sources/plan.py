@@ -1,8 +1,8 @@
 """Read-side planning of every encoded-domain scan.
 
 One function decides which parts of a store a scan opens.
-:func:`plan` lists the part files once, takes each part's manifest
-(its one metadata file) from the per-process manifest cache
+:func:`plan` lists the store's committed parts once, takes each part's
+manifest (its one metadata file) from the per-process manifest cache
 (``Manifest.cached``: one ``os.stat`` per part once warm), tests every
 predicate against the part's zone map, null counts and exact value
 counts, combines the tests by AND or OR, and probes the blooms the
@@ -38,8 +38,12 @@ Ray Data.  The write side takes the same bound the other way:
 in-process.  The ingest (``encode_files``) seeds the same Ray path
 (``_part_scan_seed``) at every size.
 
-Pruning is never lossy: a part without a manifest, zone, null count,
-value count or bloom is kept.
+A part is in the store once its manifest is (the commit rule,
+state/manifest.py): :func:`plan` lists the committed parts only, and
+is the one lister of a store's parts outside fsck.
+
+Pruning is never lossy: a part whose manifest has no zone, null count,
+value count or bloom for a predicate's column is kept.
 
 Predicate shapes (``filter=`` is a conjunction, ``filter_any=`` a
 disjunction; each takes one tuple or a list of them):
@@ -86,7 +90,9 @@ _LOCAL_PLAN_BYTES = 16 << 20
 
 
 def part_files(store_dir: str) -> list[str]:
-    """Paths of the store's part files, sorted by name."""
+    """Paths of every ``*.parquet`` file in the store directory, sorted
+    by name: the raw listing fsck audits.  A reader takes the committed
+    parts, ``plan(store_dir, []).listed``."""
     return [os.path.join(store_dir, f)
             for f in sorted(os.listdir(store_dir))
             if f.endswith(".parquet")]
@@ -94,7 +100,7 @@ def part_files(store_dir: str) -> list[str]:
 
 def part_id(path: str) -> str | None:
     """The id of a ``part-<id>.parquet`` file; None for any other name
-    (such a file has no manifest and is never pruned)."""
+    (such a file is never a committed part)."""
     base = os.path.basename(path)
     if not base.startswith("part-"):
         return None
@@ -208,7 +214,7 @@ def _range_ok(column: str, lo, hi, zone: dict) -> bool:
     return b is None or zone_may_match(zone, *b)
 
 
-def _zone_ok(pred: tuple, m: dict | None) -> bool:
+def _zone_ok(pred: tuple, m: dict) -> bool:
     """May the part whose manifest is ``m`` hold a row matching
     ``pred``?  IN-lists test each value (a scattered set such as IVF
     probe lists {3, 47} prunes the parts between its values), or their
@@ -217,8 +223,6 @@ def _zone_ok(pred: tuple, m: dict | None) -> bool:
     test membership instead; prefixes test the [prefix,
     successor(prefix)] interval; null tests read the manifest null
     counts.  Anything unprovable → True."""
-    if m is None:
-        return True
     col, op, lo, hi = pred
     if op in ("isnull", "notnull"):
         nn = m["nulls"].get(col, 0)
@@ -272,17 +276,17 @@ def bloom_probes(preds: list[tuple]) -> list[tuple]:
     return [(_probe_values(pred), {}) for pred in preds]
 
 
-def _bloom_ok(m: dict | None, column: str, probe: tuple) -> bool:
+def _bloom_ok(m: dict, column: str, probe: tuple) -> bool:
     """False when the bloom of ``column`` in the part's cached manifest
     ``m`` proves no value of the probe is there; a column without a
     bloom is not probed."""
     vals, memo = probe
-    if vals is None or m is None or column not in m["blooms"]:
+    if vals is None or column not in m["blooms"]:
         return True
     return bloom.bloom_may_contain(m, column, vals, memo)
 
 
-def _bloom_keeps(m: dict | None, preds: list[tuple], probes: list,
+def _bloom_keeps(m: dict, preds: list[tuple], probes: list,
                  mode: str, zone_ok: list[bool]) -> bool:
     """AND: no predicate is disproven.  OR: some predicate passes its
     zone test (``zone_ok``) and is not disproven.  ``probes`` is
@@ -297,22 +301,30 @@ def _bloom_keeps(m: dict | None, preds: list[tuple], probes: list,
 # the plan
 # ---------------------------------------------------------------------------
 
+def _committed(store_dir: str) -> list[str]:
+    """Paths of the store's committed parts (module docstring), sorted
+    by name: one listing of the store directory and one of
+    ``_manifest/``."""
+    names = {f"part-{pid}.parquet" for pid in Manifest(store_dir).done_parts()}
+    return [os.path.join(store_dir, f) for f in sorted(os.listdir(store_dir))
+            if f in names]
+
+
 def _load_manifests(store_dir: str, paths: list[str]) -> dict[str, dict]:
-    """{path: manifest} for the listed parts that have a readable one,
-    through the per-process cache (``Manifest.cached``: shared,
-    read-only entries with decoded blooms); ``StoreFormatError`` for a
-    store written by an older engine."""
+    """{path: manifest} of committed parts, through the per-process
+    cache (``Manifest.cached``: shared, read-only entries with decoded
+    blooms); ``StoreFormatError`` for a store written by an older
+    engine."""
     man = Manifest(store_dir)
-    got = {p: man.cached(pid) for p in paths
-           if (pid := part_id(p)) is not None}
-    return {p: m for p, m in got.items() if m is not None}
+    return {p: man.cached(part_id(p)) for p in paths}
 
 
 @dataclasses.dataclass
 class Plan:
     """One scan's pruning decision.  ``parts`` are the part paths the
-    scan opens, in name order; ``listed`` every part of the store.
-    Manifests load lazily for unfiltered plans, which prune nothing."""
+    scan opens, in name order; ``listed`` every committed part of the
+    store, and ``manifests`` their manifests by path.  Manifests load
+    lazily for unfiltered plans, which prune nothing."""
 
     store_dir: str
     preds: list[tuple]
@@ -348,8 +360,7 @@ class Plan:
     @property
     def record(self) -> dict:
         """What the scan reads, from metadata alone (``explain_scan``)."""
-        rows = {p: m["rows"] if (m := self.manifests.get(p)) else 0
-                for p in self.listed}
+        rows = {p: self.manifests[p]["rows"] for p in self.listed}
         return {
             "parts_total": len(self.listed),
             "rows_total": sum(rows.values()),
@@ -374,17 +385,16 @@ def plan(store_dir: str, preds: list[tuple], mode: str = "and") -> Plan:
     (combined by ``mode``, "and" | "or") must open; see the module
     docstring."""
     assert mode in ("and", "or"), mode
-    listed = part_files(store_dir)
+    listed = _committed(store_dir)
     if not preds:
         return Plan(store_dir, [], mode, listed, listed, [], len(listed))
     mans = _load_manifests(store_dir, listed)
-    ok = {p: [_zone_ok(pred, mans.get(p)) for pred in preds]
-          for p in listed}
+    ok = {p: [_zone_ok(pred, mans[p]) for pred in preds] for p in listed}
     combine = all if mode == "and" else any
     zoned = [p for p in listed if combine(ok[p])]
     probes = bloom_probes(preds)
     parts = [p for p in zoned
-             if _bloom_keeps(mans.get(p), preds, probes, mode, ok[p])]
+             if _bloom_keeps(mans[p], preds, probes, mode, ok[p])]
     out = Plan(store_dir, list(preds), mode, listed, parts,
                [sum(ok[p][i] for p in listed) for i in range(len(preds))],
                len(zoned))

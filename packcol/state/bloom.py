@@ -240,13 +240,13 @@ def from_record(rec) -> dict | None:
     return b if ok else None
 
 
-def bloom_may_contain(m: dict | None, column: str, values: pa.Array,
+def bloom_may_contain(m: dict, column: str, values: pa.Array,
                       memo: dict | None = None) -> bool:
     """Could ANY of ``values`` be in ``column`` of the part whose
     cached manifest entry (``Manifest.cached``) is ``m``?  Conservative:
-    no manifest / no bloom for the column / unhashable predicate type
-    → True.  ``memo`` as for ``probe_bloom``."""
-    b = m["blooms"].get(column) if m is not None else None
+    no bloom for the column / unhashable predicate type → True.
+    ``memo`` as for ``probe_bloom``."""
+    b = m["blooms"].get(column)
     if b is None:
         return True
     try:

@@ -24,8 +24,16 @@ written by an older engine (blooms in ``_bloom/`` sidecars, no
 and no old store is resumed (resume identity is the part_id string;
 resuming under another id scheme would write duplicate rows BESIDE the
 old parts).  There is no migration: re-encode such a store into a
-fresh directory.  A part without a manifest is still read, and never
-pruned.
+fresh directory.
+
+Commit rule: a part is in the store once both of its files exist,
+``part-<id>.parquet`` and ``_manifest/<id>.json``.  Every writer
+records the manifest after its part file lands, so the manifest's
+rename commits the part; a part that moves between stores (an
+upsert's publish, ``attach_store``) lands its manifest first, so
+there the part file's rename commits it.  Readers see only committed parts
+(``sources/plan.py::plan`` lists them); fsck reports a part file that
+no manifest commits.
 
 Read cost: ``Manifest.cached`` keeps the manifests a process has read
 in a cache keyed by path and bounded by ``_CACHE_BYTES`` (least
@@ -38,8 +46,7 @@ delete rewrite a manifest under the same id.  Two rewrites within one
 timestamp tick could keep all three (the second reusing the inode the
 first freed), so on a filesystem with whole-second timestamps a
 manifest is cached only once it is older than ``_RACY_NS``; finer
-timestamps are taken to be finer than two rewrites.  A manifest that
-is not JSON is cached as none: its part is never pruned.  Entries are
+timestamps are taken to be finer than two rewrites.  Entries are
 shared between callers and read-only; a writer that edits a manifest
 ``load``s its own copy.  Reading creates nothing: only ``record``
 makes the ``_manifest/`` directory.
@@ -65,7 +72,7 @@ _CACHE_BYTES = 64 << 20
 # to be finer than two rewrites of one manifest, each of which also
 # writes the part file
 _RACY_NS = 2_000_000_000
-# manifest path -> (stat signature, entry or None, bytes charged),
+# manifest path -> (stat signature, entry, bytes charged),
 # least recently used first
 _cache: collections.OrderedDict = collections.OrderedDict()
 _cache_bytes = 0
@@ -167,29 +174,29 @@ class Manifest:
         ``StoreFormatError`` when it lacks the format every writer
         records (module docstring), ``ValueError`` when it is not a
         JSON object and ``OSError`` when it cannot be read."""
-        with open(self._path(part_id)) as f:
-            m = json.load(f)
+        p = self._path(part_id)
+        with open(p) as f:
+            try:
+                m = json.load(f)
+            except ValueError as e:
+                raise ValueError(f"{p}: not JSON: {e}") from None
         if not isinstance(m, dict):
-            raise ValueError(f"{self._path(part_id)}: not a JSON object")
+            raise ValueError(f"{p}: not a JSON object")
         gap = _format_gap(m)
         if gap is not None:
             raise StoreFormatError(os.path.dirname(self.dir),
                                    f"manifest of part {part_id}: {gap}")
         return m
 
-    def cached(self, part_id: str) -> dict | None:
+    def cached(self, part_id: str) -> dict:
         """The part's manifest through the per-process cache (module
-        docstring), its ``blooms`` decoded (``bloom.from_record``);
-        None when the part has no manifest or one that is not JSON.
-        ``load``'s ``StoreFormatError`` propagates.  The entry is
-        shared: do not edit it."""
+        docstring), its ``blooms`` decoded (``bloom.from_record``).
+        ``load``'s errors propagate, and ``OSError`` when the manifest
+        is gone.  The entry is shared: do not edit it."""
         global _cache_bytes
         p = self._path(part_id)
         now = time.time_ns()
-        try:
-            st = os.stat(p)
-        except OSError:
-            return None
+        st = os.stat(p)
         sig = (st.st_ino, st.st_mtime_ns, st.st_size)
         with _cache_lock:
             hit = _cache.get(p)
@@ -198,17 +205,12 @@ class Manifest:
                 return hit[1]
         # the file read is at least as new as ``sig``, so an entry is
         # never older than the signature it is filed under
-        try:
-            m = self.load(part_id)
-        except (OSError, ValueError):
-            m = None
-        size = st.st_size
-        if m is not None:
-            from .bloom import from_record
-            blooms = {c: b for c, b in ((c, from_record(r)) for c, r in
-                                        m["blooms"].items()) if b is not None}
-            m = {**m, "blooms": blooms}
-            size += sum(b["bits"].nbytes for b in blooms.values())
+        from .bloom import from_record
+        m = self.load(part_id)
+        blooms = {c: b for c, b in ((c, from_record(r)) for c, r in
+                                    m["blooms"].items()) if b is not None}
+        m = {**m, "blooms": blooms}
+        size = st.st_size + sum(b["bits"].nbytes for b in blooms.values())
         settled = st.st_mtime_ns % 10**9 or st.st_mtime_ns <= now - _RACY_NS
         with _cache_lock:
             old = _cache.pop(p, None)
@@ -220,9 +222,6 @@ class Manifest:
                 while _cache_bytes > _CACHE_BYTES:
                     _cache_bytes -= _cache.popitem(last=False)[1][2]
         return m
-
-    def load_all(self) -> list[dict]:
-        return [self.load(p) for p in sorted(self.done_parts())]
 
 
 _ZONE_STR_MAX = 256  # don't zone-map long strings / binary payloads

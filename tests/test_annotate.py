@@ -121,7 +121,7 @@ def test_overwrite_replaces_stale_bloom(store):
     hold the new ones, and a point read would return nothing."""
     from packcol.pipelines.fsck import check_store
     from packcol.sources.encoded import explain_scan
-    from packcol.state.manifest import Manifest
+    from packcol.sources.plan import plan
     out, df = store
 
     def tagged(prefix):
@@ -129,7 +129,7 @@ def test_overwrite_replaces_stale_bloom(store):
             [f"{prefix}{v}" for v in t.column("id").to_pylist()])
 
     def blooms():
-        return [m["blooms"] for m in Manifest(out).load_all()]
+        return [m["blooms"] for m in plan(out, []).manifests.values()]
 
     add_column_encoded(out, "x", tagged("old"), ["id"], bloom=True)
     assert count_encoded(out, ("x", "==", "old5")) == 1

@@ -94,9 +94,8 @@ def test_bloom_sidecar_roundtrip(tmp_path, fresh_cache):
             {k: b[k] for k in ("k", "n", "hash", "dt")}
     assert _may(d, "p0", "url", pa.array(["k1"]))
     assert not _may(d, "p0", "url", pa.array(["nope"]))
-    # conservative fallbacks: missing part / column / bad record /
-    # unknown hash kind / corrupt file
-    assert _may(d, "zz", "url", pa.array(["nope"]))
+    # conservative fallbacks: missing column / bad record / unknown
+    # hash kind
     assert _may(d, "p0", "other", pa.array(["nope"]))
     for bad in ({"bits": "%%", "k": 7, "n": 2, "hash": 2, "dt": "string"},
                 {**rec, "bits": rec["bits"][:8]}, {"k": 7}, "url",
@@ -108,10 +107,14 @@ def test_bloom_sidecar_roundtrip(tmp_path, fresh_cache):
     Manifest(d).record("p1", {**_NO_PART, "blooms": ["url"]})
     with pytest.raises(StoreFormatError, match="re-encode"):
         Manifest(d).cached("p1")
+    # no manifest, or one that is not JSON, raises: a plan lists only
+    # committed parts, so a reader never probes a part without one
+    with pytest.raises(FileNotFoundError):
+        _may(d, "zz", "url", pa.array(["nope"]))
     with open(Manifest(d)._path("p0"), "w") as f:
         f.write("garbage")
-    assert Manifest(d).cached("p0") is None
-    assert _may(d, "p0", "url", pa.array(["nope"]))
+    with pytest.raises(ValueError, match="p0.json: not JSON"):
+        _may(d, "p0", "url", pa.array(["nope"]))
 
 
 # --------------------------------------------------------- access layer
@@ -159,6 +162,7 @@ def bstore(tmp_path_factory, ray_session):
 def test_encode_writes_bloom_sidecars(bstore):
     """Blooms live in the manifests; no ``_bloom/`` directory."""
     from packcol.sources.encoded import store_stats
+    from packcol.sources.plan import plan
     _, out, _ = bstore
     parts = len([f for f in os.listdir(out) if f.endswith(".parquet")])
     assert not os.path.exists(os.path.join(out, "_bloom"))
@@ -169,7 +173,8 @@ def test_encode_writes_bloom_sidecars(bstore):
     assert st["blooms"].get("url") == parts
     assert st["blooms"].get("warc_ts") == parts
     assert "lang" not in st["blooms"]
-    assert all("lang" in m["values"] for m in Manifest(out).load_all())
+    assert all("lang" in m["values"]
+               for m in plan(out, []).manifests.values())
     assert "html" not in st["blooms"] and "text" not in st["blooms"]
 
 
@@ -380,7 +385,7 @@ def test_cache_sees_annotate_rewrite(tmp_path, ray_session, fresh_cache):
 
 def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
     """A manifest overwritten with garbage after a good probe of the
-    same path was cached never prunes."""
+    same path was cached never prunes: every read of it raises."""
     d = str(tmp_path)
     _write(d, "p0", {"url": build_bloom(pa.array(["k1", "k2"]),
                                         HASH_BYTES_SAMPLED)})
@@ -390,11 +395,10 @@ def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
     assert len(fresh_cache._cache) == 1
     with open(Manifest(d)._path("p0"), "w") as f:
         f.write("garbage")
-    assert _may(d, "p0", "url", nope)
-    _age(d, "p0")  # cached as no manifest: still never prunes
-    assert _may(d, "p0", "url", nope)
-    assert _may(d, "p0", "url", nope)
-    assert list(fresh_cache._cache.values())[0][1] is None
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not JSON"):
+            _may(d, "p0", "url", nope)
+        _age(d, "p0")
     # and a good rewrite after the garbage prunes again
     _write(d, "p0", {"url": build_bloom(pa.array(["k3"]),
                                         HASH_BYTES_SAMPLED)})

@@ -90,7 +90,7 @@ def test_cluster_resume_marker(stores, ray_session):
 def test_cluster_improves_key_compression(stores):
     """The sorted key column encodes no worse than in arrival order
     (delta/RLE-friendly after the sort)."""
-    from packcol.state.manifest import Manifest
+    from packcol.sources.plan import plan
     _, src, dst, _ = stores
 
     def key_bytes(store):
@@ -110,7 +110,7 @@ def test_cluster_improves_key_compression(stores):
     assert key_bytes(dst) <= key_bytes(src) * 1.05
     # and the manifests record what the store is clustered on
     assert all(m.get("clustered_on") == "warc_ts"
-               for m in Manifest(dst).load_all())
+               for m in plan(dst, []).manifests.values())
 
 
 def test_cluster_composite_key(stores, ray_session, tmp_path):

@@ -139,8 +139,8 @@ def test_recompact_keeps_query_layer(ray_session, tmp_path):
     assert _agg_from_manifests(dest, {"m": ("max", "warc_ts")}) \
         is not None
     # blooms present in the merged parts' manifests
-    from packcol.state.manifest import Manifest
-    mans = Manifest(dest).load_all()
+    from packcol.sources.plan import plan
+    mans = list(plan(dest, []).manifests.values())
     parts = [f for f in os.listdir(dest) if f.endswith(".parquet")]
     assert len(mans) == len(parts) and all("url" in m["blooms"]
                                            for m in mans)

@@ -33,6 +33,28 @@ def test_encoded_schema(store):
         pa.types.is_binary(sch.field("html").type)
 
 
+def test_encoded_schema_heterogeneous(store, tmp_path, monkeypatch):
+    """A store of two tables, part a = {x, y} and part b = {z}: the
+    schema names every column its manifests name, and a read of z
+    returns b's rows.  A homogeneous store reads one part for it."""
+    from packcol.pipelines.encode_pipeline import write_part
+    from packcol.sources import encoded
+    s = str(tmp_path / "het")
+    os.makedirs(s)
+    write_part(s, "a", pa.table({"x": [1, 2], "y": ["p", "q"]}))
+    write_part(s, "b", pa.table({"z": [3.5, 4.5, 5.5]}))
+    assert encoded.encoded_schema(s) == pa.schema(
+        [("x", pa.int64()), ("y", pa.string()), ("z", pa.float64())])
+    got = encoded.read_encoded(s, columns=["z"]).to_pandas()
+    assert sorted(got["z"]) == [3.5, 4.5, 5.5]
+    read, seen = encoded.read_part, []
+    monkeypatch.setattr(encoded, "read_part",
+                        lambda p, **kw: seen.append(p) or read(p, **kw))
+    _, out = store
+    encoded.encoded_schema(out)
+    assert len(seen) == 1
+
+
 def test_read_encoded_full_scan_roundtrip(store, ray_session):
     import ray.data as rd
     from packcol.sources.encoded import read_encoded
@@ -532,14 +554,15 @@ def test_agg_from_manifests_fallback_paths(store, ray_session):
 def test_unfiltered_count_without_a_manifest(store, tmp_path,
                                             monkeypatch):
     """The unfiltered COUNT(*) of ``count_encoded`` and ``agg_encoded``
-    comes from the manifests alone while every part has one (no part
-    file is read), and from a part's ``n_values`` where its manifest
-    is missing."""
+    comes from the manifests alone (no part file is read), and a part
+    file whose manifest is gone is no committed part: neither count
+    nor a read sees its rows."""
     import shutil
 
     import ray.data as rd
     from packcol.sources import encoded
     from packcol.sources import plan as plan_mod
+    from packcol.state.manifest import Manifest
     wt, out = store
     n = rd.read_parquet(wt).count()
     s = str(tmp_path / "one_manifest_gone")
@@ -556,10 +579,13 @@ def test_unfiltered_count_without_a_manifest(store, tmp_path,
         m.setattr(plan_mod, "read_part", boom)
         m.setattr(encoded, "read_part", boom)
         assert encoded.count_encoded(s) == count_all() == n
-    man = os.path.join(s, "_manifest")
-    os.remove(os.path.join(man, sorted(
-        f for f in os.listdir(man) if f.endswith(".json"))[0]))
-    assert encoded.count_encoded(s) == count_all() == n
+    man = Manifest(s)
+    pid = sorted(man.done_parts())[0]
+    lost = man.load(pid)["rows"]
+    os.remove(man._path(pid))
+    assert encoded.count_encoded(s) == count_all() == n - lost \
+        == encoded.read_encoded(s).count()
+    assert encoded.store_stats(s)["rows"] == n - lost
 
 
 def test_empty_projection_raises(store, ray_session):

@@ -124,13 +124,37 @@ def test_cli_fsck_exit_status(store, monkeypatch, capsys):
                      + ".json")]
 
 
+def test_cli_fsck_reports_an_uncommitted_part(store, monkeypatch,
+                                               capsys):
+    """A part file without its manifest, or under a name other than
+    ``part-<id>.parquet``, is no committed part: fsck reports each and
+    exits 1, and repair leaves both files (they may hold the only copy
+    of their rows)."""
+    from packcol.state.manifest import Manifest
+    man = Manifest(store)
+    lost, renamed = sorted(man.done_parts())[:2]
+    os.remove(man._path(lost))
+    os.rename(os.path.join(store, f"part-{renamed}.parquet"),
+              os.path.join(store, "extra.parquet"))
+    expect = [[renamed, "orphan manifest (part file missing)"],
+              ["extra.parquet", "not a committed part: no reader sees it"],
+              [f"part-{lost}.parquet",
+               "not a committed part: no reader sees it"]]
+    code, out = _cli_main(monkeypatch, capsys, "fsck", "--encoded", store)
+    assert (code, out["issues"]) == (1, expect)
+    code, out = _cli_main(monkeypatch, capsys, "fsck", "--encoded", store,
+                          "--repair")
+    assert out["repair"]["removed"] == [
+        os.path.join("_manifest", f"{renamed}.json")]
+    assert (code, out["issues"]) == (1, expect[1:])
+
+
 def test_detects_corrupt_zone(store):
     """A lying zone map (claims max smaller than the data) is exactly
     the corruption that silently breaks pushdown — deep check flags."""
     from packcol.state.manifest import Manifest
     man = Manifest(store)
-    ms = man.load_all()
-    pid = ms[0]["part_id"]
+    pid = sorted(man.done_parts())[0]
     m = man.load(pid)
     m["zones"]["id"]["max"] = -1
     man.record(pid, m)
@@ -147,7 +171,7 @@ def test_detects_wrong_value_counts(store):
     from packcol.state.manifest import Manifest
     man = Manifest(store)
     assert check_store(store, deep=True)["issues"] == []
-    pid = man.load_all()[0]["part_id"]
+    pid = sorted(man.done_parts())[0]
     m = man.load(pid)
     assert set(m["values"]["lang"]) <= {"en", "de", "fr"}
     m["values"]["lang"]["en"] = m["values"]["lang"].get("en", 0) + 1
@@ -168,7 +192,7 @@ def test_detects_bloom_missing_values(store):
     from packcol.state.bloom import build_bloom, to_record
     from packcol.state.manifest import Manifest
     man = Manifest(store)
-    pid = man.load_all()[0]["part_id"]
+    pid = sorted(man.done_parts())[0]
     m = man.load(pid)
     assert "id" in m["blooms"]
     m["blooms"]["id"] = to_record(build_bloom(
@@ -187,7 +211,7 @@ def test_detects_bloom_missing_values(store):
 def test_detects_row_count_mismatch(store):
     from packcol.state.manifest import Manifest
     man = Manifest(store)
-    pid = man.load_all()[0]["part_id"]
+    pid = sorted(man.done_parts())[0]
     m = man.load(pid)
     m["rows"] = m["rows"] + 1
     man.record(pid, m)

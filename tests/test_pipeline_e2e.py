@@ -2,7 +2,6 @@
 checkpoint/resume, and the url-keyed text invariant (FIXTURES.md F4)."""
 
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -240,7 +239,7 @@ def test_zone_map_part_pruning(ray_session, tmp_path):
     import ray.data as rd
     from packcol.pipelines.encode_pipeline import encode_files
     from packcol.sources.encoded import read_encoded
-    from packcol.sources.plan import plan
+    from packcol.sources.plan import part_id, plan
 
     def survivors(lo, hi):
         return plan(out, [("id", "range", lo, hi)]).parts
@@ -265,12 +264,18 @@ def test_zone_map_part_pruning(ray_session, tmp_path):
     assert len(read_encoded(out, columns=["id"],
                             filter=("id", "between", 5000, 6000))
                .to_pandas()) == 0
-    # parts without a manifest are kept: never lossy
-    shutil.rmtree(os.path.join(out, "_manifest"))
-    assert len(survivors(150, 160)) == 4
-    got2 = read_encoded(out, columns=["id"],
-                        filter=("id", "between", 150, 160)).to_pandas()
-    assert sorted(got2["id"]) == list(range(150, 161))
+    # a part file without its manifest is no committed part: no plan
+    # lists it and no read sees its rows (state/manifest.py)
+    from packcol.pipelines.encode_pipeline import decode_files
+    from packcol.sources.encoded import count_encoded
+    (hit,) = survivors(150, 160)
+    os.remove(Manifest(out)._path(part_id(hit)))
+    assert hit not in plan(out, []).listed
+    assert survivors(150, 160) == []
+    assert len(read_encoded(out, columns=["id"],
+                            filter=("id", "between", 150, 160))
+               .to_pandas()) == 0
+    assert count_encoded(out) == decode_files(out).count() == 300
 
 
 def test_encode_files_null_heavy(ray_session, tmp_path):

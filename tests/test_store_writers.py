@@ -189,3 +189,59 @@ def test_trace_installs(tmp_path):
     assert {"pipelines.task", "state.zones", "pipelines.write"} <= \
         set(names["t1"]), names
     assert "stages.encode_table" not in names["t1"], names
+
+
+def test_a_part_without_its_manifest_is_not_committed(ray_session, webtext,
+                                                      tmp_path, monkeypatch):
+    """A write that dies after its part file lands and before its
+    manifest is recorded leaves a part that no reader sees: count, read,
+    agg and top-k answer as before the write, fsck reports the file,
+    and re-running the write commits the same content-addressed part
+    once."""
+    import datetime
+
+    from packcol.pipelines.encode_pipeline import write_encoded
+    from packcol.sources.encoded import (agg_encoded, count_encoded,
+                                         read_encoded, topk_encoded)
+    from packcol.state.manifest import Manifest
+    store = str(tmp_path / "enc")
+    encode_files(webtext, store)
+    new = pq.read_table(webtext[0]).slice(0, 20)
+    t0 = datetime.datetime(2030, 1, 1)
+    new = new.set_column(0, "url", pa.array(
+        [f"https://new.example/{i}" for i in range(20)]))
+    new = new.set_column(1, "warc_ts", pa.array(
+        [t0 + datetime.timedelta(seconds=i) for i in range(20)],
+        pa.timestamp("us")))
+
+    def answers():
+        return (count_encoded(store),
+                sorted(read_encoded(store, columns=["url"])
+                       .to_pandas()["url"]),
+                agg_encoded(store, group_by="lang", aggs={"n": ("count",)})
+                .to_pandas().sort_values("lang").values.tolist(),
+                topk_encoded(store, "warc_ts", 5, descending=True,
+                             columns=["url"]).column("url").to_pylist())
+
+    before = answers()
+
+    def crash(*_):
+        raise OSError("crash before the manifest")
+
+    with monkeypatch.context() as m:
+        m.setattr(Manifest, "record", crash)
+        with pytest.raises(OSError, match="crash before the manifest"):
+            write_encoded(new, store)
+    (lost,) = [os.path.basename(f) for f in part_files(store)
+               if os.path.basename(f).startswith("part-w-")]
+    assert answers() == before
+    assert fsck.check_store(store)["issues"] == [
+        [lost, "not a committed part: no reader sees it"]]
+    assert write_encoded(new, store)["parts"] == 1
+    assert [os.path.basename(f) for f in part_files(store)
+            if os.path.basename(f).startswith("part-w-")] == [lost]
+    assert count_encoded(store) == before[0] + 20
+    assert topk_encoded(store, "warc_ts", 1, descending=True,
+                        columns=["url"]).column("url").to_pylist() == \
+        ["https://new.example/19"]
+    assert fsck.check_store(store)["ok"]

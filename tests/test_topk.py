@@ -113,15 +113,27 @@ def test_topk_unknown_column_raises(store):
 
 
 def test_topk_without_manifests(store, tmp_path):
-    """Stores with no manifest dir (or no row/null counts) fall back to
-    the extend-until-k net and stay correct."""
+    """A part file whose manifest is gone is no committed part: the
+    top-k comes from the committed parts alone, even when the lost
+    part held the best keys."""
+    import os
     import shutil
+
+    from packcol.state.manifest import Manifest
     out, df = store
     bare = str(tmp_path / "bare")
     shutil.copytree(out, bare)
-    shutil.rmtree(f"{bare}/_manifest")
-    t = topk_encoded(bare, ["k_sorted"], 10, columns=["rid", "k_sorted"])
-    exp = _truth(df, ["k_sorted"], 10, columns=["rid", "k_sorted"])
+    man = Manifest(bare)
+    (pid,) = [p for p in man.done_parts()
+              if man.load(p)["zones"]["k_sorted"]["min"] == 0]
+    lost = man.load(pid)["zones"]["rid"]
+    os.remove(man._path(pid))
+    t, st = topk_encoded(bare, ["k_sorted"], 10,
+                         columns=["rid", "k_sorted"], return_stats=True)
+    assert st["parts_total"] == len(man.done_parts())
+    live = df[~df.rid.between(lost["min"], lost["max"])]
+    exp = _truth(live, ["k_sorted"], 10, columns=["rid", "k_sorted"])
+    assert exp.rid.min() > 0
     pd.testing.assert_frame_equal(t.to_pandas(), exp)
 
 

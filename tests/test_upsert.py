@@ -1,6 +1,7 @@
 """upsert_encoded: key-scoped MERGE over the encoded store."""
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -75,7 +76,7 @@ def test_metadata_is_one_manifest_per_part(tmp_path, ray_session, base_df):
                                                      "_selection"]
     pids = {part_id(p) for p in part_files(out)}
     assert Manifest(out).done_parts() == pids
-    for m in Manifest(out).load_all():
+    for m in map(Manifest(out).load, pids):
         assert {"id", "tag"} <= set(m["blooms"])
         assert all(isinstance(r["bits"], str) for r in m["blooms"].values())
 
@@ -452,6 +453,48 @@ def test_attach_store_union(tmp_path, ray_session):
     # zone pruning still works on the attached parts (manifests moved)
     from packcol.sources.encoded import count_encoded
     assert count_encoded(sa, ("id", "between", 300, 499)) == 200
+
+
+def test_attach_store_crash_reruns_to_completion(tmp_path, ray_session,
+                                                monkeypatch):
+    """An attach that dies before a part file's rename leaves the part
+    committed in the source; a re-run finishes the move.  A part file
+    the destination holds without its manifest is not in the
+    destination, so the attach commits the source's part over it."""
+    from packcol.pipelines import fsck
+    from packcol.pipelines.upsert import attach_store
+    from packcol.sources.encoded import count_encoded
+    from packcol.sources.plan import part_files
+    a = pd.DataFrame({"id": np.arange(0, 300, dtype=np.int64),
+                      "v": np.int64(1)})
+    b = pd.DataFrame({"id": np.arange(300, 500, dtype=np.int64),
+                      "v": np.int64(2)})
+    sa = _mkstore(tmp_path, a, name="cra")
+    sb = _mkstore(tmp_path, b, name="crb")
+    first = os.path.basename(part_files(sb)[0])
+    real = os.replace
+
+    def crash(src, dst):
+        if dst == os.path.join(sa, first):
+            raise OSError("crash before the part file")
+        real(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="crash before the part file"):
+            attach_store(sb, sa)
+    assert count_encoded(sb) == 200 and count_encoded(sa) == 300
+    r = attach_store(sb, sa)
+    assert r["rows_attached"] == 200
+    assert count_encoded(sa) == 500 and count_encoded(sb) == 0
+    assert fsck.check_store(sa)["ok"]
+    # an uncommitted copy of a source part in the destination
+    sc = _mkstore(tmp_path, b.assign(id=b.id + 1000), name="crc")
+    stray = part_files(sc)[0]
+    shutil.copyfile(stray, os.path.join(sa, os.path.basename(stray)))
+    r = attach_store(sc, sa)
+    assert r["parts_deduped"] == 0 and r["rows_attached"] == 200
+    assert count_encoded(sa) == 700 and fsck.check_store(sa)["ok"]
 
 
 def test_attach_store_dedupe_and_copy(tmp_path, ray_session):

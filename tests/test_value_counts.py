@@ -81,6 +81,8 @@ def _ops():
             out.append((f"count-{j}", lambda s, f=f: count_encoded(s, **f)))
         for i, a in enumerate(AGGS):
             for g in ("k", None):
+                if not f and g is None and i == 0:
+                    continue  # COUNT(*) alone: see _check_equivalent
                 out.append((f"agg-{j}-{i}-{g}", lambda s, f=f, a=a, g=g:
                             agg_encoded(s, group_by=g, aggs=a, **f)._table))
     return out
@@ -118,8 +120,14 @@ def _check_equivalent(store: str, monkeypatch, ops=None):
     ops = ops or _ops()
     with _scan_only(monkeypatch):
         want = {name: op(store) for name, op in ops}
+        # COUNT(*) alone is the manifests' row sum on every path: its
+        # scan twin counts the rows whose k is null or not
+        rows = count_encoded(store, filter_any=[("k", "isnull"),
+                                                ("k", "notnull")])
     with _no_reads(monkeypatch):
         got = {name: op(store) for name, op in ops}
+        assert agg_encoded(store, aggs=AGGS[0])._table.to_pylist() == \
+            [{"n": rows}]
     for name, _ in ops:
         if isinstance(want[name], int):
             assert got[name] == want[name], name
@@ -140,7 +148,7 @@ def _grouped(store: str, col: str = "k") -> dict:
 def test_metadata_answer_equals_scan(tmp_path, monkeypatch, seed):
     store = str(tmp_path / "s")
     truth = _random_store(store, seed)
-    for m in Manifest(store).load_all():
+    for m in plan_mod.plan(store, []).manifests.values():
         assert m["codecs"]["k"] in ("dict", "rle")
         assert "k" in m["values"] and None not in m["values"]["k"]
     _check_equivalent(store, monkeypatch)
@@ -203,7 +211,7 @@ def test_metadata_answer_after_annotate(tmp_path, monkeypatch, ray_session):
 
     def values(col):
         return [m.get("values", {}).get(col)
-                for m in Manifest(store).load_all()]
+                for m in plan_mod.plan(store, []).manifests.values()]
 
     add_column_encoded(store, "k2", _upper, ["k"])
     assert all(v is not None for v in values("k2"))
