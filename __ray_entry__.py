@@ -121,6 +121,17 @@ def _dna_ds(sf: str):
 # entry: flagship pipeline on synthetic webtext
 # ---------------------------------------------------------------------------
 
+def _tmp_store(name: str, sf: str) -> str:
+    """The /tmp store ``name`` of the dataset dir ``sf``.  The path
+    embeds the store format number (state/manifest.py::FORMAT), so a
+    store that an older packcol left there is never reused: every read
+    of it would raise ``StoreFormatError``."""
+    import hashlib
+    from packcol.state.manifest import FORMAT
+    tag = hashlib.sha1(os.path.abspath(sf).encode()).hexdigest()[:10]
+    return os.path.join("/tmp", f"packcol_{name}_f{FORMAT}_{tag}")
+
+
 def entry() -> Any:
     """Flagship: generate deterministic webtext, run the checkpointed
     encode → manifest → decode-verify pipeline, return per-part metrics."""
@@ -128,8 +139,9 @@ def entry() -> Any:
     from packcol.pipelines.encode_pipeline import encode_files, verify_files
     from packcol.sources.webtext import write_webtext
 
+    from packcol.state.manifest import FORMAT
     data_dir = "/tmp/packcol_entry/webtext"
-    out_dir = "/tmp/packcol_entry/encoded"
+    out_dir = f"/tmp/packcol_entry/encoded_f{FORMAT}"
     paths = write_webtext(data_dir, n_rows=4000, n_parts=4, seed=42)
     metrics = encode_files(paths, out_dir, target_bytes=2 << 20)
     inv = verify_files(out_dir)
@@ -467,11 +479,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         IN-list pushdown) in its exactness-forcing configuration
         (n_probe == n_lists scans every list) — the SQL-checkable
         entry for the index build/sidecar/probe plumbing."""
-        import hashlib
         from packcol.pipelines.ann_index import (build_ivf_store,
                                                  ivf_query_store)
-        tag = hashlib.sha1(os.path.abspath(sf).encode()).hexdigest()[:10]
-        out = os.path.join("/tmp", f"packcol_ivf_v1_{tag}")
+        out = _tmp_store("ivf_v1", sf)
         if not os.path.exists(os.path.join(out, "_ivf",
                                            "centroids.npz")):
             build_ivf_store(_read(sf, "embeddings"), out, n_lists=8,
@@ -489,11 +499,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         Exactness-forcing config (n_probe = n_lists, rerank
         everything) == brute force, so the full
         build/annotate/sidecar/ADC/re-rank path is SQL-checkable."""
-        import hashlib
         from packcol.pipelines.ann_index import (build_ivfpq_store,
                                                  ivfpq_query_store)
-        tag = hashlib.sha1(os.path.abspath(sf).encode()).hexdigest()[:10]
-        out = os.path.join("/tmp", f"packcol_ivfpq_v1_{tag}")
+        out = _tmp_store("ivfpq_v1", sf)
         if not os.path.exists(os.path.join(out, "_ivf", "pq.npz")):
             build_ivfpq_store(_read(sf, "embeddings"), out, n_lists=8,
                               m=4, nbits=6, vec_col="embedding",
@@ -754,13 +762,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # --- predicate pushdown into the ENCODED store -----------------------
     # (filters evaluated on packed codes / FOR deltas; only hits decode)
     def _encoded_store(sf, table):
-        import hashlib
         from packcol.pipelines.encode_pipeline import encode_files
         # the store path embeds the part-id SCHEME version: resuming a
         # store written under a different scheme would re-encode the
         # same rows beside the old parts (duplicates)
-        tag = hashlib.sha1(os.path.abspath(sf).encode()).hexdigest()[:10]
-        out = os.path.join("/tmp", f"packcol_store_v2_{table}_{tag}")
+        out = _tmp_store(f"store_v2_{table}", sf)
         encode_files([os.path.join(sf, f"{table}.parquet")], out,
                      resume=True)  # manifest-resumable: re-calls skip
         return out
@@ -804,7 +810,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
     q["filter_encoded_conj"] = filter_encoded_conj
 
     def filter_encoded_in(sf):
-        # IN-list pushdown: manifest blooms prune parts for point sets
+        # IN-list pushdown: manifest key sets prune parts for point sets
         # (zone maps can't on unclustered keys); surviving parts mask
         # packed codes directly — int bitpack AND string dict columns
         from packcol.sources.encoded import read_encoded
@@ -864,7 +870,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         """Store-native fact ⋈ dim (pipelines/join.py::join_encoded):
         BOTH sides read via the encoded-store source with projection +
         predicate pushdown, the filtered dim broadcasts, and its key
-        set is pushed INTO the fact read as an IN-list (bloom/zone
+        set is pushed INTO the fact read as an IN-list (key-set/zone
         part pruning + packed-code masking before any decode)."""
         from packcol.pipelines.join import join_encoded
         fs = _encoded_store(sf, "orders")
@@ -902,14 +908,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # write_encoded: ANY Dataset (here: a filtered projection — a
         # pipeline result, not a file) streams into a store readable by
         # the full source surface; content-addressed parts, manifests,
-        # zones, blooms
-        import hashlib
+        # zones, key sets
         import pyarrow.compute as pcc
         from packcol.pipelines.encode_pipeline import write_encoded
         from packcol.sources.encoded import read_encoded
         from packcol.sources.parquet import read_parquet_clean
-        tag = hashlib.sha1(os.path.abspath(sf).encode()).hexdigest()[:10]
-        dst = os.path.join("/tmp", f"packcol_sink_docs_{tag}")
+        dst = _tmp_store("sink_docs", sf)
         done = os.path.join(dst, "_SINK_DONE")
         if not os.path.exists(done):  # a bare dir could be a partial write
             import shutil
@@ -926,7 +930,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def filter_encoded_or(sf):
         # disjunction pushdown: survivor parts = UNION of per-disjunct
-        # zone/bloom survivors, masks OR on packed codes
+        # zone/key-set survivors, masks OR on packed codes
         from packcol.sources.encoded import read_encoded
         out = _encoded_store(sf, "events")
         return read_encoded(
@@ -1003,19 +1007,17 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def store_upsert_roundtrip(sf):
         # key-scoped MERGE (pipelines/upsert.py): updates replace rows
-        # in place via shielded retire deletes over zone/bloom-pruned
+        # in place via shielded retire deletes over zone/key-set-pruned
         # parts; inserts append as content-addressed parts with full
         # query-layer metadata.  Own store (never the shared cache —
         # this query MUTATES it), marker-guarded so re-runs only read.
-        import hashlib
         import pyarrow as pa
         import pyarrow.compute as pcc
         from packcol.pipelines.encode_pipeline import encode_files
         from packcol.pipelines.upsert import upsert_encoded
         from packcol.sources.encoded import read_encoded
         from packcol.sources.parquet import read_parquet_clean
-        tag = hashlib.sha1(os.path.abspath(sf).encode()).hexdigest()[:10]
-        dst = os.path.join("/tmp", f"packcol_upsert_ev_{tag}")
+        dst = _tmp_store("upsert_ev", sf)
         done = os.path.join(dst, "_UPSERT_DONE")
         if not os.path.exists(done):
             import shutil
@@ -1060,12 +1062,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # block's payload is copied verbatim — and it lands with zone
         # maps, so the returned read pushes the range predicate into
         # the annotated column.  Own store: annotate mutates it.
-        import hashlib
         from packcol.pipelines.annotate import add_column_encoded
         from packcol.pipelines.encode_pipeline import encode_files
         from packcol.sources.encoded import read_encoded
-        tag = hashlib.sha1(os.path.abspath(sf).encode()).hexdigest()[:10]
-        dst = os.path.join("/tmp", f"packcol_annot_docs_{tag}")
+        dst = _tmp_store("annot_docs", sf)
         done = os.path.join(dst, "_ANNOT_DONE")
         if not os.path.exists(done):
             import shutil

@@ -201,7 +201,7 @@ def ivfpq_query_store(store_dir: str, query: np.ndarray, k: int = 10,
        bytes/row decoded), ADC-scored per batch, each batch emits its
        local top-``rerank_k`` (driver merge O(rerank_k × batches));
     2. re-rank — ONLY the shortlisted ids' raw vectors read back via
-       the id IN-list pushdown (bloom + zone pruned) and exact cosine
+       the id IN-list pushdown (key-set + zone pruned) and exact cosine
        ranks the final k (returned scores are true cosines).
 
     rerank_k >= corpus with n_probe = n_lists reads and exactly ranks

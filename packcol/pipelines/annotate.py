@@ -8,9 +8,9 @@ rewrites ONLY that part's metadata plus the new column's encoded block
 the corpus with a quality score / token count / language tag" shape:
 the work is O(input columns + new column) per part, not O(row bytes),
 and the new column immediately joins the full query layer (zone maps,
-null counts, value counts, optional bloom, codec stats, pushdown).
+null counts, value counts, key set, codec stats, pushdown).
 Every per-column entry of the part's manifest (``_COLUMN_KEYS``,
-blooms included) is replaced, dropped and renamed as one.
+key sets included) is replaced, dropped and renamed as one.
 
 ``drop_column_encoded(store, name)`` is the inverse: the block row
 disappears from each part, n_cols and manifests adjust.  Payloads of
@@ -40,10 +40,11 @@ from ..sources.plan import (collect, execute, part_id as part_id_of, plan,
 from ..stages.encode import encoded_blocks
 from ..state.manifest import Manifest, compute_zones, null_counts_of, \
     params_hash, value_counts_of
+from ..state.bloom import key_columns
 from .encode_pipeline import build_part_blooms, write_part_file
 
 # the manifest entries keyed by column name (state/manifest.py)
-_COLUMN_KEYS = ("zones", "nulls", "codecs", "values", "blooms")
+_COLUMN_KEYS = ("zones", "nulls", "codecs", "values", "keys")
 
 
 def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
@@ -58,9 +59,9 @@ def _update_manifest(store_dir: str, part_id: str, enc: pa.Table,
     absent-in-manifest.  Without it, an overwrite whose recomputed
     column is no longer zonable (compute_zones omits all-null /
     long-string columns), whose null count dropped to 0 (null_counts_of
-    omits zero-null columns) or that was written without a bloom would
-    keep the STALE entry and let zone / notnull / bloom pushdown
-    wrongly prune parts, and a stale "values" entry would give a wrong
+    omits zero-null columns) or that gets no key set would keep the
+    STALE entry and let zone / notnull / key-set pushdown wrongly
+    prune parts, and a stale "values" entry would give a wrong
     metadata COUNT."""
     man = Manifest(store_dir)
     m = man.load(part_id)
@@ -85,7 +86,7 @@ def _set_n_cols(enc: pa.Table, n: int) -> pa.Table:
 
 
 def _add_column(name: str, fn, input_columns: list[str],
-                overwrite: bool, bloom: bool, part_id: str, path: str,
+                overwrite: bool, part_id: str, path: str,
                 enc: pa.Table, names: list[str]) -> str:
     """Edit: add ``name`` = ``fn(decoded input_columns)`` to one
     part."""
@@ -121,10 +122,10 @@ def _add_column(name: str, fn, input_columns: list[str],
     write_part_file(path, merged)
     codecs = dict(zip(new_enc.column("column").to_pylist(),
                       new_enc.column("codec").to_pylist()))
+    values = value_counts_of(new_t, codecs)
     add = {"zones": compute_zones(new_t), "nulls": null_counts_of(new_t),
-           "codecs": codecs, "values": value_counts_of(new_t, codecs),
-           "blooms": build_part_blooms(new_t, {},
-                                       [name] if bloom else None)}
+           "codecs": codecs, "values": values,
+           "keys": build_part_blooms(new_t, key_columns(new_t, values))}
     _update_manifest(os.path.dirname(path), part_id, merged, add=add,
                      replace=name)
     return "annotated"
@@ -206,8 +207,7 @@ def _run(store_dir: str, edit) -> dict:
 
 def add_column_encoded(store_dir: str, name: str, fn,
                        input_columns: list[str], *,
-                       overwrite: bool = False,
-                       bloom: bool = False) -> dict:
+                       overwrite: bool = False) -> dict:
     """Add derived column ``name`` = ``fn(decoded input_columns)`` to
     every part; see module doc.  Returns {parts_total,
     parts_annotated, parts_skipped}."""
@@ -218,7 +218,7 @@ def add_column_encoded(store_dir: str, name: str, fn,
         raise ValueError(f"unknown input column(s) {missing}; "
                          f"store has {sorted(schema.names)}")
     return _run(store_dir, functools.partial(
-        _add_column, name, fn, list(input_columns), overwrite, bloom))
+        _add_column, name, fn, list(input_columns), overwrite))
 
 
 def drop_column_encoded(store_dir: str, name: str) -> dict:

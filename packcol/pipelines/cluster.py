@@ -49,8 +49,8 @@ from .encode_pipeline import DatasetPartWriter
 class ClusterPartWriter(DatasetPartWriter):
     """Stateless task: one sorted batch -> one ``c-``-prefixed part
     whose manifest records the clustering key (``clustered_on``).
-    Blooms too: the sort clusters ONE key, so point lookups on every
-    OTHER column still need the bloom path."""
+    Key sets too: the sort clusters ONE key, so point lookups on every
+    OTHER column still need the key-set path."""
 
     prefix = "c-"
 

@@ -80,7 +80,7 @@ class RecompactGroup:
     """Task: a group of small encoded part files → decode → one bigger
     re-encoded part (deterministic: new part_id = joined old ids).
     Merged parts keep the full query layer: ``write_part`` rebuilds the
-    zone maps (part pruning + metadata MIN/MAX) and blooms (point
+    zone maps (part pruning + metadata MIN/MAX) and key sets (point
     lookups) from the decoded table in hand — without them a
     recompacted store silently degrades to full scans."""
 

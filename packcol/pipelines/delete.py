@@ -2,7 +2,7 @@
 
 ``delete_where(store, filter)`` removes every row matching the
 predicate while touching ONLY the parts that can possibly match: the
-same zone-map + bloom pruning the read path uses selects the affected
+same zone-map + key-set pruning the read path uses selects the affected
 parts driver-side (from the parts' manifests alone), each affected part
 evaluates the predicate on packed codes — in-process below the
 crossover (``sources/plan.py::execute``), else in Ray tasks — and then
@@ -17,7 +17,7 @@ crossover (``sources/plan.py::execute``), else in Ray tasks — and then
   the other codecs re-encode the survivors with the block's own codec)
   and swapped in atomically under the SAME part id through
   ``encode_pipeline.record_part``.  Each block is read once.  Only the
-  columns whose old manifest holds a zone, value counts or a bloom
+  columns whose old manifest holds a zone, value counts or a key set
   (and blocks that keep no validity bitmap) are decoded, to rebuild
   exactly those entries: a column never gains one by losing rows.
   The other columns take their null counts from the cut blocks'
@@ -89,9 +89,8 @@ def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
     names = part_columns(path)
     enc_of = {**read_blocks(path, [c for c in names if c not in enc_of]),
               **enc_of}
-    blooms = list(old["blooms"])
-    only = {k: set(old[k]) for k in ("zones", "values")}
-    derived = only["zones"] | only["values"] | set(blooms)
+    only = {k: set(old[k]) for k in ("zones", "values", "keys")}
+    derived = only["zones"] | only["values"] | only["keys"]
     blocks, cols, nulls, kept = [], {}, {}, pa.array(keep)
     for name in names:
         sub = subset_any(enc_of[name], keep)
@@ -109,14 +108,14 @@ def _rewrite(store_dir: str, path: str, pid: str, enc_of: dict,
             nulls[name] = n_null
         blocks.append((name, sub, nbytes))
     record_part(store_dir, pid, block_rows(pid, blocks), pa.table(cols),
-                nulls, bloom_columns=blooms, only=only, meta=meta)
+                nulls, only=only, meta=meta)
 
 
 def delete_where(store_dir: str, filter,
                  exclude_parts: set[str] | None = None) -> dict:
     """Delete every row of the store matching ``filter`` (same shapes
     as ``read_encoded``: a predicate tuple or a list = conjunction).
-    Only zone/bloom-surviving parts are even opened; see module doc.
+    Only zone/key-set-surviving parts are even opened; see module doc.
     ``filter`` None raises ValueError: a delete names its rows.
     ``exclude_parts`` (part ids) are never touched even when they
     match — the upsert pipeline uses it to shield freshly inserted

@@ -40,6 +40,7 @@ from ..sources.plan import (ScanPart, as_dataset, collect, driver_blocks,
                             empty_block, execute, part_id, plan, read_part)
 from ..stages.encode import (DecodeBatch, EncodeBatch, RoundtripVerify,
                              decode_rows, encode_table)
+from ..state.bloom import key_columns, to_record
 from ..state.manifest import (Manifest, compute_zones,
                               null_counts_of, params_hash,
                               value_counts_of)
@@ -105,13 +106,11 @@ class EncodePartitionWriter:
 
     def __init__(self, out_dir: str, codec_overrides: dict | None = None,
                  columns: list[str] | None = None,
-                 shared_vocab_columns: list[str] | None = None,
-                 bloom_columns: list[str] | str | None = "auto"):
+                 shared_vocab_columns: list[str] | None = None):
         self.out_dir = out_dir
         self.codec_overrides = codec_overrides
         self.columns = columns
         self.shared_vocab_columns = shared_vocab_columns
-        self.bloom_columns = bloom_columns
         self._shared = None  # lazy: one sidecar load per worker process
 
     def _column_encoders(self) -> dict | None:
@@ -136,7 +135,6 @@ class EncodePartitionWriter:
             self.out_dir, d["part_id"], t,
             codec_overrides=self.codec_overrides,
             column_encoders=self._column_encoders(),
-            bloom_columns=self.bloom_columns,
             meta={"input": d["path"], "rg_start": d["rg_start"],
                   "rg_end": d["rg_end"],
                   "input_bytes": d.get("input_bytes"),
@@ -167,7 +165,6 @@ def write_part_file(path: str, enc: pa.Table) -> None:
 def write_part(store_dir: str, part_id: str, table: pa.Table, *,
                codec_overrides: dict | None = None,
                column_encoders: dict | None = None,
-               bloom_columns: list[str] | str | None = "auto",
                meta: dict | None = None) -> dict:
     """Write decoded ``table`` as part ``part_id`` of the store: encode
     (``encode_table``), then ``record_part``.  Returns the part's stats
@@ -177,13 +174,11 @@ def write_part(store_dir: str, part_id: str, table: pa.Table, *,
                        codec_overrides=codec_overrides,
                        column_encoders=column_encoders)
     return record_part(store_dir, part_id, enc, table,
-                       null_counts_of(table), bloom_columns=bloom_columns,
-                       meta=meta, t0=t0)
+                       null_counts_of(table), meta=meta, t0=t0)
 
 
 def record_part(store_dir: str, part_id: str, enc: pa.Table,
                 cols: pa.Table, nulls: dict, *,
-                bloom_columns: list[str] | str | None = "auto",
                 meta: dict | None = None, t0: float | None = None,
                 only: dict | None = None) -> dict:
     """Write the encoded-block rows ``enc`` as part ``part_id``
@@ -191,12 +186,13 @@ def record_part(store_dir: str, part_id: str, enc: pa.Table,
     metadata file: the full metadata key set plus the caller's ``meta``
     extras (lineage such as ``input`` / ``inputs`` / ``clustered_on``).
     The zone map, the ``values`` (exact value counts of low-cardinality
-    string columns, ``value_counts_of``) and the ``blooms``
-    (``build_part_blooms``) derive from ``cols``, the decoded columns
-    that carry them: every column for ``write_part``, only those whose
-    entries a rewrite rebuilds for ``pipelines/delete.py``, which also
-    passes ``only`` ({"zones" / "values": columns}) so that no column
-    gains an entry it did not have.  ``nulls`` is the part's
+    string columns, ``value_counts_of``) and the ``keys`` (key sets of
+    the ``key_columns``, ``build_part_blooms``) derive from ``cols``,
+    the decoded columns that carry them: every column for
+    ``write_part``, only those whose entries a rewrite rebuilds for
+    ``pipelines/delete.py``, which also passes ``only`` ({"zones" /
+    "values" / "keys": columns}) so that a column keeps exactly the
+    entries it had.  ``nulls`` is the part's
     {column: null count}.  With ``write_part``, the one writer of every
     store mutation that creates or rewrites a part."""
     t0 = time.perf_counter() if t0 is None else t0
@@ -209,6 +205,8 @@ def record_part(store_dir: str, part_id: str, enc: pa.Table,
     if only is not None:
         zones = {c: z for c, z in zones.items() if c in only["zones"]}
         values = {c: v for c, v in values.items() if c in only["values"]}
+    keys = build_part_blooms(cols, key_columns(cols, values)
+                             if only is None else only["keys"])
     row = {"part_id": part_id,
            "rows": enc.column("n_values")[0].as_py() if enc.num_rows
            else cols.num_rows,
@@ -216,37 +214,19 @@ def record_part(store_dir: str, part_id: str, enc: pa.Table,
            "enc_bytes": sum(enc.column("enc_bytes").to_pylist())}
     Manifest(store_dir).record(part_id, {
         **(meta or {}), **row,
-        "zones": zones, "nulls": nulls,
-        "blooms": build_part_blooms(cols, values, bloom_columns),
+        "zones": zones, "nulls": nulls, "keys": keys,
         "codecs": codecs, "values": values,
         "params_hash": params_hash(enc),
         "wall_s": round(time.perf_counter() - t0, 4)})
     return {**row, "wall_s": time.perf_counter() - t0}
 
 
-def build_part_blooms(t: pa.Table, values: dict,
-                      bloom_columns: list[str] | str | None) -> dict:
-    """The point-lookup blooms of one part (state/bloom.py), as the
-    manifest's ``blooms`` entry {column: record}: "auto" = hashable
-    columns short of document payloads that have no exact value counts
-    (``values``, which prune eq / IN exactly); an explicit list covers
-    any hashable column."""
-    from ..state.bloom import (auto_bloom_columns, build_bloom,
-                               _hash_kind, to_record)
-    if bloom_columns is None:
-        return {}
-    cols = auto_bloom_columns(t, values) \
-        if bloom_columns == "auto" else [
-            c for c in bloom_columns if c in t.column_names]
-    blooms = {}
-    for c in cols:
-        kind = _hash_kind(t.column(c).type)
-        if kind is None:
-            continue
-        b = build_bloom(t.column(c), kind)
-        if b is not None:
-            blooms[c] = to_record(b)
-    return blooms
+def build_part_blooms(t: pa.Table, columns: list[str]) -> dict:
+    """The key sets of ``columns`` of one part (state/bloom.py), as the
+    manifest's ``keys`` entry {column: record}; a column without a
+    non-null value gets none."""
+    recs = {c: to_record(t.column(c)) for c in columns}
+    return {c: r for c, r in recs.items() if r is not None}
 
 
 def _selection_path(out_dir: str) -> str:
@@ -319,17 +299,18 @@ def store_selection(out_dir: str, paths: list[str],
 def encode_files(paths: list[str], out_dir: str, resume: bool = True,
                  target_bytes: int = _DEFAULT_TARGET_BYTES,
                  codec_overrides: dict | None = None,
-                 shared_vocab_columns: list[str] | None = None,
-                 bloom_columns: list[str] | str | None = "auto") -> dict:
+                 shared_vocab_columns: list[str] | None = None) -> dict:
     """Checkpointed encode of parquet files → encoded parts + manifest.
+    A re-run skips the partitions committed in ``out_dir`` (a part file
+    and its manifest, state/manifest.py) whose input is unchanged.
 
     Returns aggregate metrics {parts, rows, orig_bytes, enc_bytes, ratio,
     skipped_parts}."""
     os.makedirs(out_dir, exist_ok=True)
-    # every recorded manifest loads first, so a store of an older format
-    # raises here, before anything is written beside its parts
-    man = Manifest(out_dir)
-    recorded = {pid: man.load(pid) for pid in man.done_parts()}
+    # every committed manifest loads first, so a store of an older
+    # format raises here, before anything is written beside its parts
+    recorded = {part_id(p): m
+                for p, m in plan(out_dir, []).manifests.items()}
     done = recorded if resume else {}
     if shared_vocab_columns:
         # build + write the shared vocabulary sidecars ONCE; on resume an
@@ -368,9 +349,9 @@ def encode_files(paths: list[str], out_dir: str, resume: bool = True,
     skipped = len(parts) - len(todo)
     if todo:
         metrics = _part_scan_seed(todo).map_batches(
-            EncodePartitionWriter(out_dir, codec_overrides,
-                                  shared_vocab_columns=shared_vocab_columns,
-                                  bloom_columns=bloom_columns),
+            EncodePartitionWriter(
+                out_dir, codec_overrides,
+                shared_vocab_columns=shared_vocab_columns),
             batch_size=None, batch_format="pyarrow")
         mt = metrics.to_pandas()  # tiny: one row per partition
     else:
@@ -417,7 +398,9 @@ class DecodePartFile:
                 base_dir=os.path.dirname(p)))
         if not tables:
             return empty_block(self.columns or [], None)
-        return pa.concat_tables(tables)
+        # a full read of a heterogeneous store: a part that lacks a
+        # column gives nulls there
+        return pa.concat_tables(tables, promote_options="permissive")
 
 
 def _part_scan_seed(files: list[dict]) -> "rd.Dataset":
@@ -492,27 +475,23 @@ class DatasetPartWriter:
     prefix = "w-"
     meta: dict | None = None
 
-    def __init__(self, out_dir: str, codec_overrides: dict | None = None,
-                 bloom_columns: list[str] | str | None = "auto"):
+    def __init__(self, out_dir: str, codec_overrides: dict | None = None):
         self.out_dir = out_dir
         self.codec_overrides = codec_overrides
-        self.bloom_columns = bloom_columns
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from ..stages.encode import content_part_id
         return pa.Table.from_pylist([write_part(
             self.out_dir, self.prefix + content_part_id(batch), batch,
-            codec_overrides=self.codec_overrides,
-            bloom_columns=self.bloom_columns, meta=self.meta)])
+            codec_overrides=self.codec_overrides, meta=self.meta)])
 
 
 def write_encoded(ds: "rd.Dataset | pa.Table", out_dir: str, *,
                   codec_overrides: dict | None = None,
-                  bloom_columns: list[str] | str | None = "auto",
                   rows_per_part: int | None = None) -> dict:
     """Sink: stream ANY ``ray.data.Dataset`` into an encoded store
     directory — parts + lineage manifests (zone maps, value counts,
-    blooms), fully readable by ``read_encoded`` / ``agg_encoded`` /
+    key sets), fully readable by ``read_encoded`` / ``agg_encoded`` /
     ``count_encoded`` / ``cluster_store``.  This closes the loop:
     pipeline output (a curated corpus, a join result) lands in the
     same store format the file-based ``encode_files`` writes.
@@ -536,7 +515,7 @@ def write_encoded(ds: "rd.Dataset | pa.Table", out_dir: str, *,
     Returns aggregate metrics {parts, rows, orig_bytes, enc_bytes,
     ratio} for the rows written THIS call."""
     os.makedirs(out_dir, exist_ok=True)
-    w = DatasetPartWriter(out_dir, codec_overrides, bloom_columns)
+    w = DatasetPartWriter(out_dir, codec_overrides)
     bs = driver_blocks(ds)
     if bs is None:
         parts = ds.map_batches(

@@ -9,10 +9,11 @@ metadata only; the per-part structural checks run through
 for a small store, on Ray above it).  ``deep=True``
 additionally decodes every column and proves the manifest's pruning
 metadata against the actual values (zone bounds contain min/max, null
-counts and value counts match, every bloom holds every distinct
-value) — the invariant the entire pushdown layer and the metadata
-COUNT rest on, so a violation here means reads could silently skip
-matching rows or counts come out wrong.
+counts and value counts match, every key set is exactly the
+fingerprint set of its column's values) — the invariant the entire
+pushdown layer and the metadata COUNT rest on, so a violation here
+means reads could silently skip matching rows or counts come out
+wrong.
 
 A manifest that ``Manifest.load`` rejects (a store written by an older
 engine, state/manifest.py) is a "store format" issue: no reader
@@ -57,10 +58,10 @@ class _CheckPart:
         self.deep = deep
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        import numpy as np
         from ..codecs import decode_any
         from ..stages.encode import encoded_blocks
-        from ..state.bloom import from_record, probe_bloom
+        from ..state.bloom import fingerprints, from_record
         out = {"part_id": [], "issue": []}
 
         def add(pid, msg):
@@ -141,15 +142,20 @@ class _CheckPart:
                         add(pid, f"{name}: manifest value counts differ "
                                  f"from the decoded column at {bad[:3]} — "
                                  "a metadata COUNT would be wrong")
-                b = from_record(m["blooms"].get(name))
-                if b is not None and arr.null_count < len(arr):
-                    distinct = pc.unique(arr.drop_null())
-                    missed = len(distinct) - int(probe_bloom(
-                        b, distinct).sum())
-                    if missed:
-                        add(pid, f"{name}: manifest bloom misses {missed} "
-                                 "distinct value(s) of the decoded column "
-                                 "— pushdown would skip matching rows")
+                if name not in m["keys"]:
+                    continue
+                s = from_record(m["keys"][name])
+                want = np.unique(fingerprints(arr))
+                if s is None:
+                    add(pid, f"{name}: unreadable manifest key set")
+                elif missed := len(np.setdiff1d(want, s["fp"])):
+                    add(pid, f"{name}: manifest key set misses {missed} "
+                             "fingerprint(s) of the decoded column — "
+                             "pushdown would skip matching rows")
+                elif s["dt"] != str(arr.type) or \
+                        not np.array_equal(want, s["fp"]):
+                    add(pid, f"{name}: manifest key set is not the "
+                             "decoded column's fingerprint set")
         if not out["part_id"]:
             return pa.table({"part_id": pa.array([], pa.string()),
                              "issue": pa.array([], pa.string())})

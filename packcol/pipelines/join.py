@@ -228,9 +228,9 @@ def join_encoded(fact_store: str, dim_store: str, on, *, right_on=None,
     single key, the dim side's distinct key set (when it is at most
     ``key_pushdown_limit`` values) is pushed INTO the fact read as an
     IN-list predicate — fact parts are pruned via their manifests'
-    blooms and zone maps and non-matching rows are masked on packed codes, so a
-    selective dim filter shrinks the fact scan itself, not just the
-    join output.  That is the store-native advantage over joining two
+    key sets and zone maps and non-matching rows are masked on packed
+    codes, so a selective dim filter shrinks the fact scan itself, not
+    just the join output.  That is the store-native advantage over joining two
     parquet reads: at 100 TB a 1%-selective dim filter skips ~99% of
     fact decode work.  Disabled for outer joins (they must keep
     unmatched fact rows) and multi-key joins.

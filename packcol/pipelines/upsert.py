@@ -2,12 +2,12 @@
 
 ``upsert_encoded(store, ds, key)`` gives the store the last missing
 mutation: *replace-or-insert by key*.  Every store row whose ``key``
-appears in ``ds`` is deleted (the same zone-map + bloom pruning as
+appears in ``ds`` is deleted (the same zone-map + key-set pruning as
 reads selects only the affected parts) and every row of ``ds`` is
 appended as new content-addressed parts — so a point update rewrites
 O(1) parts at 100 TB, and the new rows immediately carry the full
 query-layer metadata (one manifest per part: zone maps, value counts,
-blooms).
+key sets).
 
 Ordering is chosen for crash-safety, not elegance:
 
@@ -28,7 +28,8 @@ Ordering is chosen for crash-safety, not elegance:
 3. **retire** — a key scan (``_KeyColDistinct``) over the published
    parts yields the replaced keys, and ``delete_where`` deletes them in
    bounded driver chunks (``_KEY_CHUNK`` distinct values per pass, each
-   pass zone/bloom pruned), with the freshly published part ids
+   pass pruned by the zone maps and key sets, so it scans the parts
+   that hold a replaced key), with the freshly published part ids
    EXCLUDED so the delete can never eat the new rows.  Both steps run
    through ``sources/plan.py::execute``: in-process on the driver when
    their plan is at most ``_LOCAL_PLAN_BYTES``, else as Ray Data
@@ -64,16 +65,7 @@ from ..sources.plan import (ScanPart, blocks, driver_table, execute, part_id,
                             plan)
 from ..state.manifest import Manifest
 
-# Distinct key values per retire pass (bounds driver memory only).
-# ONE pass is deliberately preferred over bloom-sized chunks: a bloom
-# with ~1% per-value false positives saturates (P(any of N hits) ≈ 1)
-# long before even 4k probe values, so chunking to "let blooms prune"
-# was measured SLOWER on a 4 GB / 512-part soak (5 passes scanned
-# 2059 parts / 23.1 s vs one pass 512 / 17.9 s) — the single pass does
-# one vectorized membership scan per part, the honest cost on an
-# unzoned key.  Large IN-lists skip bloom probing entirely
-# (sources/plan.py::_BLOOM_PROBE_VALUE_CAP); zone envelopes still prune
-# when the key is zoned/clustered.
+# Distinct key values per retire pass: a bound on driver memory only
 _KEY_CHUNK = 1_000_000
 
 
@@ -131,8 +123,7 @@ def _copy_file(src: str, dst: str) -> None:
 
 def upsert_encoded(store_dir: str, ds, key: str, *,
                    rows_per_part: int | None = None,
-                   codec_overrides: dict | None = None,
-                   bloom_columns="auto") -> dict:
+                   codec_overrides: dict | None = None) -> dict:
     """MERGE ``ds`` (a ``ray.data.Dataset`` or a ``pa.Table``) into
     the store on ``key``; see module doc.  ``codec_overrides`` win over
     the store's codec choice.
@@ -160,7 +151,7 @@ def upsert_encoded(store_dir: str, ds, key: str, *,
             ds if t is None else t, staging,
             codec_overrides={**load_store_selection(store_dir),
                              **(codec_overrides or {})},
-            bloom_columns=bloom_columns, rows_per_part=rows_per_part)
+            rows_per_part=rows_per_part)
         new_ids = [part_id(f) for f in plan(staging, []).listed]
         for pid in new_ids:
             _transfer_part(staging, store_dir, pid)

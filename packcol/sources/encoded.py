@@ -42,8 +42,8 @@ domain can evaluate without decoding):
                  filter=[("lang", "==", "de"),
                          ("user_id", "between", 3, 9)])   # conjunction
 
-Point predicates (eq / in) additionally prune via the per-part bloom
-filters the manifests hold (state/bloom.py) — the path that makes a
+Point predicates (eq / in) additionally prune via the per-part key
+sets the manifests hold (state/bloom.py) — the path that makes a
 ``url == x`` lookup on an arrival-ordered store O(matching parts),
 since url zones don't exist (long-string columns are not zone-mapped).
 """
@@ -165,7 +165,7 @@ def store_stats(store_dir: str) -> dict:
     mans = [p.manifests[f] for f in p.listed]
     codec_hist: dict[str, dict[str, int]] = {}
     zones: dict[str, dict] = {}
-    bloom_parts: dict[str, int] = {}
+    key_parts: dict[str, int] = {}
     rows = orig = enc = 0
     for m in mans:
         rows += m["rows"]
@@ -174,8 +174,8 @@ def store_stats(store_dir: str) -> dict:
         for col, codec in m["codecs"].items():
             codec_hist.setdefault(col, {})
             codec_hist[col][codec] = codec_hist[col].get(codec, 0) + 1
-        for col in m["blooms"]:
-            bloom_parts[col] = bloom_parts.get(col, 0) + 1
+        for col in m["keys"]:
+            key_parts[col] = key_parts.get(col, 0) + 1
         for col, z in m["zones"].items():
             cur = zones.get(col)
             if cur is None:
@@ -188,7 +188,7 @@ def store_stats(store_dir: str) -> dict:
             "enc_bytes": enc, "disk_bytes": disk,
             "ratio": round(orig / enc, 4) if enc else None,
             "codecs": codec_hist, "zones": zones,
-            "blooms": bloom_parts}
+            "keys": key_parts}
 
 
 class _CountPart(ScanPart):
@@ -211,7 +211,7 @@ def count_encoded(store_dir: str, filter: tuple | None = None,
     Without a filter this is pure metadata: the sum of the manifest
     row counts.
     With ``filter`` (AND) / ``filter_any`` (OR), the manifests' zone
-    maps, value counts and blooms prune parts driver-side (``plan``).  When every
+    maps, value counts and key sets prune parts driver-side (``plan``).  When every
     predicate is an eq / IN / isnull / notnull on one and the same
     column whose per-part value counts every kept part's manifest
     records (``"values"``), the count is their sum and no part is
@@ -346,7 +346,7 @@ def agg_encoded(store_dir: str, *, group_by: str | None = None,
     by nothing or by C under eq / IN / isnull / notnull predicates on
     that same C, when every kept part records C's value counts (dict /
     rle string columns of at most 64 values per part).  Everything else
-    scans: the scan prunes parts via the manifests' zones and blooms when
+    scans: the scan prunes parts via the manifests' zones and key sets when
     ``filter`` is given, evaluates the predicate on packed codes,
     groups dict / rle columns on their row codes (decoding only the
     group values), and skips value decodes entirely for count-only
@@ -537,7 +537,7 @@ def count_distinct_encoded(store_dir: str, column: str, *,
     1. per part, distinct (group, value) pairs in the encoded domain
        (``_DistinctPairsPart`` — dict codecs dedupe on int codes and
        decode only the surviving distinct values; predicates mask on
-       packed codes after zone/bloom part pruning);
+       packed codes after zone/key-set part pruning);
     2. a groupby over the pair rows removes cross-part duplicates;
     3. a count-per-group aggregate over the now-unique pairs.
 
@@ -1124,7 +1124,7 @@ def query(store_dir: str, *, columns: list[str] | None = None,
     """One SELECT-shaped entry point over the encoded store that plans
     into the narrowest pushdown primitive:
 
-    * ``aggs`` → ``agg_encoded`` (zone/bloom part pruning, packed-code
+    * ``aggs`` → ``agg_encoded`` (zone/key-set part pruning, packed-code
       predicates, dict-code grouping, metadata-only MIN/MAX/COUNT when
       unfiltered); ``order_by``/``limit`` then apply to the small
       aggregated result.
@@ -1173,12 +1173,12 @@ def explain_scan(store_dir: str, *, filter=None, filter_any=None,
     """Planner transparency: the plan a filtered scan executes, from
     metadata alone (zero payload bytes).  Per predicate: the count of
     parts its zone map, null counts and value counts keep; then the
-    survivors of the combined tests, the bloom prune on them, and the
+    survivors of the combined tests, the key-set prune on them, and the
     row upper bound of the parts
     left, from their manifest row counts; the planned bytes and the
     executor they choose ("local": in-process, or "ray").  The numbers
     a user needs to see whether their layout (cluster_store /
-    zorder_store / blooms) is actually pruning — and what
+    zorder_store / key sets) is actually pruning — and what
     `read_encoded`/`agg_encoded`/`count_encoded` will schedule."""
     return {**plan(store_dir, *parse_filter(filter, filter_any)).record,
             "columns": columns}
@@ -1222,7 +1222,7 @@ def agg_encoded_rollup(store_dir: str, group_by: list[str], aggs: dict,
                        filter: tuple | None = None,
                        filter_any: list | None = None):
     """SQL ``GROUP BY ROLLUP(a, b, ...)`` over the encoded store with
-    ONE scan: the finest level is ``_agg_finest`` (zone/bloom pruning,
+    ONE scan: the finest level is ``_agg_finest`` (zone/key-set pruning,
     packed-code predicates, dict-code grouping), and every coarser
     subtotal level re-aggregates the finest RESULT — O(groups) rows,
     never the data.  Rolled-up key slots are NULL, matching SQL's

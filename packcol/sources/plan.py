@@ -5,9 +5,10 @@ One function decides which parts of a store a scan opens.
 manifest (its one metadata file) from the per-process manifest cache
 (``Manifest.cached``: one ``os.stat`` per part once warm), tests every
 predicate against the part's zone map, null counts and exact value
-counts, combines the tests by AND or OR, and probes the blooms the
-zone survivors' manifests hold (state/bloom.py).  All of it runs on
-the driver, before any task.  The :class:`Plan` it returns is both
+counts, combines the tests by AND or OR, and probes the key sets the
+zone survivors' manifests hold (state/bloom.py): an exact answer, up
+to fingerprint collisions, to which parts hold an eq / IN value.  All
+of it runs on the driver, before any task.  The :class:`Plan` it returns is both
 what the scan executes and what ``explain_scan`` reports.
 
 :class:`ScanPart` is the per-part half, run inside the scan tasks: the
@@ -43,7 +44,7 @@ state/manifest.py): :func:`plan` lists the committed parts only, and
 is the one lister of a store's parts outside fsck.
 
 Pruning is never lossy: a part whose manifest has no zone, null count,
-value count or bloom for a predicate's column is kept.
+value count or key set for a predicate's column is kept.
 
 Predicate shapes (``filter=`` is a conjunction, ``filter_any=`` a
 disjunction; each takes one tuple or a list of them):
@@ -73,11 +74,6 @@ from ..state.manifest import Manifest, StoreFormatError, zone_may_match
 # IN-lists longer than this are zone-tested on their [min, max]
 # envelope instead of value by value
 _IN_ZONE_CAP = 1024
-# IN-lists longer than this are never bloom-probed: at ~1% false
-# positives per value, P(any of N values hits) saturates toward 1 long
-# before that, so the probe disproves nothing (measured: a 19k-key
-# upsert retire probed 512 parts' blooms for zero prunes)
-_BLOOM_PROBE_VALUE_CAP = 4096
 # jobs of at most this many input bytes (part file bytes) run
 # in-process (execute_rows).  Measured on one CPU over webtext stores of
 # 8-128 parts (1.8-29.8 MiB planned), the in-process path beat Ray Data
@@ -250,50 +246,47 @@ def _zone_ok(pred: tuple, m: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bloom probes
+# key-set probes
 # ---------------------------------------------------------------------------
 
 def _probe_values(pred: tuple) -> pa.Array | None:
-    """The values an eq / IN predicate probes a bloom with;
-    None when it cannot be probed (another operator, an IN-list beyond
-    _BLOOM_PROBE_VALUE_CAP values, an unhashable value type)."""
+    """The values an eq / IN predicate probes a key set with;
+    None when it cannot be probed (another operator, a value list
+    Arrow cannot type)."""
     _, op, lo, _ = pred
     if op not in ("eq", "in"):
         return None
-    vals = list(lo) if op == "in" else [lo]
-    if len(vals) > _BLOOM_PROBE_VALUE_CAP:
-        return None
     try:
-        return pa.array(vals)
+        return pa.array(list(lo) if op == "in" else [lo])
     except (pa.ArrowInvalid, pa.ArrowNotImplementedError, TypeError):
         return None
 
 
-def bloom_probes(preds: list[tuple]) -> list[tuple]:
+def key_probes(preds: list[tuple]) -> list[tuple]:
     """Per predicate: its probe values (``_probe_values``) and the memo
     its probes share, so each value set is fingerprinted once per op,
     not once per part (state/bloom.py)."""
     return [(_probe_values(pred), {}) for pred in preds]
 
 
-def _bloom_ok(m: dict, column: str, probe: tuple) -> bool:
-    """False when the bloom of ``column`` in the part's cached manifest
-    ``m`` proves no value of the probe is there; a column without a
-    bloom is not probed."""
+def _keys_ok(m: dict, column: str, probe: tuple) -> bool:
+    """False when the key set of ``column`` in the part's cached
+    manifest ``m`` proves no value of the probe is there; a column
+    without a key set is not probed."""
     vals, memo = probe
-    if vals is None or column not in m["blooms"]:
+    if vals is None or column not in m["keys"]:
         return True
     return bloom.bloom_may_contain(m, column, vals, memo)
 
 
-def _bloom_keeps(m: dict, preds: list[tuple], probes: list,
-                 mode: str, zone_ok: list[bool]) -> bool:
+def _keys_keep(m: dict, preds: list[tuple], probes: list,
+               mode: str, zone_ok: list[bool]) -> bool:
     """AND: no predicate is disproven.  OR: some predicate passes its
     zone test (``zone_ok``) and is not disproven.  ``probes`` is
-    ``bloom_probes(preds)``."""
+    ``key_probes(preds)``."""
     if mode == "and":
-        return all(_bloom_ok(m, p[0], v) for p, v in zip(preds, probes))
-    return any(z and _bloom_ok(m, p[0], v)
+        return all(_keys_ok(m, p[0], v) for p, v in zip(preds, probes))
+    return any(z and _keys_ok(m, p[0], v)
                for z, p, v in zip(zone_ok, preds, probes))
 
 
@@ -313,7 +306,7 @@ def _committed(store_dir: str) -> list[str]:
 def _load_manifests(store_dir: str, paths: list[str]) -> dict[str, dict]:
     """{path: manifest} of committed parts, through the per-process
     cache (``Manifest.cached``: shared, read-only entries with decoded
-    blooms); ``StoreFormatError`` for a store written by an older
+    key sets); ``StoreFormatError`` for a store written by an older
     engine."""
     man = Manifest(store_dir)
     return {p: man.cached(part_id(p)) for p in paths}
@@ -372,7 +365,7 @@ class Plan:
                 for (col, op, lo, hi), n in zip(self.preds,
                                                 self.zone_counts)],
             "zone_survivors": self.zone_survivors,
-            "bloom_pruned": self.zone_survivors - len(self.parts),
+            "keys_pruned": self.zone_survivors - len(self.parts),
             "parts_scanned": len(self.parts),
             "rows_upper_bound": sum(rows[p] for p in self.parts),
             "planned_bytes": self.planned_bytes,
@@ -392,9 +385,9 @@ def plan(store_dir: str, preds: list[tuple], mode: str = "and") -> Plan:
     ok = {p: [_zone_ok(pred, mans[p]) for pred in preds] for p in listed}
     combine = all if mode == "and" else any
     zoned = [p for p in listed if combine(ok[p])]
-    probes = bloom_probes(preds)
+    probes = key_probes(preds)
     parts = [p for p in zoned
-             if _bloom_keeps(mans[p], preds, probes, mode, ok[p])]
+             if _keys_keep(mans[p], preds, probes, mode, ok[p])]
     out = Plan(store_dir, list(preds), mode, listed, parts,
                [sum(ok[p][i] for p in listed) for i in range(len(preds))],
                len(zoned))

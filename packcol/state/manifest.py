@@ -9,22 +9,23 @@ stats (stages/select.py), so re-encoding a partition reproduces
 byte-identical output (`params_hash` pins this).
 
 A manifest is the part's one metadata file.  Every writer records the
-key set ``_KEYS``: ``rows``, ``orig_bytes``, ``enc_bytes``, ``codecs``
-({column: codec}) and their ``params_hash``, the part file's
-``payload_digest`` (``file_digest64``), and four maps keyed by column:
-zones (an "i64" zone with its logical type ``dt``), ``nulls``, exact
-value counts (``values``) and ``blooms`` (state/bloom.py records, each
-with its ``dt``); lineage extras such as ``input`` ride along.
+store ``format`` number (``FORMAT``) and the key set ``_KEYS``:
+``rows``, ``orig_bytes``, ``enc_bytes``, ``codecs`` ({column: codec})
+and their ``params_hash``, the part file's ``payload_digest``
+(``file_digest64``), and four maps keyed by column: zones (an "i64"
+zone with its logical type ``dt``), ``nulls``, exact value counts
+(``values``) and ``keys`` (state/bloom.py key-set records, each with
+its ``dt``); lineage extras such as ``input`` ride along.
 
 Store format: ``Manifest.load``, the one reader of manifest files, is
-the one place that knows it.  A manifest without the key set was
-written by an older engine (blooms in ``_bloom/`` sidecars, no
-``values``, zones without ``dt``): ``load`` raises
-:class:`StoreFormatError`, so every reader indexes the keys directly
-and no old store is resumed (resume identity is the part_id string;
-resuming under another id scheme would write duplicate rows BESIDE the
-old parts).  There is no migration: re-encode such a store into a
-fresh directory.
+the one place that knows it.  A manifest without the current format
+number was written by an older engine (bloom filters in place of key
+sets, and before those ``_bloom/`` sidecars, no ``values``, zones
+without ``dt``): ``load`` raises :class:`StoreFormatError`, so every
+reader indexes the keys directly and no old store is resumed (resume
+identity is the part_id string; resuming under another id scheme
+would write duplicate rows BESIDE the old parts).  There is no
+migration: re-encode such a store into a fresh directory.
 
 Commit rule: a part is in the store once both of its files exist,
 ``part-<id>.parquet`` and ``_manifest/<id>.json``.  Every writer
@@ -38,10 +39,10 @@ no manifest commits.
 Read cost: ``Manifest.cached`` keeps the manifests a process has read
 in a cache keyed by path and bounded by ``_CACHE_BYTES`` (least
 recently used out first; an entry is charged its file's bytes plus its
-decoded bloom bits).  An entry is valid while the file's
+decoded key sets).  An entry is valid while the file's
 ``(st_ino, st_mtime_ns, st_size)`` is unchanged, so a hit costs one
 ``os.stat`` and a miss one ``Manifest.load`` plus one decode of its
-bloom bits; the part id alone is not a key, because annotate and
+key sets; the part id alone is not a key, because annotate and
 delete rewrite a manifest under the same id.  Two rewrites within one
 timestamp tick could keep all three (the second reusing the inode the
 first freed), so on a filesystem with whole-second timestamps a
@@ -62,7 +63,7 @@ import threading
 import time
 
 # per-process manifest cache bound: bytes of manifest files held plus
-# their decoded bloom bits
+# their decoded key sets
 _CACHE_BYTES = 64 << 20
 # a manifest with a whole-second mtime (a filesystem with 1-2 s
 # timestamps) modified less than this before the read is read but not
@@ -77,9 +78,11 @@ _RACY_NS = 2_000_000_000
 _cache: collections.OrderedDict = collections.OrderedDict()
 _cache_bytes = 0
 _cache_lock = threading.Lock()
-# the keys every writer records (module docstring)
+# the store format number and the keys every writer records (module
+# docstring)
+FORMAT = 1
 _KEYS = ("rows", "orig_bytes", "enc_bytes", "zones", "nulls", "values",
-         "blooms", "codecs", "params_hash", "payload_digest")
+         "keys", "codecs", "params_hash", "payload_digest")
 
 
 class StoreFormatError(Exception):
@@ -96,17 +99,11 @@ class StoreFormatError(Exception):
 def _format_gap(m: dict) -> str | None:
     """What a parsed manifest lacks of the format every writer records,
     or None when it has all of it."""
+    if m.get("format") != FORMAT:
+        return f"format {m['format']!r}, not {FORMAT}" if "format" in m \
+            else "no format number"
     missing = [k for k in _KEYS if k not in m]
-    if missing:
-        return f"no {', '.join(missing)}"
-    recs = m["blooms"]
-    if not isinstance(recs, dict) or not all(
-            isinstance(r, dict) and "dt" in r for r in recs.values()):
-        return "blooms not a map of records with dt"
-    if not all("dt" in z for z in m["zones"].values()
-               if z.get("kind") == "i64"):
-        return "an i64 zone without dt"
-    return None
+    return f"no {', '.join(missing)}" if missing else None
 
 
 def file_digest64(path: str) -> str:
@@ -165,7 +162,8 @@ class Manifest:
         tmp = p + ".tmp"
         os.makedirs(self.dir, exist_ok=True)
         with open(tmp, "w") as f:
-            json.dump({"part_id": part_id, **meta}, f, sort_keys=True)
+            json.dump({"part_id": part_id, **meta, "format": FORMAT}, f,
+                      sort_keys=True)
         os.replace(tmp, p)
 
     def load(self, part_id: str) -> dict:
@@ -190,7 +188,8 @@ class Manifest:
 
     def cached(self, part_id: str) -> dict:
         """The part's manifest through the per-process cache (module
-        docstring), its ``blooms`` decoded (``bloom.from_record``).
+        docstring), its ``keys`` decoded (``bloom.from_record``; a
+        damaged record is dropped, so it never prunes).
         ``load``'s errors propagate, and ``OSError`` when the manifest
         is gone.  The entry is shared: do not edit it."""
         global _cache_bytes
@@ -207,10 +206,10 @@ class Manifest:
         # never older than the signature it is filed under
         from .bloom import from_record
         m = self.load(part_id)
-        blooms = {c: b for c, b in ((c, from_record(r)) for c, r in
-                                    m["blooms"].items()) if b is not None}
-        m = {**m, "blooms": blooms}
-        size = st.st_size + sum(b["bits"].nbytes for b in blooms.values())
+        keys = {c: k for c, k in ((c, from_record(r)) for c, r in
+                                  m["keys"].items()) if k is not None}
+        m = {**m, "keys": keys}
+        size = st.st_size + sum(k["fp"].nbytes for k in keys.values())
         settled = st.st_mtime_ns % 10**9 or st.st_mtime_ns <= now - _RACY_NS
         with _cache_lock:
             old = _cache.pop(p, None)

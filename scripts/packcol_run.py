@@ -133,12 +133,6 @@ def main() -> None:
                         "sampled token vocabulary written as a sidecar "
                         "(stages/toksep_actor.py) instead of per-part "
                         "dictionaries")
-    e.add_argument("--bloom", default="auto", metavar="auto|none|COLS",
-                   help="per-part bloom filters, kept in the part "
-                        "manifests, for point-lookup part pruning "
-                        "(state/bloom.py): auto = hashable key-shaped "
-                        "columns without value counts, none, or a "
-                        "comma list")
 
     v = sub.add_parser("verify", help="decode-verify an encoded dir")
     v.add_argument("--encoded", required=True)
@@ -183,7 +177,7 @@ def main() -> None:
     r.add_argument("--where-in", nargs=2, metavar=("COL", "V1,V2,..."),
                    action="append",
                    help="IN-list predicate, comma-separated values "
-                   "(repeatable: AND); bloom-pruned for point sets")
+                   "(repeatable: AND); pruned on the parts' key sets")
     r.add_argument("--prefix", nargs=2, metavar=("COL", "PREFIX"),
                    action="append",
                    help="string prefix predicate (SQL LIKE 'p%%'); "
@@ -221,7 +215,7 @@ def main() -> None:
     cl.add_argument("--target-bytes", type=int, default=64 << 20)
 
     de = sub.add_parser("delete", help="predicate-scoped deletion: "
-                        "rewrites ONLY the zone/bloom-surviving parts "
+                        "rewrites ONLY the zone/key-set-surviving parts "
                         "(pipelines/delete.py); idempotent")
     de.add_argument("--encoded", required=True)
     de.add_argument("--where", nargs=2, metavar=("COL", "VAL"),
@@ -311,7 +305,7 @@ def main() -> None:
 
     ex = sub.add_parser("explain", help="what a filtered scan WOULD "
                         "read, from manifests alone: per-predicate "
-                        "zone survivors, bloom prunes, row bound, "
+                        "zone survivors, key-set prunes, row bound, "
                         "planned bytes and executor (local | ray)")
     ex.add_argument("--encoded", required=True)
     ex.add_argument("--where", nargs=2, metavar=("COL", "VAL"),
@@ -453,14 +447,11 @@ def main() -> None:
         paths = sorted(glob.glob(args.input))
         if not paths:
             sys.exit(f"no files match {args.input}")
-        bloom = "auto" if args.bloom == "auto" else (
-            None if args.bloom == "none" else args.bloom.split(","))
         m = encode_files(paths, args.output, resume=not args.no_resume,
                          target_bytes=args.target_mb << 20,
                          shared_vocab_columns=(
                              args.shared_vocab.split(",")
-                             if args.shared_vocab else None),
-                         bloom_columns=bloom)
+                             if args.shared_vocab else None))
         print(json.dumps(m))
     elif args.cmd == "verify":
         from packcol.pipelines.encode_pipeline import verify_files

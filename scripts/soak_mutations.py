@@ -99,7 +99,7 @@ def main() -> None:
                                    + r["parts_removed"])
     out["upsert_parts_scanned"] = r["parts_scanned"]
 
-    # point-predicate delete: zone/bloom pruning keeps it O(1) parts
+    # point-predicate delete: zone/key-set pruning keeps it O(1) parts
     probe = read_encoded(enc_dir, columns=["url"]).limit(1) \
         .to_pandas()["url"].iloc[0]
     t, r = timed(lambda: delete_where(enc_dir, ("url", "==", probe)))

@@ -103,21 +103,23 @@ def test_drop_column_roundtrip(store):
 
 
 def test_add_with_bloom_sidecar(store):
+    """An added key-shaped column gets its key set in the manifest."""
     out, df = store
     add_column_encoded(out, "tag", lambda t: pa.array(
-        [f"t{v}" for v in pa.compute.utf8_length(
-            t.column("text").combine_chunks()).to_pylist()]),
-        ["text"], bloom=True)
+        [f"t{i}-{v}" for i, v in enumerate(pa.compute.utf8_length(
+            t.column("text").combine_chunks()).to_pylist())]),
+        ["text"])
     from packcol.state.manifest import Manifest
     part = sorted(f for f in os.listdir(out) if f.endswith(".parquet"))[0]
     pid = part[len("part-"):-len(".parquet")]
-    assert "tag" in Manifest(out).load(pid)["blooms"]
-    assert not os.path.exists(os.path.join(out, "_bloom"))
+    assert "tag" in Manifest(out).load(pid)["keys"]
+    assert sorted(f for f in os.listdir(out) if not f.endswith(
+        ".parquet")) == ["_manifest", "_selection"]
 
 
 def test_overwrite_replaces_stale_bloom(store):
-    """An overwrite replaces the column's bloom with the new column's,
-    or with none: a bloom of the old values would prune the parts that
+    """An overwrite replaces the column's key set with the new column's,
+    or with none: a set of the old values would prune the parts that
     hold the new ones, and a point read would return nothing."""
     from packcol.pipelines.fsck import check_store
     from packcol.sources.encoded import explain_scan
@@ -128,28 +130,35 @@ def test_overwrite_replaces_stale_bloom(store):
         return lambda t: pa.array(
             [f"{prefix}{v}" for v in t.column("id").to_pylist()])
 
-    def blooms():
-        return [m["blooms"] for m in plan(out, []).manifests.values()]
+    def keys():
+        return [m["keys"] for m in plan(out, []).manifests.values()]
 
-    add_column_encoded(out, "x", tagged("old"), ["id"], bloom=True)
+    add_column_encoded(out, "x", tagged("old"), ["id"])
+    assert all("x" in k for k in keys())
     assert count_encoded(out, ("x", "==", "old5")) == 1
-    # overwritten without bloom=True: the old bloom goes with it
+    # overwritten: the new values' key set replaces the old one
     add_column_encoded(out, "x", tagged("new"), ["id"], overwrite=True)
     got = read_encoded(out, columns=["id", "x"],
                        filter=("x", "==", "new5")).to_pandas()
     assert list(got["id"]) == [5] and list(got["x"]) == ["new5"]
-    assert explain_scan(out, filter=("x", "==", "new5"))["bloom_pruned"] == 0
-    assert all("x" not in b for b in blooms())
-    # overwritten with bloom=True: the new values' bloom
-    add_column_encoded(out, "x", tagged("new"), ["id"], overwrite=True,
-                       bloom=True)
-    assert all("x" in b for b in blooms())
+    assert explain_scan(out, filter=("x", "==", "new5"))["parts_scanned"] \
+        == 1
+    assert explain_scan(out, filter=("x", "==", "old5"))["parts_scanned"] \
+        == 0
+    assert all("x" in k for k in keys())
     assert count_encoded(out, ("x", "==", "new5")) == 1
     assert count_encoded(out, ("x", "in", ["new7", "old7"])) == 1
-    # overwritten with an all-null column: no bloom to build
+    # overwritten with a payload-length column: no key set, and the
+    # old one goes with the overwrite
+    add_column_encoded(out, "x", lambda t: pa.array(
+        [f"new{v}" + "." * 600 for v in t.column("id").to_pylist()]),
+        ["id"], overwrite=True)
+    assert all("x" not in k for k in keys())
+    assert count_encoded(out, ("x", "==", "new5" + "." * 600)) == 1
+    # overwritten with an all-null column: no key set to build
     add_column_encoded(out, "x", lambda t: pa.nulls(t.num_rows, pa.string()),
-                       ["id"], overwrite=True, bloom=True)
-    assert all("x" not in b for b in blooms())
+                       ["id"], overwrite=True)
+    assert all("x" not in k for k in keys())
     assert count_encoded(out, ("x", "isnull")) == len(df)
     assert count_encoded(out, ("x", "==", "new5")) == 0
     assert check_store(out, deep=True)["ok"]
@@ -229,7 +238,7 @@ def test_overwrite_replaces_stale_zone_and_null_metadata(store):
 
 
 def _store_bytes(store):
-    """{relative path: bytes} of every part file and bloom sidecar, and
+    """{relative path: bytes} of every part file and sidecar, and
     {manifest file: record without wall_s}."""
     import json
     blobs, mans = {}, {}
@@ -251,7 +260,7 @@ def _store_bytes(store):
 def test_add_column_executor_paths_agree(store, monkeypatch):
     """add_column_encoded runs in-process on a small store, and on Ray
     with the crossover at 0; both leave byte-identical part files,
-    bloom sidecars and manifests (but for their wall time)."""
+    sidecars and manifests (but for their wall time)."""
     import shutil
 
     from packcol.pipelines import encode_pipeline as ep
@@ -262,8 +271,7 @@ def test_add_column_executor_paths_agree(store, monkeypatch):
     assert plan_mod.plan(out, []).executor == "local"
 
     def add(s):
-        return add_column_encoded(s, "n_tokens", _make_ntok(), ["text"],
-                                  bloom=True)
+        return add_column_encoded(s, "n_tokens", _make_ntok(), ["text"])
 
     with monkeypatch.context() as m:
         m.setattr(ep, "_part_scan_seed", None)  # no Ray Data scan

@@ -1,5 +1,5 @@
-"""Per-part bloom filters in the manifests (state/bloom.py) + IN-list
-pushdown: point-lookup part pruning for columns zone maps can't help
+"""Per-part key sets in the manifests (state/bloom.py) + IN-list
+pushdown: exact eq / IN part pruning for columns zone maps can't help
 with (arrival-ordered high-cardinality keys), the per-process manifest
 cache the probes read (state/manifest.py::Manifest.cached), and the
 (col, "in", [...]) predicate on packed codes
@@ -14,9 +14,8 @@ import pyarrow.parquet as pq
 import pytest
 
 from packcol.sources.webtext import write_webtext
-from packcol.state.bloom import (HASH_BYTES_SAMPLED, HASH_I64,
-                                 bloom_may_contain, build_bloom, from_record,
-                                 probe_bloom, to_record)
+from packcol.state.bloom import (bloom_may_contain, fingerprints,
+                                 from_record, to_record)
 from packcol.state.manifest import Manifest, StoreFormatError
 
 # the rest of a manifest's key set, for manifests of no part file
@@ -25,11 +24,11 @@ _NO_PART = {"rows": 0, "orig_bytes": 0, "enc_bytes": 0, "zones": {},
             "payload_digest": ""}
 
 
-def _write(store_dir, pid, blooms):
-    """Record part ``pid``'s manifest holding ``blooms`` ({column:
-    build_bloom result})."""
-    Manifest(store_dir).record(pid, {**_NO_PART, "blooms": {
-        c: to_record(b) for c, b in blooms.items()}})
+def _write(store_dir, pid, columns):
+    """Record part ``pid``'s manifest holding the key sets of
+    ``columns`` ({column: values})."""
+    Manifest(store_dir).record(pid, {**_NO_PART, "keys": {
+        c: to_record(a) for c, a in columns.items()}})
 
 
 def _may(store_dir, pid, column, values):
@@ -38,72 +37,79 @@ def _may(store_dir, pid, column, values):
                              values)
 
 
+def _entry(arr):
+    """A cached-manifest entry holding only the key set of ``arr`` as
+    column "c"."""
+    return {"keys": {"c": from_record(to_record(arr))}}
+
+
 # ---------------------------------------------------------------- unit
 
 def test_bloom_no_false_negatives_and_low_fpr():
     keys = pa.array([f"https://ex.com/p{i}" for i in range(5000)])
-    b = build_bloom(keys, HASH_BYTES_SAMPLED)
-    present = probe_bloom(b, keys)
-    assert present.all()  # NEVER a false negative
-    absent = probe_bloom(
-        b, pa.array([f"https://other.com/x{i}" for i in range(20000)]))
-    assert absent.mean() < 0.02  # ~0.8% design point, generous bound
+    s = from_record(to_record(keys))
+    assert np.isin(fingerprints(keys), s["fp"]).all()  # NEVER a miss
+    assert bloom_may_contain(_entry(keys), "c", keys[1234:1235])
+    absent = pa.array([f"https://other.com/x{i}" for i in range(20000)])
+    # about 20000 * 5000 / 2^32 = 0.02 collisions expected
+    assert np.isin(fingerprints(absent), s["fp"]).sum() <= 1
+    assert not bloom_may_contain(_entry(keys), "c", absent[:4096])
 
 
 def test_bloom_distinct_sizing():
-    # low-cardinality column → tiny filter (sized by DISTINCT keys)
-    many_rows = pa.array(["de", "en", "fr"] * 10000)
-    b = build_bloom(many_rows, HASH_BYTES_SAMPLED)
-    assert b["n"] == 3
-    assert len(b["bits"]) <= 64
+    # low-cardinality column → tiny set (sized by DISTINCT keys)
+    rec = to_record(pa.array(["de", "en", "fr"] * 10000))
+    assert rec["n"] == 3
+    assert len(rec["fp"]) <= 24  # at most 3 x 32 bits, base64
 
 
 def test_bloom_timestamp_unit_safety():
     import datetime as dt
     ts = pa.array([dt.datetime(2024, 1, 1) + dt.timedelta(hours=i)
                    for i in range(500)]).cast(pa.timestamp("ns"))
-    b = build_bloom(ts, HASH_I64)
+    m = _entry(ts)
+    assert m["keys"]["c"]["dt"] == "timestamp[ns]"
     # probe with a naturally us-inferred scalar: the stored dtype must
     # drive the cast, else this present key would falsely prune
-    assert probe_bloom(b, pa.array([dt.datetime(2024, 1, 1, 5)]))[0]
-    assert not probe_bloom(b, pa.array([dt.datetime(2030, 1, 1)]))[0]
+    assert bloom_may_contain(m, "c", pa.array([dt.datetime(2024, 1, 1, 5)]))
+    assert not bloom_may_contain(m, "c", pa.array([dt.datetime(2030, 1, 1)]))
 
 
 def test_bloom_nulls_and_binary():
-    arr = pa.array(["a", None, "b"])
-    b = build_bloom(arr, HASH_BYTES_SAMPLED)
-    assert b["n"] == 2
-    bn = build_bloom(pa.array([b"\x00\xff", b"xy"], type=pa.binary()),
-                     HASH_BYTES_SAMPLED)
-    assert probe_bloom(bn, pa.array([b"\x00\xff"], type=pa.binary()))[0]
-    assert build_bloom(pa.array([None, None], type=pa.string()),
-                       HASH_BYTES_SAMPLED) is None
+    assert to_record(pa.array(["a", None, "b"]))["n"] == 2
+    bn = _entry(pa.array([b"\x00\xff", b"xy"], type=pa.binary()))
+    assert bloom_may_contain(bn, "c", pa.array([b"\x00\xff"], pa.binary()))
+    assert bloom_may_contain(bn, "c", pa.array(["xy"]))  # same bytes
+    assert not bloom_may_contain(bn, "c", pa.array([b"xz"], pa.binary()))
+    # a value that does not hash as the column's type never prunes
+    assert bloom_may_contain(bn, "c", pa.array([5]))
+    assert to_record(pa.array([None, None], type=pa.string())) is None
 
 
 def test_bloom_sidecar_roundtrip(tmp_path, fresh_cache):
-    """A bloom survives the manifest record (JSON, base64 bits) and the
-    cached manifest entry probes like the built bloom."""
+    """A key set survives the manifest record (JSON, base64 of the
+    packed deltas) and the cached manifest entry probes like the built
+    set."""
     d = str(tmp_path)
-    b = build_bloom(pa.array(["k1", "k2"]), HASH_BYTES_SAMPLED)
-    _write(d, "p0", {"url": b})
-    rec = Manifest(d).load("p0")["blooms"]["url"]
-    assert isinstance(rec["bits"], str)
-    for got in (from_record(rec), Manifest(d).cached("p0")["blooms"]["url"]):
-        assert np.array_equal(got["bits"], b["bits"])
-        assert {k: got[k] for k in ("k", "n", "hash", "dt")} == \
-            {k: b[k] for k in ("k", "n", "hash", "dt")}
+    keys = pa.array(["k1", "k2"])
+    _write(d, "p0", {"url": keys})
+    rec = Manifest(d).load("p0")["keys"]["url"]
+    assert isinstance(rec["fp"], str) and rec["dt"] == "string"
+    want = np.unique(fingerprints(keys))
+    for got in (from_record(rec), Manifest(d).cached("p0")["keys"]["url"]):
+        assert got["fp"].dtype == np.uint32
+        assert np.array_equal(got["fp"], want) and got["dt"] == "string"
     assert _may(d, "p0", "url", pa.array(["k1"]))
     assert not _may(d, "p0", "url", pa.array(["nope"]))
-    # conservative fallbacks: missing column / bad record / unknown
-    # hash kind
+    # conservative fallbacks: missing column / damaged record
     assert _may(d, "p0", "other", pa.array(["nope"]))
-    for bad in ({"bits": "%%", "k": 7, "n": 2, "hash": 2, "dt": "string"},
-                {**rec, "bits": rec["bits"][:8]}, {"k": 7}, "url",
-                {**rec, "hash": 0}, {k: v for k, v in rec.items()
-                                     if k != "dt"}):
+    for bad in ({"fp": "%%", "n": 2, "width": rec["width"], "dt": "string"},
+                {**rec, "fp": rec["fp"][:8]}, {**rec, "n": 3},
+                {**rec, "width": 40}, {"n": 2}, "url",
+                {k: v for k, v in rec.items() if k != "dt"}):
         assert from_record(bad) is None
-    # a list of columns (blooms kept outside the manifest) is an older
-    # store format, which no read accepts
+    # a manifest with blooms in place of key sets is an older store
+    # format, which no read accepts
     Manifest(d).record("p1", {**_NO_PART, "blooms": ["url"]})
     with pytest.raises(StoreFormatError, match="re-encode"):
         Manifest(d).cached("p1")
@@ -115,6 +121,35 @@ def test_bloom_sidecar_roundtrip(tmp_path, fresh_cache):
         f.write("garbage")
     with pytest.raises(ValueError, match="p0.json: not JSON"):
         _may(d, "p0", "url", pa.array(["nope"]))
+
+
+def test_key_set_record_packs_sorted_deltas():
+    """A record holds the sorted distinct fingerprints as bit-packed
+    deltas: 1,000 urls take about 25 bits each."""
+    urls = pa.array([f"https://h{i}.example.com/p/{i * 7}"
+                     for i in range(1000)] * 2)
+    rec = to_record(urls)
+    assert rec["n"] == 1000 and rec["width"] <= 32
+    s = from_record(rec)
+    assert np.array_equal(s["fp"], np.unique(fingerprints(urls)))
+    assert (np.diff(s["fp"].astype(np.int64)) > 0).all()
+    assert len(rec["fp"]) * 3 / 4 <= 1000 * 28 / 8
+
+
+def test_fingerprint_distinguishes_every_byte():
+    """Values differing in length, head, tail or only their middle
+    bytes get distinct fingerprints: the string hash reads every
+    byte."""
+    base = "https://example.com/" + "m" * 40 + "/tail-of-the-url"
+    vals = pa.array(["abcdef", "abcdeg", "xbcdef", "abcdef0",
+                     "a" * 100, "a" * 101, "b" + "a" * 99,
+                     "a" * 99 + "b", "", base] +
+                    [base[:i] + "n" + base[i + 1:]
+                     for i in range(20, 60)])
+    fp = fingerprints(vals)
+    assert len(set(fp.tolist())) == len(vals)
+    # a sliced array hashes its own rows only
+    assert np.array_equal(fingerprints(vals.slice(3, 5)), fp[3:8])
 
 
 # --------------------------------------------------------- access layer
@@ -160,22 +195,23 @@ def bstore(tmp_path_factory, ray_session):
 
 
 def test_encode_writes_bloom_sidecars(bstore):
-    """Blooms live in the manifests; no ``_bloom/`` directory."""
+    """Key sets live in the manifests; no sidecar directory."""
     from packcol.sources.encoded import store_stats
     from packcol.sources.plan import plan
     _, out, _ = bstore
     parts = len([f for f in os.listdir(out) if f.endswith(".parquet")])
-    assert not os.path.exists(os.path.join(out, "_bloom"))
+    assert sorted(f for f in os.listdir(out) if not f.endswith(
+        ".parquet")) == ["_manifest", "_selection"]
     st = store_stats(out)
     # url (key) and warc_ts (int-like) covered; lang (low-card) has
     # exact value counts instead, which prune eq / IN; html/text
     # payloads excluded by the mean-length cap
-    assert st["blooms"].get("url") == parts
-    assert st["blooms"].get("warc_ts") == parts
-    assert "lang" not in st["blooms"]
+    assert st["keys"].get("url") == parts
+    assert st["keys"].get("warc_ts") == parts
+    assert "lang" not in st["keys"]
     assert all("lang" in m["values"]
                for m in plan(out, []).manifests.values())
-    assert "html" not in st["blooms"] and "text" not in st["blooms"]
+    assert "html" not in st["keys"] and "text" not in st["keys"]
 
 
 def test_point_lookup_prunes_to_matching_parts(bstore):
@@ -184,8 +220,8 @@ def test_point_lookup_prunes_to_matching_parts(bstore):
     _, out, paths = bstore
     url = pq.read_table(paths[3], columns=["url"]).column("url")[17].as_py()
     rec = plan(out, [("url", "eq", url, url)]).record
-    surv, pruned = rec["zone_survivors"], rec["parts_scanned"]
-    assert surv > 2 * pruned  # most parts disproven driver-side
+    assert rec["zone_survivors"] > 2 and rec["parts_scanned"] == 1
+    assert rec["keys_pruned"] == rec["zone_survivors"] - 1
     got = read_encoded(out, columns=["url", "text"],
                        filter=("url", "==", url)).to_pandas()
     assert list(got["url"]) == [url]
@@ -214,7 +250,8 @@ def test_count_encoded_in_and_absent(bstore):
     exp = rd.read_parquet(wt).to_pandas()
     n = count_encoded(out, ("lang", "in", ["de", "fr"]))
     assert n == int(exp["lang"].isin(["de", "fr"]).sum())
-    # absent key: bloom disproves every part → zero without any scan
+    # absent key: the key sets disprove every part → zero without any
+    # scan
     assert count_encoded(out, ("url", "==", "https://absent.example/")) == 0
 
 
@@ -233,76 +270,82 @@ def test_conjunction_in_plus_range(bstore):
     assert sorted(got["url"]) == sorted(want["url"])
 
 
-def test_bloom_columns_opt_out_and_explicit(tmp_path_factory, ray_session):
+@pytest.fixture(scope="module")
+def store16(tmp_path_factory, ray_session):
+    """A 16-part webtext store, 1,000 rows per part."""
     from packcol.pipelines.encode_pipeline import encode_files
-    from packcol.sources.encoded import read_encoded, store_stats
-    wt = str(tmp_path_factory.mktemp("wt_noboom"))
-    paths = write_webtext(wt, n_rows=600, n_parts=2, seed=3)
-    out_none = str(tmp_path_factory.mktemp("store_noboom"))
-    encode_files(paths, out_none, target_bytes=1 << 19, bloom_columns=None)
-    assert store_stats(out_none)["blooms"] == {}
-    out_url = str(tmp_path_factory.mktemp("store_urlboom"))
-    encode_files(paths, out_url, target_bytes=1 << 19,
-                 bloom_columns=["url"])
-    assert list(store_stats(out_url)["blooms"]) == ["url"]
-    # a store without blooms still answers correctly (never lossy)
-    url = pq.read_table(paths[0], columns=["url"]).column("url")[0].as_py()
-    got = read_encoded(out_none, columns=["url"],
-                       filter=("url", "==", url)).to_pandas()
-    assert list(got["url"]) == [url]
+    wt = str(tmp_path_factory.mktemp("wt16"))
+    out = str(tmp_path_factory.mktemp("store16"))
+    paths = write_webtext(wt, n_rows=16000, n_parts=16, seed=42)
+    assert encode_files(paths, out)["parts"] == 16
+    return out, paths
 
 
-def test_sampled_hash_build_and_probe():
-    """String blooms build with HASH_BYTES_SAMPLED and probe it with no
-    false negative and a low false-positive rate."""
-    from packcol.state.bloom import _hash_kind
-    vals = pa.array([f"https://h{i}.example.com/p/{i*7}" for i in
-                     range(500)] + ["", "x", "y" * 40])
-    kind = _hash_kind(vals.type)
-    assert kind == HASH_BYTES_SAMPLED
-    b = build_bloom(vals, kind)
-    assert b["hash"] == kind
-    assert probe_bloom(b, vals).all()
-    misses = pa.array([f"https://miss{i}.other.org/{i}"
-                       for i in range(2000)])
-    assert probe_bloom(b, misses).mean() < 0.05
+def test_in_of_one_part_plans_that_part(store16):
+    """An IN of all 1,000 urls of one part, an upsert retire's shape,
+    plans exactly that part: a key set does not saturate."""
+    from packcol.sources.encoded import count_encoded
+    from packcol.sources.plan import part_id, plan
+    out, paths = store16
+    urls = pq.read_table(paths[5], columns=["url"]).column("url")
+    p = plan(out, [("url", "in", tuple(urls.to_pylist()), None)])
+    assert len(p.parts) == 1
+    assert Manifest(out).cached(part_id(p.parts[0]))["input"] == paths[5]
+    assert count_encoded(out, ("url", "in", urls.to_pylist())) == 1000
 
 
-def test_sampled_hash_distinguishes_head_tail_len():
-    """The sampled fingerprint separates values differing in length,
-    head, or tail (middle-only differences MAY collide by design)."""
-    from packcol.state.bloom import _sampled_fingerprint
-    vals = pa.array(["abcdef", "abcdeg", "xbcdef", "abcdef0",
-                     "a" * 100, "a" * 101, "b" + "a" * 99,
-                     "a" * 99 + "b", ""])
-    fp = _sampled_fingerprint(vals)
-    assert len(set(fp.tolist())) == len(vals)
+def test_middle_byte_difference_prunes(store16):
+    """A url that differs from a stored one only in its middle bytes
+    (same length, first and last 16 bytes) is absent, and the part that
+    holds the stored url is pruned: its zone keeps it, its key set
+    does not."""
+    from packcol.sources.encoded import count_encoded, explain_scan
+    from packcol.sources.plan import part_id, plan
+    out, paths = store16
+    stored = {u for p in paths
+              for u in pq.read_table(p, columns=["url"])
+              .column("url").to_pylist()}
+    urls = pq.read_table(paths[5], columns=["url"]).column("url")
+    part = next(p for p in plan(out, []).listed
+                if Manifest(out).cached(part_id(p))["input"] == paths[5])
+    zone = Manifest(out).cached(part_id(part))["zones"]["url"]
+    for u in urls.to_pylist():
+        i = 16 + (len(u) - 32) // 2
+        if len(u) < 33:
+            continue
+        near = u[:i] + ("a" if u[i] != "a" else "b") + u[i + 1:]
+        if near not in stored and zone["min"] < near < zone["max"]:
+            break
+    else:
+        pytest.fail("no url of the part has an in-zone middle variant")
+    assert len(near) == len(u) and near[:16] == u[:16] \
+        and near[-16:] == u[-16:]
+    assert explain_scan(out, filter=("url", "==", near))["parts_scanned"] \
+        == 0
+    assert explain_scan(out, filter=("url", "==", u))["parts_scanned"] == 1
+    assert count_encoded(out, ("url", "==", near)) == 0
 
 
 def test_empty_string_scalar_probe_matches_mixed_column_build():
-    """Regression: a scalar probe of '' (or b'') against a bloom built
-    from a MIXED column (['alpha','','beta']) must hit.  The build
-    hashes the '' row through the head/tail splitmix chain (the column
-    buffer is non-empty); the probe's single-scalar buffer IS empty, so
-    a length-only shortcut there made the fingerprints disagree and the
-    filter falsely pruned parts containing empty strings."""
-    from packcol.state.bloom import (HASH_BYTES_SAMPLED, build_bloom,
-                                     probe_bloom)
+    """Regression: a scalar probe of '' (or b'') against a set built
+    from a MIXED column (['alpha','','beta']) must hit: the build hashes
+    the '' row inside a non-empty data buffer, the probe's
+    single-scalar buffer is empty, and both must give the same
+    fingerprint."""
     for vals, probe in [
         (pa.array(["alpha", "", "beta"]), pa.array([""])),
         (pa.array([b"alpha", b"", b"beta"], type=pa.binary()),
          pa.array([b""], type=pa.binary())),
     ]:
-        b = build_bloom(vals, HASH_BYTES_SAMPLED)
-        assert probe_bloom(b, probe)[0], vals.type
+        assert bloom_may_contain(_entry(vals), "c", probe), vals.type
     # and the converse orientation: all-empty build, mixed-batch probe
-    b = build_bloom(pa.array(["", "", ""]), HASH_BYTES_SAMPLED)
-    assert probe_bloom(b, pa.array(["x", ""])).tolist() == [False, True] \
-        or probe_bloom(b, pa.array(["x", ""]))[1]  # fp on 'x' allowed
+    m = _entry(pa.array(["", "", ""]))
+    assert bloom_may_contain(m, "c", pa.array(["x", ""]))
+    assert not bloom_may_contain(m, "c", pa.array(["x"]))
 
 
 def test_empty_string_filter_not_pruned_end_to_end(tmp_path, ray_session):
-    """A store part containing url='' must survive bloom pruning for
+    """A store part containing url='' must survive key-set pruning for
     filter=('url','==','')."""
     from packcol.pipelines.encode_pipeline import encode_files
     from packcol.sources.encoded import read_encoded
@@ -314,7 +357,9 @@ def test_empty_string_filter_not_pruned_end_to_end(tmp_path, ray_session):
     src.mkdir()
     pq.write_table(t, src / "p0.parquet")
     store = str(tmp_path / "store")
-    encode_files([str(src / "p0.parquet")], store, bloom_columns=["url"])
+    encode_files([str(src / "p0.parquet")], store)
+    assert "url" in Manifest(store).load(
+        next(iter(Manifest(store).done_parts())))["keys"]
     got = read_encoded(store, columns=["url", "text"],
                        filter=("url", "==", "")).to_pandas()
     assert list(got["url"]) == [""] and list(got["text"]) == ["bb"]
@@ -343,15 +388,15 @@ def _age(store_dir, *pids):
 
 def _entry_bytes(store_dir, pid):
     """What the cache charges for part ``pid``'s manifest: the file's
-    bytes plus its decoded bloom bits."""
+    bytes plus its decoded key sets."""
     m = Manifest(store_dir)
     return os.path.getsize(m._path(pid)) + sum(
-        from_record(r)["bits"].nbytes for r in m.load(pid)["blooms"].values())
+        from_record(r)["fp"].nbytes for r in m.load(pid)["keys"].values())
 
 
 def test_cache_sees_annotate_rewrite(tmp_path, ray_session, fresh_cache):
-    """add_column_encoded(bloom=True) rewrites a cached manifest under
-    the same part id; the very next probe in the same process sees it."""
+    """add_column_encoded rewrites a cached manifest under the same
+    part id; the very next probe in the same process sees it."""
     from packcol.pipelines.annotate import add_column_encoded
     from packcol.pipelines.encode_pipeline import encode_files
     from packcol.sources.plan import part_files, part_id
@@ -373,22 +418,19 @@ def test_cache_sees_annotate_rewrite(tmp_path, ray_session, fresh_cache):
         assert _may(out, pid, "tag", nope)
     assert len(fresh_cache._cache) == len(pids)
     add_column_encoded(out, "tag", lambda t: pa.array(
-        [f"t{v}" for v in t.column("id").to_pylist()]), ["id"],
-        bloom=True)
+        [f"t{v}" for v in t.column("id").to_pylist()]), ["id"])
     for pid in pids:
         assert not _may(out, pid, "tag", nope)
-        assert "tag" in Manifest(out).load(pid)["blooms"]
-    first = Manifest(out).cached(pids[0])["blooms"]["tag"]
-    tags = [f"t{i}" for i in range(n)]
-    assert probe_bloom(first, pa.array(tags)).any()
+        assert "tag" in Manifest(out).load(pid)["keys"]
+    tags = pa.array([f"t{i}" for i in range(n)])
+    assert all(_may(out, pid, "tag", tags) for pid in pids)
 
 
 def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
     """A manifest overwritten with garbage after a good probe of the
     same path was cached never prunes: every read of it raises."""
     d = str(tmp_path)
-    _write(d, "p0", {"url": build_bloom(pa.array(["k1", "k2"]),
-                                        HASH_BYTES_SAMPLED)})
+    _write(d, "p0", {"url": pa.array(["k1", "k2"])})
     _age(d, "p0")
     nope = pa.array(["nope"])
     assert not _may(d, "p0", "url", nope)
@@ -400,8 +442,7 @@ def test_cache_corrupt_rewrite_never_prunes(tmp_path, fresh_cache):
             _may(d, "p0", "url", nope)
         _age(d, "p0")
     # and a good rewrite after the garbage prunes again
-    _write(d, "p0", {"url": build_bloom(pa.array(["k3"]),
-                                        HASH_BYTES_SAMPLED)})
+    _write(d, "p0", {"url": pa.array(["k3"])})
     assert not _may(d, "p0", "url", nope)
     assert _may(d, "p0", "url", pa.array(["k3"]))
 
@@ -410,13 +451,12 @@ def test_cache_skips_racily_new_sidecar(tmp_path, fresh_cache):
     """On whole-second timestamps a manifest modified within _RACY_NS
     of the probe is not cached: rewritten in place with the same size
     and mtime (so the same inode, mtime and size) the next probe still
-    sees the new blooms.  Older, it is cached."""
+    sees the new key set.  Older, it is cached."""
     d = str(tmp_path)
     p = Manifest(d)._path("p0")
 
     def write(key):
-        _write(d, "p0", {"url": build_bloom(pa.array([key]),
-                                            HASH_BYTES_SAMPLED)})
+        _write(d, "p0", {"url": pa.array([key])})
         with open(p, "rb") as f:
             return f.read()
 
@@ -439,54 +479,44 @@ def test_cache_skips_racily_new_sidecar(tmp_path, fresh_cache):
 
 
 def test_memoized_probe_equals_unmemoized():
-    """One memo shared by the probes of one value set gives every bloom
-    the answer of an unmemoized probe: every hash kind, blooms of
-    different m_bits in one op, and timestamp[us] values against
-    timestamp[ns] and timestamp[us] blooms (the dt cast)."""
+    """One memo shared by the probes of one value set gives every key
+    set the answer of an unmemoized probe: strings, ints, sets of
+    different sizes in one op, and timestamp[us] values against
+    timestamp[ns] and timestamp[us] sets (the dt cast)."""
     import datetime as dt
     strs = [f"https://h{i}.example.com/{i}" for i in range(3000)]
     ts = [dt.datetime(2024, 1, 1) + dt.timedelta(minutes=i)
           for i in range(3000)]
     cases = [
-        (HASH_BYTES_SAMPLED, [pa.array(strs[:40]), pa.array(strs)],
-         pa.array(strs[::97] + ["miss", ""])),
-        (HASH_I64, [pa.array(np.arange(40, dtype=np.int64)),
-                    pa.array(np.arange(3000, dtype=np.int64))],
-         pa.array([3, 39, 2999, 5000, -1])),
-        (HASH_I64, [pa.array(ts[:40]).cast(pa.timestamp("ns")),
-                    pa.array(ts).cast(pa.timestamp("ns")),
-                    pa.array(ts).cast(pa.timestamp("us"))],
-         pa.array([ts[3], ts[2999], dt.datetime(2030, 1, 1)])),
+        ([pa.array(strs[:40]), pa.array(strs)],
+         pa.array([strs[97], "miss", ""]), [False, True]),
+        ([pa.array(np.arange(40, dtype=np.int64)),
+          pa.array(np.arange(3000, dtype=np.int64))],
+         pa.array([2999, 5000, -1]), [False, True]),
+        ([pa.array(ts[:40]).cast(pa.timestamp("ns")),
+          pa.array(ts).cast(pa.timestamp("ns")),
+          pa.array(ts).cast(pa.timestamp("us"))],
+         pa.array([ts[2999], dt.datetime(2030, 1, 1)]),
+         [False, True, True]),
     ]
-    for kind, builds, vals in cases:
-        blooms = [build_bloom(a, kind) for a in builds]
-        assert len({len(b["bits"]) for b in blooms}) > 1  # two m_bits
+    for builds, vals, want in cases:
+        entries = [_entry(a) for a in builds]
+        assert [bloom_may_contain(m, "c", vals) for m in entries] == want
         memo = {}
         for _ in range(2):  # the second pass is all memo hits
-            for b in blooms:
-                want = probe_bloom(b, vals)
-                assert want.any() and not want.all(), kind
-                assert probe_bloom(b, vals, memo).tolist() == \
-                    want.tolist(), (kind, b["dt"])
-        assert len(memo) == len({(b["hash"], b["dt"], len(b["bits"]))
-                                 for b in blooms})
-    # the dt cast is part of the key: same m_bits, different units
-    ns = build_bloom(pa.array(ts).cast(pa.timestamp("ns")), HASH_I64)
-    us = build_bloom(pa.array(ts).cast(pa.timestamp("us")), HASH_I64)
-    assert len(ns["bits"]) == len(us["bits"])
-    memo, probe = {}, pa.array([ts[10]])
-    assert probe_bloom(ns, probe, memo)[0] and probe_bloom(us, probe, memo)[0]
+            assert [bloom_may_contain(m, "c", vals, memo)
+                    for m in entries] == want
+        assert set(memo) == {str(a.type) for a in builds}
 
 
 def test_cache_byte_bound_evicts(tmp_path, monkeypatch, fresh_cache):
     """The cache holds at most _CACHE_BYTES (manifest files plus their
-    decoded bloom bits) and evicts the least recently used entry first;
+    decoded key sets) and evicts the least recently used entry first;
     evicted manifests still probe."""
     d = str(tmp_path)
     for i in range(3):
-        _write(d, f"p{i}", {"url": build_bloom(
-            pa.array([f"k{i}-{j}" for j in range(800)]),
-            HASH_BYTES_SAMPLED)})
+        _write(d, f"p{i}", {"url": pa.array([f"k{i}-{j}"
+                                             for j in range(800)])})
     _age(d, "p0", "p1", "p2")
     size = max(_entry_bytes(d, f"p{i}") for i in range(3))
     monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)
@@ -513,9 +543,8 @@ def test_cache_bytes_consistent_under_threads(tmp_path, monkeypatch,
     import threading
     d = str(tmp_path)
     for i in range(6):
-        _write(d, f"p{i}", {"url": build_bloom(
-            pa.array([f"k{i}-{j}" for j in range(200)]),
-            HASH_BYTES_SAMPLED)})
+        _write(d, f"p{i}", {"url": pa.array([f"k{i}-{j}"
+                                             for j in range(200)])})
     _age(d, *(f"p{i}" for i in range(6)))
     size = max(_entry_bytes(d, f"p{i}") for i in range(6))
     monkeypatch.setattr(fresh_cache, "_CACHE_BYTES", 2 * size)

@@ -115,7 +115,7 @@ def test_shared_encoder_call_rejects_extra_columns(sv_enc_dir):
 
 
 def test_recompact_keeps_query_layer(ray_session, tmp_path):
-    """Merged parts carry zones + bloom sidecars: pruning and the
+    """Merged parts carry zones + key sets: pruning and the
     metadata MIN/MAX path survive recompaction."""
     import os
 
@@ -138,11 +138,11 @@ def test_recompact_keeps_query_layer(ray_session, tmp_path):
     from packcol.sources.encoded import _agg_from_manifests
     assert _agg_from_manifests(dest, {"m": ("max", "warc_ts")}) \
         is not None
-    # blooms present in the merged parts' manifests
+    # key sets present in the merged parts' manifests
     from packcol.sources.plan import plan
     mans = list(plan(dest, []).manifests.values())
     parts = [f for f in os.listdir(dest) if f.endswith(".parquet")]
-    assert len(mans) == len(parts) and all("url" in m["blooms"]
+    assert len(mans) == len(parts) and all("url" in m["keys"]
                                            for m in mans)
     # point lookup still correct through the pruned path
     url = exp["url"].iloc[5]

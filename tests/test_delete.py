@@ -55,7 +55,7 @@ def test_delete_whole_part_removed(tmp_path, ray_session):
 
 
 def test_delete_idempotent_and_repruned(tmp_path, ray_session):
-    """After a delete, the rebuilt zones/blooms prove absence — the
+    """After a delete, the rebuilt zones/key sets prove absence — the
     re-run scans ZERO parts driver-side."""
     from packcol.pipelines.delete import delete_where
     full, out = _mk_store(tmp_path, ray_session)

@@ -1,7 +1,7 @@
 """A part that loses some of its rows (``delete_where``, an upsert's
 retire) is rewritten in the encoded domain: its blocks are cut with
 ``Codec.subset`` and only the columns that carry a zone, value counts
-or a bloom are decoded (pipelines/delete.py)."""
+or a key set are decoded (pipelines/delete.py)."""
 
 import os
 
@@ -73,7 +73,7 @@ def test_rewritten_blocks_record_decoded_nbytes(webtext, tmp_path):
     new = Manifest(store).load(pid)
     assert new["orig_bytes"] == sum(rows.column("orig_bytes").to_pylist())
     assert new["rows"] == len(urls) - 90
-    for key in ("zones", "values", "blooms"):
+    for key in ("zones", "values", "keys"):
         assert set(new[key]) == set(old[key]), key
     assert new["codecs"] == old["codecs"]
     assert check_store(store, deep=True)["ok"]
@@ -147,24 +147,24 @@ def test_partial_delete_never_tokenizes(webtext, tmp_path, monkeypatch):
 
 
 def test_rewrite_rebuilds_only_the_entries_it_had(tmp_path):
-    """A rewrite keeps an explicitly chosen bloom (``lang`` has value
-    counts, so ``"auto"`` would build none), and a column gains no
-    entry by losing rows: ``s`` has no zone while a row is longer than
-    the zone limit, and keeps none after that row is deleted."""
+    """A rewrite rebuilds exactly the entries the part had, and a column
+    gains none by losing rows: ``s`` has no zone and no key set while
+    one row is longer than the zone limit and lifts the column's mean
+    length past the key-set limit, and keeps none after that row is
+    deleted; ``id`` keeps its key set and ``lang`` its value counts."""
     store = str(tmp_path / "s")
     os.makedirs(store)
     n = 300
     write_part(store, "p0", pa.table({
         "id": pa.array(range(n), pa.int64()),
-        "s": ["x" * 300] + [f"v{i}" for i in range(1, n)],
-        "lang": [("en", "de", "fr")[i % 3] for i in range(n)]}),
-        bloom_columns=["lang", "id"])
+        "s": ["x" * 200_000] + [f"v{i}" for i in range(1, n)],
+        "lang": [("en", "de", "fr")[i % 3] for i in range(n)]}))
     old = Manifest(store).load("p0")
-    assert set(old["blooms"]) == {"lang", "id"} and "s" not in old["zones"]
+    assert set(old["keys"]) == {"id"} and "s" not in old["zones"]
     r = delete_where(store, ("id", "in", [0, 5, 9]))
     assert r["parts_rewritten"] == 1 and r["rows_deleted"] == 3, r
     new = Manifest(store).load("p0")
-    assert set(new["blooms"]) == {"lang", "id"}
+    assert set(new["keys"]) == {"id"}
     assert set(new["zones"]) == set(old["zones"])
     assert new["values"]["lang"] == {"en": 98, "de": 100, "fr": 99}
     got = read_encoded(store, filter=("lang", "==", "en")).to_pandas()

@@ -55,6 +55,22 @@ def test_encoded_schema_heterogeneous(store, tmp_path, monkeypatch):
     assert len(seen) == 1
 
 
+def test_full_read_of_heterogeneous_store(tmp_path, ray_session):
+    """A full read of a store of two tables, part a = {x, y} and part
+    b = {z}, returns every row, with nulls where a part lacks a
+    column."""
+    from packcol.pipelines.encode_pipeline import write_part
+    from packcol.sources.encoded import read_encoded
+    s = str(tmp_path / "het")
+    os.makedirs(s)
+    write_part(s, "a", pa.table({"x": [1, 2], "y": ["p", "q"]}))
+    write_part(s, "b", pa.table({"z": [3.5]}))
+    rows = read_encoded(s).take_all()
+    assert sorted(rows, key=lambda r: str(r["y"])) == [
+        {"x": None, "y": None, "z": 3.5},
+        {"x": 1, "y": "p", "z": None}, {"x": 2, "y": "q", "z": None}]
+
+
 def test_read_encoded_full_scan_roundtrip(store, ray_session):
     import ray.data as rd
     from packcol.sources.encoded import read_encoded
@@ -423,7 +439,7 @@ def test_agg_encoded(store, ray_session):
     assert got["first_ts"].tolist() == ref["first_ts"].tolist()
     assert got["last_ts"].tolist() == ref["last_ts"].tolist()
 
-    # filtered grouped count (zone/bloom prune + code-level mask)
+    # filtered grouped count (zone/key-set prune + code-level mask)
     lo = exp["warc_ts"].quantile(0.3).to_pydatetime()
     hi = exp["warc_ts"].quantile(0.7).to_pydatetime()
     got = agg_encoded(out, group_by="lang", aggs={"n": ("count",)},
@@ -665,7 +681,7 @@ def test_distinct_encoded_includes_null(tmp_path, ray_session):
 
 def test_read_encoded_disjunction(store, ray_session):
     """filter_any= is an OR: a row matching ANY predicate returns;
-    survivor parts = union of per-predicate zone/bloom survivors."""
+    survivor parts = union of per-predicate zone/key-set survivors."""
     import ray.data as rd
     from packcol.sources.encoded import read_encoded
     wt, out = store
@@ -1238,7 +1254,7 @@ def test_query_planner_routes_and_matches(tmp_path, ray_session):
 
 def test_explain_scan_prune_accounting(tmp_path, ray_session):
     """explain_scan's numbers must agree with what the scan actually
-    schedules: zone survivors, bloom prunes, row upper bound."""
+    schedules: zone survivors, key-set prunes, row upper bound."""
     from packcol.pipelines.encode_pipeline import encode_files
     from packcol.sources.encoded import explain_scan, read_encoded
     rng = np.random.default_rng(41)
@@ -1266,7 +1282,7 @@ def test_explain_scan_prune_accounting(tmp_path, ray_session):
     none = explain_scan(out, filter=("k", "==", 10**7))
     assert none["parts_scanned"] == 0 and none["rows_upper_bound"] == 0
 
-    # bloom prune shows up for a nonexistent dict value with in-zone
+    # key-set prune shows up for a nonexistent dict value with in-zone
     miss = explain_scan(out, filter=("s", "==", "u999zz"))
     assert miss["parts_scanned"] <= miss["zone_survivors"]
 

@@ -3,6 +3,7 @@ manifest key set that ``Manifest.load`` accepts, a manifest of an older
 format raises ``StoreFormatError`` at every reader before anything is
 written, and reads create no directory."""
 
+import json
 import os
 import time
 
@@ -72,8 +73,7 @@ def test_every_writer_records_the_current_format(store, tmp_path):
     assert r["parts_rewritten"] == 1
     _assert_current(out)
     add_column_encoded(out, "tag", lambda t: pa.array(
-        [f"t{v % 5}" for v in t.column("id").to_pylist()]), ["id"],
-        bloom=True)
+        [f"t{v}" for v in t.column("id").to_pylist()]), ["id"])
     _assert_current(out)
     rename_column_encoded(out, "tag", "tag2")
     _assert_current(out)
@@ -85,9 +85,11 @@ def test_every_writer_records_the_current_format(store, tmp_path):
     _assert_current(str(tmp_path / "clustered"))
 
 
-# how a manifest of an older engine differs from a current one
+# how a manifest of an older engine differs from a current one: none
+# recorded the format number
 _OLD_SHAPES = {
-    "list blooms": lambda m: m.update(blooms=sorted(m["blooms"])),
+    "no format number": lambda m: None,
+    "list blooms": lambda m: m.update(blooms=sorted(m.pop("keys"))),
     "no values": lambda m: m.pop("values"),
     "zone without dt": lambda m: m["zones"]["ts"].pop("dt"),
 }
@@ -119,9 +121,11 @@ def test_old_format_raises_at_every_reader(store, shape):
     man = Manifest(out)
     pid = sorted(man.done_parts())[-1]
     m = man.load(pid)
-    assert m["blooms"] and "dt" in m["zones"]["ts"]
+    assert m["keys"] and "dt" in m["zones"]["ts"]
+    del m["format"]
     _OLD_SHAPES[shape](m)
-    man.record(pid, m)
+    with open(man._path(pid), "w") as f:
+        json.dump(m, f)
     before = _snapshot(out)
     calls = {
         "read_encoded": lambda: read_encoded(

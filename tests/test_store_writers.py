@@ -20,8 +20,8 @@ from packcol.sources.webtext import LANGS, write_webtext
 
 # what every part's manifest holds, whichever writer made it
 FULL_KEYS = {"rows", "orig_bytes", "enc_bytes", "zones", "nulls",
-             "blooms", "codecs", "values", "params_hash", "wall_s",
-             "payload_digest"}
+             "keys", "codecs", "values", "params_hash", "wall_s",
+             "payload_digest", "format"}
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +245,20 @@ def test_a_part_without_its_manifest_is_not_committed(ray_session, webtext,
                         columns=["url"]).column("url").to_pylist() == \
         ["https://new.example/19"]
     assert fsck.check_store(store)["ok"]
+
+
+def test_resume_reencodes_a_part_whose_file_is_gone(ray_session, tmp_path):
+    """``encode_files`` resumes from the committed parts: a partition
+    whose part file is gone is encoded again, though its manifest
+    stayed."""
+    from packcol.sources.encoded import count_encoded
+    paths = write_webtext(str(tmp_path / "wt"), n_rows=800, n_parts=4,
+                          seed=42)
+    store = str(tmp_path / "enc")
+    assert encode_files(paths, store)["parts"] == 4
+    os.remove(part_files(store)[1])
+    assert count_encoded(store) == 600
+    r = encode_files(paths, store)
+    assert (r["skipped_parts"], r["encoded_rows_this_run"]) == (3, 200)
+    assert count_encoded(store) == 800
+    assert fsck.check_store(store, deep=True)["ok"]

@@ -60,7 +60,8 @@ def test_upsert_update_and_insert(tmp_path, ray_session, base_df):
 
 def test_metadata_is_one_manifest_per_part(tmp_path, ray_session, base_df):
     """A built, upserted and annotated store keeps each part's metadata
-    (blooms included) in one ``_manifest/<id>.json``: no ``_bloom/``."""
+    (key sets included) in one ``_manifest/<id>.json``: no sidecar
+    directory."""
     from packcol.pipelines.annotate import add_column_encoded
     from packcol.sources.plan import part_files, part_id
     from packcol.state.manifest import Manifest
@@ -70,15 +71,15 @@ def test_metadata_is_one_manifest_per_part(tmp_path, ray_session, base_df):
     upsert_encoded(out, pa.Table.from_pandas(ins, preserve_index=False),
                    "id")
     add_column_encoded(out, "tag", lambda t: pa.compute.cast(
-        t.column("id"), pa.string()), ["id"], bloom=True)
+        t.column("id"), pa.string()), ["id"])
     assert sorted(f for f in os.listdir(out)
                   if not f.endswith(".parquet")) == ["_manifest",
                                                      "_selection"]
     pids = {part_id(p) for p in part_files(out)}
     assert Manifest(out).done_parts() == pids
     for m in map(Manifest(out).load, pids):
-        assert {"id", "tag"} <= set(m["blooms"])
-        assert all(isinstance(r["bits"], str) for r in m["blooms"].values())
+        assert {"id", "tag"} <= set(m["keys"])
+        assert all(isinstance(r["fp"], str) for r in m["keys"].values())
 
 
 def test_upsert_idempotent_rerun(tmp_path, ray_session, base_df):
@@ -197,9 +198,8 @@ def _write_ops(store, base_df):
 
 
 def _store_state(store):
-    """Part files by path ({path: bytes}), and the manifests (blooms
+    """Part files by path ({path: bytes}), and the manifests (key sets
     included) without their wall time ({path: dict})."""
-    assert not os.path.exists(os.path.join(store, "_bloom"))
     blobs, mans = {}, {}
     for sub in ("", "_manifest"):
         d = os.path.join(store, sub)
@@ -250,7 +250,7 @@ def test_write_executor_paths_agree(tmp_path, ray_session, base_df,
     retire) and a delete run in-process and start no Ray Data
     execution; over it (crossover 0) they run on Ray, the staging write
     as a ``map_batches`` of the part writer.  Both paths return the
-    same results and leave the same bytes: part files, bloom sidecars
+    same results and leave the same bytes: part files
     and manifests (but for their wall time)."""
     import shutil
     from packcol.pipelines import encode_pipeline as ep
