@@ -61,7 +61,7 @@ class _CheckPart:
         import numpy as np
         from ..codecs import decode_any
         from ..stages.encode import encoded_blocks
-        from ..state.bloom import fingerprints, from_record
+        from ..state.bloom import fingerprints, from_record, hashable
         out = {"part_id": [], "issue": []}
 
         def add(pid, msg):
@@ -145,17 +145,23 @@ class _CheckPart:
                 if name not in m["keys"]:
                     continue
                 s = from_record(m["keys"][name])
-                want = np.unique(fingerprints(arr))
                 if s is None:
                     add(pid, f"{name}: unreadable manifest key set")
-                elif missed := len(np.setdiff1d(want, s["fp"])):
+                    continue
+                foreign = f"{name}: manifest key set is not the " \
+                          "decoded column's fingerprint set"
+                # a set of another type, or on a column no set can
+                # hash (a float column), is not hashed as the column
+                if s["dt"] != str(arr.type) or not hashable(arr.type):
+                    add(pid, foreign)
+                    continue
+                want = np.unique(fingerprints(arr))
+                if missed := len(np.setdiff1d(want, s["fp"])):
                     add(pid, f"{name}: manifest key set misses {missed} "
                              "fingerprint(s) of the decoded column — "
                              "pushdown would skip matching rows")
-                elif s["dt"] != str(arr.type) or \
-                        not np.array_equal(want, s["fp"]):
-                    add(pid, f"{name}: manifest key set is not the "
-                             "decoded column's fingerprint set")
+                elif not np.array_equal(want, s["fp"]):
+                    add(pid, foreign)
         if not out["part_id"]:
             return pa.table({"part_id": pa.array([], pa.string()),
                              "issue": pa.array([], pa.string())})

@@ -55,7 +55,8 @@ def _is_bytes(typ: pa.DataType) -> bool:
         pa.types.is_binary(typ) or pa.types.is_large_binary(typ)
 
 
-def _hashable(typ: pa.DataType) -> bool:
+def hashable(typ: pa.DataType) -> bool:
+    """Can ``fingerprints`` hash a column of type ``typ``?"""
     from ..codecs.forpack import is_int_like
     return _is_bytes(typ) or \
         (is_int_like(typ) and not pa.types.is_uint64(typ))
@@ -95,7 +96,7 @@ def _byte_hash(arr: pa.Array) -> np.ndarray:
 
 def fingerprints(arr: pa.Array) -> np.ndarray:
     """uint32 fingerprint of each non-null value of a hashable array
-    (``_hashable``; an int-like array hashes in its own type)."""
+    (``hashable``; an int-like array hashes in its own type)."""
     from ..codecs.forpack import to_int64_numpy
     from ..functions.text import _splitmix64
     if isinstance(arr, pa.ChunkedArray):
@@ -118,7 +119,7 @@ def key_columns(t: pa.Table, values: dict) -> list[str]:
     out = []
     for name in t.column_names:
         col = t.column(name)
-        if name in values or not _hashable(col.type) or \
+        if name in values or not hashable(col.type) or \
                 col.null_count == len(col):
             continue
         if _is_bytes(col.type) and \
@@ -169,7 +170,7 @@ def _probe_fingerprints(values: pa.Array, dt: str) -> np.ndarray | None:
     from ..codecs.base import str_to_type
     try:
         typ = str_to_type(dt)
-        if _is_bytes(typ) != _is_bytes(values.type) or not _hashable(typ):
+        if _is_bytes(typ) != _is_bytes(values.type) or not hashable(typ):
             return None
         if not _is_bytes(typ):
             # an int-like probe hashes in the COLUMN's type: a

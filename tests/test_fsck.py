@@ -188,28 +188,32 @@ def test_detects_bloom_missing_values(store):
     """A manifest key set that lacks a value of its column would make a
     point read skip the part holding it: the deep check compares every
     key set with the fingerprints of its decoded column.  A damaged
-    record never prunes, and is reported too.  A manifest without the
-    format number (an older store format) is a store format issue."""
+    record never prunes, and is reported too, as is a set on a column
+    no set can hash (float ``v``).  A manifest without the format
+    number (an older store format) is a store format issue."""
     from packcol.state.bloom import to_record
     from packcol.state.manifest import Manifest
     man = Manifest(store)
     pid = sorted(man.done_parts())[0]
     m = man.load(pid)
-    assert "id" in m["keys"]
+    assert list(m["keys"]) == ["id"]
     good = m["keys"]["id"]
-    for tampered, msg in [
-            (to_record(pa.array([-5, -6], pa.int64())),
+    for col, tampered, msg in [
+            ("id", to_record(pa.array([-5, -6], pa.int64())),
              "id: manifest key set misses "),
-            ({**good, "dt": "int32"},
+            ("id", {**good, "dt": "int32"},
              "id: manifest key set is not the decoded column's "),
-            ({**good, "n": good["n"] + 64}, "id: unreadable manifest key")]:
-        m["keys"]["id"] = tampered
+            ("id", {**good, "n": good["n"] + 64},
+             "id: unreadable manifest key"),
+            ("v", {**good, "dt": "double"},
+             "v: manifest key set is not the decoded column's ")]:
+        m["keys"] = {"id": good, col: tampered}
         man.record(pid, m)
         assert check_store(store)["ok"]  # structural layers can't see it
         r = check_store(store, deep=True)
         assert len(r["issues"]) == 1 and r["issues"][0][0] == pid
         assert r["issues"][0][1].startswith(msg), r["issues"]
-    m["keys"]["id"] = good
+    m["keys"] = {"id": good}
     man.record(pid, m)
     assert check_store(store, deep=True)["ok"]
     del m["format"]  # written as an older engine wrote it
